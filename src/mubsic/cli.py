@@ -152,9 +152,7 @@ def _load_cli_fiducial(args) -> siclab.Fiducial:
         return {"qubit": siclab.qubit_fiducial, "qutrit": siclab.qutrit_fiducial}[
             args.builtin
         ]()
-    obj = _read_json(args.fiducial)
-    d = int(obj.get("d", 0))
-    return siclab.ingest_fiducial(args.fiducial, d)
+    return siclab.Fiducial.from_json_dict(_read_json(args.fiducial))
 
 
 def _cmd_sic_generate(args) -> int:
@@ -248,7 +246,7 @@ def _cmd_quasiprob(args) -> int:
     obj = {
         "d": pf.d,
         "points": [[m, j, q[(m, j)]] for (m, j) in pf.keys()],
-        "lines": [[a, b, p[(a, b)]] for (a, b) in sorted(p)],
+        "lines": [[a, b, v] for (a, b), v in p.items()],
     }
     _write_json(args.out, obj)
     total = sum(p.values())

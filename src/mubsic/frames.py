@@ -18,13 +18,12 @@ Trace-one companions are τ = (1 + t)/d and λ = (1 + l)/d.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg import HermitianOp, hs_inner
-from .plane import Dapg
+from .linalg import HermitianOp, gram_deviation, hs_inner, ops_from_json, ops_to_json
+from .plane import Dapg, column_labels, line_keys, point_keys
 from .weyl import HGBasis, MubFamily, require_odd_prime, verify_mub
 
 PointKey = tuple[int, int]   # (m, j), j ∈ 0..d
@@ -60,14 +59,6 @@ def build_simplex_vectors(d: int) -> SimplexVectors:
 # --- frames ------------------------------------------------------------------
 
 
-def _point_keys(d: int):
-    return [(m, j) for j in range(d + 1) for m in range(d)]
-
-
-def _line_keys(d: int):
-    return [(a, b) for a in range(d) for b in range(d)]
-
-
 @dataclass(frozen=True)
 class PointFrame:
     """d(d+1) traceless point operators keyed (m, j), plus the strength β."""
@@ -84,7 +75,7 @@ class PointFrame:
         return (1.0 / self.d) * (HermitianOp.identity(self.d) + self.ops[(m, j)])
 
     def keys(self) -> list[PointKey]:
-        return _point_keys(self.d)
+        return point_keys(self.d)
 
 
 @dataclass(frozen=True)
@@ -103,7 +94,7 @@ class LineFrame:
         return (1.0 / self.d) * (HermitianOp.identity(self.d) + self.ops[(a, b)])
 
     def keys(self) -> list[LineKey]:
-        return _line_keys(self.d)
+        return line_keys(self.d)
 
 
 def point_frame_from_mub(mub: MubFamily, verify_tol: float = 1e-10) -> PointFrame:
@@ -120,10 +111,9 @@ def point_frame_from_mub(mub: MubFamily, verify_tol: float = 1e-10) -> PointFram
         raise ValueError(f"basis family fails unbiasedness: deviation {dev:.3e}")
     eye = np.eye(d)
     ops = {}
-    for j in range(d + 1):
-        for m in range(d):
-            ket = mub.bases[j, m]
-            ops[(m, j)] = HermitianOp.from_matrix(d * np.outer(ket, ket.conj()) - eye)
+    for m, j in point_keys(d):
+        ket = mub.bases[j, m]
+        ops[(m, j)] = HermitianOp.from_matrix(d * np.outer(ket, ket.conj()) - eye)
     return PointFrame(d=d, beta=float(d * (d - 1)), ops=ops)
 
 
@@ -141,14 +131,13 @@ def point_frame_from_hg(basis: HGBasis, atol: float = 1e-12) -> PointFrame:
     simplex = build_simplex_vectors(d)
     half = (d - 1) // 2
     ops = {}
-    for j in range(d + 1):
-        for m in range(d):
-            cosines = simplex.vectors[m, 0::2]
-            sines = simplex.vectors[m, 1::2]
-            mat = np.tensordot(cosines, basis.h[j], axes=1) + np.tensordot(
-                sines, basis.g[j], axes=1
-            )
-            ops[(m, j)] = HermitianOp.from_matrix(mat)
+    for m, j in point_keys(d):
+        cosines = simplex.vectors[m, 0::2]
+        sines = simplex.vectors[m, 1::2]
+        mat = np.tensordot(cosines, basis.h[j], axes=1) + np.tensordot(
+            sines, basis.g[j], axes=1
+        )
+        ops[(m, j)] = HermitianOp.from_matrix(mat)
     assert half * 2 == d - 1
     return PointFrame(d=d, beta=float((d - 1) / 2), ops=ops)
 
@@ -168,7 +157,7 @@ def line_ops_from_points(frame: PointFrame, geom: Dapg) -> LineFrame:
     if frame.d != geom.d:
         raise ValueError(f"dimension mismatch: frame d={frame.d}, geometry d={geom.d}")
     ops = {}
-    for ln in _line_keys(frame.d):
+    for ln in line_keys(frame.d):
         total = HermitianOp.identity(frame.d) * 0.0
         for m, j in geom.points_on(ln):
             total = total + frame.t(m, j)
@@ -182,7 +171,7 @@ def point_ops_from_lines(frame: LineFrame, geom: Dapg) -> PointFrame:
         raise ValueError(f"dimension mismatch: frame d={frame.d}, geometry d={geom.d}")
     d = frame.d
     ops = {}
-    for p in _point_keys(d):
+    for p in point_keys(d):
         total = HermitianOp.identity(d) * 0.0
         for a, b in geom.lines_through(p):
             total = total + frame.l(a, b)
@@ -193,32 +182,21 @@ def point_ops_from_lines(frame: LineFrame, geom: Dapg) -> PointFrame:
 # --- verification ------------------------------------------------------------
 
 
-def _gram(ops_in_order) -> np.ndarray:
-    stack = np.stack([op.mat for op in ops_in_order])
-    return np.einsum("aij,bji->ab", stack, stack).real
-
-
 def verify_point_table(frame: PointFrame) -> float:
     """Max deviation of tr(t t') from {β; −β/(d−1); 0 across columns}."""
     d, beta = frame.d, frame.beta
-    keys = frame.keys()
-    gram = _gram(frame.ops[k] for k in keys)
-    target = np.zeros_like(gram)
-    for i, (m, j) in enumerate(keys):
-        for i2, (m2, j2) in enumerate(keys):
-            if j == j2:
-                target[i, i2] = beta if m == m2 else -beta / (d - 1)
-    return float(np.abs(gram - target).max())
+    col = column_labels(d)
+    target = np.where(col[:, None] == col, -beta / (d - 1), 0.0)
+    np.fill_diagonal(target, beta)
+    return gram_deviation((frame.ops[k] for k in frame.keys()), target)
 
 
 def verify_line_table(frame: LineFrame) -> float:
     """Max deviation of tr(l l') from {α; −α/(d²−1)}."""
     d, alpha = frame.d, frame.alpha
-    gram = _gram(frame.ops[k] for k in frame.keys())
-    n = d * d
-    target = np.full((n, n), -alpha / (d * d - 1))
+    target = np.full((d * d, d * d), -alpha / (d * d - 1))
     np.fill_diagonal(target, alpha)
-    return float(np.abs(gram - target).max())
+    return gram_deviation((frame.ops[k] for k in frame.keys()), target)
 
 
 @dataclass
@@ -307,7 +285,7 @@ def line_probabilities(q: dict, geom: Dapg) -> dict:
     """
     d = geom.d
     out = {}
-    for ln in sorted({tuple(ln) for ln in geom.lines}):
+    for ln in geom.lines:
         total = 0.0
         for p in geom.points_on(ln):
             total += q[p]
@@ -318,58 +296,36 @@ def line_probabilities(q: dict, geom: Dapg) -> dict:
 # --- serialization ------------------------------------------------------------
 #
 # Frame JSON: { "d": d, "beta"|"alpha": x, "ops": [operator, ...] } with ops
-# listed (j major, m minor) for points and (a major, b minor) for lines.
+# listed in plane.point_keys / plane.line_keys order.
 
 
 def point_frame_to_json_dict(frame: PointFrame) -> dict:
-    return {
-        "d": frame.d,
-        "beta": frame.beta,
-        "ops": [frame.ops[k].to_json_dict() for k in frame.keys()],
-    }
+    return {"d": frame.d, "beta": frame.beta, "ops": ops_to_json(frame.ops, frame.keys())}
 
 
 def line_frame_to_json_dict(frame: LineFrame) -> dict:
-    return {
-        "d": frame.d,
-        "alpha": frame.alpha,
-        "ops": [frame.ops[k].to_json_dict() for k in frame.keys()],
-    }
+    return {"d": frame.d, "alpha": frame.alpha, "ops": ops_to_json(frame.ops, frame.keys())}
 
 
-def _frame_ops_from_json(obj: dict, n: int, keys) -> dict:
-    raw = obj.get("ops")
-    if not isinstance(raw, list) or len(raw) != n:
-        raise ValueError(f"expected {n} ops, got {len(raw) if isinstance(raw, list) else raw!r}")
-    return {k: HermitianOp.from_json_dict(o) for k, o in zip(keys, raw)}
+def _frame_from_json(obj: dict, strength: str, keys_of) -> tuple[int, float, dict]:
+    """(d, strength, ops) of a point- or line-frame object."""
+    try:
+        d = int(obj["d"])
+        value = float(obj[strength])
+        raw = obj["ops"]
+    except (KeyError, TypeError) as exc:
+        raise ValueError(f"malformed frame object: {exc}") from exc
+    # Both layouts hold at least d² ops; checked before building d² keys.
+    if not isinstance(raw, list) or not 0 < d * d <= len(raw):
+        raise ValueError(f"frame object with d = {d} needs a list of at least {d * d} ops")
+    return d, value, ops_from_json(raw, keys_of(d))
 
 
 def point_frame_from_json_dict(obj: dict) -> PointFrame:
-    try:
-        d = int(obj["d"])
-        beta = float(obj["beta"])
-    except (KeyError, TypeError) as exc:
-        raise ValueError(f"malformed point-frame object: {exc}") from exc
-    keys = _point_keys(d)
-    return PointFrame(d=d, beta=beta, ops=_frame_ops_from_json(obj, d * (d + 1), keys))
+    d, beta, ops = _frame_from_json(obj, "beta", point_keys)
+    return PointFrame(d=d, beta=beta, ops=ops)
 
 
 def line_frame_from_json_dict(obj: dict) -> LineFrame:
-    try:
-        d = int(obj["d"])
-        alpha = float(obj["alpha"])
-    except (KeyError, TypeError) as exc:
-        raise ValueError(f"malformed line-frame object: {exc}") from exc
-    keys = _line_keys(d)
-    return LineFrame(d=d, alpha=alpha, ops=_frame_ops_from_json(obj, d * d, keys))
-
-
-def write_json(path, obj: dict) -> None:
-    with open(path, "w") as fh:
-        json.dump(obj, fh)
-        fh.write("\n")
-
-
-def read_json(path) -> dict:
-    with open(path) as fh:
-        return json.load(fh)
+    d, alpha, ops = _frame_from_json(obj, "alpha", line_keys)
+    return LineFrame(d=d, alpha=alpha, ops=ops)

@@ -108,6 +108,8 @@ class Spectrum:
 
     def __post_init__(self):
         vals = self.values
+        if not np.all(np.isfinite(vals)):
+            raise ValueError("spectrum values must be finite")
         if any(vals[i] < vals[i + 1] for i in range(len(vals) - 1)):
             raise ValueError("spectrum values must be sorted descending")
 
@@ -166,17 +168,50 @@ def third_moment(h: HermitianOp) -> float:
     return float(np.trace(m2 @ h.mat).real)
 
 
-# --- JSON operator format -------------------------------------------------
+def gram_deviation(ops, target) -> float:
+    """Max |tr(a b) − target[a, b]| over every ordered pair of ``ops``: the
+    Hilbert-Schmidt Gram-table check behind every frame and family verifier."""
+    stack = np.stack([op.mat for op in ops])
+    gram = np.einsum("aij,bji->ab", stack, stack).real
+    return float(np.abs(gram - target).max())
+
+
+# --- JSON formats ----------------------------------------------------------
 #
-# { "dim": d, "entries": [[re, im], ...] }  row-major, length d*d.
-# Shared by every artifact file that carries a single operator.
+# Every complex number in every artifact file is a [re, im] pair of JSON
+# numbers, nested like the array it came from.  A single operator is
+# { "dim": d, "entries": [[re, im], ...] }, row-major, length d*d.
+
+
+def complex_to_json(arr) -> list:
+    """Nested ``[re, im]`` lists of Python floats, one pair per entry."""
+    arr = np.ascontiguousarray(arr, dtype=np.complex128)
+    return arr.view(np.float64).reshape(arr.shape + (2,)).tolist()
+
+
+def complex_from_json(raw, shape, what: str) -> np.ndarray:
+    """Inverse of :func:`complex_to_json`, bit for bit.
+
+    Raises ValueError unless ``raw`` holds finite ``[re, im]`` number pairs
+    nested to exactly ``shape``; ``what`` names the field in the message.
+    """
+    want = tuple(shape) + (2,)
+    try:
+        pairs = np.array(raw)
+    except ValueError:  # ragged nesting
+        pairs = None
+    if pairs is None or pairs.shape != want or pairs.dtype.kind not in "iuf":
+        raise ValueError(f"{what} must be [re, im] number pairs nested to shape {tuple(shape)}")
+    pairs = pairs.astype(np.float64, copy=False)
+    if not np.all(np.isfinite(pairs)):
+        raise ValueError(f"{what} entries must be finite")
+    return pairs.view(np.complex128).reshape(shape)
 
 
 def matrix_to_json_dict(mat: np.ndarray) -> dict:
     mat = as_square_matrix(mat)
     d = mat.shape[0]
-    flat = mat.reshape(d * d)
-    return {"dim": d, "entries": [[float(z.real), float(z.imag)] for z in flat]}
+    return {"dim": d, "entries": complex_to_json(mat.reshape(d * d))}
 
 
 def matrix_from_json_dict(obj: dict) -> np.ndarray:
@@ -187,10 +222,20 @@ def matrix_from_json_dict(obj: dict) -> np.ndarray:
         raise ValueError(f"malformed operator object: {exc}") from exc
     if d < 1:
         raise ValueError(f"operator dim must be positive, got {d}")
-    if len(entries) != d * d:
-        raise ValueError(f"expected {d * d} entries for dim {d}, got {len(entries)}")
-    flat = np.array([complex(re, im) for re, im in entries], dtype=np.complex128)
-    return flat.reshape(d, d)
+    return complex_from_json(entries, (d * d,), "operator entries").reshape(d, d)
+
+
+def ops_to_json(ops: dict, keys) -> list:
+    """Operator objects listed in ``keys`` order."""
+    return [ops[k].to_json_dict() for k in keys]
+
+
+def ops_from_json(raw, keys: list) -> dict:
+    """Inverse of :func:`ops_to_json`: one validated operator per key."""
+    if not isinstance(raw, list) or len(raw) != len(keys):
+        got = len(raw) if isinstance(raw, list) else raw
+        raise ValueError(f"expected {len(keys)} ops, got {got!r}")
+    return {k: HermitianOp.from_json_dict(o) for k, o in zip(keys, raw)}
 
 
 def write_operator_json(path, op: HermitianOp) -> None:

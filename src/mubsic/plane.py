@@ -14,6 +14,8 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, field
 
+import numpy as np
+
 from .weyl import require_prime
 
 Point = tuple[int, int]
@@ -65,6 +67,24 @@ def verify_apg(apg: Apg) -> list[str]:
 
 
 # --- dual affine plane ------------------------------------------------------
+#
+# Point order (column j major, index m minor) and line order (a major, b
+# minor) are the order of operators in every frame and family file.
+
+
+def point_keys(d: int) -> list[Point]:
+    """The d(d+1) dual-plane points (m, j) in file order."""
+    return [(m, j) for j in range(d + 1) for m in range(d)]
+
+
+def line_keys(d: int) -> list[Line]:
+    """The d² dual-plane lines (a, b) in file order."""
+    return [(a, b) for a in range(d) for b in range(d)]
+
+
+def column_labels(d: int) -> np.ndarray:
+    """Column j of each point, in :func:`point_keys` order."""
+    return np.repeat(np.arange(d + 1), d)
 
 
 @dataclass(frozen=True)
@@ -119,11 +139,10 @@ class Dapg:
 def build_dapg(d: int) -> Dapg:
     d = require_prime(d)
     points_on = {}
-    for a in range(d):
-        for b in range(d):
-            pts = [((a + j * b) % d, j) for j in range(d)]
-            pts.append((b, d))
-            points_on[(a, b)] = tuple(pts)
+    for a, b in line_keys(d):
+        pts = [((a + j * b) % d, j) for j in range(d)]
+        pts.append((b, d))
+        points_on[(a, b)] = tuple(pts)
     return Dapg.from_incidence(d, points_on)
 
 

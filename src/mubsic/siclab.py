@@ -21,11 +21,16 @@ from scipy.optimize import least_squares
 from .linalg import (
     HermitianOp,
     Spectrum,
+    complex_from_json,
+    complex_to_json,
+    gram_deviation,
     hermitian_eigensystem,
     matrix_rank,
+    ops_from_json,
+    ops_to_json,
     third_moment,
 )
-from .plane import Dapg, build_dapg
+from .plane import Dapg, build_dapg, column_labels, line_keys, point_keys
 from .weyl import MubFamily, WeylPair, build_weyl_pair, monomial, require_prime
 
 PointKey = tuple[int, int]
@@ -54,7 +59,8 @@ def canonical_ket(vec, atol: float = 1e-12) -> np.ndarray:
 class Fiducial:
     """A unit ket that seeds a covariant projector family.
 
-    ``source`` records provenance: 'closed-form', 'searched', or 'ingested'.
+    ``source`` records provenance: 'closed-form', 'searched', 'ingested', or
+    'reconstructed' (from measurement operators by :func:`fiducial_from_mu_pom`).
     """
 
     d: int
@@ -69,21 +75,18 @@ class Fiducial:
             raise ValueError(f"ket must be unit-norm, got ‖ψ‖ = {norm!r}")
 
     def to_json_dict(self) -> dict:
-        return {
-            "d": self.d,
-            "ket": [[float(z.real), float(z.imag)] for z in self.ket],
-        }
+        return {"d": self.d, "ket": complex_to_json(self.ket)}
 
     @classmethod
     def from_json_dict(cls, obj: dict, source: str = "ingested") -> "Fiducial":
+        """Parse and renormalize a stored ket, which may be off unit norm by up
+        to 1e−6; anything worse, or a malformed or zero ket, is a ValueError."""
         try:
             d = int(obj["d"])
             raw = obj["ket"]
         except (KeyError, TypeError) as exc:
             raise ValueError(f"malformed fiducial object: {exc}") from exc
-        if len(raw) != d:
-            raise ValueError(f"ket has length {len(raw)}, expected d = {d}")
-        vec = np.array([complex(re, im) for re, im in raw], dtype=np.complex128)
+        vec = complex_from_json(raw, (d,), "ket")
         norm = float(np.linalg.norm(vec))
         if abs(norm - 1.0) > 1e-6:
             raise ValueError(f"ingested ket is not normalized: ‖ψ‖ = {norm!r}")
@@ -122,28 +125,26 @@ class SicFamily:
         return self.projectors[(a, b)]
 
     def keys(self) -> list[LineKey]:
-        return [(a, b) for a in range(self.d) for b in range(self.d)]
+        return line_keys(self.d)
 
     def to_json_dict(self) -> dict:
         return {
             "d": self.d,
-            "fiducial": self.fiducial.to_json_dict()["ket"],
-            "ops": [self.projectors[k].to_json_dict() for k in self.keys()],
+            "fiducial": complex_to_json(self.fiducial.ket),
+            "ops": ops_to_json(self.projectors, self.keys()),
         }
 
     @classmethod
     def from_json_dict(cls, obj: dict) -> "SicFamily":
         try:
             d = int(obj["d"])
+            raw_ket = obj["fiducial"]
             raw_ops = obj["ops"]
         except (KeyError, TypeError) as exc:
             raise ValueError(f"malformed family object: {exc}") from exc
-        fid = Fiducial.from_json_dict({"d": d, "ket": obj.get("fiducial")})
-        if len(raw_ops) != d * d:
-            raise ValueError(f"expected {d * d} ops, got {len(raw_ops)}")
-        keys = [(a, b) for a in range(d) for b in range(d)]
-        projectors = {k: HermitianOp.from_json_dict(o) for k, o in zip(keys, raw_ops)}
-        return cls(d=d, fiducial=fid, projectors=projectors)
+        # The ket's length bounds d before d² keys are built.
+        fid = Fiducial.from_json_dict({"d": d, "ket": raw_ket})
+        return cls(d=d, fiducial=fid, projectors=ops_from_json(raw_ops, line_keys(d)))
 
 
 def generate_hw_sic(fid: Fiducial) -> SicFamily:
@@ -156,10 +157,9 @@ def generate_hw_sic(fid: Fiducial) -> SicFamily:
     wp = build_weyl_pair(d)
     rho0 = np.outer(fid.ket, fid.ket.conj())
     projectors = {}
-    for a in range(d):
-        for b in range(d):
-            u = monomial(wp, b, (d - a) % d).conj().T
-            projectors[(a, b)] = HermitianOp.from_matrix(u @ rho0 @ u.conj().T)
+    for a, b in line_keys(d):
+        u = monomial(wp, b, (d - a) % d).conj().T
+        projectors[(a, b)] = HermitianOp.from_matrix(u @ rho0 @ u.conj().T)
     return SicFamily(d=d, fiducial=fid, projectors=projectors)
 
 
@@ -167,12 +167,9 @@ def verify_sic(fam: SicFamily) -> float:
     """Max deviation of tr(λ λ') from the pattern {1 on the diagonal,
     1/(d+1) off it}."""
     d = fam.d
-    stack = np.stack([fam.projectors[k].mat for k in fam.keys()])
-    gram = np.einsum("aij,bji->ab", stack, stack).real
-    n = d * d
-    target = np.full((n, n), 1.0 / (d + 1))
+    target = np.full((d * d, d * d), 1.0 / (d + 1))
     np.fill_diagonal(target, 1.0)
-    return float(np.abs(gram - target).max())
+    return gram_deviation((fam.projectors[k] for k in fam.keys()), target)
 
 
 # --- measurement columns over the dual affine plane ---------------------------
@@ -190,7 +187,7 @@ class MuPomFamily:
         return self.ops[(m, j)]
 
     def keys(self) -> list[PointKey]:
-        return [(m, j) for j in range(self.d + 1) for m in range(self.d)]
+        return point_keys(self.d)
 
     def column(self, j: int) -> list[HermitianOp]:
         return [self.ops[(m, j)] for m in range(self.d)]
@@ -214,7 +211,7 @@ def extract_mu_pom(
     if geom.d != d:
         raise ValueError(f"geometry order {geom.d} does not match family d = {d}")
     ops = {}
-    for p in [(m, j) for j in range(d + 1) for m in range(d)]:
+    for p in point_keys(d):
         total = np.zeros((d, d), dtype=np.complex128)
         for ln in geom.lines_through(p):
             total += fam.projectors[ln].mat
@@ -226,19 +223,10 @@ def verify_mu_pom(fam: MuPomFamily) -> float:
     """Max deviation of tr(τ τ') from the three-value pattern
     {1/d across columns; 2/(d+1) on the diagonal; 1/(d+1) within a column}."""
     d = fam.d
-    keys = fam.keys()
-    stack = np.stack([fam.ops[k].mat for k in keys])
-    gram = np.einsum("aij,bji->ab", stack, stack).real
-    target = np.empty_like(gram)
-    for i, (m, j) in enumerate(keys):
-        for i2, (m2, j2) in enumerate(keys):
-            if j != j2:
-                target[i, i2] = 1.0 / d
-            elif m == m2:
-                target[i, i2] = 2.0 / (d + 1)
-            else:
-                target[i, i2] = 1.0 / (d + 1)
-    return float(np.abs(gram - target).max())
+    col = column_labels(d)
+    target = np.where(col[:, None] == col, 1.0 / (d + 1), 1.0 / d)
+    np.fill_diagonal(target, 2.0 / (d + 1))
+    return gram_deviation((fam.ops[k] for k in fam.keys()), target)
 
 
 # --- spectra bookkeeping -------------------------------------------------------
@@ -327,23 +315,39 @@ def spectra_to_csv(table: dict) -> str:
     d = max(k[1] for k in table)
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(["m", "j"] + [f"lambda_{i}" for i in range(1, d + 1)])
-    for j in range(d + 1):
-        for m in range(d):
-            writer.writerow([m, j] + [f"{x:.12g}" for x in table[(m, j)].values])
+    writer.writerow(_csv_header(d))
+    for m, j in point_keys(d):
+        writer.writerow([m, j] + [f"{x:.12g}" for x in table[(m, j)].values])
     return buf.getvalue()
 
 
+def _csv_header(d: int) -> list[str]:
+    return ["m", "j"] + [f"lambda_{i}" for i in range(1, d + 1)]
+
+
 def spectra_from_csv(text: str) -> dict:
-    rows = list(csv.reader(io.StringIO(text)))
-    if not rows or rows[0][:2] != ["m", "j"]:
-        raise ValueError("spectra CSV must start with header m,j,lambda_1..")
+    """Inverse of :func:`spectra_to_csv`; d is the header's lambda count.
+
+    Raises ValueError unless every point (m, j) appears exactly once, each
+    with d finite values in descending order.
+    """
+    rows = [row for row in csv.reader(io.StringIO(text)) if row]
+    d = len(rows[0]) - 2 if rows else 0
+    if d < 1 or rows[0] != _csv_header(d):
+        raise ValueError("spectra CSV must start with header m,j,lambda_1..lambda_d")
     table = {}
     for row in rows[1:]:
-        if not row:
-            continue
-        m, j = int(row[0]), int(row[1])
-        table[(m, j)] = Spectrum(values=tuple(float(x) for x in row[2:]))
+        if len(row) != d + 2:
+            raise ValueError(f"spectra CSV row {row} does not have {d + 2} fields")
+        key = (int(row[0]), int(row[1]))
+        if key in table:
+            raise ValueError(f"spectra CSV lists point {key} twice")
+        table[key] = Spectrum(values=tuple(float(x) for x in row[2:]))
+    if set(table) != set(point_keys(d)):
+        raise ValueError(
+            f"spectra CSV lists {len(table)} points; d = {d} needs each of the "
+            f"{d * (d + 1)} points (m, j) once"
+        )
     return table
 
 
@@ -358,6 +362,8 @@ class ProbabilityVector:
 
     def __post_init__(self):
         vals = np.asarray(self.entries, dtype=float)
+        if not np.all(np.isfinite(vals)):
+            raise ValueError("probability entries must be finite")
         if vals.min() < -1e-12:
             raise ValueError(f"negative probability entry: {vals.min()!r}")
         if abs(vals.sum() - 1.0) > 1e-12:
@@ -569,7 +575,7 @@ def fiducial_from_mu_pom(
     rank = matrix_rank(lambda0, tol=rank_tol)
     fid = None
     if rank == 1 and abs(spectrum.values[0] - 1.0) <= 1e-6:
-        fid = Fiducial(d=d, ket=canonical_ket(vectors[:, 0]), source="closed-form")
+        fid = Fiducial(d=d, ket=canonical_ket(vectors[:, 0]), source="reconstructed")
     return FiducialExtraction(
         lambda0=lambda0,
         sum_spectrum=sum_spectrum,
@@ -804,27 +810,13 @@ def search_fiducial(
 
 
 def ingest_fiducial(path, d: int) -> Fiducial:
-    """Read a fiducial ket from a JSON file and validate it for dimension d.
-
-    The stored ket may be off unit norm by up to 1e−6 (it is renormalized);
-    anything worse, a length mismatch, or a zero vector is an error.
-    """
+    """Read a fiducial JSON file (see :meth:`Fiducial.from_json_dict`) and
+    require dimension d."""
     with open(path) as fh:
-        obj = json.load(fh)
-    try:
-        file_d = int(obj["d"])
-        raw = obj["ket"]
-    except (KeyError, TypeError) as exc:
-        raise ValueError(f"malformed fiducial file: {exc}") from exc
-    if file_d != d:
-        raise ValueError(f"fiducial file has d = {file_d}, expected {d}")
-    if len(raw) != d:
-        raise ValueError(f"ket has length {len(raw)}, expected {d}")
-    vec = np.array([complex(re, im) for re, im in raw], dtype=np.complex128)
-    norm = float(np.linalg.norm(vec))
-    if abs(norm - 1.0) > 1e-6:
-        raise ValueError(f"ket norm {norm!r} is too far from 1 to renormalize")
-    return Fiducial(d=d, ket=canonical_ket(vec), source="ingested")
+        fid = Fiducial.from_json_dict(json.load(fh))
+    if fid.d != d:
+        raise ValueError(f"fiducial file has d = {fid.d}, expected {d}")
+    return fid
 
 
 def write_fiducial_json(path, fid: Fiducial) -> None:

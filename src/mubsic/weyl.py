@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg import HermitianOp
+from .linalg import HermitianOp, complex_from_json, complex_to_json
 
 
 def is_prime(n: int) -> bool:
@@ -105,27 +105,17 @@ class MubFamily:
         return self.bases.shape[0]
 
     def to_json_dict(self) -> dict:
-        return {
-            "d": self.d,
-            "bases": [
-                [[[float(z.real), float(z.imag)] for z in ket] for ket in basis]
-                for basis in self.bases
-            ],
-        }
+        return {"d": self.d, "bases": complex_to_json(self.bases)}
 
     @classmethod
     def from_json_dict(cls, obj: dict) -> "MubFamily":
         try:
             d = int(obj["d"])
             raw = obj["bases"]
+            n_bases = len(raw)
         except (KeyError, TypeError) as exc:
             raise ValueError(f"malformed basis-family object: {exc}") from exc
-        bases = np.array(
-            [[[complex(re, im) for re, im in ket] for ket in basis] for basis in raw],
-            dtype=np.complex128,
-        )
-        if bases.ndim != 3 or bases.shape[1] != d or bases.shape[2] != d:
-            raise ValueError(f"expected bases shaped (n, {d}, {d}), got {bases.shape}")
+        bases = complex_from_json(raw, (n_bases, d, d), "bases")
         bases.flags.writeable = False
         return cls(d=d, bases=bases)
 

@@ -119,6 +119,39 @@ def test_sic_spectra_and_group(tmp_path, capsys):
     assert len(obj["spectra"]) == 1
 
 
+MALFORMED = {
+    "fiducial-array": (["sic", "generate", "--fiducial"], "fid.json", "[1, 2]\n"),
+    "fiducial-string-entry": (
+        ["sic", "generate", "--fiducial"],
+        "fid.json",
+        json.dumps({"d": 2, "ket": [[0.6, 0.0], ["0.8", 0.0]]}) + "\n",
+    ),
+    "spectra-truncated": (
+        ["sic", "group", "--in"],
+        "spectra.csv",
+        "m,j,lambda_1,lambda_2,lambda_3\n0,0,0.5,0.3,0.2\n1,0,0.5,0.3,0.2\n",
+    ),
+    "spectra-nan": (
+        ["sic", "group", "--in"],
+        "spectra.csv",
+        "m,j,lambda_1,lambda_2\n0,0,0.7,0.3\n1,0,0.7,0.3\n0,1,0.7,0.3\n"
+        "1,1,NaN,0.3\n0,2,0.7,0.3\n1,2,0.7,0.3\n",
+    ),
+}
+
+
+@pytest.mark.parametrize("case", sorted(MALFORMED))
+def test_malformed_input_is_one_error_line(case, tmp_path, capsys):
+    argv, name, text = MALFORMED[case]
+    path = tmp_path / name
+    path.write_text(text)
+    out = tmp_path / "out.json"
+    assert run(argv + [str(path), "--out", str(out)]) == 2
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error: ")
+    assert not out.exists()
+
+
 def test_sic_solve_prob_output(capsys):
     assert run(["sic", "solve-prob", "--d", "3"]) == 0
     out = capsys.readouterr().out

@@ -8,6 +8,8 @@ from mubsic import frames, siclab, weyl
 from mubsic.linalg import (
     HermitianOp,
     Spectrum,
+    complex_from_json,
+    complex_to_json,
     hermitian_eigensystem,
     hs_inner,
     matrix_rank,
@@ -180,6 +182,14 @@ def test_spectrum_requires_descending_order():
         Spectrum(values=(0.0, 1.0))
 
 
+@pytest.mark.parametrize("bad", [float("nan"), float("inf"), -float("inf")])
+def test_spectrum_rejects_non_finite(bad):
+    with pytest.raises(ValueError, match="finite"):
+        Spectrum(values=(bad, 0.0))
+    with pytest.raises(ValueError, match="finite"):
+        Spectrum(values=(1.0, bad))
+
+
 def test_spectrum_max_abs_diff():
     a = Spectrum(values=(0.5, 0.25))
     assert a.max_abs_diff((0.5, 0.0)) == pytest.approx(0.25)
@@ -198,3 +208,57 @@ def test_operator_json_round_trip(tmp_path):
     assert len(obj["entries"]) == 9
     back = read_operator_json(path)
     assert np.abs(back.mat - op.mat).max() <= 1e-15
+
+
+def _reference_pairs(z) -> list:
+    """The per-entry encoding artifact writers spelled out before the shared
+    codec, kept as the reference for its bytes."""
+    if z.ndim == 1:
+        return [[float(v.real), float(v.imag)] for v in z]
+    return [_reference_pairs(sub) for sub in z]
+
+
+CODEC_CASES = [
+    np.array([-0.0, complex(-0.0, -0.0), complex(0.0, -0.0), 5e-324, -5e-324j,
+              2.5e-310 + 1j, 1e308 - 1e-308j, 3, -7j]),
+    np.array([[1, -2], [0, 7]]),
+    np.array([[[0.1 + 0.2j, -0.0], [3.0, -1e-320j]], [[-1.0, 1j], [2, -0.0j]]]),
+]
+
+
+@pytest.mark.parametrize("z", CODEC_CASES, ids=["subnormal-and-signed-zero", "int", "3d"])
+def test_complex_codec_matches_reference_bytes(z):
+    assert json.dumps(complex_to_json(z)) == json.dumps(_reference_pairs(z))
+
+
+@pytest.mark.parametrize("z", CODEC_CASES, ids=["subnormal-and-signed-zero", "int", "3d"])
+def test_complex_codec_round_trip_is_bit_exact(z):
+    z = z.astype(np.complex128)
+    back = complex_from_json(json.loads(json.dumps(complex_to_json(z))), z.shape, "z")
+    assert back.shape == z.shape
+    assert np.array_equal(back.view(np.uint64), z.view(np.uint64))
+
+
+@pytest.mark.parametrize(
+    "raw, shape",
+    [
+        ([["0.5", 0.0], [0.5, 0.0]], (2,)),
+        ([[0.5, 0.0], [0.5, "0"]], (2,)),
+        ([[None, 0.0], [0.5, 0.0]], (2,)),
+        (None, (2,)),
+        ({"re": 1.0, "im": 0.0}, (1,)),
+        ([[1.0, 0.0], [1.0]], (2,)),
+        ([[1.0, 0.0, 2.0], [1.0, 0.0, 2.0]], (2,)),
+        ([[[1.0, 0.0]], [[1.0, 0.0], [0.0, 0.0]]], (2, 2)),
+        ([[float("nan"), 0.0], [0.5, 0.0]], (2,)),
+        ([[0.5, float("inf")], [0.5, 0.0]], (2,)),
+        ([[1.0, 0.0], [0.0, 0.0]], (3,)),
+        ([[1.0, 0.0], [0.0, 0.0]], (1, 2)),
+        ([1.0, 0.0], (1,)),
+    ],
+    ids=["string", "string-imag", "null", "null-top", "object", "ragged", "triple",
+         "ragged-2d", "nan", "inf", "too-short", "wrong-nesting", "bare-pair"],
+)
+def test_complex_from_json_rejects_malformed(raw, shape):
+    with pytest.raises(ValueError):
+        complex_from_json(raw, shape, "entries")

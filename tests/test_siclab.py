@@ -251,6 +251,17 @@ def test_spectra_csv_round_trip():
         assert table[k].max_abs_diff(back[k].values) <= 1e-10
     with pytest.raises(ValueError):
         spectra_from_csv("a,b\n1,2\n")
+    lines = text.splitlines()
+    for bad in (
+        lines[:-1],                                    # a point missing
+        lines + [lines[-1]],                           # a point listed twice
+        lines[:1] + [lines[1] + ",0.1"] + lines[2:],   # a row too long
+        lines[:1] + ["0,0,nan,0"] + lines[2:],         # a non-finite value
+        lines[:1] + ["2,0,1,0"] + lines[2:],           # a point off the plane
+        [lines[0] + ",lambda_3"] + lines[1:],          # header d disagrees with rows
+    ):
+        with pytest.raises(ValueError):
+            spectra_from_csv("\n".join(bad) + "\n")
 
 
 # --- cyclic probability conditions ---------------------------------------------------
@@ -305,6 +316,9 @@ def test_probability_vector_validation():
         ProbabilityVector(entries=(0.5, 0.6))
     with pytest.raises(ValueError):
         ProbabilityVector(entries=(1.1, -0.1))
+    for bad in (float("nan"), float("inf")):
+        with pytest.raises(ValueError, match="finite"):
+            ProbabilityVector(entries=(bad, 1.0))
 
 
 # --- candidate projector from measurement columns -------------------------------------
@@ -333,6 +347,7 @@ def test_qutrit_candidate_projector():
     assert ext.rank == 1
     assert ext.fiducial is not None
     assert fidelity(ext.fiducial.ket, qutrit_target_ket()) >= 1 - 1e-10
+    assert ext.fiducial.source == "reconstructed"
     # sum of the d+1 column operators has eigenvalues {2, 1, 1}
     assert ext.sum_spectrum.max_abs_diff((2.0, 1.0, 1.0)) <= 1e-8
     assert sum(ext.sum_spectrum.values) == pytest.approx(4.0, abs=1e-10)
