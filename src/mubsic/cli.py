@@ -35,6 +35,13 @@ def _tol(args) -> float:
     return DEFAULT_TOL
 
 
+def _verdict(prefix: str, dev: float, tol: float) -> int:
+    """Print ``<prefix> <dev> (pass|fail at <tol>)``; exit code 0 if dev ≤ tol, else 1."""
+    ok = dev <= tol
+    print(f"{prefix} {_fmt(dev)} ({'pass' if ok else 'fail'} at {_fmt(tol)})")
+    return 0 if ok else 1
+
+
 def _write_text(path, text: str) -> None:
     if path is None:
         sys.stdout.write(text)
@@ -65,10 +72,7 @@ def _cmd_mub_build(args) -> int:
 
 def _cmd_mub_verify(args) -> int:
     dev = weyl.verify_mub(weyl.build_mub(args.d))
-    tol = _tol(args)
-    ok = dev <= tol
-    print(f"d={args.d} deviation {_fmt(dev)} ({'pass' if ok else 'fail'} at {_fmt(tol)})")
-    return 0 if ok else 1
+    return _verdict(f"d={args.d} deviation", dev, _tol(args))
 
 
 def _cmd_plane_build(args) -> int:
@@ -88,17 +92,14 @@ def _cmd_plane_build(args) -> int:
 def _cmd_plane_verify(args) -> int:
     if args.kind == "dapg":
         report = plane.verify_incidence(plane.build_dapg(args.d))
-        print(report.summary())
-        for v in report.violations:
-            print(f"  violation: {v}")
-        return 0 if report.ok else 1
-    apg = plane.build_apg(args.d)
-    violations = plane.verify_apg(apg)
-    status = "all axioms pass" if not violations else f"{len(violations)} violations"
-    print(f"{len(apg.points)} points, {len(apg.lines)} lines, {status}")
-    for v in violations:
+    else:
+        apg = plane.build_apg(args.d)
+        violations = plane.verify_apg(apg)
+        report = plane.IncidenceReport(apg.d, len(apg.points), len(apg.lines), violations)
+    print(report.summary())
+    for v in report.violations:
         print(f"  violation: {v}")
-    return 0 if not violations else 1
+    return 0 if report.ok else 1
 
 
 def _cmd_frame_from_mub(args) -> int:
@@ -142,9 +143,7 @@ def _cmd_frame_verify(args) -> int:
             f"{_fmt(report.max_dev_trace_one)} (trace-one)"
         )
         worst = max(worst, line_dev, report.max_dev)
-    ok = worst <= tol
-    print(f"max deviation {_fmt(worst)} ({'pass' if ok else 'fail'} at {_fmt(tol)})")
-    return 0 if ok else 1
+    return _verdict("max deviation", worst, tol)
 
 
 def _load_cli_fiducial(args) -> siclab.Fiducial:
@@ -160,22 +159,13 @@ def _cmd_sic_generate(args) -> int:
     fam = siclab.generate_hw_sic(fid)
     dev = siclab.verify_sic(fam)
     _write_json(args.out, fam.to_json_dict())
-    tol = _tol(args)
-    ok = dev <= tol
-    print(
-        f"d={fam.d} family from {fid.source} fiducial: deviation {_fmt(dev)} "
-        f"({'pass' if ok else 'fail'} at {_fmt(tol)})"
-    )
-    return 0 if ok else 1
+    return _verdict(f"d={fam.d} family from {fid.source} fiducial: deviation", dev, _tol(args))
 
 
 def _cmd_sic_verify(args) -> int:
     fam = siclab.SicFamily.from_json_dict(_read_json(args.infile))
     dev = siclab.verify_sic(fam)
-    tol = _tol(args)
-    ok = dev <= tol
-    print(f"d={fam.d} deviation {_fmt(dev)} ({'pass' if ok else 'fail'} at {_fmt(tol)})")
-    return 0 if ok else 1
+    return _verdict(f"d={fam.d} deviation", dev, _tol(args))
 
 
 def _cmd_sic_spectra(args) -> int:

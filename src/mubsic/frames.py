@@ -22,8 +22,15 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg import HermitianOp, gram_deviation, hs_inner, ops_from_json, ops_to_json
-from .plane import Dapg, column_labels, line_keys, point_keys
+from .linalg import (
+    HermitianOp,
+    gram_deviation,
+    header_int,
+    hs_inner,
+    ops_from_json,
+    ops_to_json,
+)
+from .plane import Dapg, column_labels, incidence_sum, line_keys, point_keys
 from .weyl import HGBasis, MubFamily, require_odd_prime, verify_mub
 
 PointKey = tuple[int, int]   # (m, j), j ∈ 0..d
@@ -156,12 +163,7 @@ def line_ops_from_points(frame: PointFrame, geom: Dapg) -> LineFrame:
     """Bridge points to lines: l_μ = Σ_{(m,j)∈μ} t_m^(j); α = β(d+1)."""
     if frame.d != geom.d:
         raise ValueError(f"dimension mismatch: frame d={frame.d}, geometry d={geom.d}")
-    ops = {}
-    for ln in line_keys(frame.d):
-        total = HermitianOp.identity(frame.d) * 0.0
-        for m, j in geom.points_on(ln):
-            total = total + frame.t(m, j)
-        ops[ln] = total
+    ops = _incidence_ops(frame.ops, geom.points, geom.incidence, geom.lines, 1.0)
     return LineFrame(d=frame.d, alpha=float(frame.beta * (frame.d + 1)), ops=ops)
 
 
@@ -170,13 +172,19 @@ def point_ops_from_lines(frame: LineFrame, geom: Dapg) -> PointFrame:
     if frame.d != geom.d:
         raise ValueError(f"dimension mismatch: frame d={frame.d}, geometry d={geom.d}")
     d = frame.d
-    ops = {}
-    for p in point_keys(d):
-        total = HermitianOp.identity(d) * 0.0
-        for a, b in geom.lines_through(p):
-            total = total + frame.l(a, b)
-        ops[p] = (1.0 / d) * total
+    ops = _incidence_ops(frame.ops, geom.lines, geom.incidence.T, geom.points, 1.0 / d)
     return PointFrame(d=d, beta=float(frame.alpha / (d + 1)), ops=ops)
+
+
+def _incidence_ops(ops: dict, keys, incidence: np.ndarray, out_keys, scale: float) -> dict:
+    """``scale`` times the sums of ``ops`` (rows in ``keys`` order) along
+    ``incidence``, keyed by ``out_keys``; built directly, as HermitianOp
+    arithmetic does, since sums of Hermitian matrices are exactly Hermitian."""
+    mats = incidence_sum(incidence, [ops[k].mat for k in keys])
+    traces = scale * incidence_sum(incidence, [ops[k].trace for k in keys])
+    mats *= scale
+    mats.flags.writeable = False
+    return {k: HermitianOp(mat=m, trace=float(t)) for k, m, t in zip(out_keys, mats, traces)}
 
 
 # --- verification ------------------------------------------------------------
@@ -223,22 +231,15 @@ def verify_point_line_products(
     if not (points.d == lines.d == geom.d):
         raise ValueError("dimension mismatch between frames and geometry")
     d, beta = points.d, points.beta
-    on_t = beta
-    off_t = -beta * (d + 1) / (d * d - 1)
-    on_tau = (d + beta) / d**2
-    off_tau = (d - beta / (d - 1)) / d**2
-    dev_t = 0.0
-    dev_tau = 0.0
-    for ln in lines.keys():
-        members = set(geom.points_on(ln))
-        l_op = lines.l(*ln)
-        lam_op = lines.lam(*ln)
-        for p in points.keys():
-            on = p in members
-            dev_t = max(dev_t, abs(hs_inner(points.t(*p), l_op) - (on_t if on else off_t)))
-            dev_tau = max(
-                dev_tau, abs(hs_inner(points.tau(*p), lam_op) - (on_tau if on else off_tau))
-            )
+    on = geom.incidence.T == 1  # [line, point]
+    want_t = np.where(on, beta, -beta * (d + 1) / (d * d - 1)).tolist()
+    want_tau = np.where(on, (d + beta) / d**2, (d - beta / (d - 1)) / d**2).tolist()
+    dev_t = dev_tau = 0.0
+    for c, ln in enumerate(geom.lines):
+        l_op, lam_op = lines.l(*ln), lines.lam(*ln)
+        for r, p in enumerate(geom.points):
+            dev_t = max(dev_t, abs(hs_inner(points.t(*p), l_op) - want_t[c][r]))
+            dev_tau = max(dev_tau, abs(hs_inner(points.tau(*p), lam_op) - want_tau[c][r]))
     return PointLineReport(
         d=d, beta=beta, max_dev_traceless=dev_t, max_dev_trace_one=dev_tau
     )
@@ -283,14 +284,8 @@ def line_probabilities(q: dict, geom: Dapg) -> dict:
     Equals tr(λ_μ ρ)/d when Q came from the bridged point frame; sums to 1
     over all lines.
     """
-    d = geom.d
-    out = {}
-    for ln in geom.lines:
-        total = 0.0
-        for p in geom.points_on(ln):
-            total += q[p]
-        out[ln] = (total - 1.0) / d
-    return out
+    sums = incidence_sum(geom.incidence, [q[p] for p in geom.points])
+    return {ln: (float(total) - 1.0) / geom.d for ln, total in zip(geom.lines, sums)}
 
 
 # --- serialization ------------------------------------------------------------
@@ -310,7 +305,7 @@ def line_frame_to_json_dict(frame: LineFrame) -> dict:
 def _frame_from_json(obj: dict, strength: str, keys_of) -> tuple[int, float, dict]:
     """(d, strength, ops) of a point- or line-frame object."""
     try:
-        d = int(obj["d"])
+        d = header_int(obj, "d")
         value = float(obj[strength])
         raw = obj["ops"]
     except (KeyError, TypeError) as exc:

@@ -208,6 +208,14 @@ def complex_from_json(raw, shape, what: str) -> np.ndarray:
     return pairs.view(np.complex128).reshape(shape)
 
 
+def header_int(obj: dict, key: str) -> int:
+    """``obj[key]`` if it is a JSON integer (not a bool, a fraction or ±inf)."""
+    value = obj[key]
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise ValueError(f"{key} must be an integer, got {value!r}")
+    return value
+
+
 def matrix_to_json_dict(mat: np.ndarray) -> dict:
     mat = as_square_matrix(mat)
     d = mat.shape[0]
@@ -216,7 +224,7 @@ def matrix_to_json_dict(mat: np.ndarray) -> dict:
 
 def matrix_from_json_dict(obj: dict) -> np.ndarray:
     try:
-        d = int(obj["dim"])
+        d = header_int(obj, "dim")
         entries = obj["entries"]
     except (KeyError, TypeError) as exc:
         raise ValueError(f"malformed operator object: {exc}") from exc

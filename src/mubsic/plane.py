@@ -7,6 +7,10 @@ Dual affine plane conventions: points are (m, j) with column j ∈ {0..d}
 a, b ∈ {0..d−1}; line (a, b) contains point (b, d) and, for each j < d, the
 point (a + jb mod d, j).  Every line has d+1 points (one per column), every
 point lies on d lines, and two distinct lines meet in exactly one point.
+
+A dual plane is held as its 0/1 point×line incidence matrix N: incidence sums
+run along N (:func:`incidence_sum`), and the axiom checks are exact counts on
+NᵀN = J + d·I and on NNᵀ (0 within a column, 1 across columns).
 """
 
 from __future__ import annotations
@@ -16,6 +20,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .linalg import header_int
 from .weyl import require_prime
 
 Point = tuple[int, int]
@@ -57,13 +62,21 @@ def verify_apg(apg: Apg) -> list[str]:
     for ln in apg.lines:
         if len(ln) != d:
             violations.append(f"line {sorted(ln)} has {len(ln)} points, expected {d}")
-    pts = list(apg.points)
-    for i, p in enumerate(pts):
-        for q in pts[i + 1:]:
-            joining = sum(1 for ln in apg.lines if p in ln and q in ln)
-            if joining != 1:
-                violations.append(f"points {p}, {q} lie on {joining} common lines")
+    pts = apg.points
+    members = np.array([[p in ln for ln in apg.lines] for p in pts])
+    for i, k, joining in _pair_counts(members.reshape(len(pts), len(apg.lines)), 1):
+        violations.append(f"points {pts[i]}, {pts[k]} lie on {joining} common lines")
     return violations
+
+
+def _pair_counts(members: np.ndarray, want) -> list[tuple[int, int, int]]:
+    """(i, k, n), in row-major order, for each pair i < k of rows of the 0/1
+    matrix ``members`` that share n ≠ ``want[i, k]`` columns.  The counts are
+    taken in float64, which is exact: no count exceeds the column count."""
+    a = members.astype(np.float64)
+    counts = a @ a.T
+    rows, cols = np.nonzero(np.triu(counts != want, 1))
+    return [(int(i), int(k), int(counts[i, k])) for i, k in zip(rows, cols)]
 
 
 # --- dual affine plane ------------------------------------------------------
@@ -91,49 +104,71 @@ def column_labels(d: int) -> np.ndarray:
 class Dapg:
     """Dual affine plane of order d as an explicit incidence structure.
 
-    ``build_dapg`` constructs the canonical one; :meth:`from_incidence`
-    accepts arbitrary (possibly broken) incidence data so that
-    :func:`verify_incidence` can flag it.
+    ``incidence`` is the read-only 0/1 matrix N with rows in ``points`` order
+    and columns in ``lines`` order.  ``build_dapg`` constructs the canonical
+    plane; :meth:`from_incidence` accepts arbitrary (possibly broken)
+    incidence data so that :func:`verify_incidence` can flag it.
     """
 
     d: int
     points: tuple[Point, ...]
     lines: tuple[Line, ...]
-    _points_on: dict = field(repr=False)
-    _lines_through: dict = field(repr=False)
+    incidence: np.ndarray = field(repr=False)
 
     @classmethod
     def from_incidence(cls, d: int, points_on: dict) -> "Dapg":
-        points_on = {tuple(ln): tuple(map(tuple, pts)) for ln, pts in points_on.items()}
+        points_on = {tuple(ln): [tuple(p) for p in pts] for ln, pts in points_on.items()}
         lines = tuple(sorted(points_on))
-        seen: dict[Point, list[Line]] = {}
-        for ln in lines:
-            for p in points_on[ln]:
-                seen.setdefault(p, []).append(ln)
-        points = tuple(sorted(seen, key=lambda p: (p[1], p[0])))
-        lines_through = {p: tuple(sorted(seen[p])) for p in points}
-        return cls(
-            d=int(d),
-            points=points,
-            lines=lines,
-            _points_on=points_on,
-            _lines_through=lines_through,
-        )
+        labels = {p for pts in points_on.values() for p in pts}
+        points = tuple(sorted(labels, key=lambda p: (p[1], p[0])))
+        row = {p: i for i, p in enumerate(points)}
+        incidence = np.zeros((len(points), len(lines)), dtype=np.int8)
+        for c, ln in enumerate(lines):
+            incidence[[row[p] for p in points_on[ln]], c] = 1
+        incidence.flags.writeable = False
+        return cls(d=int(d), points=points, lines=lines, incidence=incidence)
 
     def points_on(self, line: Line) -> tuple[Point, ...]:
-        key = tuple(line)
-        if key not in self._points_on:
-            raise ValueError(f"no such line: {key}")
-        return self._points_on[key]
+        """Points of ``line`` in ``points`` order."""
+        c = _index(self.lines, line, "line")
+        return tuple(self.points[r] for r in np.flatnonzero(self.incidence[:, c]))
 
     def lines_through(self, point: Point) -> tuple[Line, ...]:
-        key = tuple(point)
-        if key not in self._lines_through:
-            raise ValueError(f"no such point: {key}")
-        return self._lines_through[key]
+        """Lines through ``point`` in ``lines`` order."""
+        r = _index(self.points, point, "point")
+        return tuple(self.lines[c] for c in np.flatnonzero(self.incidence[r]))
 
-    def incidence_pairs(self) -> set[tuple[Point, Line]]:
-        return {(p, ln) for ln in self.lines for p in self.points_on(ln)}
+
+def _index(labels: tuple, label, what: str) -> int:
+    if tuple(label) not in labels:
+        raise ValueError(f"no such {what}: {tuple(label)}")
+    return labels.index(tuple(label))
+
+
+def incidence_sum(incidence: np.ndarray, terms) -> np.ndarray:
+    """out[c] = Σ terms[r] over the rows r with incidence[r, c] = 1, for one
+    array or number per row; pass ``N`` to sum over the points of each line
+    and ``N.T`` to sum over the lines through each point.
+
+    Bit-identical to a per-output loop that adds from zeros in increasing r:
+    slot k adds each output's k-th term, for a block of outputs at a time, so
+    no (outputs, terms, ...) temporary is built.  A spare slot adds zeros,
+    which changes no bit, since a sum that starts from +0.0 is never −0.0.
+    """
+    terms = [*terms, np.zeros_like(terms[0])]
+    cols, rows = np.nonzero(incidence.T)  # grouped by output, rows increasing
+    counts = np.bincount(cols, minlength=incidence.shape[1])
+    slots = np.full((counts.max(initial=0), len(counts)), len(terms) - 1)
+    rank = np.arange(len(rows)) - np.repeat(np.cumsum(counts) - counts, counts)
+    slots[rank, cols] = rows  # each output's k-th term goes to slot k
+    out = np.zeros((len(counts),) + np.shape(terms[0]), dtype=np.result_type(terms[0]))
+    # Gathers of at most 64 KiB reuse freed memory; a whole-slot gather
+    # (2 MB at d = 19) would stay resident after it is freed.
+    step = max(1, 2**16 // out[0].nbytes)
+    for lo in range(0, len(out), step):
+        for slot in slots[:, lo : lo + step]:
+            out[lo : lo + step] += np.array([terms[r] for r in slot])
+    return out
 
 
 def build_dapg(d: int) -> Dapg:
@@ -163,11 +198,12 @@ class IncidenceReport:
 
 
 def verify_incidence(geom: Dapg) -> IncidenceReport:
-    """Exact combinatorial check of the dual-affine axioms.
+    """Exact combinatorial check of the dual-affine axioms, by counts on N.
 
     Checks: point/line counts d(d+1) and d²; every line has d+1 points, one
     per column; every point lies on d lines; two distinct lines meet in
-    exactly one point; points share a line iff they sit in different columns.
+    exactly one point (NᵀN = J + d·I); points share a line iff they sit in
+    different columns (NNᵀ is 0 within a column, 1 across columns).
     """
     d = geom.d
     violations = []
@@ -176,36 +212,25 @@ def verify_incidence(geom: Dapg) -> IncidenceReport:
     if len(geom.lines) != d * d:
         violations.append(f"expected {d * d} lines, found {len(geom.lines)}")
 
-    for ln in geom.lines:
-        pts = geom.points_on(ln)
-        if len(set(pts)) != d + 1:
-            violations.append(f"line {ln} has {len(set(pts))} points, expected {d + 1}")
-            continue
-        cols = sorted(p[1] for p in pts)
-        if cols != list(range(d + 1)):
+    column = np.array([p[1] for p in geom.points])
+    for c, ln in enumerate(geom.lines):
+        cols = sorted(column[geom.incidence[:, c] == 1].tolist())
+        if len(cols) != d + 1:
+            violations.append(f"line {ln} has {len(cols)} points, expected {d + 1}")
+        elif cols != list(range(d + 1)):
             violations.append(f"line {ln} misses a column: columns {cols}")
 
-    for p in geom.points:
-        lns = geom.lines_through(p)
-        if len(set(lns)) != d:
-            violations.append(f"point {p} lies on {len(set(lns))} lines, expected {d}")
+    degrees = geom.incidence.sum(axis=1)
+    for r in np.flatnonzero(degrees != d):
+        violations.append(f"point {geom.points[r]} lies on {degrees[r]} lines, expected {d}")
 
-    line_sets = {ln: set(geom.points_on(ln)) for ln in geom.lines}
-    lines = list(geom.lines)
-    for i, ln in enumerate(lines):
-        for ln2 in lines[i + 1:]:
-            meet = len(line_sets[ln] & line_sets[ln2])
-            if meet != 1:
-                violations.append(f"lines {ln}, {ln2} meet in {meet} points")
+    for i, k, meet in _pair_counts(geom.incidence.T, 1):
+        violations.append(f"lines {geom.lines[i]}, {geom.lines[k]} meet in {meet} points")
 
-    for i, p in enumerate(geom.points):
-        for q in geom.points[i + 1:]:
-            shared = len(set(geom.lines_through(p)) & set(geom.lines_through(q)))
-            want = 0 if p[1] == q[1] else 1
-            if shared != want:
-                violations.append(
-                    f"points {p}, {q} share {shared} lines, expected {want}"
-                )
+    across = column[:, None] != column
+    for i, k, shared in _pair_counts(geom.incidence, across):
+        p, q = geom.points[i], geom.points[k]
+        violations.append(f"points {p}, {q} share {shared} lines, expected {int(across[i, k])}")
 
     return IncidenceReport(
         d=d, n_points=len(geom.points), n_lines=len(geom.lines), violations=violations
@@ -239,9 +264,8 @@ def export_incidence(geom: Dapg, fmt: str) -> str:
         out.append("  node [shape=box];")
         for a, b in geom.lines:
             out.append(f'  "l{a}_{b}";')
-        for ln in geom.lines:
-            a, b = ln
-            for m, j in geom.points_on(ln):
+        for a, b in geom.lines:
+            for m, j in geom.points_on((a, b)):
                 out.append(f'  "p{m}_{j}" -- "l{a}_{b}";')
         out.append("}")
         return "\n".join(out) + "\n"
@@ -278,7 +302,7 @@ def incidence_from_json(text: str) -> Dapg:
     """Rebuild a Dapg from :func:`export_incidence` JSON output."""
     obj = json.loads(text)
     try:
-        d = int(obj["d"])
+        d = header_int(obj, "d")
         lines = [tuple(ln) for ln in obj["lines"]]
         pairs = [(tuple(p), tuple(ln)) for p, ln in obj["incidence"]]
     except (KeyError, TypeError) as exc:

@@ -24,13 +24,14 @@ from .linalg import (
     complex_from_json,
     complex_to_json,
     gram_deviation,
+    header_int,
     hermitian_eigensystem,
     matrix_rank,
     ops_from_json,
     ops_to_json,
     third_moment,
 )
-from .plane import Dapg, build_dapg, column_labels, line_keys, point_keys
+from .plane import Dapg, build_dapg, column_labels, incidence_sum, line_keys, point_keys
 from .weyl import MubFamily, WeylPair, build_weyl_pair, monomial, require_prime
 
 PointKey = tuple[int, int]
@@ -82,7 +83,7 @@ class Fiducial:
         """Parse and renormalize a stored ket, which may be off unit norm by up
         to 1e−6; anything worse, or a malformed or zero ket, is a ValueError."""
         try:
-            d = int(obj["d"])
+            d = header_int(obj, "d")
             raw = obj["ket"]
         except (KeyError, TypeError) as exc:
             raise ValueError(f"malformed fiducial object: {exc}") from exc
@@ -137,7 +138,7 @@ class SicFamily:
     @classmethod
     def from_json_dict(cls, obj: dict) -> "SicFamily":
         try:
-            d = int(obj["d"])
+            d = header_int(obj, "d")
             raw_ket = obj["fiducial"]
             raw_ops = obj["ops"]
         except (KeyError, TypeError) as exc:
@@ -210,12 +211,8 @@ def extract_mu_pom(
         geom = build_dapg(d)
     if geom.d != d:
         raise ValueError(f"geometry order {geom.d} does not match family d = {d}")
-    ops = {}
-    for p in point_keys(d):
-        total = np.zeros((d, d), dtype=np.complex128)
-        for ln in geom.lines_through(p):
-            total += fam.projectors[ln].mat
-        ops[p] = HermitianOp.from_matrix(total / d)
+    sums = incidence_sum(geom.incidence.T, [fam.projectors[ln].mat for ln in geom.lines])
+    ops = {p: HermitianOp.from_matrix(total / d) for p, total in zip(geom.points, sums)}
     return MuPomFamily(d=d, ops=ops)
 
 
@@ -283,26 +280,24 @@ class Grouping:
 
 
 def group_columns_by_spectrum(table: dict, tol: float = 1e-6) -> Grouping:
-    """Greedy partition of columns 0..d by entrywise spectrum agreement.
+    """Partition columns 0..d into the connected components of "spectra agree
+    entrywise within ``tol``", so the result does not depend on column order.
 
     Each column is represented by the mean of its members' spectra (callers
-    should have checked column-constancy first); a column joins the first
-    group whose founding representative matches within ``tol``.
+    should have checked column-constancy first).  Groups list their columns
+    in increasing order and are ordered by their smallest column.
     """
     d = max(k[1] for k in table)
-    reps = {}
-    for j in range(d + 1):
-        reps[j] = np.mean([np.asarray(table[(m, j)].values) for m in range(d)], axis=0)
+    reps = np.array(
+        [np.mean([table[(m, j)].values for m in range(d)], axis=0) for j in range(d + 1)]
+    )
+    close = np.abs(reps[:, None] - reps).max(axis=2) <= tol
     groups: list[list[int]] = []
-    founders: list[np.ndarray] = []
     for j in range(d + 1):
-        for gi, f in enumerate(founders):
-            if float(np.abs(reps[j] - f).max()) <= tol:
-                groups[gi].append(j)
-                break
-        else:
-            groups.append([j])
-            founders.append(reps[j])
+        linked = [g for g in groups if close[j, g].any()]
+        merged = sorted([j] + [k for g in linked for k in g])
+        groups = [g for g in groups if g not in linked] + [merged]
+    groups.sort()
     spectra = [
         [float(x) for x in np.mean([reps[j] for j in g], axis=0)] for g in groups
     ]

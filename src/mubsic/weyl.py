@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg import HermitianOp, complex_from_json, complex_to_json
+from .linalg import HermitianOp, complex_from_json, complex_to_json, header_int
 
 
 def is_prime(n: int) -> bool:
@@ -110,7 +110,7 @@ class MubFamily:
     @classmethod
     def from_json_dict(cls, obj: dict) -> "MubFamily":
         try:
-            d = int(obj["d"])
+            d = header_int(obj, "d")
             raw = obj["bases"]
             n_bases = len(raw)
         except (KeyError, TypeError) as exc:

@@ -1,6 +1,14 @@
 import pytest
+from hypothesis import settings
 
 from mubsic import siclab
+
+# Property tests draw the same few examples on every run, so the suite stays
+# deterministic and its wall time stays flat.
+settings.register_profile(
+    "mubsic", derandomize=True, deadline=None, max_examples=5, database=None
+)
+settings.load_profile("mubsic")
 
 
 @pytest.fixture(scope="session")

@@ -9,8 +9,12 @@ groups (a searched fiducial may sit at a different orbit representative).
 """
 
 import numpy as np
+from hypothesis import strategies as st
 
 from mubsic.linalg import HermitianOp
+
+# The primes d ≤ 31 that property tests draw from.
+PRIMES = st.sampled_from([2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31])
 
 SPECTRA_MATCH_TOL = 1e-4
 

@@ -119,20 +119,37 @@ def test_sic_spectra_and_group(tmp_path, capsys):
     assert len(obj["spectra"]) == 1
 
 
+GENERATE = ["sic", "generate", "--fiducial", "IN", "--out", "OUT"]
+GROUP = ["sic", "group", "--in", "IN", "--out", "OUT"]
+
+# argv (IN: the malformed file, OUT: an output path, POINTS: a valid point
+# frame), the malformed file's name, and its text.
 MALFORMED = {
-    "fiducial-array": (["sic", "generate", "--fiducial"], "fid.json", "[1, 2]\n"),
+    "fiducial-array": (GENERATE, "fid.json", "[1, 2]\n"),
     "fiducial-string-entry": (
-        ["sic", "generate", "--fiducial"],
+        GENERATE,
         "fid.json",
         json.dumps({"d": 2, "ket": [[0.6, 0.0], ["0.8", 0.0]]}) + "\n",
     ),
+    "fiducial-d-infinity": (GENERATE, "fid.json", '{"d": Infinity, "ket": [[1, 0], [0, 0]]}\n'),
+    "fiducial-d-fraction": (GENERATE, "fid.json", '{"d": 2.7, "ket": [[1, 0], [0, 0]]}\n'),
+    "points-d-infinity": (
+        ["frame", "verify", "--points", "IN"],
+        "points.json",
+        '{"d": Infinity, "beta": 1.0, "ops": []}\n',
+    ),
+    "rho-dim-infinity": (
+        ["quasiprob", "--rho", "IN", "--points", "POINTS", "--out", "OUT"],
+        "rho.json",
+        '{"dim": Infinity, "entries": []}\n',
+    ),
     "spectra-truncated": (
-        ["sic", "group", "--in"],
+        GROUP,
         "spectra.csv",
         "m,j,lambda_1,lambda_2,lambda_3\n0,0,0.5,0.3,0.2\n1,0,0.5,0.3,0.2\n",
     ),
     "spectra-nan": (
-        ["sic", "group", "--in"],
+        GROUP,
         "spectra.csv",
         "m,j,lambda_1,lambda_2\n0,0,0.7,0.3\n1,0,0.7,0.3\n0,1,0.7,0.3\n"
         "1,1,NaN,0.3\n0,2,0.7,0.3\n1,2,0.7,0.3\n",
@@ -146,7 +163,11 @@ def test_malformed_input_is_one_error_line(case, tmp_path, capsys):
     path = tmp_path / name
     path.write_text(text)
     out = tmp_path / "out.json"
-    assert run(argv + [str(path), "--out", str(out)]) == 2
+    points = tmp_path / "points2.json"
+    assert run(["frame", "from-mub", "--d", "2", "--out", str(points)]) == 0
+    capsys.readouterr()
+    paths = {"IN": str(path), "OUT": str(out), "POINTS": str(points)}
+    assert run([paths.get(a, a) for a in argv]) == 2
     err = capsys.readouterr().err.splitlines()
     assert len(err) == 1 and err[0].startswith("error: ")
     assert not out.exists()

@@ -1,7 +1,9 @@
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
-from helpers import random_density
+from helpers import PRIMES, random_density
 from mubsic import siclab
 from mubsic.frames import (
     LineFrame,
@@ -23,7 +25,7 @@ from mubsic.frames import (
     with_beta,
 )
 from mubsic.linalg import HermitianOp, hs_inner
-from mubsic.plane import build_dapg
+from mubsic.plane import build_dapg, line_keys, point_keys
 from mubsic.weyl import build_hg_basis, build_mub, build_weyl_pair, monomial
 
 
@@ -197,6 +199,76 @@ def test_points_from_zero_lines_are_maximally_mixed():
 def test_bridge_rejects_dimension_mismatch():
     with pytest.raises(ValueError):
         line_ops_from_points(mub_points(3), build_dapg(5))
+
+
+# Reference implementations: the per-line and per-point loops that the
+# incidence sums replaced.  The sums must match them bit for bit.
+
+
+def loop_line_ops(frame, geom):
+    ops = {}
+    for ln in line_keys(frame.d):
+        total = HermitianOp.identity(frame.d) * 0.0
+        for m, j in geom.points_on(ln):
+            total = total + frame.t(m, j)
+        ops[ln] = total
+    return ops
+
+
+def loop_point_ops(frame, geom):
+    d = frame.d
+    ops = {}
+    for p in point_keys(d):
+        total = HermitianOp.identity(d) * 0.0
+        for a, b in geom.lines_through(p):
+            total = total + frame.l(a, b)
+        ops[p] = (1.0 / d) * total
+    return ops
+
+
+def loop_line_probabilities(q, geom):
+    out = {}
+    for ln in geom.lines:
+        total = 0.0
+        for p in geom.points_on(ln):
+            total += q[p]
+        out[ln] = (total - 1.0) / geom.d
+    return out
+
+
+def assert_same_bits(ops, ref):
+    assert list(ops) == list(ref)
+    for k, op in ref.items():
+        assert ops[k].mat.tobytes() == op.mat.tobytes()
+        assert np.float64(ops[k].trace).tobytes() == np.float64(op.trace).tobytes()
+
+
+@pytest.mark.parametrize("d", [3, 5, 7, 11, 19])
+def test_incidence_sums_match_loops(d):
+    geom = build_dapg(d)
+    rho = random_density(np.random.default_rng(d), d)
+    for pf in (mub_points(d), hg_points(d)):
+        lf = line_ops_from_points(pf, geom)
+        assert_same_bits(lf.ops, loop_line_ops(pf, geom))
+        assert_same_bits(point_ops_from_lines(lf, geom).ops, loop_point_ops(lf, geom))
+        q = quasi_distribution(rho, pf)
+        p = line_probabilities(q, geom)
+        assert list(p.items()) == list(loop_line_probabilities(q, geom).items())
+
+
+@given(PRIMES)
+def test_bridge_round_trip_every_prime(d):
+    pf = mub_points(d)
+    geom = build_dapg(d)
+    back = point_ops_from_lines(line_ops_from_points(pf, geom), geom)
+    assert max(np.abs(back.ops[k].mat - pf.ops[k].mat).max() for k in pf.keys()) <= 1e-12
+
+
+@given(PRIMES, st.integers(0, 2**32 - 1))
+def test_line_probabilities_sum_to_one_every_prime(d, seed):
+    rho = random_density(np.random.default_rng(seed), d)
+    p = line_probabilities(quasi_distribution(rho, mub_points(d)), build_dapg(d))
+    assert sum(p.values()) == pytest.approx(1.0, abs=1e-12)
 
 
 # --- point-line product tables --------------------------------------------------------

@@ -1,14 +1,19 @@
 import json
 
+import numpy as np
 import pytest
+from hypothesis import given
 
+from helpers import PRIMES
 from mubsic.plane import (
+    Apg,
     Dapg,
     build_apg,
     build_dapg,
     export_apg,
     export_incidence,
     incidence_from_json,
+    incidence_sum,
     verify_apg,
     verify_incidence,
 )
@@ -64,6 +69,21 @@ def test_dapg_line_membership_rule():
     assert set(geom.points_on((1, 2))) == {(1, 0), (0, 1), (2, 2), (2, 3)}
 
 
+def test_dapg_incidence_orders():
+    # points_on lists a line's points column by column, and lines_through
+    # lists lines in (a, b) order: the orders every bridge sums in.
+    d = 5
+    geom = build_dapg(d)
+    for a, b in geom.lines:
+        want = tuple(((a + j * b) % d, j) for j in range(d)) + ((b, d),)
+        assert geom.points_on((a, b)) == want
+    for p in geom.points:
+        want = tuple(ln for ln in geom.lines if p in geom.points_on(ln))
+        assert geom.lines_through(p) == want
+    assert geom.incidence.shape == (d * (d + 1), d * d)
+    assert not geom.incidence.flags.writeable
+
+
 def test_dapg_counts():
     geom = build_dapg(3)
     assert len(geom.points) == 12
@@ -97,6 +117,14 @@ def test_incidence_axioms_small_primes():
         assert report.ok, report.violations
 
 
+@given(PRIMES)
+def test_incidence_axioms_every_prime(d):
+    geom = build_dapg(d)
+    assert verify_incidence(geom).ok
+    n = geom.incidence.astype(np.float64)  # counts ≤ d + 1: exact in float64
+    assert np.array_equal(n.T @ n, 1 + d * np.eye(d * d))
+
+
 def test_incidence_summary_string():
     report = verify_incidence(build_dapg(3))
     assert report.summary() == "12 points, 9 lines, all axioms pass"
@@ -110,6 +138,68 @@ def test_incidence_flags_duplicated_line():
     report = verify_incidence(broken)
     assert not report.ok
     assert any("meet in" in v for v in report.violations)
+
+
+def _broken_dapg(edit):
+    geom = build_dapg(3)
+    points_on = {ln: list(geom.points_on(ln)) for ln in geom.lines}
+    edit(points_on)
+    return Dapg.from_incidence(3, points_on)
+
+
+def test_incidence_flags_line_missing_a_column():
+    def edit(points_on):
+        points_on[(0, 0)][3] = (1, 2)
+
+    assert verify_incidence(_broken_dapg(edit)).violations == [
+        "line (0, 0) misses a column: columns [0, 1, 2, 2]",
+        "point (1, 2) lies on 4 lines, expected 3",
+        "point (0, 3) lies on 2 lines, expected 3",
+        "lines (0, 0), (0, 2) meet in 2 points",
+        "lines (0, 0), (2, 0) meet in 0 points",
+        "lines (0, 0), (2, 1) meet in 2 points",
+        "points (0, 0), (1, 2) share 2 lines, expected 1",
+        "points (0, 0), (0, 3) share 0 lines, expected 1",
+        "points (0, 1), (1, 2) share 2 lines, expected 1",
+        "points (0, 1), (0, 3) share 0 lines, expected 1",
+        "points (0, 2), (1, 2) share 1 lines, expected 0",
+        "points (0, 2), (0, 3) share 0 lines, expected 1",
+    ]
+
+
+def test_incidence_flags_point_on_too_few_lines():
+    def edit(points_on):
+        del points_on[(2, 1)][3]
+
+    assert verify_incidence(_broken_dapg(edit)).violations == [
+        "line (2, 1) has 3 points, expected 4",
+        "point (1, 3) lies on 2 lines, expected 3",
+        "lines (0, 1), (2, 1) meet in 0 points",
+        "lines (1, 1), (2, 1) meet in 0 points",
+        "points (2, 0), (1, 3) share 0 lines, expected 1",
+        "points (0, 1), (1, 3) share 0 lines, expected 1",
+        "points (1, 2), (1, 3) share 0 lines, expected 1",
+    ]
+
+
+def test_apg_flags_broken_plane():
+    apg = build_apg(3)
+    lines = list(apg.lines)
+    lines[4] = frozenset([(0, 0), (1, 1)])
+    lines[7] = lines[0]
+    assert verify_apg(Apg(d=3, points=apg.points, lines=tuple(lines))) == [
+        "line [(0, 0), (1, 1)] has 2 points, expected 3",
+        "points (0, 0), (1, 0) lie on 2 common lines",
+        "points (0, 0), (1, 1) lie on 2 common lines",
+        "points (0, 0), (2, 0) lie on 2 common lines",
+        "points (0, 1), (1, 0) lie on 0 common lines",
+        "points (0, 1), (1, 2) lie on 0 common lines",
+        "points (0, 1), (2, 0) lie on 0 common lines",
+        "points (0, 1), (2, 2) lie on 0 common lines",
+        "points (1, 0), (2, 0) lie on 2 common lines",
+        "points (1, 0), (2, 2) lie on 0 common lines",
+        "points (1, 2), (2, 0) lie on 0 common lines",
+    ]
 
 
 def test_pairwise_line_intersections():
@@ -133,6 +223,20 @@ def test_same_column_points_share_no_line():
                     geom.lines_through((m2, j))
                 )
                 assert common == set()
+
+
+def test_incidence_sum_matches_loop_on_irregular_incidence():
+    # Outputs with 2, 0 and 3 terms, so spare slots add padding zeros; the
+    # −0.0 terms check that this matches a loop from +0.0 bit for bit.
+    incidence = np.array([[1, 0, 1], [0, 0, 1], [1, 0, 1]], dtype=np.int8)
+    terms = [np.array([-0.0, 1.5]), np.array([-0.0, -2.0]), np.array([-0.0, 1e-300])]
+    out = incidence_sum(incidence, terms)
+    for c in range(3):
+        total = np.zeros(2)
+        for r in range(3):
+            if incidence[r, c]:
+                total = total + terms[r]
+        assert out[c].tobytes() == total.tobytes()
 
 
 # --- queries -------------------------------------------------------------------------
@@ -193,10 +297,12 @@ def test_export_dot_shape():
     assert "--" in text
 
 
-def test_export_round_trip():
-    geom = build_dapg(3)
+@given(PRIMES)
+def test_export_round_trip(d):
+    geom = build_dapg(d)
     back = incidence_from_json(export_incidence(geom, "json"))
-    assert back.incidence_pairs() == geom.incidence_pairs()
+    assert (back.d, back.points, back.lines) == (geom.d, geom.points, geom.lines)
+    assert np.array_equal(back.incidence, geom.incidence)
 
 
 def test_export_rejects_unknown_format():

@@ -15,8 +15,8 @@ from helpers import (
     spectra_match,
 )
 from mubsic import siclab
-from mubsic.linalg import HermitianOp, hermitian_eigensystem, third_moment
-from mubsic.plane import build_dapg
+from mubsic.linalg import HermitianOp, Spectrum, hermitian_eigensystem, third_moment
+from mubsic.plane import build_dapg, point_keys
 from mubsic.siclab import (
     Fiducial,
     ProbabilityVector,
@@ -175,6 +175,32 @@ def test_extraction_matches_incidence_sums():
         assert np.abs(mpf.ops[p].mat - total).max() <= 1e-14
 
 
+def loop_extract_mu_pom(fam, geom):
+    """Reference: the per-point loop that the incidence sum replaced."""
+    d = fam.d
+    ops = {}
+    for p in point_keys(d):
+        total = np.zeros((d, d), dtype=np.complex128)
+        for ln in geom.lines_through(p):
+            total += fam.projectors[ln].mat
+        ops[p] = HermitianOp.from_matrix(total / d)
+    return ops
+
+
+@pytest.mark.parametrize("d", [3, 5, 7, 11, 19])
+def test_extraction_matches_loop(d):
+    # A random fiducial: the sums need no equal-overlap family.
+    rng = np.random.default_rng(d)
+    fam = generate_hw_sic(Fiducial(d=d, ket=canonical_ket(random_ket(rng, d))))
+    geom = build_dapg(d)
+    ops = extract_mu_pom(fam, geom, verify_tol=np.inf).ops
+    ref = loop_extract_mu_pom(fam, geom)
+    assert list(ops) == list(ref)
+    for k, op in ref.items():
+        assert ops[k].mat.tobytes() == op.mat.tobytes()
+        assert ops[k].trace == op.trace
+
+
 def test_mu_pom_invariants():
     mpf = extract_mu_pom(generate_hw_sic(qutrit_fiducial()))
     d = 3
@@ -239,6 +265,25 @@ def test_grouping_d11_matches_known_orbit(searched, searched_mu_pom):
     grouping = group_columns_by_spectrum(table, tol=1e-4)
     assert grouping.sizes() == [3, 3, 3, 3]
     assert any(spectra_match(grouping, ref) for ref in (D11A, D11B, D11C))
+
+
+@pytest.mark.parametrize("reverse", [False, True])
+def test_grouping_does_not_depend_on_column_order(reverse):
+    # Columns 0.6·tol apart chain into one group, whichever end the column
+    # labels start from; a column 5·tol away stays apart.
+    tol = 1e-6
+    offsets = [0.0, 0.6 * tol, 1.2 * tol, 5 * tol]
+    if reverse:
+        offsets.reverse()
+    table = {
+        (m, j): Spectrum(values=(0.5 + offsets[j], 0.3, 0.2 - offsets[j]))
+        for m in range(3)
+        for j in range(4)
+    }
+    grouping = group_columns_by_spectrum(table, tol=tol)
+    assert grouping.groups == ([[0], [1, 2, 3]] if reverse else [[0, 1, 2], [3]])
+    chained = grouping.spectra[1 if reverse else 0]
+    assert chained == pytest.approx([0.5 + 0.6 * tol, 0.3, 0.2 - 0.6 * tol], abs=1e-15)
 
 
 def test_spectra_csv_round_trip():
