@@ -63,6 +63,7 @@ from .siclab import (
     group_columns_by_spectrum,
     ingest_fiducial,
     mu_pom_from_probabilities,
+    overlap_table,
     phases_from_fiducial,
     qubit_fiducial,
     qutrit_cyclic_family,

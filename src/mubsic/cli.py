@@ -2,8 +2,9 @@
 
 Exit codes: 0 success, 1 verification failure, 2 usage or domain error.
 Numeric console output uses 12 significant digits.  The default verification
-tolerance is 1e-10, overridable by the MUBSIC_TOL environment variable and,
-per invocation, by --tol.  All subcommands are deterministic: the same argv
+tolerance is ``linalg.DEFAULT_TOL`` (1e-10), overridable by the MUBSIC_TOL
+environment variable and, per invocation, by --tol; a tolerance must be a
+finite nonnegative number.  All subcommands are deterministic: the same argv
 (and seed) produces byte-identical output files.
 """
 
@@ -11,28 +12,35 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
 
 from . import frames, linalg, plane, siclab, weyl
-
-DEFAULT_TOL = 1e-10
 
 
 def _fmt(x: float) -> str:
     return f"{x:.12g}"
 
 
+def _read_tol(raw, what: str) -> float:
+    """``raw`` as a tolerance: a finite nonnegative number, else ValueError."""
+    try:
+        tol = float(raw)
+    except ValueError as exc:
+        raise ValueError(f"{what} is not a number: {raw!r}") from exc
+    if not math.isfinite(tol) or tol < 0:
+        raise ValueError(f"{what} must be a finite nonnegative number, got {raw!r}")
+    return tol
+
+
 def _tol(args) -> float:
     if getattr(args, "tol", None) is not None:
-        return float(args.tol)
+        return _read_tol(args.tol, "--tol")
     env = os.environ.get("MUBSIC_TOL")
     if env is not None:
-        try:
-            return float(env)
-        except ValueError as exc:
-            raise ValueError(f"MUBSIC_TOL is not a number: {env!r}") from exc
-    return DEFAULT_TOL
+        return _read_tol(env, "MUBSIC_TOL")
+    return linalg.DEFAULT_TOL
 
 
 def _verdict(prefix: str, dev: float, tol: float) -> int:
@@ -155,11 +163,12 @@ def _load_cli_fiducial(args) -> siclab.Fiducial:
 
 
 def _cmd_sic_generate(args) -> int:
+    tol = _tol(args)
     fid = _load_cli_fiducial(args)
     fam = siclab.generate_hw_sic(fid)
     dev = siclab.verify_sic(fam)
     _write_json(args.out, fam.to_json_dict())
-    return _verdict(f"d={fam.d} family from {fid.source} fiducial: deviation", dev, _tol(args))
+    return _verdict(f"d={fam.d} family from {fid.source} fiducial: deviation", dev, tol)
 
 
 def _cmd_sic_verify(args) -> int:
@@ -169,11 +178,12 @@ def _cmd_sic_verify(args) -> int:
 
 
 def _cmd_sic_spectra(args) -> int:
+    tol = _tol(args)
     fam = siclab.SicFamily.from_json_dict(_read_json(args.infile))
     mpf = siclab.extract_mu_pom(fam)
     table = siclab.spectra_table(mpf)
     _write_text(args.out, siclab.spectra_to_csv(table))
-    report = siclab.assert_column_constant(table, tol=_tol(args))
+    report = siclab.assert_column_constant(table, tol=tol)
     print(
         f"d={fam.d} spectra: max within-column spread {_fmt(report.max_spread)}"
     )
@@ -181,9 +191,9 @@ def _cmd_sic_spectra(args) -> int:
 
 
 def _cmd_sic_group(args) -> int:
+    tol = _read_tol(args.tol, "--tol")
     with open(args.infile) as fh:
         table = siclab.spectra_from_csv(fh.read())
-    tol = float(args.tol)
     report = siclab.assert_column_constant(table, tol=tol)
     grouping = siclab.group_columns_by_spectrum(table, tol=tol)
     _write_json(args.out, grouping.to_json_dict())
@@ -214,7 +224,7 @@ def _cmd_sic_search(args) -> int:
         seed=args.seed,
         restarts=args.restarts,
         max_iters=args.max_iters,
-        objective_tol=float(args.tol) if args.tol is not None else 1e-14,
+        objective_tol=_read_tol(args.tol, "--tol"),
     )
     result = siclab.search_fiducial(args.d, cfg)
     if args.out is not None:
@@ -337,7 +347,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--restarts", type=int, default=24)
     p.add_argument("--max-iters", type=int, default=1000)
-    p.add_argument("--tol", type=float, default=None, help="objective tolerance")
+    p.add_argument(
+        "--tol", type=float, default=siclab.SearchConfig.objective_tol, help="objective tolerance"
+    )
     p.set_defaults(handler=_cmd_sic_search)
 
     p = sub.add_parser("quasiprob", help="quasi-probabilities of a state")

@@ -20,6 +20,10 @@ HERMITICITY_ATOL = 1e-12
 # a solver failure.
 EIG_RESIDUAL_ATOL = 1e-10
 
+# Default tolerance of every verifier, and the max overlap deviation a
+# converged fiducial search must reach.
+DEFAULT_TOL = 1e-10
+
 
 def as_square_matrix(entries) -> np.ndarray:
     """Coerce ``entries`` to a finite square complex matrix (a fresh copy)."""

@@ -299,14 +299,21 @@ def export_apg(apg: Apg, fmt: str) -> str:
 
 
 def incidence_from_json(text: str) -> Dapg:
-    """Rebuild a Dapg from :func:`export_incidence` JSON output."""
+    """Rebuild a Dapg from :func:`export_incidence` JSON output, whose point
+    list must name each point of the incidence pairs once, in any order."""
     obj = json.loads(text)
     try:
         d = header_int(obj, "d")
+        points = [tuple(p) for p in obj["points"]]
         lines = [tuple(ln) for ln in obj["lines"]]
         pairs = [(tuple(p), tuple(ln)) for p, ln in obj["incidence"]]
+        listed, paired = set(points), {p for p, _ in pairs}
     except (KeyError, TypeError) as exc:
         raise ValueError(f"malformed incidence object: {exc}") from exc
+    if len(listed) != len(points):
+        raise ValueError("plane JSON lists a point twice")
+    if listed != paired:
+        raise ValueError("plane JSON point list differs from the points of its incidence pairs")
     points_on: dict[Line, list[Point]] = {ln: [] for ln in lines}
     for p, ln in pairs:
         if ln not in points_on:

@@ -254,25 +254,15 @@ def verify_rotation_action(basis: HGBasis) -> float:
     """
     d = basis.d
     wp = build_weyl_pair(d)
-    half = (d - 1) // 2
-    worst = 0.0
+    k = np.arange(1, (d - 1) // 2 + 1)
+    j = np.arange(d + 1)[:, None]
+    z_angle = np.where(j == d, 0.0, 2 * np.pi * k / d)
+    x_angle = np.where(j == d, 2 * np.pi * k / d, 2 * np.pi * k * j / d)
 
-    def spin(u, rows_h, rows_g, angle):
-        c, s = np.cos(angle), np.sin(angle)
-        rh = u @ rows_h @ u.conj().T - (c * rows_h + s * rows_g)
-        rg = u @ rows_g @ u.conj().T - (-s * rows_h + c * rows_g)
-        return max(np.linalg.norm(rh, 2), np.linalg.norm(rg, 2))
+    def spin(u, angle):
+        c, s = np.cos(angle)[..., None, None], np.sin(angle)[..., None, None]
+        rh = u @ basis.h @ u.conj().T - (c * basis.h + s * basis.g)
+        rg = u @ basis.g @ u.conj().T - (-s * basis.h + c * basis.g)
+        return np.linalg.norm(np.stack([rh, rg]), 2, axis=(-2, -1)).max()
 
-    for j in range(d + 1):
-        for idx in range(half):
-            k = idx + 1
-            h, g = basis.h[j, idx], basis.g[j, idx]
-            if j == d:
-                z_angle = 0.0
-                x_angle = 2 * np.pi * k / d
-            else:
-                z_angle = 2 * np.pi * k / d
-                x_angle = 2 * np.pi * k * j / d
-            worst = max(worst, spin(wp.Z, h, g, z_angle))
-            worst = max(worst, spin(wp.X.conj().T, h, g, x_angle))
-    return worst
+    return float(max(spin(wp.Z, z_angle), spin(wp.X.conj().T, x_angle)))

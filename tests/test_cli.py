@@ -84,6 +84,15 @@ def test_env_tolerance_override(tmp_path, monkeypatch, capsys):
     assert run(["frame", "verify", "--points", str(points)]) == 2
 
 
+@pytest.mark.parametrize("value", ["inf", "-inf", "nan", "-1e-12"])
+def test_env_tolerance_must_be_finite_and_nonnegative(value, monkeypatch, capsys):
+    monkeypatch.setenv("MUBSIC_TOL", value)
+    assert run(["mub", "verify", "--d", "5"]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert len(err.splitlines()) == 1 and err.startswith("error: MUBSIC_TOL ")
+
+
 def test_flag_tolerance_beats_env(tmp_path, monkeypatch):
     points = tmp_path / "points.json"
     run(["frame", "from-mub", "--d", "2", "--out", str(points)])
@@ -121,6 +130,14 @@ def test_sic_spectra_and_group(tmp_path, capsys):
 
 GENERATE = ["sic", "generate", "--fiducial", "IN", "--out", "OUT"]
 GROUP = ["sic", "group", "--in", "IN", "--out", "OUT"]
+MUB_VERIFY = ["mub", "verify", "--d", "5"]
+SEARCH = ["sic", "search", "--d", "3", "--out", "OUT"]
+
+QUBIT_FIDUCIAL = json.dumps(siclab.qubit_fiducial().to_json_dict()) + "\n"
+QUBIT_FAMILY = json.dumps(siclab.generate_hw_sic(siclab.qubit_fiducial()).to_json_dict()) + "\n"
+QUBIT_SPECTRA = "m,j,lambda_1,lambda_2\n" + "".join(
+    f"{m},{j},0.7,0.3\n" for j in range(3) for m in range(2)
+)
 
 # argv (IN: the malformed file, OUT: an output path, POINTS: a valid point
 # frame), the malformed file's name, and its text.
@@ -154,6 +171,27 @@ MALFORMED = {
         "m,j,lambda_1,lambda_2\n0,0,0.7,0.3\n1,0,0.7,0.3\n0,1,0.7,0.3\n"
         "1,1,NaN,0.3\n0,2,0.7,0.3\n1,2,0.7,0.3\n",
     ),
+    # Tolerances must be finite and nonnegative; the inputs are otherwise valid.
+    # argparse reads a separate "-inf" or "-1e-3" as an option, hence "=".
+    "tol-inf": (MUB_VERIFY + ["--tol", "inf"], "unused.txt", ""),
+    "tol-minus-inf": (MUB_VERIFY + ["--tol=-inf"], "unused.txt", ""),
+    "tol-nan": (MUB_VERIFY + ["--tol", "nan"], "unused.txt", ""),
+    "tol-negative": (MUB_VERIFY + ["--tol=-1e-3"], "unused.txt", ""),
+    "generate-tol-inf": (GENERATE + ["--tol", "inf"], "fid.json", QUBIT_FIDUCIAL),
+    "spectra-tol-nan": (
+        ["sic", "spectra", "--in", "IN", "--out", "OUT", "--tol", "nan"],
+        "family.json",
+        QUBIT_FAMILY,
+    ),
+    "group-tol-nan": (GROUP + ["--tol", "nan"], "spectra.csv", QUBIT_SPECTRA),
+    "group-tol-negative": (GROUP + ["--tol=-1"], "spectra.csv", QUBIT_SPECTRA),
+    "search-tol-nan": (SEARCH + ["--tol", "nan"], "unused.txt", ""),
+    "search-tol-inf": (SEARCH + ["--tol", "inf"], "unused.txt", ""),
+    "solve-prob-zero-restarts": (
+        ["sic", "solve-prob", "--d", "5", "--restarts", "0"],
+        "unused.txt",
+        "",
+    ),
 }
 
 
@@ -168,8 +206,9 @@ def test_malformed_input_is_one_error_line(case, tmp_path, capsys):
     capsys.readouterr()
     paths = {"IN": str(path), "OUT": str(out), "POINTS": str(points)}
     assert run([paths.get(a, a) for a in argv]) == 2
-    err = capsys.readouterr().err.splitlines()
-    assert len(err) == 1 and err[0].startswith("error: ")
+    stdout, err = capsys.readouterr()
+    assert stdout == ""
+    assert len(err.splitlines()) == 1 and err.startswith("error: ")
     assert not out.exists()
 
 

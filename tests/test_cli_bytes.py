@@ -1,0 +1,202 @@
+"""Byte pins of the command line: one fixed in-process chain over every
+subcommand at d ≤ 7, with the SHA-256 of each call's stdout and of the file
+it writes.
+
+A change that alters output bytes on purpose updates the pins (print the
+current ones with ``PYTHONPATH=src python3 tests/test_cli_bytes.py``) and
+says so.
+"""
+
+import contextlib
+import hashlib
+import io
+import json
+import os
+import tempfile
+
+from mubsic.cli import run
+
+# A fixed d = 3 density matrix (Hermitian to the last bit, unit trace).
+RHO3 = {
+    "dim": 3,
+    "entries": [
+        [0.5, 0.0], [0.125, 0.0625], [0.0, 0.0],
+        [0.125, -0.0625], [0.3, 0.0], [0.0, 0.03125],
+        [0.0, 0.0], [0.0, -0.03125], [0.2, 0.0],
+    ],
+}
+
+# argv (run in a scratch directory) -> (exit code, stdout SHA-256, SHA-256 of
+# the --out file or None).  Steps run in this order; later steps read the
+# files of earlier ones.
+PINS = {
+    "mub build --d 5 --out bases.json": (
+        0,
+        "10e1183fbaca2cf0db1839eaf8d4aee8b034049fa76dbe34114e39f13e0ac145",
+        "05a818ed72e42890b44ce2584b9323c35d3ced2c5ff2752c9aa162d540444c16",
+    ),
+    "mub verify --d 5": (
+        0,
+        "659a5846379fb2bcab59ec2bf41cf4a6cc766f41ebea5ae2ab44ca23014463bd",
+        None,
+    ),
+    "mub verify --d 7 --tol 1e-20": (
+        1,
+        "2b86324f9f33654a6005725793b642e117e03884ab41ef11a88d9b7c6879f752",
+        None,
+    ),
+    "plane build --d 3 --kind dapg --export json --out dapg3.json": (
+        0,
+        "dd7c996d5a1c36d16a5418e074219d92562830ab660bc70497c2ad680f072df7",
+        "53c82438cb0d4959e29a5a4e3f4b20abab4ecf88de184a8656d57cf684abace9",
+    ),
+    "plane build --d 3 --kind dapg --export dot --out dapg3.dot": (
+        0,
+        "dd7c996d5a1c36d16a5418e074219d92562830ab660bc70497c2ad680f072df7",
+        "bf72b8058198bdbb1f325e177cc4b274967ad1bf9e9828e36e74515bbde6ee01",
+    ),
+    "plane build --d 3 --kind apg --export json --out apg3.json": (
+        0,
+        "2702f7e5bd6e0ec6e3dbfbc040f0c727a8e7295ffe00fa4c831eab97ca9bcba9",
+        "9f81ee0f806f0ee424cfecee6068436e3e1397f1b6e1c762ef28a102e77ecc19",
+    ),
+    "plane build --d 3 --kind apg --export dot --out apg3.dot": (
+        0,
+        "2702f7e5bd6e0ec6e3dbfbc040f0c727a8e7295ffe00fa4c831eab97ca9bcba9",
+        "2f4dfaa672f5231d71e8f9474be5f2f0bd5d0bff9624a9ecf5a894f5b2ef2068",
+    ),
+    "plane verify --d 5": (
+        0,
+        "a78477157f44679c58ed9ab4d201cf0c1316328102fcbb7ff887b35ff7dccfd0",
+        None,
+    ),
+    "plane verify --d 5 --kind apg": (
+        0,
+        "28a1edd487b238758b8fcfebb377e48864491654cbb058868e293518b349f662",
+        None,
+    ),
+    "frame from-mub --d 3 --out points3.json": (
+        0,
+        "44712b92ebdb24312630873c6dd59894d16beba2cb87638b11e4d045cede51ea",
+        "3edb5c6e35fff3dbf4d338f9867e1ab45437189031986e7f853da56ceaa1dd7b",
+    ),
+    "frame bridge --points points3.json --out lines3.json": (
+        0,
+        "eccf200d979c8f9743460514b8cf29e03f7423fe23c3f366325b09229eac4a4f",
+        "3ba8b080e4ad3f80a762b90478a897252b95e7ec847f8cd1cf5dd6d49bf537db",
+    ),
+    "frame verify --points points3.json --lines lines3.json": (
+        0,
+        "7be5b321a7576df9431f8f35d2d44c993597f3dc7fdfd77035269bce15f59798",
+        None,
+    ),
+    "frame from-hg --d 5 --out hg5.json": (
+        0,
+        "d825a4052d64bc493ab713bfdfa71c47f48bfdad7833214ba48619e31fd7bc9a",
+        "5b9a0fba9a5f389bd58a2dca3a87052c08083bf7bc4f2f44e03e33e34b7554ea",
+    ),
+    "frame verify --points hg5.json": (
+        0,
+        "6b85c9bae266d818a2cd10b265c0769dc2bda606ab7ecc6d6b9cc81f5d8a4e76",
+        None,
+    ),
+    "quasiprob --rho rho3.json --points points3.json --out quasi3.json": (
+        0,
+        "793235835949c09fb995e9e5af75b4b7eba31c5923b5dc1feabc0ec2b9cb2ea9",
+        "5eb9d75695174c6adb9916fdd4fe0b678561d763238caf2952a1be25ac88120e",
+    ),
+    "sic generate --builtin qubit --out family2.json": (
+        0,
+        "591aedbbfcf79a647d5a7f252f5182ca38e454eab6d429433d4487c3bde0ea45",
+        "a7b7d4c4892cf954eba7a68c6b5e8714cdf91aab253d2db1abcd3cac2460525e",
+    ),
+    "sic generate --builtin qutrit --out family3.json": (
+        0,
+        "bdd2e6f67e306fb3823bbecc0a9eeb133c22d1f732d5f3e15d49f6477634a7b9",
+        "8111e7599622cb5a224ef15ef74c5436c809f918dab5882e040e6eeddd078f18",
+    ),
+    "sic search --d 5 --seed 7 --restarts 200 --out fiducial5.json": (
+        0,
+        "a4ff22d8187c802aecbcace6c28c279a36c58b661493d427f8d20364249bd33a",
+        "e41faa7849a696d34e8eda968626d12eda6fcb87e8cf1e074fefd9bcaf8eeb44",
+    ),
+    "sic generate --fiducial fiducial5.json --out family5.json": (
+        0,
+        "39f8dcf08b1fb9ffc83c4d89408ac55b0281e267808ec218e1b12be0ebdb9dd2",
+        "fdd50659771f897ebe38be1ecc45f2c910b59fc526f35c5ebeee16abff334f96",
+    ),
+    "sic verify --in family5.json": (
+        0,
+        "14400d6e3fa5adbbf8fa5773fcab8d749394e4956e735b3c0ad414a2c815c11e",
+        None,
+    ),
+    "sic spectra --in family5.json --out spectra5.csv": (
+        0,
+        "bc845494c37fc9ce2d7ce2093a901d4bdbdf004d16fbfe7ed628aa38a29ed1d3",
+        "bc662c12a1e4a1314e9617a80954112b99358286e51efa305cab4a3b462818c4",
+    ),
+    "sic group --in spectra5.csv --tol 1e-4 --out groups5.json": (
+        0,
+        "462f271af61128e4d74ec1acb735b7634a5c5cbd14d8e3d56d68358834da0ed8",
+        "77f15714aa9973acd2d5bc4035c149e3223e285415f9840ca8e04ff0484efdc9",
+    ),
+    "sic search --d 7 --seed 3 --restarts 200 --out fiducial7.json": (
+        0,
+        "87b37488683bcb5dcf04330dfb4fbad453ba1d07d9b3e2f76f69f8459d471696",
+        "4b96daa9feb71c6aa317d728a3bd92c9d524ff16578f832176ba58a64af14ee8",
+    ),
+    "sic solve-prob --d 3": (
+        0,
+        "0074c1920efd716f05d5085b8514af61422bcd4e4c0e17cca3dace0cc479f42a",
+        None,
+    ),
+    "sic solve-prob --d 5 --seed 11 --restarts 8": (
+        0,
+        "fdd5ac8c680b00d3f1bba05a01b7ec050433e60406d679590a5d23ec8f7d9caf",
+        None,
+    ),
+}
+
+
+def _sha(data: bytes) -> str:
+    return hashlib.sha256(data).hexdigest()
+
+
+def run_chain(workdir: str) -> dict:
+    """Run every pinned argv in ``workdir``; the same table shape as PINS."""
+    with open(os.path.join(workdir, "rho3.json"), "w") as fh:
+        json.dump(RHO3, fh)
+    got = {}
+    cwd = os.getcwd()
+    os.chdir(workdir)
+    try:
+        for line in PINS:
+            argv = line.split()
+            out, err = io.StringIO(), io.StringIO()
+            with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+                rc = run(argv)
+            assert err.getvalue() == "", (line, err.getvalue())
+            artifact = None
+            if "--out" in argv:
+                with open(argv[argv.index("--out") + 1], "rb") as fh:
+                    artifact = _sha(fh.read())
+            got[line] = (rc, _sha(out.getvalue().encode()), artifact)
+    finally:
+        os.chdir(cwd)
+    return got
+
+
+def test_cli_bytes_are_pinned(tmp_path, monkeypatch):
+    monkeypatch.delenv("MUBSIC_TOL", raising=False)
+    got = run_chain(str(tmp_path))
+    for line, pin in PINS.items():
+        assert got[line] == pin, line
+
+
+if __name__ == "__main__":
+    with tempfile.TemporaryDirectory() as tmp:
+        for line, pin in run_chain(tmp).items():
+            print(f"    {json.dumps(line)}: (")
+            for value in pin:
+                print(f"        {json.dumps(value).replace('null', 'None')},")
+            print("    ),")

@@ -271,6 +271,19 @@ def test_line_probabilities_sum_to_one_every_prime(d, seed):
     assert sum(p.values()) == pytest.approx(1.0, abs=1e-12)
 
 
+@given(PRIMES, st.integers(0, 2**32 - 1))
+def test_line_probabilities_are_line_expectations_every_prime(d, seed):
+    # p_μ = tr(λ_μ ρ)/d, with λ_μ the trace-one companion of the bridged line.
+    rho = random_density(np.random.default_rng(seed), d)
+    pf = mub_points(d)
+    geom = build_dapg(d)
+    lf = line_ops_from_points(pf, geom)
+    p = line_probabilities(quasi_distribution(rho, pf), geom)
+    lams = np.stack([lf.lam(*ln).mat for ln in geom.lines])
+    direct = np.einsum("lij,ji->l", lams, rho.mat).real / d
+    assert np.abs(np.array([p[ln] for ln in geom.lines]) - direct).max() <= 1e-12
+
+
 # --- point-line product tables --------------------------------------------------------
 
 

@@ -305,6 +305,23 @@ def test_export_round_trip(d):
     assert np.array_equal(back.incidence, geom.incidence)
 
 
+def test_import_checks_the_point_list():
+    obj = json.loads(export_incidence(build_dapg(3), "json"))
+    shuffled = dict(obj, points=obj["points"][::-1])
+    assert incidence_from_json(json.dumps(shuffled)).points == build_dapg(3).points
+    no_points = {k: v for k, v in obj.items() if k != "points"}
+    for bad in (
+        dict(obj, points=[[9, 9]]),                         # foreign points only
+        dict(obj, points=obj["points"] + [[9, 9]]),         # one foreign point
+        dict(obj, points=obj["points"][1:]),                # a point missing
+        dict(obj, points=obj["points"] + obj["points"][:1]),  # a point repeated
+        no_points,                                          # no point list
+        dict(obj, points=[[0, [1]]]),                       # not a point label
+    ):
+        with pytest.raises(ValueError):
+            incidence_from_json(json.dumps(bad))
+
+
 def test_export_rejects_unknown_format():
     with pytest.raises(ValueError):
         export_incidence(build_dapg(2), "yaml")

@@ -221,6 +221,43 @@ def test_rotation_action_small_primes():
         assert verify_rotation_action(build_hg_basis(wp)) <= 1e-12
 
 
+def loop_verify_rotation_action(basis):
+    """Reference: the per-generator loop that the stacked check replaced."""
+    d = basis.d
+    wp = build_weyl_pair(d)
+    worst = 0.0
+
+    def spin(u, rows_h, rows_g, angle):
+        c, s = np.cos(angle), np.sin(angle)
+        rh = u @ rows_h @ u.conj().T - (c * rows_h + s * rows_g)
+        rg = u @ rows_g @ u.conj().T - (-s * rows_h + c * rows_g)
+        return max(np.linalg.norm(rh, 2), np.linalg.norm(rg, 2))
+
+    for j in range(d + 1):
+        for idx in range((d - 1) // 2):
+            k = idx + 1
+            h, g = basis.h[j, idx], basis.g[j, idx]
+            z_angle = 0.0 if j == d else 2 * np.pi * k / d
+            x_angle = 2 * np.pi * k / d if j == d else 2 * np.pi * k * j / d
+            worst = max(worst, spin(wp.Z, h, g, z_angle))
+            worst = max(worst, spin(wp.X.conj().T, h, g, x_angle))
+    return worst
+
+
+@pytest.mark.parametrize("d", [3, 5, 7, 11, 13])
+def test_rotation_action_matches_loop(d):
+    wp = build_weyl_pair(d)
+    phases = np.random.default_rng(d).uniform(0, 2 * np.pi, (d + 1, (d - 1) // 2))
+    basis = build_hg_basis(wp, phases=phases)
+    assert abs(verify_rotation_action(basis) - loop_verify_rotation_action(basis)) <= 1e-14
+    # A wrong angle on one generator is seen.
+    h = basis.h.copy()
+    h[1, 0] = basis.g[1, 0]
+    bent = HGBasis(d, basis.zeta_modulus, basis.phases, h, basis.g)
+    assert verify_rotation_action(bent) == pytest.approx(loop_verify_rotation_action(bent))
+    assert verify_rotation_action(bent) > 1e-3
+
+
 def test_clock_class_fixed_by_z():
     wp = build_weyl_pair(3)
     basis = build_hg_basis(wp)
