@@ -43,6 +43,7 @@ from .frames import (
     point_ops_from_lines,
     quasi_distribution,
     scaled_so,
+    trace_one,
     verify_line_table,
     verify_point_line_products,
     verify_point_table,
@@ -50,7 +51,6 @@ from .frames import (
 )
 from .siclab import (
     Fiducial,
-    MuPomFamily,
     ProbabilityVector,
     SearchConfig,
     SearchResult,

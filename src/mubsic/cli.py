@@ -180,8 +180,7 @@ def _cmd_sic_verify(args) -> int:
 def _cmd_sic_spectra(args) -> int:
     tol = _tol(args)
     fam = siclab.SicFamily.from_json_dict(_read_json(args.infile))
-    mpf = siclab.extract_mu_pom(fam)
-    table = siclab.spectra_table(mpf)
+    table = siclab.spectra_table(siclab.extract_mu_pom(fam))
     _write_text(args.out, siclab.spectra_to_csv(table))
     report = siclab.assert_column_constant(table, tol=tol)
     print(
@@ -245,11 +244,11 @@ def _cmd_quasiprob(args) -> int:
     p = frames.line_probabilities(q, geom)
     obj = {
         "d": pf.d,
-        "points": [[m, j, q[(m, j)]] for (m, j) in pf.keys()],
-        "lines": [[a, b, v] for (a, b), v in p.items()],
+        "points": [[m, j, q[(m, j)]] for (m, j) in geom.points],
+        "lines": [[a, b, p[(a, b)]] for (a, b) in geom.lines],
     }
     _write_json(args.out, obj)
-    total = sum(p.values())
+    total = sum(p[ln] for ln in geom.lines)
     print(f"wrote {len(q)} point values, {len(p)} line sums (total {_fmt(total)})")
     return 0
 
@@ -257,12 +256,24 @@ def _cmd_quasiprob(args) -> int:
 # --- parser ---------------------------------------------------------------------
 
 
+def _reject(message: str):
+    raise ValueError(message)
+
+
+def _parser(**kwargs) -> argparse.ArgumentParser:
+    """An argument parser that raises ValueError on bad argv, so that a usage
+    error ends like every other bad input: exit 2 and one ``error:`` line."""
+    parser = argparse.ArgumentParser(**kwargs)
+    parser.error = _reject
+    return parser
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _parser(
         prog="mubsic",
         description="Unbiased operator frames and equal-overlap families in prime dimensions.",
     )
-    sub = parser.add_subparsers(dest="command", required=True)
+    sub = parser.add_subparsers(dest="command", required=True, parser_class=_parser)
 
     def add(p, *names_defaults):
         for name, kwargs in names_defaults:
@@ -273,7 +284,7 @@ def build_parser() -> argparse.ArgumentParser:
     out_arg = ("--out", {"default": None, "help": "output path (default stdout)"})
 
     mub = sub.add_parser("mub", help="mutually unbiased bases").add_subparsers(
-        dest="sub", required=True
+        dest="sub", required=True, parser_class=_parser
     )
     p = mub.add_parser("build", help="construct the d+1 bases")
     add(p, d_arg, out_arg)
@@ -283,7 +294,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(handler=_cmd_mub_verify)
 
     pl = sub.add_parser("plane", help="finite plane geometry").add_subparsers(
-        dest="sub", required=True
+        dest="sub", required=True, parser_class=_parser
     )
     p = pl.add_parser("build", help="construct and export a plane")
     add(p, d_arg, out_arg)
@@ -296,7 +307,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(handler=_cmd_plane_verify)
 
     fr = sub.add_parser("frame", help="operator frames").add_subparsers(
-        dest="sub", required=True
+        dest="sub", required=True, parser_class=_parser
     )
     p = fr.add_parser("from-mub", help="point frame from unbiased bases")
     add(p, d_arg, out_arg)
@@ -315,7 +326,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(handler=_cmd_frame_verify)
 
     sic = sub.add_parser("sic", help="equal-overlap families").add_subparsers(
-        dest="sub", required=True
+        dest="sub", required=True, parser_class=_parser
     )
     p = sic.add_parser("generate", help="covariant family from a fiducial")
     group = p.add_mutually_exclusive_group(required=True)
@@ -329,7 +340,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(handler=_cmd_sic_verify)
     p = sic.add_parser("spectra", help="measurement-column spectra CSV")
     p.add_argument("--in", dest="infile", required=True, help="family JSON path")
-    p.add_argument("--geom", choices=["auto"], default="auto")
     add(p, out_arg, tol_arg)
     p.set_defaults(handler=_cmd_sic_spectra)
     p = sic.add_parser("group", help="group columns by spectrum")
@@ -366,16 +376,11 @@ def run(argv) -> int:
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
-    except SystemExit as exc:
-        code = exc.code
-        return int(code) if code is not None else 0
-    try:
         return args.handler(args)
+    except SystemExit as exc:  # --help
+        return int(exc.code or 0)
     except (ValueError, OSError, KeyError) as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except json.JSONDecodeError as exc:
-        print(f"error: invalid JSON input: {exc}", file=sys.stderr)
         return 2
 
 

@@ -13,7 +13,10 @@ and the bridged line operators l_μ = Σ_{(m,j)∈μ} t_m^(j) then satisfy
 
     tr(l_μ l_μ') = α δ_μμ' − α/(d²−1)·(1 − δ_μμ'),   α = β(d+1).
 
-Trace-one companions are τ = (1 + t)/d and λ = (1 + l)/d.
+Trace-one companions are τ = (1 + t)/d and λ = (1 + l)/d, built once per
+family by :func:`trace_one`.  Every family is a plain dict of operators;
+its file and check order is plane.point_keys / plane.line_keys, never the
+dict's insertion order.
 """
 
 from __future__ import annotations
@@ -23,6 +26,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .linalg import (
+    DEFAULT_TOL,
     HermitianOp,
     gram_deviation,
     header_int,
@@ -32,9 +36,6 @@ from .linalg import (
 )
 from .plane import Dapg, column_labels, incidence_sum, line_keys, point_keys
 from .weyl import HGBasis, MubFamily, require_odd_prime, verify_mub
-
-PointKey = tuple[int, int]   # (m, j), j ∈ 0..d
-LineKey = tuple[int, int]    # (a, b)
 
 
 @dataclass(frozen=True)
@@ -68,53 +69,40 @@ def build_simplex_vectors(d: int) -> SimplexVectors:
 
 @dataclass(frozen=True)
 class PointFrame:
-    """d(d+1) traceless point operators keyed (m, j), plus the strength β."""
+    """d(d+1) traceless point operators t_m^(j) in ``ops[(m, j)]``, plus the
+    strength β."""
 
     d: int
     beta: float
     ops: dict
 
-    def t(self, m: int, j: int) -> HermitianOp:
-        return self.ops[(m, j)]
-
-    def tau(self, m: int, j: int) -> HermitianOp:
-        """Trace-one companion (1 + t)/d."""
-        return (1.0 / self.d) * (HermitianOp.identity(self.d) + self.ops[(m, j)])
-
-    def keys(self) -> list[PointKey]:
-        return point_keys(self.d)
-
 
 @dataclass(frozen=True)
 class LineFrame:
-    """d² traceless line operators keyed (a, b), plus the strength α."""
+    """d² traceless line operators l_μ in ``ops[(a, b)]``, plus the strength α."""
 
     d: int
     alpha: float
     ops: dict
 
-    def l(self, a: int, b: int) -> HermitianOp:
-        return self.ops[(a, b)]
 
-    def lam(self, a: int, b: int) -> HermitianOp:
-        """Trace-one companion (1 + l)/d."""
-        return (1.0 / self.d) * (HermitianOp.identity(self.d) + self.ops[(a, b)])
-
-    def keys(self) -> list[LineKey]:
-        return line_keys(self.d)
+def trace_one(ops: dict, d: int) -> dict:
+    """The trace-one companions (1 + op)/d of a family, under the same keys."""
+    eye = HermitianOp.identity(d)
+    return {k: (1.0 / d) * (eye + op) for k, op in ops.items()}
 
 
-def point_frame_from_mub(mub: MubFamily, verify_tol: float = 1e-10) -> PointFrame:
+def point_frame_from_mub(mub: MubFamily) -> PointFrame:
     """Point frame t = d·|m;b⟩⟨m;b| − 1 from a complete unbiased family.
 
     Strength β = d(d−1).  The family is verified first and rejected if its
-    overlap deviation exceeds ``verify_tol``.
+    overlap deviation exceeds DEFAULT_TOL.
     """
     d = mub.d
     if mub.n_bases != d + 1:
         raise ValueError(f"need a complete family of {d + 1} bases, got {mub.n_bases}")
     dev = verify_mub(mub)
-    if dev > verify_tol:
+    if dev > DEFAULT_TOL:
         raise ValueError(f"basis family fails unbiasedness: deviation {dev:.3e}")
     eye = np.eye(d)
     ops = {}
@@ -124,14 +112,14 @@ def point_frame_from_mub(mub: MubFamily, verify_tol: float = 1e-10) -> PointFram
     return PointFrame(d=d, beta=float(d * (d - 1)), ops=ops)
 
 
-def point_frame_from_hg(basis: HGBasis, atol: float = 1e-12) -> PointFrame:
+def point_frame_from_hg(basis: HGBasis) -> PointFrame:
     """Point frame f_m^(j) = Σ_k [cos(2πkm/d) h_{j,k} + sin(2πkm/d) g_{j,k}].
 
     Requires the unit-normalized basis (|ζ|² = 1/(2d)); strength is then
     β = (d−1)/2, the minimal one realized by Hermitian operator frames here.
     """
     d = basis.d
-    if abs(basis.zeta_modulus**2 - 1.0 / (2 * d)) > atol:
+    if abs(basis.zeta_modulus**2 - 1.0 / (2 * d)) > 1e-12:
         raise ValueError(
             f"need |ζ|² = 1/(2d); got |ζ|² = {basis.zeta_modulus**2:.6e}"
         )
@@ -163,7 +151,7 @@ def line_ops_from_points(frame: PointFrame, geom: Dapg) -> LineFrame:
     """Bridge points to lines: l_μ = Σ_{(m,j)∈μ} t_m^(j); α = β(d+1)."""
     if frame.d != geom.d:
         raise ValueError(f"dimension mismatch: frame d={frame.d}, geometry d={geom.d}")
-    ops = _incidence_ops(frame.ops, geom.points, geom.incidence, geom.lines, 1.0)
+    ops = incidence_ops(frame.ops, geom.points, geom.incidence, geom.lines, 1.0)
     return LineFrame(d=frame.d, alpha=float(frame.beta * (frame.d + 1)), ops=ops)
 
 
@@ -172,19 +160,19 @@ def point_ops_from_lines(frame: LineFrame, geom: Dapg) -> PointFrame:
     if frame.d != geom.d:
         raise ValueError(f"dimension mismatch: frame d={frame.d}, geometry d={geom.d}")
     d = frame.d
-    ops = _incidence_ops(frame.ops, geom.lines, geom.incidence.T, geom.points, 1.0 / d)
+    ops = incidence_ops(frame.ops, geom.lines, geom.incidence.T, geom.points, 1.0 / d)
     return PointFrame(d=d, beta=float(frame.alpha / (d + 1)), ops=ops)
 
 
-def _incidence_ops(ops: dict, keys, incidence: np.ndarray, out_keys, scale: float) -> dict:
+def incidence_ops(ops: dict, keys, incidence: np.ndarray, out_keys, scale: float) -> dict:
     """``scale`` times the sums of ``ops`` (rows in ``keys`` order) along
-    ``incidence``, keyed by ``out_keys``; built directly, as HermitianOp
-    arithmetic does, since sums of Hermitian matrices are exactly Hermitian."""
+    ``incidence``, keyed by ``out_keys``: the one bridge between the points
+    and the lines of the plane.  Built directly, as HermitianOp arithmetic
+    does, since sums of Hermitian matrices are exactly Hermitian."""
     mats = incidence_sum(incidence, [ops[k].mat for k in keys])
-    traces = scale * incidence_sum(incidence, [ops[k].trace for k in keys])
     mats *= scale
     mats.flags.writeable = False
-    return {k: HermitianOp(mat=m, trace=float(t)) for k, m, t in zip(out_keys, mats, traces)}
+    return {k: HermitianOp(mat=m) for k, m in zip(out_keys, mats)}
 
 
 # --- verification ------------------------------------------------------------
@@ -196,7 +184,7 @@ def verify_point_table(frame: PointFrame) -> float:
     col = column_labels(d)
     target = np.where(col[:, None] == col, -beta / (d - 1), 0.0)
     np.fill_diagonal(target, beta)
-    return gram_deviation((frame.ops[k] for k in frame.keys()), target)
+    return gram_deviation((frame.ops[k] for k in point_keys(d)), target)
 
 
 def verify_line_table(frame: LineFrame) -> float:
@@ -204,7 +192,7 @@ def verify_line_table(frame: LineFrame) -> float:
     d, alpha = frame.d, frame.alpha
     target = np.full((d * d, d * d), -alpha / (d * d - 1))
     np.fill_diagonal(target, alpha)
-    return gram_deviation((frame.ops[k] for k in frame.keys()), target)
+    return gram_deviation((frame.ops[k] for k in line_keys(d)), target)
 
 
 @dataclass
@@ -234,12 +222,13 @@ def verify_point_line_products(
     on = geom.incidence.T == 1  # [line, point]
     want_t = np.where(on, beta, -beta * (d + 1) / (d * d - 1)).tolist()
     want_tau = np.where(on, (d + beta) / d**2, (d - beta / (d - 1)) / d**2).tolist()
+    taus, lams = trace_one(points.ops, d), trace_one(lines.ops, d)
     dev_t = dev_tau = 0.0
     for c, ln in enumerate(geom.lines):
-        l_op, lam_op = lines.l(*ln), lines.lam(*ln)
+        l_op, lam_op = lines.ops[ln], lams[ln]
         for r, p in enumerate(geom.points):
-            dev_t = max(dev_t, abs(hs_inner(points.t(*p), l_op) - want_t[c][r]))
-            dev_tau = max(dev_tau, abs(hs_inner(points.tau(*p), lam_op) - want_tau[c][r]))
+            dev_t = max(dev_t, abs(hs_inner(points.ops[p], l_op) - want_t[c][r]))
+            dev_tau = max(dev_tau, abs(hs_inner(taus[p], lam_op) - want_tau[c][r]))
     return PointLineReport(
         d=d, beta=beta, max_dev_traceless=dev_t, max_dev_trace_one=dev_tau
     )
@@ -248,7 +237,7 @@ def verify_point_line_products(
 # --- scaled line family and quasi-probabilities -------------------------------
 
 
-def scaled_so(frame: LineFrame, atol: float = 1e-8) -> dict:
+def scaled_so(frame: LineFrame) -> dict:
     """Unit-purity rescaling σ_μ = (1/d)(1 + √(2d/(d+1)) l_μ).
 
     Only defined at the minimal strength α = (d+1)(d−1)/2, where it gives
@@ -257,25 +246,26 @@ def scaled_so(frame: LineFrame, atol: float = 1e-8) -> dict:
     """
     d = frame.d
     expected = (d + 1) * (d - 1) / 2.0
-    if abs(frame.alpha - expected) > atol:
+    if abs(frame.alpha - expected) > 1e-8:
         raise ValueError(
             f"scaled family needs α = (d+1)(d−1)/2 = {expected}; got {frame.alpha}"
         )
     c = float(np.sqrt(2.0 * d / (d + 1)))
     eye = HermitianOp.identity(d)
-    return {k: (1.0 / d) * (eye + c * frame.ops[k]) for k in frame.keys()}
+    return {k: (1.0 / d) * (eye + c * frame.ops[k]) for k in line_keys(d)}
 
 
-def quasi_distribution(rho: HermitianOp, points: PointFrame, atol: float = 1e-10) -> dict:
+def quasi_distribution(rho: HermitianOp, points: PointFrame) -> dict:
     """Q_(m,j) = tr(τ_m^(j) ρ) over all points, for a unit-trace ρ.
 
     Columns each sum to 1; entries may be negative unless the τ are positive.
     """
     if rho.dim != points.d:
         raise ValueError(f"dimension mismatch: ρ is {rho.dim}, frame is {points.d}")
-    if abs(rho.trace - 1.0) > atol:
+    if abs(rho.trace - 1.0) > 1e-10:
         raise ValueError(f"ρ must have unit trace, got {rho.trace!r}")
-    return {k: hs_inner(points.tau(*k), rho) for k in points.keys()}
+    taus = trace_one(points.ops, points.d)
+    return {k: hs_inner(taus[k], rho) for k in point_keys(points.d)}
 
 
 def line_probabilities(q: dict, geom: Dapg) -> dict:
@@ -295,11 +285,11 @@ def line_probabilities(q: dict, geom: Dapg) -> dict:
 
 
 def point_frame_to_json_dict(frame: PointFrame) -> dict:
-    return {"d": frame.d, "beta": frame.beta, "ops": ops_to_json(frame.ops, frame.keys())}
+    return {"d": frame.d, "beta": frame.beta, "ops": ops_to_json(frame.ops, point_keys(frame.d))}
 
 
 def line_frame_to_json_dict(frame: LineFrame) -> dict:
-    return {"d": frame.d, "alpha": frame.alpha, "ops": ops_to_json(frame.ops, frame.keys())}
+    return {"d": frame.d, "alpha": frame.alpha, "ops": ops_to_json(frame.ops, line_keys(frame.d))}
 
 
 def _frame_from_json(obj: dict, strength: str, keys_of) -> tuple[int, float, dict]:

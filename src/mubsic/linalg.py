@@ -3,7 +3,8 @@ inner product, and eigenanalysis.
 
 Everything here is a pure function of immutable inputs; operators are plain
 numpy arrays wrapped in a frozen dataclass that validates hermiticity once at
-construction, so values can be shared freely across threads.
+construction, so values can be shared freely across threads.  An operator
+holds only its matrix; its trace is read off the diagonal.
 """
 
 from __future__ import annotations
@@ -19,6 +20,9 @@ HERMITICITY_ATOL = 1e-12
 # Reconstruction residual allowed for an eigendecomposition before we call it
 # a solver failure.
 EIG_RESIDUAL_ATOL = 1e-10
+
+# Eigenvalues at or below this modulus do not count towards a rank.
+RANK_TOL = 1e-8
 
 # Default tolerance of every verifier, and the max overlap deviation a
 # converged fiducial search must reach.
@@ -37,7 +41,7 @@ def as_square_matrix(entries) -> np.ndarray:
 
 @dataclass(frozen=True)
 class HermitianOp:
-    """A d x d Hermitian matrix with its trace cached at construction.
+    """A d x d Hermitian matrix.
 
     Construct through :meth:`from_matrix`, which validates; the arithmetic
     dunders build results directly since sums and real scalings of Hermitian
@@ -45,31 +49,35 @@ class HermitianOp:
     """
 
     mat: np.ndarray
-    trace: float
 
     @classmethod
-    def from_matrix(cls, entries, atol: float = HERMITICITY_ATOL) -> "HermitianOp":
+    def from_matrix(cls, entries) -> "HermitianOp":
         """Admit ``entries`` as Hermitian, symmetrizing (m + m†)/2.
 
-        Raises ValueError if any entry of m − m† exceeds ``atol`` in modulus.
+        Raises ValueError if any entry of m − m† exceeds HERMITICITY_ATOL in
+        modulus.
         """
         mat = as_square_matrix(entries)
         asym = float(np.abs(mat - mat.conj().T).max())
-        if asym > atol:
+        if asym > HERMITICITY_ATOL:
             raise ValueError(f"matrix is not Hermitian: max |m - m†| = {asym:.3e}")
         sym = (mat + mat.conj().T) / 2.0
         sym.flags.writeable = False
-        return cls(mat=sym, trace=float(sym.diagonal().real.sum()))
+        return cls(mat=sym)
 
     @classmethod
     def identity(cls, dim: int) -> "HermitianOp":
         mat = np.eye(dim, dtype=np.complex128)
         mat.flags.writeable = False
-        return cls(mat=mat, trace=float(dim))
+        return cls(mat=mat)
 
     @property
     def dim(self) -> int:
         return self.mat.shape[0]
+
+    @property
+    def trace(self) -> float:
+        return float(self.mat.diagonal().real.sum())
 
     def _combine(self, other: "HermitianOp", sign: float) -> "HermitianOp":
         if not isinstance(other, HermitianOp):
@@ -78,7 +86,7 @@ class HermitianOp:
             raise ValueError(f"dimension mismatch: {self.dim} vs {other.dim}")
         mat = self.mat + sign * other.mat
         mat.flags.writeable = False
-        return HermitianOp(mat=mat, trace=self.trace + sign * other.trace)
+        return HermitianOp(mat=mat)
 
     def __add__(self, other):
         return self._combine(other, 1.0)
@@ -87,10 +95,9 @@ class HermitianOp:
         return self._combine(other, -1.0)
 
     def __mul__(self, scalar):
-        s = float(scalar)
-        mat = s * self.mat
+        mat = float(scalar) * self.mat
         mat.flags.writeable = False
-        return HermitianOp(mat=mat, trace=s * self.trace)
+        return HermitianOp(mat=mat)
 
     __rmul__ = __mul__
 
@@ -98,17 +105,15 @@ class HermitianOp:
         return matrix_to_json_dict(self.mat)
 
     @classmethod
-    def from_json_dict(cls, obj: dict, atol: float = HERMITICITY_ATOL) -> "HermitianOp":
-        return cls.from_matrix(matrix_from_json_dict(obj), atol=atol)
+    def from_json_dict(cls, obj: dict) -> "HermitianOp":
+        return cls.from_matrix(matrix_from_json_dict(obj))
 
 
 @dataclass(frozen=True)
 class Spectrum:
-    """Real eigenvalues sorted descending, with the tolerance used to decide
-    multiplicity/rank questions."""
+    """Real eigenvalues sorted descending."""
 
     values: tuple[float, ...]
-    tol: float = 1e-8
 
     def __post_init__(self):
         vals = self.values
@@ -143,7 +148,7 @@ def hs_inner(a: HermitianOp, b: HermitianOp) -> float:
     return float(np.trace(a.mat @ b.mat).real)
 
 
-def hermitian_eigensystem(h: HermitianOp, tol: float = 1e-8) -> tuple[Spectrum, np.ndarray]:
+def hermitian_eigensystem(h: HermitianOp) -> tuple[Spectrum, np.ndarray]:
     """Eigenvalues (descending) and matching orthonormal eigenvector columns.
 
     Raises ValueError if the reconstruction residual ‖h − VΛV†‖_max exceeds
@@ -155,15 +160,13 @@ def hermitian_eigensystem(h: HermitianOp, tol: float = 1e-8) -> tuple[Spectrum, 
     residual = float(np.abs(h.mat - (v * w) @ v.conj().T).max())
     if residual > EIG_RESIDUAL_ATOL:
         raise ValueError(f"eigendecomposition failed: residual {residual:.3e}")
-    return Spectrum(values=tuple(float(x) for x in w), tol=tol), v
+    return Spectrum(values=tuple(float(x) for x in w)), v
 
 
-def matrix_rank(h: HermitianOp, tol: float = 1e-8) -> int:
-    """Number of eigenvalues with |λ| > tol."""
-    if tol <= 0:
-        raise ValueError("rank tolerance must be positive")
-    spectrum, _ = hermitian_eigensystem(h, tol=tol)
-    return int(sum(1 for x in spectrum.values if abs(x) > tol))
+def matrix_rank(h: HermitianOp) -> int:
+    """Number of eigenvalues with |λ| > RANK_TOL."""
+    spectrum, _ = hermitian_eigensystem(h)
+    return int(sum(1 for x in spectrum.values if abs(x) > RANK_TOL))
 
 
 def third_moment(h: HermitianOp) -> float:
@@ -256,6 +259,6 @@ def write_operator_json(path, op: HermitianOp) -> None:
         fh.write("\n")
 
 
-def read_operator_json(path, atol: float = HERMITICITY_ATOL) -> HermitianOp:
+def read_operator_json(path) -> HermitianOp:
     with open(path) as fh:
-        return HermitianOp.from_json_dict(json.load(fh), atol=atol)
+        return HermitianOp.from_json_dict(json.load(fh))

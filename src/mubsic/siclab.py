@@ -32,24 +32,22 @@ from .linalg import (
     ops_to_json,
     third_moment,
 )
-from .plane import Dapg, build_dapg, column_labels, incidence_sum, line_keys, point_keys
+from .frames import incidence_ops
+from .plane import build_dapg, column_labels, line_keys, point_keys
 from .weyl import MubFamily, WeylPair, build_weyl_pair, monomial, require_prime
 
-PointKey = tuple[int, int]
-LineKey = tuple[int, int]
 
-
-def canonical_ket(vec, atol: float = 1e-12) -> np.ndarray:
+def canonical_ket(vec) -> np.ndarray:
     """Normalize and fix the global phase: first component with modulus above
-    ``atol`` is made real nonnegative."""
+    1e−12 is made real nonnegative."""
     vec = np.asarray(vec, dtype=np.complex128).reshape(-1)
     if not np.all(np.isfinite(vec.real)) or not np.all(np.isfinite(vec.imag)):
         raise ValueError("ket components must be finite")
     norm = float(np.linalg.norm(vec))
-    if norm <= atol:
+    if norm <= 1e-12:
         raise ValueError("cannot normalize a (near-)zero vector")
     vec = vec / norm
-    vec = vec * np.exp(-1j * np.angle(vec[np.flatnonzero(np.abs(vec) > atol)[0]]))
+    vec = vec * np.exp(-1j * np.angle(vec[np.flatnonzero(np.abs(vec) > 1e-12)[0]]))
     vec.flags.writeable = False
     return vec
 
@@ -77,7 +75,7 @@ class Fiducial:
         return {"d": self.d, "ket": complex_to_json(self.ket)}
 
     @classmethod
-    def from_json_dict(cls, obj: dict, source: str = "ingested") -> "Fiducial":
+    def from_json_dict(cls, obj: dict) -> "Fiducial":
         """Parse and renormalize a stored ket, which may be off unit norm by up
         to 1e−6; anything worse, or a malformed or zero ket, is a ValueError."""
         try:
@@ -89,7 +87,7 @@ class Fiducial:
         norm = float(np.linalg.norm(vec))
         if abs(norm - 1.0) > 1e-6:
             raise ValueError(f"ingested ket is not normalized: ‖ψ‖ = {norm!r}")
-        return cls(d=d, ket=canonical_ket(vec), source=source)
+        return cls(d=d, ket=canonical_ket(vec), source="ingested")
 
 
 def qubit_fiducial() -> Fiducial:
@@ -113,24 +111,18 @@ def qutrit_fiducial() -> Fiducial:
 
 @dataclass(frozen=True)
 class SicFamily:
-    """d² rank-one trace-one operators keyed (a, b), generated from (or read
-    alongside) a fiducial ket."""
+    """d² rank-one trace-one operators λ_μ in ``projectors[(a, b)]``, generated
+    from (or read alongside) a fiducial ket."""
 
     d: int
     fiducial: Fiducial
     projectors: dict
 
-    def proj(self, a: int, b: int) -> HermitianOp:
-        return self.projectors[(a, b)]
-
-    def keys(self) -> list[LineKey]:
-        return line_keys(self.d)
-
     def to_json_dict(self) -> dict:
         return {
             "d": self.d,
             "fiducial": complex_to_json(self.fiducial.ket),
-            "ops": ops_to_json(self.projectors, self.keys()),
+            "ops": ops_to_json(self.projectors, line_keys(self.d)),
         }
 
     @classmethod
@@ -168,68 +160,46 @@ def verify_sic(fam: SicFamily) -> float:
     d = fam.d
     target = np.full((d * d, d * d), 1.0 / (d + 1))
     np.fill_diagonal(target, 1.0)
-    return gram_deviation((fam.projectors[k] for k in fam.keys()), target)
+    return gram_deviation((fam.projectors[k] for k in line_keys(d)), target)
 
 
 # --- measurement columns over the dual affine plane ---------------------------
 
 
-@dataclass(frozen=True)
-class MuPomFamily:
-    """The d(d+1) trace-one operators τ_m^(j) = (1/d) Σ_{μ∋(m,j)} λ_μ keyed by
-    dual-plane point (m, j); each column j sums to the identity."""
-
-    d: int
-    ops: dict
-
-    def op(self, m: int, j: int) -> HermitianOp:
-        return self.ops[(m, j)]
-
-    def keys(self) -> list[PointKey]:
-        return point_keys(self.d)
-
-    def column(self, j: int) -> list[HermitianOp]:
-        return [self.ops[(m, j)] for m in range(self.d)]
-
-
-def extract_mu_pom(
-    fam: SicFamily, geom: Dapg | None = None, verify_tol: float = 1e-8
-) -> MuPomFamily:
-    """Average the projector family along dual-plane lines through each point.
+def extract_mu_pom(fam: SicFamily) -> dict:
+    """The d(d+1) trace-one operators τ_m^(j) = (1/d) Σ_{μ∋(m,j)} λ_μ, keyed
+    by dual-plane point (m, j): the frames' line-to-point bridge applied to
+    the projector family.  Each column j sums to the identity.
 
     The input family is verified first: if its overlap deviation exceeds
-    ``verify_tol`` the extraction is refused, since the output pattern is
-    only meaningful on an equal-overlap family.
+    1e−8 the extraction is refused, since the output pattern is only
+    meaningful on an equal-overlap family.
     """
     d = fam.d
     dev = verify_sic(fam)
-    if dev > verify_tol:
+    if dev > 1e-8:
         raise ValueError(f"family fails equal-overlap check: deviation {dev:.3e}")
-    if geom is None:
-        geom = build_dapg(d)
-    if geom.d != d:
-        raise ValueError(f"geometry order {geom.d} does not match family d = {d}")
-    sums = incidence_sum(geom.incidence.T, [fam.projectors[ln].mat for ln in geom.lines])
-    ops = {p: HermitianOp.from_matrix(total / d) for p, total in zip(geom.points, sums)}
-    return MuPomFamily(d=d, ops=ops)
+    geom = build_dapg(d)
+    return incidence_ops(fam.projectors, geom.lines, geom.incidence.T, geom.points, 1.0 / d)
 
 
-def verify_mu_pom(fam: MuPomFamily) -> float:
+def verify_mu_pom(taus: dict) -> float:
     """Max deviation of tr(τ τ') from the three-value pattern
     {1/d across columns; 2/(d+1) on the diagonal; 1/(d+1) within a column}."""
-    d = fam.d
+    d = next(iter(taus.values())).dim
     col = column_labels(d)
     target = np.where(col[:, None] == col, 1.0 / (d + 1), 1.0 / d)
     np.fill_diagonal(target, 2.0 / (d + 1))
-    return gram_deviation((fam.ops[k] for k in fam.keys()), target)
+    return gram_deviation((taus[k] for k in point_keys(d)), target)
 
 
 # --- spectra bookkeeping -------------------------------------------------------
 
 
-def spectra_table(fam: MuPomFamily) -> dict:
+def spectra_table(taus: dict) -> dict:
     """Descending eigenvalue tuples for every point operator, keyed (m, j)."""
-    return {k: hermitian_eigensystem(fam.ops[k])[0] for k in fam.keys()}
+    d = next(iter(taus.values())).dim
+    return {k: hermitian_eigensystem(taus[k])[0] for k in point_keys(d)}
 
 
 @dataclass
@@ -422,9 +392,7 @@ def _canonical_cycle(p: np.ndarray) -> tuple:
     return best
 
 
-def solve_cyclic_probability(
-    d: int, seed: int = 0, restarts: int = 64, tol: float = 1e-12
-) -> CyclicSolutions:
+def solve_cyclic_probability(d: int, seed: int = 0, restarts: int = 64) -> CyclicSolutions:
     """Solve the cyclic overlap conditions for probability vectors.
 
     d = 2 and d = 3 use closed forms; d ≥ 5 runs seeded bounded least-squares
@@ -483,7 +451,7 @@ def solve_cyclic_probability(
             xtol=1e-15, ftol=1e-15, gtol=1e-15,
         )
         resid = float(np.abs(fun(res.x)).max())
-        if resid > tol:
+        if resid > 1e-12:
             continue
         p = np.where(res.x < 1e-14, 0.0, res.x)
         p = p / p.sum()
@@ -532,14 +500,12 @@ class FiducialExtraction:
     fiducial: Fiducial | None
 
 
-def fiducial_from_mu_pom(
-    taus, mub: MubFamily, diag_tol: float = 1e-10, rank_tol: float = 1e-8
-) -> FiducialExtraction:
+def fiducial_from_mu_pom(taus, mub: MubFamily) -> FiducialExtraction:
     """Assemble a candidate fiducial projector from d+1 basis-diagonal
     operators (one per unbiased basis, in basis order).
 
-    Each τ must be diagonal in its own basis within ``diag_tol``; rank-one-ness
-    of λ₀ is decided by ``rank_tol`` and certified by tr λ₀³ = 1.
+    Each τ must be diagonal in its own basis within 1e−10; rank-one-ness of
+    λ₀ is decided by linalg.RANK_TOL and certified by tr λ₀³ = 1.
     """
     d = mub.d
     taus = list(taus)
@@ -550,7 +516,7 @@ def fiducial_from_mu_pom(
             raise ValueError(f"operator {b} has dim {tau.dim}, expected {d}")
         rep = mub.bases[b].conj() @ tau.mat @ mub.bases[b].T
         off = float(np.abs(rep - np.diag(rep.diagonal())).max())
-        if off > diag_tol:
+        if off > 1e-10:
             raise ValueError(
                 f"operator {b} is not diagonal in basis {b}: off-diagonal {off:.3e}"
             )
@@ -559,8 +525,8 @@ def fiducial_from_mu_pom(
         total = total + tau
     lambda0 = total - HermitianOp.identity(d)
     sum_spectrum, _ = hermitian_eigensystem(total)
-    spectrum, vectors = hermitian_eigensystem(lambda0, tol=rank_tol)
-    rank = matrix_rank(lambda0, tol=rank_tol)
+    spectrum, vectors = hermitian_eigensystem(lambda0)
+    rank = matrix_rank(lambda0)
     fid = None
     if rank == 1 and abs(spectrum.values[0] - 1.0) <= 1e-6:
         fid = Fiducial(d=d, ket=canonical_ket(vectors[:, 0]), source="reconstructed")

@@ -28,16 +28,17 @@ def searched():
 
 @pytest.fixture(scope="session")
 def searched_mu_pom(searched):
-    """Cached (family, mu_pom, spectra table, column report) per dimension."""
+    """Cached (family, point operators τ, spectra table, column report) per
+    dimension."""
     cache = {}
 
     def get(d: int):
         if d not in cache:
             fam = siclab.generate_hw_sic(searched(d).fiducial)
-            mpf = siclab.extract_mu_pom(fam)
-            table = siclab.spectra_table(mpf)
+            taus = siclab.extract_mu_pom(fam)
+            table = siclab.spectra_table(taus)
             report = siclab.assert_column_constant(table)
-            cache[d] = (fam, mpf, table, report)
+            cache[d] = (fam, taus, table, report)
         return cache[d]
 
     return get

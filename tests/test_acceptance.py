@@ -31,10 +31,11 @@ from mubsic.frames import (
     point_ops_from_lines,
     quasi_distribution,
     scaled_so,
+    trace_one,
     verify_point_line_products,
 )
 from mubsic.linalg import HermitianOp, hermitian_eigensystem, hs_inner
-from mubsic.plane import build_dapg, verify_incidence
+from mubsic.plane import build_dapg, line_keys, verify_incidence
 from mubsic.siclab import (
     Fiducial,
     SearchConfig,
@@ -71,7 +72,7 @@ def sic_line_frame(fam) -> LineFrame:
     return LineFrame(
         d=d,
         alpha=float(d * (d - 1)),
-        ops={k: d * fam.projectors[k] - eye for k in fam.keys()},
+        ops={k: d * fam.projectors[k] - eye for k in line_keys(d)},
     )
 
 
@@ -106,7 +107,8 @@ def test_criterion_03_operator_basis_case(report):
         pf = point_frame_from_mub(build_mub(d))
         geom = build_dapg(d)
         lf = line_ops_from_points(pf, geom)
-        lams = [lf.lam(*k).mat for k in lf.keys()]
+        lams = trace_one(lf.ops, d)
+        lams = [lams[k].mat for k in line_keys(d)]
         worst_gram = max(
             worst_gram, float(np.abs(gram(lams) - d * np.eye(d * d)).max())
         )
@@ -177,12 +179,12 @@ def test_criterion_06_simplex_norms(report):
         geom = build_dapg(d)
         lf = line_ops_from_points(point_frame_from_hg(basis), geom)
         n = d * d
-        ls = [lf.l(*k).mat for k in lf.keys()]
+        ls = [lf.ops[k].mat for k in line_keys(d)]
         target = np.full((n, n), -0.5)
         np.fill_diagonal(target, (d + 1) * (d - 1) / 2)
         worst_line = max(worst_line, float(np.abs(gram(ls) - target).max()))
         sig = scaled_so(lf)
-        sigs = [sig[k].mat for k in lf.keys()]
+        sigs = [sig[k].mat for k in line_keys(d)]
         target_s = np.full((n, n), 1.0 / (d + 1))
         np.fill_diagonal(target_s, 1.0)
         worst_scaled = max(worst_scaled, float(np.abs(gram(sigs) - target_s).max()))
@@ -263,11 +265,12 @@ def test_criterion_09_quasi_probability_identity(report, searched):
         geom = build_dapg(d)
         lf = sic_line_frame(fam)
         pf = point_ops_from_lines(lf, geom)
+        lams = trace_one(lf.ops, d)
         for _ in range(100):
             rho = random_density(rng, d)
             p = line_probabilities(quasi_distribution(rho, pf), geom)
             for key, value in p.items():
-                direct = hs_inner(lf.lam(*key), rho) / d
+                direct = hs_inner(lams[key], rho) / d
                 worst_line_sum = max(worst_line_sum, abs(value - direct))
             worst_total = max(worst_total, abs(sum(p.values()) - 1.0))
     ok = worst_line_sum <= 1e-12 and worst_total <= 1e-12

@@ -51,6 +51,11 @@ def test_unknown_command_is_usage_error(capsys):
     assert run([]) == 2
 
 
+def test_help_exits_zero(capsys):
+    assert run(["mub", "verify", "--help"]) == 0
+    assert capsys.readouterr().out.startswith("usage: mubsic mub verify")
+
+
 def test_missing_file_is_io_error(tmp_path, capsys):
     missing = tmp_path / "nope.json"
     assert run(["sic", "verify", "--in", str(missing)]) == 2
@@ -172,11 +177,16 @@ MALFORMED = {
         "1,1,NaN,0.3\n0,2,0.7,0.3\n1,2,0.7,0.3\n",
     ),
     # Tolerances must be finite and nonnegative; the inputs are otherwise valid.
-    # argparse reads a separate "-inf" or "-1e-3" as an option, hence "=".
     "tol-inf": (MUB_VERIFY + ["--tol", "inf"], "unused.txt", ""),
     "tol-minus-inf": (MUB_VERIFY + ["--tol=-inf"], "unused.txt", ""),
     "tol-nan": (MUB_VERIFY + ["--tol", "nan"], "unused.txt", ""),
     "tol-negative": (MUB_VERIFY + ["--tol=-1e-3"], "unused.txt", ""),
+    # argparse reads a separate "-inf" or "-1e-3" as an option; its usage
+    # errors end as one line too.
+    "tol-minus-inf-token": (MUB_VERIFY + ["--tol", "-inf"], "unused.txt", ""),
+    "tol-negative-token": (MUB_VERIFY + ["--tol", "-1e-3"], "unused.txt", ""),
+    "d-not-integer": (["mub", "verify", "--d", "x"], "unused.txt", ""),
+    "unknown-subcommand": (["mub", "frobnicate"], "unused.txt", ""),
     "generate-tol-inf": (GENERATE + ["--tol", "inf"], "fid.json", QUBIT_FIDUCIAL),
     "spectra-tol-nan": (
         ["sic", "spectra", "--in", "IN", "--out", "OUT", "--tol", "nan"],

@@ -90,6 +90,21 @@ PINS = {
         "7be5b321a7576df9431f8f35d2d44c993597f3dc7fdfd77035269bce15f59798",
         None,
     ),
+    "frame from-mub --d 7 --out points7.json": (
+        0,
+        "38ecbba303227a557ec0db54148ed55900939093e5761f29f07a5767d12ce4dc",
+        "873eea3165396dfd4892ee0fb864b9b7bdf562d86e51a460a96fe41e87260e31",
+    ),
+    "frame bridge --points points7.json --out lines7.json": (
+        0,
+        "894619bed471cf11fee3d8f6195f5e85837c8bbc4ea939e798c04600b7430654",
+        "9197d4a9f8d689d007c77be83b794bf01be12cea6442c886b39c86ad15e8fcc3",
+    ),
+    "frame verify --points points7.json --lines lines7.json": (
+        0,
+        "3d845bed0125048d1bd5a1e8a6a8de922adcfb5494f81e7e0e45765f9975411a",
+        None,
+    ),
     "frame from-hg --d 5 --out hg5.json": (
         0,
         "d825a4052d64bc493ab713bfdfa71c47f48bfdad7833214ba48619e31fd7bc9a",
@@ -144,6 +159,26 @@ PINS = {
         0,
         "87b37488683bcb5dcf04330dfb4fbad453ba1d07d9b3e2f76f69f8459d471696",
         "4b96daa9feb71c6aa317d728a3bd92c9d524ff16578f832176ba58a64af14ee8",
+    ),
+    "sic generate --fiducial fiducial7.json --out family7.json": (
+        0,
+        "6e7c2b5248235ead5735233de5f5f5358ec20c633f0602491e74f4ed6a577c46",
+        "38903d04f848b85af487df2a16479e81a437e16dcc71df33919ef14524c1cb1e",
+    ),
+    "sic verify --in family7.json": (
+        0,
+        "046ebfb56486bc32128dba1da06bbf088b0eccc8a7c73c0eee72db1ac1f07b5c",
+        None,
+    ),
+    "sic spectra --in family7.json --out spectra7.csv": (
+        0,
+        "7b14460f4318500460c671c6e0c99b1bb2bdcf0a390fa2faa991f1f40723b6c4",
+        "ca884ef7ee75aa15840977ae585811c05ff742ba6982b2993a814e864af018f2",
+    ),
+    "sic group --in spectra7.csv --out groups7.json": (
+        0,
+        "e6e209f573cb544b98cbdc2fd8c94d4cd7a74cc2fc30640566527952f6a4a755",
+        "8f95d879ae1b26f1d352640dd995c30cab0f807f8fc1ba59b621bf4aef455301",
     ),
     "sic solve-prob --d 3": (
         0,

@@ -19,6 +19,7 @@ from mubsic.frames import (
     point_ops_from_lines,
     quasi_distribution,
     scaled_so,
+    trace_one,
     verify_line_table,
     verify_point_line_products,
     verify_point_table,
@@ -73,12 +74,13 @@ def test_simplex_rejects_even_and_composite():
 
 def test_mub_frame_strength_and_overlaps():
     pf = mub_points(3)
+    taus = trace_one(pf.ops, 3)
     assert pf.beta == pytest.approx(6.0)
     # projectors: same point 1, same column 0, cross-column 1/d
-    assert hs_inner(pf.tau(0, 0), pf.tau(0, 0)) == pytest.approx(1.0, abs=1e-12)
-    assert hs_inner(pf.tau(0, 0), pf.tau(1, 0)) == pytest.approx(0.0, abs=1e-12)
-    assert hs_inner(pf.tau(0, 0), pf.tau(0, 1)) == pytest.approx(1 / 3, abs=1e-12)
-    assert hs_inner(pf.t(0, 0), pf.t(0, 0)) == pytest.approx(6.0, abs=1e-10)
+    assert hs_inner(taus[(0, 0)], taus[(0, 0)]) == pytest.approx(1.0, abs=1e-12)
+    assert hs_inner(taus[(0, 0)], taus[(1, 0)]) == pytest.approx(0.0, abs=1e-12)
+    assert hs_inner(taus[(0, 0)], taus[(0, 1)]) == pytest.approx(1 / 3, abs=1e-12)
+    assert hs_inner(pf.ops[(0, 0)], pf.ops[(0, 0)]) == pytest.approx(6.0, abs=1e-10)
 
 
 def test_point_tables_small_primes():
@@ -92,10 +94,11 @@ def test_columns_resolve_identity():
     for pf in (mub_points(3), hg_points(5)):
         d = pf.d
         eye = np.eye(d)
+        taus = trace_one(pf.ops, d)
         for j in range(d + 1):
-            total = sum(pf.tau(m, j).mat for m in range(d))
+            total = sum(taus[(m, j)].mat for m in range(d))
             assert np.abs(total - eye).max() <= 1e-12
-            traceless = sum(pf.t(m, j).mat for m in range(d))
+            traceless = sum(pf.ops[(m, j)].mat for m in range(d))
             assert np.abs(traceless).max() <= 1e-10
 
 
@@ -103,10 +106,10 @@ def test_hg_frame_strength_and_column_products():
     pf = hg_points(3)
     assert pf.beta == pytest.approx(1.0)
     for m in range(3):
-        assert hs_inner(pf.t(m, 0), pf.t(m, 0)) == pytest.approx(1.0, abs=1e-10)
+        assert hs_inner(pf.ops[(m, 0)], pf.ops[(m, 0)]) == pytest.approx(1.0, abs=1e-10)
         for m2 in range(m + 1, 3):
-            assert hs_inner(pf.t(m, 0), pf.t(m2, 0)) == pytest.approx(-0.5, abs=1e-10)
-    assert hs_inner(pf.t(0, 0), pf.t(0, 1)) == pytest.approx(0.0, abs=1e-10)
+            assert hs_inner(pf.ops[(m, 0)], pf.ops[(m2, 0)]) == pytest.approx(-0.5, abs=1e-10)
+    assert hs_inner(pf.ops[(0, 0)], pf.ops[(0, 1)]) == pytest.approx(0.0, abs=1e-10)
 
 
 def test_hg_frame_rejects_wrong_modulus():
@@ -129,8 +132,8 @@ def test_hg_frame_covariance():
             for j in range(d + 1):
                 for m in range(d):
                     m2 = (m + b) % d if j == d else (m + a + j * b) % d
-                    got = u @ pf.t(m, j).mat @ u.conj().T
-                    assert np.abs(got - pf.t(m2, j).mat).max() <= 1e-10
+                    got = u @ pf.ops[(m, j)].mat @ u.conj().T
+                    assert np.abs(got - pf.ops[(m2, j)].mat).max() <= 1e-10
 
 
 def test_with_beta_rescales():
@@ -149,7 +152,8 @@ def test_lines_from_mub_points_give_orthogonal_basis():
         lf = line_ops_from_points(mub_points(d), build_dapg(d))
         assert lf.alpha == pytest.approx(d * (d - 1) * (d + 1))
         assert verify_line_table(lf) <= 1e-10
-        lams = [lf.lam(a, b).mat for a in range(d) for b in range(d)]
+        lams = trace_one(lf.ops, d)
+        lams = [lams[k].mat for k in line_keys(d)]
         for i, l1 in enumerate(lams):
             for i2, l2 in enumerate(lams):
                 want = float(d) if i == i2 else 0.0
@@ -159,7 +163,7 @@ def test_lines_from_mub_points_give_orthogonal_basis():
 def test_line_sum_vanishes():
     for pf in (mub_points(3), hg_points(5), with_beta(mub_points(2), 0.7)):
         lf = line_ops_from_points(pf, build_dapg(pf.d))
-        total = sum(lf.ops[k].mat for k in lf.keys())
+        total = sum(lf.ops[k].mat for k in line_keys(pf.d))
         assert np.abs(total).max() <= 1e-10
 
 
@@ -167,7 +171,8 @@ def test_equal_overlap_strength_gives_uniform_gram():
     d = 3
     beta = d * (d - 1) / (d + 1)
     lf = line_ops_from_points(with_beta(mub_points(d), beta), build_dapg(d))
-    lams = [lf.lam(a, b).mat for a in range(d) for b in range(d)]
+    lams = trace_one(lf.ops, d)
+    lams = [lams[k].mat for k in line_keys(d)]
     for i, l1 in enumerate(lams):
         for i2, l2 in enumerate(lams):
             want = 1.0 if i == i2 else 1 / (d + 1)
@@ -182,7 +187,7 @@ def test_points_from_lines_round_trip():
     back = point_ops_from_lines(lf, geom)
     assert back.beta == pytest.approx(lf.alpha / (d + 1))
     assert back.beta == pytest.approx(2.0)
-    for k in pf.keys():
+    for k in point_keys(d):
         assert np.abs(back.ops[k].mat - pf.ops[k].mat).max() <= 1e-10
 
 
@@ -191,9 +196,10 @@ def test_points_from_zero_lines_are_maximally_mixed():
     zero = HermitianOp.from_matrix(np.zeros((d, d)))
     lf = LineFrame(d=d, alpha=0.0, ops={(a, b): zero for a in range(d) for b in range(d)})
     pf = point_ops_from_lines(lf, build_dapg(d))
-    for k in pf.keys():
+    taus = trace_one(pf.ops, d)
+    for k in point_keys(d):
         assert np.abs(pf.ops[k].mat).max() == 0.0
-        assert np.abs(pf.tau(*k).mat - np.eye(d) / d).max() <= 1e-15
+        assert np.abs(taus[k].mat - np.eye(d) / d).max() <= 1e-15
 
 
 def test_bridge_rejects_dimension_mismatch():
@@ -210,7 +216,7 @@ def loop_line_ops(frame, geom):
     for ln in line_keys(frame.d):
         total = HermitianOp.identity(frame.d) * 0.0
         for m, j in geom.points_on(ln):
-            total = total + frame.t(m, j)
+            total = total + frame.ops[(m, j)]
         ops[ln] = total
     return ops
 
@@ -221,7 +227,7 @@ def loop_point_ops(frame, geom):
     for p in point_keys(d):
         total = HermitianOp.identity(d) * 0.0
         for a, b in geom.lines_through(p):
-            total = total + frame.l(a, b)
+            total = total + frame.ops[(a, b)]
         ops[p] = (1.0 / d) * total
     return ops
 
@@ -261,7 +267,7 @@ def test_bridge_round_trip_every_prime(d):
     pf = mub_points(d)
     geom = build_dapg(d)
     back = point_ops_from_lines(line_ops_from_points(pf, geom), geom)
-    assert max(np.abs(back.ops[k].mat - pf.ops[k].mat).max() for k in pf.keys()) <= 1e-12
+    assert max(np.abs(back.ops[k].mat - pf.ops[k].mat).max() for k in point_keys(d)) <= 1e-12
 
 
 @given(PRIMES, st.integers(0, 2**32 - 1))
@@ -279,7 +285,8 @@ def test_line_probabilities_are_line_expectations_every_prime(d, seed):
     geom = build_dapg(d)
     lf = line_ops_from_points(pf, geom)
     p = line_probabilities(quasi_distribution(rho, pf), geom)
-    lams = np.stack([lf.lam(*ln).mat for ln in geom.lines])
+    lams = trace_one(lf.ops, d)
+    lams = np.stack([lams[ln].mat for ln in geom.lines])
     direct = np.einsum("lij,ji->l", lams, rho.mat).real / d
     assert np.abs(np.array([p[ln] for ln in geom.lines]) - direct).max() <= 1e-12
 
@@ -295,8 +302,8 @@ def test_products_for_basis_strength():
         report = verify_point_line_products(pf, lf, geom)
         assert report.max_dev <= 1e-10
         # with β = d(d−1) the trace-one products are exactly 1 on-line, 0 off
-        lam = lf.lam(0, 0)
-        on = {p: hs_inner(pf.tau(*p), lam) for p in geom.points_on((0, 0))}
+        lam, taus = trace_one(lf.ops, d)[(0, 0)], trace_one(pf.ops, d)
+        on = {p: hs_inner(taus[p], lam) for p in geom.points_on((0, 0))}
         assert all(abs(v - 1.0) <= 1e-10 for v in on.values())
 
 
@@ -310,9 +317,9 @@ def test_products_at_equal_overlap_strength():
     assert report.max_dev <= 1e-10
     on_value = (d + beta) / d**2
     assert on_value == pytest.approx(0.5)
-    lam = lf.lam(1, 2)
+    lam = trace_one(lf.ops, d)[(1, 2)]
     p_on = geom.points_on((1, 2))[0]
-    assert hs_inner(pf.tau(*p_on), lam) == pytest.approx(0.5, abs=1e-10)
+    assert hs_inner(trace_one(pf.ops, d)[p_on], lam) == pytest.approx(0.5, abs=1e-10)
 
 
 def test_on_off_product_gap():
@@ -321,12 +328,56 @@ def test_on_off_product_gap():
     pf = with_beta(mub_points(d), beta)
     geom = build_dapg(d)
     lf = line_ops_from_points(pf, geom)
-    lam = lf.lam(0, 1)
+    lam, taus = trace_one(lf.ops, d)[(0, 1)], trace_one(pf.ops, d)
     members = set(geom.points_on((0, 1)))
-    on = hs_inner(pf.tau(*next(iter(members))), lam)
-    off_point = next(p for p in pf.keys() if p not in members)
-    off = hs_inner(pf.tau(*off_point), lam)
+    on = hs_inner(taus[next(iter(members))], lam)
+    off_point = next(p for p in point_keys(d) if p not in members)
+    off = hs_inner(taus[off_point], lam)
     assert on - off == pytest.approx(beta * d / ((d - 1) * d**2), abs=1e-10)
+
+
+def loop_point_line_products(points, lines, geom):
+    """Reference: the per-pair loop that rebuilt both trace-one companions
+    for every (point, line) pair; returns (traceless, trace-one) deviations."""
+    d, beta = points.d, points.beta
+
+    def companion(op):
+        return (1.0 / d) * (HermitianOp.identity(d) + op)
+
+    on = geom.incidence.T == 1
+    want_t = np.where(on, beta, -beta * (d + 1) / (d * d - 1)).tolist()
+    want_tau = np.where(on, (d + beta) / d**2, (d - beta / (d - 1)) / d**2).tolist()
+    dev_t = dev_tau = 0.0
+    for c, ln in enumerate(geom.lines):
+        l_op, lam_op = lines.ops[ln], companion(lines.ops[ln])
+        for r, p in enumerate(geom.points):
+            dev_t = max(dev_t, abs(hs_inner(points.ops[p], l_op) - want_t[c][r]))
+            dev_tau = max(dev_tau, abs(hs_inner(companion(points.ops[p]), lam_op) - want_tau[c][r]))
+    return dev_t, dev_tau
+
+
+@pytest.mark.parametrize(
+    "d, make", [(d, make) for d in (3, 5, 7, 11) for make in (mub_points, hg_points)]
+    + [(19, mub_points)],
+)
+def test_point_line_products_match_loop(d, make):
+    pf = make(d)
+    geom = build_dapg(d)
+    report = verify_point_line_products(pf, line_ops_from_points(pf, geom), geom)
+    ref = loop_point_line_products(pf, line_ops_from_points(pf, geom), geom)
+    assert (report.max_dev_traceless, report.max_dev_trace_one) == ref
+
+
+@pytest.mark.parametrize("d", [2, 3, 7])
+def test_trace_one_is_the_companion_expression(d):
+    pf = hg_points(d) if d > 2 else mub_points(d)
+    lf = line_ops_from_points(pf, build_dapg(d))
+    for ops in (pf.ops, lf.ops):
+        got = trace_one(ops, d)
+        assert list(got) == list(ops)
+        for k, op in ops.items():
+            want = (1.0 / d) * (HermitianOp.identity(d) + op)
+            assert got[k].mat.tobytes() == want.mat.tobytes()
 
 
 # --- unit-purity rescaling --------------------------------------------------------------
@@ -337,7 +388,7 @@ def test_scaled_family_gram():
         lf = line_ops_from_points(hg_points(d), build_dapg(d))
         assert lf.alpha == pytest.approx((d + 1) * (d - 1) / 2)
         sig = scaled_so(lf)
-        mats = [sig[k].mat for k in lf.keys()]
+        mats = [sig[k].mat for k in line_keys(d)]
         for m in mats:
             assert np.trace(m).real == pytest.approx(1.0, abs=1e-12)
         for i, m1 in enumerate(mats):
@@ -381,12 +432,12 @@ def test_line_sum_identity_random_states():
     d = 5
     pf = mub_points(d)
     geom = build_dapg(d)
-    lf = line_ops_from_points(pf, geom)
+    lams = trace_one(line_ops_from_points(pf, geom).ops, d)
     for _ in range(10):
         rho = random_density(rng, d)
         p = line_probabilities(quasi_distribution(rho, pf), geom)
         for (a, b), value in p.items():
-            direct = hs_inner(lf.lam(a, b), rho) / d
+            direct = hs_inner(lams[(a, b)], rho) / d
             assert value == pytest.approx(direct, abs=1e-12)
         assert sum(p.values()) == pytest.approx(1.0, abs=1e-12)
 
@@ -403,7 +454,7 @@ def test_quasi_distribution_on_sic_lines_is_nonnegative():
     lf = LineFrame(
         d=d,
         alpha=float(d * (d - 1)),
-        ops={k: d * fam.projectors[k] - HermitianOp.identity(d) for k in fam.keys()},
+        ops={k: d * fam.projectors[k] - HermitianOp.identity(d) for k in line_keys(d)},
     )
     geom = build_dapg(d)
     pf = point_ops_from_lines(lf, geom)
@@ -421,7 +472,7 @@ def test_point_frame_json_round_trip():
     pf = mub_points(3)
     back = point_frame_from_json_dict(point_frame_to_json_dict(pf))
     assert back.d == 3 and back.beta == pytest.approx(pf.beta)
-    for k in pf.keys():
+    for k in point_keys(3):
         assert np.abs(back.ops[k].mat - pf.ops[k].mat).max() <= 1e-15
 
 
@@ -429,5 +480,5 @@ def test_line_frame_json_round_trip():
     lf = line_ops_from_points(hg_points(3), build_dapg(3))
     back = line_frame_from_json_dict(line_frame_to_json_dict(lf))
     assert back.d == 3 and back.alpha == pytest.approx(lf.alpha)
-    for k in lf.keys():
+    for k in line_keys(3):
         assert np.abs(back.ops[k].mat - lf.ops[k].mat).max() <= 1e-15

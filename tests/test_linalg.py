@@ -51,6 +51,10 @@ def test_trace_is_real_diagonal_sum():
     rng = np.random.default_rng(5)
     op = random_hermitian(rng, 4)
     assert op.trace == pytest.approx(float(np.trace(op.mat).real), abs=1e-12)
+    # The trace is read off the matrix, so arithmetic results carry theirs.
+    for res in (op + op, op - 2.5 * op, 0.5 * HermitianOp.identity(3)):
+        assert res.trace == float(res.mat.diagonal().real.sum())
+    assert (0.5 * HermitianOp.identity(3)).trace == 1.5
 
 
 def test_arithmetic_matches_matrix_arithmetic():
@@ -81,7 +85,7 @@ def test_hs_inner_same_column_cross_point_value():
     # Same-column distinct points of a strength-β frame meet at −β/(d−1);
     # the d = 3 unbiased-basis frame has β = 6, so the value is −3.
     pf = frames.point_frame_from_mub(weyl.build_mub(3))
-    got = hs_inner(pf.t(0, 1), pf.t(1, 1))
+    got = hs_inner(pf.ops[(0, 1)], pf.ops[(1, 1)])
     assert got == pytest.approx(-pf.beta / 2, abs=1e-10)
     assert got == pytest.approx(-3.0, abs=1e-10)
 
@@ -142,16 +146,16 @@ def test_eigensystem_reconstructs_and_sums_to_trace():
 
 
 def test_matrix_rank_identity_and_projector():
-    assert matrix_rank(HermitianOp.identity(4), tol=1e-8) == 4
+    assert matrix_rank(HermitianOp.identity(4)) == 4
     proj = HermitianOp.from_matrix(np.diag([1.0, 0.0, 0.0]))
-    assert matrix_rank(proj, tol=1e-8) == 1
+    assert matrix_rank(proj) == 1
 
 
 def test_matrix_rank_qutrit_candidate_projector():
     mub = weyl.build_mub(3)
     taus = siclab.mu_pom_from_probabilities(mub, [(0.5, 0.5, 0.0)] * 4)
     ext = siclab.fiducial_from_mu_pom(taus, mub)
-    assert matrix_rank(ext.lambda0, tol=1e-8) == 1
+    assert matrix_rank(ext.lambda0) == 1
 
 
 def test_third_moment_projector_and_mixed():
@@ -164,7 +168,7 @@ def test_third_moment_projector_and_mixed():
 
 def test_third_moment_of_fiducial_projector():
     fam = siclab.generate_hw_sic(siclab.qutrit_fiducial())
-    assert third_moment(fam.proj(0, 0)) == pytest.approx(1.0, abs=1e-10)
+    assert third_moment(fam.projectors[(0, 0)]) == pytest.approx(1.0, abs=1e-10)
 
 
 def test_third_moment_equals_eigenvalue_cubes():

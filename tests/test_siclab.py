@@ -12,13 +12,15 @@ from helpers import (
     D11A,
     D11B,
     D11C,
+    PRIMES,
     SPECTRA_MATCH_TOL,
     random_ket,
     spectra_match,
 )
 from mubsic import siclab
 from mubsic.linalg import HermitianOp, Spectrum, hermitian_eigensystem, third_moment
-from mubsic.plane import build_dapg, point_keys
+from mubsic.frames import incidence_ops
+from mubsic.plane import build_dapg, line_keys, point_keys
 from mubsic.siclab import (
     Fiducial,
     ProbabilityVector,
@@ -87,9 +89,9 @@ def test_fiducial_requires_unit_norm():
 
 def test_qubit_family_overlaps():
     fam = generate_hw_sic(qubit_fiducial())
-    assert len(fam.keys()) == 4
+    assert list(fam.projectors) == line_keys(2)
     assert verify_sic(fam) <= 1e-12
-    kets = [fam.projectors[k].mat for k in fam.keys()]
+    kets = [fam.projectors[k].mat for k in line_keys(2)]
     for i, p1 in enumerate(kets):
         for p2 in kets[i + 1:]:
             assert np.trace(p1 @ p2).real == pytest.approx(1 / 3, abs=1e-12)
@@ -97,9 +99,9 @@ def test_qubit_family_overlaps():
 
 def test_qutrit_family_overlaps():
     fam = generate_hw_sic(qutrit_fiducial())
-    assert len(fam.keys()) == 9
+    assert list(fam.projectors) == line_keys(3)
     assert verify_sic(fam) <= 1e-12
-    others = [k for k in fam.keys() if k != (0, 0)]
+    others = [k for k in line_keys(3) if k != (0, 0)]
     p0 = fam.projectors[(0, 0)].mat
     for k in others:
         assert np.trace(p0 @ fam.projectors[k].mat).real == pytest.approx(
@@ -111,7 +113,7 @@ def test_family_anchor_is_fiducial_projector():
     fid = qutrit_fiducial()
     fam = generate_hw_sic(fid)
     outer = np.outer(fid.ket, fid.ket.conj())
-    assert np.abs(fam.proj(0, 0).mat - outer).max() <= 1e-12
+    assert np.abs(fam.projectors[(0, 0)].mat - outer).max() <= 1e-12
 
 
 def test_basis_state_is_not_equal_overlap():
@@ -145,16 +147,32 @@ def test_hw_covariance_permutes_family():
                 u = np.linalg.matrix_power(wp.X.conj().T, b2) @ monomial(wp, 0, a2)
                 for a in range(d):
                     for b in range(d):
-                        got = u @ fam.proj(a, b).mat @ u.conj().T
-                        want = fam.proj((a + a2) % d, (b + b2) % d).mat
+                        got = u @ fam.projectors[(a, b)].mat @ u.conj().T
+                        want = fam.projectors[((a + a2) % d, (b + b2) % d)].mat
                         assert np.abs(got - want).max() <= 1e-10
+
+
+@given(PRIMES, st.integers(0, 2**32 - 1))
+def test_orbit_covariance_every_prime(d, seed):
+    # Conjugating the family of any ket by X^†ᴮ Zᴬ sends λ_(a,b) to
+    # λ_(a⊕A, b⊕B); no equal-overlap property is needed.
+    rng = np.random.default_rng(seed)
+    fam = generate_hw_sic(Fiducial(d=d, ket=canonical_ket(random_ket(rng, d))))
+    big_a, big_b = (int(x) for x in rng.integers(0, d, size=2))
+    wp = build_weyl_pair(d)
+    u = np.linalg.matrix_power(wp.X.conj().T, big_b) @ monomial(wp, 0, big_a)
+    got = np.stack([u @ fam.projectors[k].mat @ u.conj().T for k in line_keys(d)])
+    want = np.stack(
+        [fam.projectors[((a + big_a) % d, (b + big_b) % d)].mat for a, b in line_keys(d)]
+    )
+    assert np.abs(got - want).max() <= 1e-10
 
 
 def test_sic_family_json_round_trip():
     fam = generate_hw_sic(qubit_fiducial())
     back = siclab.SicFamily.from_json_dict(fam.to_json_dict())
     assert back.d == 2
-    for k in fam.keys():
+    for k in line_keys(2):
         assert np.abs(back.projectors[k].mat - fam.projectors[k].mat).max() <= 1e-12
 
 
@@ -162,28 +180,31 @@ def test_sic_family_json_round_trip():
 
 
 def test_qubit_columns_share_one_spectrum():
-    mpf = extract_mu_pom(generate_hw_sic(qubit_fiducial()))
+    taus = extract_mu_pom(generate_hw_sic(qubit_fiducial()))
     hi = (3 + np.sqrt(3)) / 6
-    for k in mpf.keys():
-        spec, _ = hermitian_eigensystem(mpf.ops[k])
+    for k in point_keys(2):
+        spec, _ = hermitian_eigensystem(taus[k])
         assert spec.values[0] == pytest.approx(hi, abs=1e-12)
         assert spec.values[1] == pytest.approx(1 - hi, abs=1e-12)
 
 
 def test_qutrit_columns_share_one_spectrum():
-    mpf = extract_mu_pom(generate_hw_sic(qutrit_fiducial()))
-    for k in mpf.keys():
-        spec, _ = hermitian_eigensystem(mpf.ops[k])
+    taus = extract_mu_pom(generate_hw_sic(qutrit_fiducial()))
+    for k in point_keys(3):
+        spec, _ = hermitian_eigensystem(taus[k])
         assert spec.max_abs_diff((0.5, 0.5, 0.0)) <= 1e-12
 
 
 def test_extraction_matches_incidence_sums():
     fam = generate_hw_sic(qutrit_fiducial())
     geom = build_dapg(3)
-    mpf = extract_mu_pom(fam, geom)
-    for p in mpf.keys():
+    taus = extract_mu_pom(fam)
+    assert list(taus) == point_keys(3)
+    for p in point_keys(3):
         total = sum(fam.projectors[ln].mat for ln in geom.lines_through(p)) / 3
-        assert np.abs(mpf.ops[p].mat - total).max() <= 1e-14
+        assert np.abs(taus[p].mat - total).max() <= 1e-14
+    for p, op in loop_extract_mu_pom(fam, geom).items():
+        assert taus[p].mat.tobytes() == op.mat.tobytes()
 
 
 def loop_extract_mu_pom(fam, geom):
@@ -198,13 +219,19 @@ def loop_extract_mu_pom(fam, geom):
     return ops
 
 
+def line_to_point_bridge(fam):
+    """extract_mu_pom's sum without its equal-overlap gate."""
+    d, geom = fam.d, build_dapg(fam.d)
+    return incidence_ops(fam.projectors, geom.lines, geom.incidence.T, geom.points, 1.0 / d)
+
+
 @pytest.mark.parametrize("d", [3, 5, 7, 11, 19])
 def test_extraction_matches_loop(d):
     # A random fiducial: the sums need no equal-overlap family.
     rng = np.random.default_rng(d)
     fam = generate_hw_sic(Fiducial(d=d, ket=canonical_ket(random_ket(rng, d))))
     geom = build_dapg(d)
-    ops = extract_mu_pom(fam, geom, verify_tol=np.inf).ops
+    ops = line_to_point_bridge(fam)
     ref = loop_extract_mu_pom(fam, geom)
     assert list(ops) == list(ref)
     for k, op in ref.items():
@@ -213,22 +240,16 @@ def test_extraction_matches_loop(d):
 
 
 def test_mu_pom_invariants():
-    mpf = extract_mu_pom(generate_hw_sic(qutrit_fiducial()))
+    taus = extract_mu_pom(generate_hw_sic(qutrit_fiducial()))
     d = 3
-    assert verify_mu_pom(mpf) <= 1e-10
+    assert verify_mu_pom(taus) <= 1e-10
     eye = np.eye(d)
     for j in range(d + 1):
-        col = sum(op.mat for op in mpf.column(j))
+        col = sum(taus[(m, j)].mat for m in range(d))
         assert np.abs(col - eye).max() <= 1e-10
-    for k in mpf.keys():
-        spec, _ = hermitian_eigensystem(mpf.ops[k])
+    for k in point_keys(d):
+        spec, _ = hermitian_eigensystem(taus[k])
         assert min(spec.values) >= -1e-10
-
-
-def test_extraction_rejects_wrong_geometry():
-    fam = generate_hw_sic(qubit_fiducial())
-    with pytest.raises(ValueError):
-        extract_mu_pom(fam, build_dapg(3))
 
 
 def test_d5_spectra_two_groups(searched, searched_mu_pom):
@@ -240,8 +261,8 @@ def test_d5_spectra_two_groups(searched, searched_mu_pom):
 
 
 def test_column_constancy_report_on_sloppy_family():
-    # A slightly perturbed family admitted at a loose gate still yields a
-    # report; constancy is merely reported, not guaranteed.
+    # A slightly perturbed family, bridged without the equal-overlap gate,
+    # still yields a report; constancy is merely reported, not guaranteed.
     fid = qutrit_fiducial()
     rot = np.eye(3, dtype=complex)
     rot[:2, :2] = [
@@ -249,8 +270,7 @@ def test_column_constancy_report_on_sloppy_family():
         [np.sin(1e-3), np.cos(1e-3)],
     ]
     bent = Fiducial(d=3, ket=canonical_ket(rot @ fid.ket), source="ingested")
-    mpf = extract_mu_pom(generate_hw_sic(bent), verify_tol=1.0)
-    report = assert_column_constant(spectra_table(mpf))
+    report = assert_column_constant(spectra_table(line_to_point_bridge(generate_hw_sic(bent))))
     assert report.max_spread >= 0.0
     assert set(report.per_column) == {0, 1, 2, 3}
 
