@@ -128,6 +128,11 @@ class Spectrum:
     def __len__(self):
         return len(self.values)
 
+    @property
+    def rank(self) -> int:
+        """Number of eigenvalues with |λ| > RANK_TOL."""
+        return sum(1 for x in self.values if abs(x) > RANK_TOL)
+
     def max_abs_diff(self, other) -> float:
         """Max entrywise distance to another descending spectrum."""
         mine = np.asarray(self.values)
@@ -165,8 +170,7 @@ def hermitian_eigensystem(h: HermitianOp) -> tuple[Spectrum, np.ndarray]:
 
 def matrix_rank(h: HermitianOp) -> int:
     """Number of eigenvalues with |λ| > RANK_TOL."""
-    spectrum, _ = hermitian_eigensystem(h)
-    return int(sum(1 for x in spectrum.values if abs(x) > RANK_TOL))
+    return hermitian_eigensystem(h)[0].rank
 
 
 def third_moment(h: HermitianOp) -> float:

@@ -13,10 +13,10 @@ from __future__ import annotations
 import csv
 import io
 import json
+import sys
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import least_squares
 
 from .linalg import (
     DEFAULT_TOL,
@@ -27,7 +27,6 @@ from .linalg import (
     gram_deviation,
     header_int,
     hermitian_eigensystem,
-    matrix_rank,
     ops_from_json,
     ops_to_json,
     third_moment,
@@ -35,6 +34,20 @@ from .linalg import (
 from .frames import incidence_ops
 from .plane import build_dapg, column_labels, line_keys, point_keys
 from .weyl import MubFamily, WeylPair, build_weyl_pair, monomial, require_prime
+
+
+def __getattr__(name):
+    """Load ``least_squares`` from scipy.optimize on first use and keep it as
+    this module's attribute: only the two solvers need scipy, and importing
+    it costs most of the package's start-up time.  The solvers call it
+    through the module object, so they reach this hook on the first call and
+    call whatever the attribute holds after that."""
+    if name == "least_squares":
+        from scipy.optimize import least_squares
+
+        globals()[name] = least_squares
+        return least_squares
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 
 def canonical_ket(vec) -> np.ndarray:
@@ -446,7 +459,7 @@ def solve_cyclic_probability(d: int, seed: int = 0, restarts: int = 64) -> Cycli
     found: dict[tuple, tuple] = {}
     for _ in range(restarts):
         x0 = rng.dirichlet(np.ones(d))
-        res = least_squares(
+        res = sys.modules[__name__].least_squares(
             fun, x0, jac=jac, bounds=(0.0, 1.0), method="trf",
             xtol=1e-15, ftol=1e-15, gtol=1e-15,
         )
@@ -526,7 +539,7 @@ def fiducial_from_mu_pom(taus, mub: MubFamily) -> FiducialExtraction:
     lambda0 = total - HermitianOp.identity(d)
     sum_spectrum, _ = hermitian_eigensystem(total)
     spectrum, vectors = hermitian_eigensystem(lambda0)
-    rank = matrix_rank(lambda0)
+    rank = spectrum.rank
     fid = None
     if rank == 1 and abs(spectrum.values[0] - 1.0) <= 1e-6:
         fid = Fiducial(d=d, ket=canonical_ket(vectors[:, 0]), source="reconstructed")
@@ -729,7 +742,7 @@ def search_fiducial(
     for _ in range(cfg.restarts):
         used += 1
         x0 = rng.standard_normal(2 * d)
-        res = least_squares(
+        res = sys.modules[__name__].least_squares(
             fun, x0, jac=jac, method="trf", max_nfev=cfg.max_iters,
             xtol=_STEP_TOL, ftol=_STEP_TOL, gtol=_STEP_TOL,
         )

@@ -17,7 +17,7 @@ from helpers import (
     random_ket,
     spectra_match,
 )
-from mubsic import siclab
+from mubsic import linalg, siclab
 from mubsic.linalg import HermitianOp, Spectrum, hermitian_eigensystem, third_moment
 from mubsic.frames import incidence_ops
 from mubsic.plane import build_dapg, line_keys, point_keys
@@ -478,6 +478,24 @@ def test_qutrit_candidate_projector():
     # sum of the d+1 column operators has eigenvalues {2, 1, 1}
     assert ext.sum_spectrum.max_abs_diff((2.0, 1.0, 1.0)) <= 1e-8
     assert sum(ext.sum_spectrum.values) == pytest.approx(4.0, abs=1e-10)
+
+
+def test_candidate_projector_eigensolves_each_operator_once(monkeypatch):
+    # One eigensystem for Σ τ and one for λ₀; the rank is read off λ₀'s.
+    mub = build_mub(3)
+    taus = mu_pom_from_probabilities(mub, [(0.5, 0.5, 0.0)] * 4)
+    calls = []
+
+    def counting(h):
+        calls.append(h)
+        return hermitian_eigensystem(h)
+
+    for module in (siclab, linalg):
+        monkeypatch.setattr(module, "hermitian_eigensystem", counting)
+    ext = fiducial_from_mu_pom(taus, mub)
+    assert len(calls) == 2
+    monkeypatch.undo()
+    assert ext.rank == linalg.matrix_rank(ext.lambda0) == 1
 
 
 def test_uniform_probabilities_are_degenerate():
