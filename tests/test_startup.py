@@ -17,7 +17,7 @@ from mubsic import siclab
 SRC = Path(__file__).resolve().parents[1] / "src"
 
 
-def _fresh(code: str) -> dict:
+def _fresh(code: str) -> list:
     """Run ``code`` in a fresh interpreter and return the JSON it prints last."""
     env = {**os.environ, "PYTHONPATH": str(SRC)}
     env.pop("MUBSIC_TOL", None)
@@ -49,9 +49,7 @@ def test_import_and_non_solving_call_leave_scipy_unloaded():
         (["sic", "solve-prob", "--d", "3"], False),  # closed form, no solver
     ],
 )
-def test_only_solving_calls_load_scipy(argv, loads, tmp_path):
-    out = tmp_path / "fiducial.json"
-    argv = argv + (["--out", str(out)] if argv[1] == "search" else [])
+def test_only_solving_calls_load_scipy(argv, loads):
     rc, loaded = _fresh(
         "import json, sys\n"
         "from mubsic import cli\n"
