@@ -139,8 +139,8 @@ def point_frame_from_hg(basis: HGBasis) -> PointFrame:
 
 def with_beta(frame: PointFrame, beta: float) -> PointFrame:
     """Rescale a point frame to a new strength (ops scale by √(β/β_old))."""
-    if beta <= 0 or frame.beta <= 0:
-        raise ValueError("frame strengths must be positive")
+    if not (0 < beta < np.inf and 0 < frame.beta < np.inf):
+        raise ValueError("frame strengths must be positive and finite")
     c = float(np.sqrt(beta / frame.beta))
     return PointFrame(
         d=frame.d, beta=float(beta), ops={k: c * op for k, op in frame.ops.items()}
@@ -223,12 +223,13 @@ def verify_point_line_products(
     want_t = np.where(on, beta, -beta * (d + 1) / (d * d - 1)).tolist()
     want_tau = np.where(on, (d + beta) / d**2, (d - beta / (d - 1)) / d**2).tolist()
     taus, lams = trace_one(points.ops, d), trace_one(lines.ops, d)
+    pairs = [(points.ops[p], taus[p]) for p in geom.points]
     dev_t = dev_tau = 0.0
-    for c, ln in enumerate(geom.lines):
+    for ln, want_t_row, want_tau_row in zip(geom.lines, want_t, want_tau):
         l_op, lam_op = lines.ops[ln], lams[ln]
-        for r, p in enumerate(geom.points):
-            dev_t = max(dev_t, abs(hs_inner(points.ops[p], l_op) - want_t[c][r]))
-            dev_tau = max(dev_tau, abs(hs_inner(taus[p], lam_op) - want_tau[c][r]))
+        for (t_op, tau_op), w_t, w_tau in zip(pairs, want_t_row, want_tau_row):
+            dev_t = max(dev_t, abs(hs_inner(t_op, l_op) - w_t))
+            dev_tau = max(dev_tau, abs(hs_inner(tau_op, lam_op) - w_tau))
     return PointLineReport(
         d=d, beta=beta, max_dev_traceless=dev_t, max_dev_trace_one=dev_tau
     )
@@ -265,7 +266,9 @@ def quasi_distribution(rho: HermitianOp, points: PointFrame) -> dict:
     if abs(rho.trace - 1.0) > 1e-10:
         raise ValueError(f"ρ must have unit trace, got {rho.trace!r}")
     taus = trace_one(points.ops, points.d)
-    return {k: hs_inner(taus[k], rho) for k in point_keys(points.d)}
+    # The matmul trace, not hs_inner: these values are written to quasi.json,
+    # whose bytes a reordered sum would change in the last bits.
+    return {k: float(np.trace(taus[k].mat @ rho.mat).real) for k in point_keys(points.d)}
 
 
 def line_probabilities(q: dict, geom: Dapg) -> dict:
@@ -300,6 +303,8 @@ def _frame_from_json(obj: dict, strength: str, keys_of) -> tuple[int, float, dic
         raw = obj["ops"]
     except (KeyError, TypeError) as exc:
         raise ValueError(f"malformed frame object: {exc}") from exc
+    if not np.isfinite(value):
+        raise ValueError(f"frame {strength} must be finite, got {value!r}")
     # Both layouts hold at least d² ops; checked before building d² keys.
     if not isinstance(raw, list) or not 0 < d * d <= len(raw):
         raise ValueError(f"frame object with d = {d} needs a list of at least {d * d} ops")

@@ -13,8 +13,9 @@ from hypothesis import strategies as st
 
 from mubsic.linalg import HermitianOp
 
-# The primes d ≤ 31 that property tests draw from.
-PRIMES = st.sampled_from([2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31])
+# The primes d ≤ 31: every one for parametrized tests, a draw for property tests.
+PRIME_DIMS = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31)
+PRIMES = st.sampled_from(PRIME_DIMS)
 
 SPECTRA_MATCH_TOL = 1e-4
 

@@ -222,6 +222,40 @@ def test_malformed_input_is_one_error_line(case, tmp_path, capsys):
     assert not out.exists()
 
 
+# argv with BAD: the frame file whose strength is not finite; POINTS, LINES
+# and RHO: valid d = 3 files.
+STRENGTH_CASES = {
+    "verify-beta": (["frame", "verify", "--points", "BAD"], "beta"),
+    "bridge-beta": (["frame", "bridge", "--points", "BAD", "--out", "OUT"], "beta"),
+    "quasiprob-beta": (["quasiprob", "--rho", "RHO", "--points", "BAD", "--out", "OUT"], "beta"),
+    "verify-alpha": (["frame", "verify", "--points", "POINTS", "--lines", "BAD"], "alpha"),
+}
+
+
+@pytest.mark.parametrize("value", ["NaN", "Infinity", "-Infinity"])
+@pytest.mark.parametrize("case", sorted(STRENGTH_CASES))
+def test_non_finite_frame_strength_is_one_error_line(case, value, tmp_path, capsys):
+    argv, strength = STRENGTH_CASES[case]
+    paths = {name: str(tmp_path / f"{name.lower()}.json")
+             for name in ("POINTS", "LINES", "RHO", "OUT", "BAD")}
+    assert run(["frame", "from-mub", "--d", "3", "--out", paths["POINTS"]]) == 0
+    assert run(["frame", "bridge", "--points", paths["POINTS"], "--out", paths["LINES"]]) == 0
+    linalg.write_operator_json(paths["RHO"], (1.0 / 3) * linalg.HermitianOp.identity(3))
+    source = paths["POINTS"] if strength == "beta" else paths["LINES"]
+    with open(source) as fh:
+        obj = json.load(fh)
+    obj[strength] = float(value.replace("Infinity", "inf"))
+    with open(paths["BAD"], "w") as fh:
+        json.dump(obj, fh)
+    assert f'"{strength}": {value}' in (tmp_path / "bad.json").read_text()
+    capsys.readouterr()
+    assert run([paths.get(a, a) for a in argv]) == 2
+    stdout, err = capsys.readouterr()
+    assert "max deviation" not in stdout
+    assert len(err.splitlines()) == 1 and err.startswith(f"error: frame {strength} must be finite")
+    assert not (tmp_path / "out.json").exists()
+
+
 def test_sic_solve_prob_output(capsys):
     assert run(["sic", "solve-prob", "--d", "3"]) == 0
     out = capsys.readouterr().out

@@ -87,7 +87,7 @@ PINS = {
     ),
     "frame verify --points points3.json --lines lines3.json": (
         0,
-        "7be5b321a7576df9431f8f35d2d44c993597f3dc7fdfd77035269bce15f59798",
+        "f383f37dd4d872bf8bbcc5e73b22dfcce9fd630d8f71f19818564c6eb1c13935",
         None,
     ),
     "frame from-mub --d 7 --out points7.json": (
@@ -102,7 +102,7 @@ PINS = {
     ),
     "frame verify --points points7.json --lines lines7.json": (
         0,
-        "3d845bed0125048d1bd5a1e8a6a8de922adcfb5494f81e7e0e45765f9975411a",
+        "c1c244caf59eecdbcb42decce988ef084a9ff5ce380b6531b8ff89dcc4e87d84",
         None,
     ),
     "frame from-hg --d 5 --out hg5.json": (

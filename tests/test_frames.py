@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from helpers import PRIMES, random_density
+from helpers import PRIME_DIMS, PRIMES, random_density
 from mubsic import siclab
 from mubsic.frames import (
     LineFrame,
@@ -25,7 +25,7 @@ from mubsic.frames import (
     verify_point_table,
     with_beta,
 )
-from mubsic.linalg import HermitianOp, hs_inner
+from mubsic.linalg import DEFAULT_TOL, HermitianOp, hs_inner
 from mubsic.plane import build_dapg, line_keys, point_keys
 from mubsic.weyl import build_hg_basis, build_mub, build_weyl_pair, monomial
 
@@ -140,8 +140,9 @@ def test_with_beta_rescales():
     pf = with_beta(mub_points(3), 2.0)
     assert pf.beta == pytest.approx(2.0)
     assert verify_point_table(pf) <= 1e-10
-    with pytest.raises(ValueError):
-        with_beta(mub_points(3), -1.0)
+    for bad in (-1.0, 0.0, float("nan"), float("inf")):
+        with pytest.raises(ValueError):
+            with_beta(mub_points(3), bad)
 
 
 # --- bridges ------------------------------------------------------------------------
@@ -366,6 +367,18 @@ def test_point_line_products_match_loop(d, make):
     report = verify_point_line_products(pf, line_ops_from_points(pf, geom), geom)
     ref = loop_point_line_products(pf, line_ops_from_points(pf, geom), geom)
     assert (report.max_dev_traceless, report.max_dev_trace_one) == ref
+
+
+# Every odd prime to 23 takes about 3 s in all on two cores.  d = 29 and 31 would
+# add about 10 s to this per-pair loop (2.2 s and 3 s per frame); they wait for
+# the stacked-matmul form of the check.
+@pytest.mark.parametrize("make", [mub_points, hg_points])
+@pytest.mark.parametrize("d", [d for d in PRIME_DIMS if 2 < d <= 23])
+def test_point_line_identities_every_odd_prime(d, make):
+    pf = make(d)
+    geom = build_dapg(d)
+    report = verify_point_line_products(pf, line_ops_from_points(pf, geom), geom)
+    assert report.max_dev <= DEFAULT_TOL
 
 
 @pytest.mark.parametrize("d", [2, 3, 7])

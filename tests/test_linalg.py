@@ -3,7 +3,7 @@ import json
 import numpy as np
 import pytest
 
-from helpers import D5, SPECTRA_MATCH_TOL, random_hermitian
+from helpers import D5, PRIME_DIMS, SPECTRA_MATCH_TOL, random_hermitian
 from mubsic import frames, siclab, weyl
 from mubsic.linalg import (
     HermitianOp,
@@ -93,6 +93,17 @@ def test_hs_inner_same_column_cross_point_value():
 def test_hs_inner_dimension_mismatch():
     with pytest.raises(ValueError):
         hs_inner(HermitianOp.identity(2), HermitianOp.identity(3))
+
+
+@pytest.mark.parametrize("d", PRIME_DIMS)
+def test_hs_inner_matches_trace_of_product(d):
+    # The definition tr(ab), computed the long way, on seeded random pairs.
+    rng = np.random.default_rng(d)
+    for _ in range(8):
+        a, b = random_hermitian(rng, d), random_hermitian(rng, d)
+        want = np.trace(a.mat @ b.mat).real
+        scale = np.linalg.norm(a.mat) * np.linalg.norm(b.mat)
+        assert abs(hs_inner(a, b) - want) <= 1e-12 * scale
 
 
 def test_hs_inner_symmetry_and_positivity():
