@@ -138,10 +138,12 @@ def _cmd_frame_bridge(args) -> int:
 def _cmd_frame_verify(args) -> int:
     tol = _tol(args)
     pf = frames.point_frame_from_json_dict(_read_json(args.points))
+    # Both files are read before anything prints, so a bad one leaves no
+    # partial report on stdout.
+    lf = None if args.lines is None else frames.line_frame_from_json_dict(_read_json(args.lines))
     worst = frames.verify_point_table(pf)
     print(f"point table deviation {_fmt(worst)} (beta={_fmt(pf.beta)})")
-    if args.lines is not None:
-        lf = frames.line_frame_from_json_dict(_read_json(args.lines))
+    if lf is not None:
         line_dev = frames.verify_line_table(lf)
         report = frames.verify_point_line_products(pf, lf, plane.build_dapg(pf.d))
         print(f"line table deviation {_fmt(line_dev)} (alpha={_fmt(lf.alpha)})")

@@ -251,7 +251,7 @@ def test_non_finite_frame_strength_is_one_error_line(case, value, tmp_path, caps
     capsys.readouterr()
     assert run([paths.get(a, a) for a in argv]) == 2
     stdout, err = capsys.readouterr()
-    assert "max deviation" not in stdout
+    assert stdout == ""
     assert len(err.splitlines()) == 1 and err.startswith(f"error: frame {strength} must be finite")
     assert not (tmp_path / "out.json").exists()
 
