@@ -1,4 +1,5 @@
 import json
+import os
 
 import numpy as np
 import pytest
@@ -245,15 +246,16 @@ def test_non_finite_frame_strength_is_one_error_line(case, value, tmp_path, caps
     with open(source) as fh:
         obj = json.load(fh)
     obj[strength] = float(value.replace("Infinity", "inf"))
+    text = json.dumps(obj)
+    assert f'"{strength}": {value}' in text  # the JSON token, not a string
     with open(paths["BAD"], "w") as fh:
-        json.dump(obj, fh)
-    assert f'"{strength}": {value}' in (tmp_path / "bad.json").read_text()
+        fh.write(text)
     capsys.readouterr()
     assert run([paths.get(a, a) for a in argv]) == 2
     stdout, err = capsys.readouterr()
     assert stdout == ""
     assert len(err.splitlines()) == 1 and err.startswith(f"error: frame {strength} must be finite")
-    assert not (tmp_path / "out.json").exists()
+    assert not os.path.exists(paths["OUT"])
 
 
 def test_sic_solve_prob_output(capsys):
