@@ -141,6 +141,8 @@ def _cmd_frame_verify(args) -> int:
     # Both files are read before anything prints, so a bad one leaves no
     # partial report on stdout.
     lf = None if args.lines is None else frames.line_frame_from_json_dict(_read_json(args.lines))
+    if lf is not None and lf.d != pf.d:
+        raise ValueError(f"dimension mismatch: point frame d={pf.d}, line frame d={lf.d}")
     worst = frames.verify_point_table(pf)
     print(f"point table deviation {_fmt(worst)} (beta={_fmt(pf.beta)})")
     if lf is not None:
@@ -180,11 +182,10 @@ def _cmd_sic_verify(args) -> int:
 
 
 def _cmd_sic_spectra(args) -> int:
-    tol = _tol(args)
     fam = siclab.SicFamily.from_json_dict(_read_json(args.infile))
     table = siclab.spectra_table(siclab.extract_mu_pom(fam))
     _write_text(args.out, siclab.spectra_to_csv(table))
-    report = siclab.assert_column_constant(table, tol=tol)
+    report = siclab.assert_column_constant(table)
     print(
         f"d={fam.d} spectra: max within-column spread {_fmt(report.max_spread)}"
     )
@@ -277,99 +278,67 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True, parser_class=_parser)
 
-    def add(p, *names_defaults):
-        for name, kwargs in names_defaults:
+    def group(name, help):
+        return sub.add_parser(name, help=help).add_subparsers(
+            dest="sub", required=True, parser_class=_parser
+        )
+
+    def add(p, *names_kwargs):
+        for name, kwargs in names_kwargs:
             p.add_argument(name, **kwargs)
+        return p
+
+    def leaf(parent, name, help, handler, *names_kwargs):
+        p = parent.add_parser(name, help=help)
+        p.set_defaults(handler=handler)
+        return add(p, *names_kwargs)
 
     d_arg = ("--d", {"type": int, "required": True, "help": "prime dimension"})
     tol_arg = ("--tol", {"type": float, "default": None, "help": "tolerance override"})
     out_arg = ("--out", {"default": None, "help": "output path (default stdout)"})
+    bare_out = ("--out", {"default": None})
+    points_arg = ("--points", {"required": True, "help": "point-frame JSON path"})
+    kind_arg = ("--kind", {"choices": ["apg", "dapg"], "default": "dapg"})
+    seed_arg = ("--seed", {"type": int, "default": 0})
+    family_in = ("--in", {"dest": "infile", "required": True, "help": "family JSON path"})
 
-    mub = sub.add_parser("mub", help="mutually unbiased bases").add_subparsers(
-        dest="sub", required=True, parser_class=_parser
-    )
-    p = mub.add_parser("build", help="construct the d+1 bases")
-    add(p, d_arg, out_arg)
-    p.set_defaults(handler=_cmd_mub_build)
-    p = mub.add_parser("verify", help="check the overlap pattern")
-    add(p, d_arg, tol_arg)
-    p.set_defaults(handler=_cmd_mub_verify)
+    mub = group("mub", "mutually unbiased bases")
+    leaf(mub, "build", "construct the d+1 bases", _cmd_mub_build, d_arg, out_arg)
+    leaf(mub, "verify", "check the overlap pattern", _cmd_mub_verify, d_arg, tol_arg)
 
-    pl = sub.add_parser("plane", help="finite plane geometry").add_subparsers(
-        dest="sub", required=True, parser_class=_parser
-    )
-    p = pl.add_parser("build", help="construct and export a plane")
-    add(p, d_arg, out_arg)
-    p.add_argument("--kind", choices=["apg", "dapg"], default="dapg")
-    p.add_argument("--export", choices=["json", "dot"], default="json")
-    p.set_defaults(handler=_cmd_plane_build)
-    p = pl.add_parser("verify", help="check the incidence axioms")
-    add(p, d_arg)
-    p.add_argument("--kind", choices=["apg", "dapg"], default="dapg")
-    p.set_defaults(handler=_cmd_plane_verify)
+    pl = group("plane", "finite plane geometry")
+    leaf(pl, "build", "construct and export a plane", _cmd_plane_build, d_arg, out_arg, kind_arg,
+         ("--export", {"choices": ["json", "dot"], "default": "json"}))
+    leaf(pl, "verify", "check the incidence axioms", _cmd_plane_verify, d_arg, kind_arg)
 
-    fr = sub.add_parser("frame", help="operator frames").add_subparsers(
-        dest="sub", required=True, parser_class=_parser
-    )
-    p = fr.add_parser("from-mub", help="point frame from unbiased bases")
-    add(p, d_arg, out_arg)
-    p.set_defaults(handler=_cmd_frame_from_mub)
-    p = fr.add_parser("from-hg", help="point frame from the rotation basis")
-    add(p, d_arg, out_arg)
-    p.set_defaults(handler=_cmd_frame_from_hg)
-    p = fr.add_parser("bridge", help="line frame from a point frame")
-    p.add_argument("--points", required=True, help="point-frame JSON path")
-    p.add_argument("--out", default=None)
-    p.set_defaults(handler=_cmd_frame_bridge)
-    p = fr.add_parser("verify", help="check frame product tables")
-    p.add_argument("--points", required=True, help="point-frame JSON path")
-    p.add_argument("--lines", default=None, help="line-frame JSON path")
-    add(p, tol_arg)
-    p.set_defaults(handler=_cmd_frame_verify)
+    fr = group("frame", "operator frames")
+    leaf(fr, "from-mub", "point frame from unbiased bases", _cmd_frame_from_mub, d_arg, out_arg)
+    leaf(fr, "from-hg", "point frame from the rotation basis", _cmd_frame_from_hg, d_arg, out_arg)
+    leaf(fr, "bridge", "line frame from a point frame", _cmd_frame_bridge, points_arg, bare_out)
+    leaf(fr, "verify", "check frame product tables", _cmd_frame_verify, points_arg,
+         ("--lines", {"default": None, "help": "line-frame JSON path"}), tol_arg)
 
-    sic = sub.add_parser("sic", help="equal-overlap families").add_subparsers(
-        dest="sub", required=True, parser_class=_parser
-    )
-    p = sic.add_parser("generate", help="covariant family from a fiducial")
-    group = p.add_mutually_exclusive_group(required=True)
-    group.add_argument("--fiducial", help="fiducial JSON path")
-    group.add_argument("--builtin", choices=["qubit", "qutrit"])
+    sic = group("sic", "equal-overlap families")
+    p = leaf(sic, "generate", "covariant family from a fiducial", _cmd_sic_generate)
+    add(p.add_mutually_exclusive_group(required=True),
+        ("--fiducial", {"help": "fiducial JSON path"}),
+        ("--builtin", {"choices": ["qubit", "qutrit"]}))
     add(p, out_arg, tol_arg)
-    p.set_defaults(handler=_cmd_sic_generate)
-    p = sic.add_parser("verify", help="check the overlap pattern")
-    p.add_argument("--in", dest="infile", required=True, help="family JSON path")
-    add(p, tol_arg)
-    p.set_defaults(handler=_cmd_sic_verify)
-    p = sic.add_parser("spectra", help="measurement-column spectra CSV")
-    p.add_argument("--in", dest="infile", required=True, help="family JSON path")
-    add(p, out_arg, tol_arg)
-    p.set_defaults(handler=_cmd_sic_spectra)
-    p = sic.add_parser("group", help="group columns by spectrum")
-    p.add_argument("--in", dest="infile", required=True, help="spectra CSV path")
-    p.add_argument("--tol", type=float, default=1e-6)
-    p.add_argument("--out", default=None)
-    p.set_defaults(handler=_cmd_sic_group)
-    p = sic.add_parser("solve-prob", help="cyclic probability conditions")
-    add(p, d_arg)
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--restarts", type=int, default=64)
-    p.set_defaults(handler=_cmd_sic_solve_prob)
-    p = sic.add_parser("search", help="numerical fiducial search")
-    add(p, d_arg, out_arg)
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--restarts", type=int, default=24)
-    p.add_argument("--max-iters", type=int, default=1000)
-    p.add_argument(
-        "--tol", type=float, default=siclab.SearchConfig.objective_tol, help="objective tolerance"
-    )
-    p.set_defaults(handler=_cmd_sic_search)
+    leaf(sic, "verify", "check the overlap pattern", _cmd_sic_verify, family_in, tol_arg)
+    leaf(sic, "spectra", "measurement-column spectra CSV", _cmd_sic_spectra, family_in, out_arg)
+    leaf(sic, "group", "group columns by spectrum", _cmd_sic_group,
+         ("--in", {"dest": "infile", "required": True, "help": "spectra CSV path"}),
+         ("--tol", {"type": float, "default": 1e-6}), bare_out)
+    leaf(sic, "solve-prob", "cyclic probability conditions", _cmd_sic_solve_prob, d_arg, seed_arg,
+         ("--restarts", {"type": int, "default": 64}))
+    leaf(sic, "search", "numerical fiducial search", _cmd_sic_search, d_arg, out_arg, seed_arg,
+         ("--restarts", {"type": int, "default": 24}),
+         ("--max-iters", {"type": int, "default": 1000}),
+         ("--tol", {"type": float, "default": siclab.SearchConfig.objective_tol,
+                    "help": "objective tolerance"}))
 
-    p = sub.add_parser("quasiprob", help="quasi-probabilities of a state")
-    p.add_argument("--rho", required=True, help="density operator JSON path")
-    p.add_argument("--points", required=True, help="point-frame JSON path")
-    p.add_argument("--out", default=None)
-    p.set_defaults(handler=_cmd_quasiprob)
-
+    leaf(sub, "quasiprob", "quasi-probabilities of a state", _cmd_quasiprob,
+         ("--rho", {"required": True, "help": "density operator JSON path"}), points_arg, bare_out)
     return parser
 
 

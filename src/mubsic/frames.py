@@ -31,11 +31,12 @@ from .linalg import (
     gram_deviation,
     header_int,
     hs_inner,
+    label_table,
     ops_from_json,
     ops_to_json,
 )
 from .plane import Dapg, column_labels, incidence_sum, line_keys, point_keys
-from .weyl import HGBasis, MubFamily, require_odd_prime, verify_mub
+from .weyl import HGBasis, MubFamily, require_odd_prime, require_prime, verify_mub
 
 
 @dataclass(frozen=True)
@@ -181,17 +182,14 @@ def incidence_ops(ops: dict, keys, incidence: np.ndarray, out_keys, scale: float
 def verify_point_table(frame: PointFrame) -> float:
     """Max deviation of tr(t t') from {β; −β/(d−1); 0 across columns}."""
     d, beta = frame.d, frame.beta
-    col = column_labels(d)
-    target = np.where(col[:, None] == col, -beta / (d - 1), 0.0)
-    np.fill_diagonal(target, beta)
+    target = label_table(column_labels(d), beta, -beta / (d - 1), 0.0)
     return gram_deviation((frame.ops[k] for k in point_keys(d)), target)
 
 
 def verify_line_table(frame: LineFrame) -> float:
     """Max deviation of tr(l l') from {α; −α/(d²−1)}."""
     d, alpha = frame.d, frame.alpha
-    target = np.full((d * d, d * d), -alpha / (d * d - 1))
-    np.fill_diagonal(target, alpha)
+    target = label_table(np.arange(d * d), alpha, alpha, -alpha / (d * d - 1))
     return gram_deviation((frame.ops[k] for k in line_keys(d)), target)
 
 
@@ -252,8 +250,7 @@ def scaled_so(frame: LineFrame) -> dict:
             f"scaled family needs α = (d+1)(d−1)/2 = {expected}; got {frame.alpha}"
         )
     c = float(np.sqrt(2.0 * d / (d + 1)))
-    eye = HermitianOp.identity(d)
-    return {k: (1.0 / d) * (eye + c * frame.ops[k]) for k in line_keys(d)}
+    return trace_one({k: c * frame.ops[k] for k in line_keys(d)}, d)
 
 
 def quasi_distribution(rho: HermitianOp, points: PointFrame) -> dict:
@@ -305,10 +302,11 @@ def _frame_from_json(obj: dict, strength: str, keys_of) -> tuple[int, float, dic
         raise ValueError(f"malformed frame object: {exc}") from exc
     if not np.isfinite(value):
         raise ValueError(f"frame {strength} must be finite, got {value!r}")
-    # Both layouts hold at least d² ops; checked before building d² keys.
-    if not isinstance(raw, list) or not 0 < d * d <= len(raw):
+    # Both layouts hold at least d² ops; checked before d is tested for
+    # primality and d² keys are built.
+    if not isinstance(raw, list) or d * d > len(raw):
         raise ValueError(f"frame object with d = {d} needs a list of at least {d * d} ops")
-    return d, value, ops_from_json(raw, keys_of(d))
+    return d, value, ops_from_json(raw, keys_of(require_prime(d)), d)
 
 
 def point_frame_from_json_dict(obj: dict) -> PointFrame:

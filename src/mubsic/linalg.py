@@ -180,6 +180,16 @@ def third_moment(h: HermitianOp) -> float:
     return float(np.trace(m2 @ h.mat).real)
 
 
+def label_table(labels, diag: float, same: float, other: float) -> np.ndarray:
+    """The square table of one identity of the paper: ``same`` where two
+    members share a label, ``other`` where they do not, ``diag`` on the
+    diagonal."""
+    labels = np.asarray(labels)
+    table = np.where(labels[:, None] == labels, same, other)
+    np.fill_diagonal(table, diag)
+    return table
+
+
 def gram_deviation(ops, target) -> float:
     """Max |tr(a b) − target[a, b]| over every ordered pair of ``ops``: the
     Hilbert-Schmidt Gram-table check behind every frame and family verifier."""
@@ -250,12 +260,16 @@ def ops_to_json(ops: dict, keys) -> list:
     return [ops[k].to_json_dict() for k in keys]
 
 
-def ops_from_json(raw, keys: list) -> dict:
-    """Inverse of :func:`ops_to_json`: one validated operator per key."""
+def ops_from_json(raw, keys: list, d: int) -> dict:
+    """Inverse of :func:`ops_to_json`: one validated d x d operator per key."""
     if not isinstance(raw, list) or len(raw) != len(keys):
         got = len(raw) if isinstance(raw, list) else raw
         raise ValueError(f"expected {len(keys)} ops, got {got!r}")
-    return {k: HermitianOp.from_json_dict(o) for k, o in zip(keys, raw)}
+    ops = {k: HermitianOp.from_json_dict(o) for k, o in zip(keys, raw)}
+    for k, op in ops.items():
+        if op.dim != d:
+            raise ValueError(f"op {k} is {op.dim} x {op.dim}, expected {d} x {d}")
+    return ops
 
 
 def write_operator_json(path, op: HermitianOp) -> None:

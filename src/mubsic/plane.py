@@ -257,19 +257,22 @@ def export_incidence(geom: Dapg, fmt: str) -> str:
         }
         return json.dumps(obj, indent=1) + "\n"
     if fmt == "dot":
-        out = [f"graph dapg_{geom.d} {{"]
-        out.append("  node [shape=circle];")
-        for m, j in geom.points:
-            out.append(f'  "p{m}_{j}";')
-        out.append("  node [shape=box];")
-        for a, b in geom.lines:
-            out.append(f'  "l{a}_{b}";')
-        for a, b in geom.lines:
-            for m, j in geom.points_on((a, b)):
-                out.append(f'  "p{m}_{j}" -- "l{a}_{b}";')
-        out.append("}")
-        return "\n".join(out) + "\n"
+        points = {(m, j): f"p{m}_{j}" for m, j in geom.points}
+        lines = {(a, b): f"l{a}_{b}" for a, b in geom.lines}
+        members = [(points[p], lines[ln]) for ln in geom.lines for p in geom.points_on(ln)]
+        return _dot(f"dapg_{geom.d}", points.values(), lines.values(), members)
     raise ValueError(f"unknown export format: {fmt!r} (want 'json' or 'dot')")
+
+
+def _dot(name: str, point_names, line_names, members) -> str:
+    """Graphviz text of a point-line incidence graph: a circle node per point,
+    a box node per line and an edge per (point, line) name pair of ``members``."""
+    out = [f"graph {name} {{", "  node [shape=circle];"]
+    out += [f'  "{p}";' for p in point_names]
+    out.append("  node [shape=box];")
+    out += [f'  "{ln}";' for ln in line_names]
+    out += [f'  "{p}" -- "{ln}";' for p, ln in members]
+    return "\n".join(out + ["}"]) + "\n"
 
 
 def export_apg(apg: Apg, fmt: str) -> str:
@@ -283,18 +286,9 @@ def export_apg(apg: Apg, fmt: str) -> str:
         }
         return json.dumps(obj, indent=1) + "\n"
     if fmt == "dot":
-        out = [f"graph apg_{apg.d} {{"]
-        out.append("  node [shape=circle];")
-        for x, y in apg.points:
-            out.append(f'  "p{x}_{y}";')
-        out.append("  node [shape=box];")
-        for i in range(len(lines_sorted)):
-            out.append(f'  "l{i}";')
-        for i, ln in enumerate(lines_sorted):
-            for x, y in ln:
-                out.append(f'  "p{x}_{y}" -- "l{i}";')
-        out.append("}")
-        return "\n".join(out) + "\n"
+        lines = [f"l{i}" for i in range(len(lines_sorted))]
+        members = [(f"p{x}_{y}", lines[i]) for i, ln in enumerate(lines_sorted) for x, y in ln]
+        return _dot(f"apg_{apg.d}", [f"p{x}_{y}" for x, y in apg.points], lines, members)
     raise ValueError(f"unknown export format: {fmt!r} (want 'json' or 'dot')")
 
 

@@ -27,6 +27,7 @@ from .linalg import (
     gram_deviation,
     header_int,
     hermitian_eigensystem,
+    label_table,
     ops_from_json,
     ops_to_json,
     third_moment,
@@ -146,9 +147,11 @@ class SicFamily:
             raw_ops = obj["ops"]
         except (KeyError, TypeError) as exc:
             raise ValueError(f"malformed family object: {exc}") from exc
-        # The ket's length bounds d before d² keys are built.
+        # The ket's length bounds d before d is tested for primality and d²
+        # keys are built.
         fid = Fiducial.from_json_dict({"d": d, "ket": raw_ket})
-        return cls(d=d, fiducial=fid, projectors=ops_from_json(raw_ops, line_keys(d)))
+        ops = ops_from_json(raw_ops, line_keys(require_prime(d)), d)
+        return cls(d=d, fiducial=fid, projectors=ops)
 
 
 def generate_hw_sic(fid: Fiducial) -> SicFamily:
@@ -171,8 +174,7 @@ def verify_sic(fam: SicFamily) -> float:
     """Max deviation of tr(λ λ') from the pattern {1 on the diagonal,
     1/(d+1) off it}."""
     d = fam.d
-    target = np.full((d * d, d * d), 1.0 / (d + 1))
-    np.fill_diagonal(target, 1.0)
+    target = label_table(np.arange(d * d), 1.0, 1.0, 1.0 / (d + 1))
     return gram_deviation((fam.projectors[k] for k in line_keys(d)), target)
 
 
@@ -200,9 +202,7 @@ def verify_mu_pom(taus: dict) -> float:
     """Max deviation of tr(τ τ') from the three-value pattern
     {1/d across columns; 2/(d+1) on the diagonal; 1/(d+1) within a column}."""
     d = next(iter(taus.values())).dim
-    col = column_labels(d)
-    target = np.where(col[:, None] == col, 1.0 / (d + 1), 1.0 / d)
-    np.fill_diagonal(target, 2.0 / (d + 1))
+    target = label_table(column_labels(d), 2.0 / (d + 1), 1.0 / (d + 1), 1.0 / d)
     return gram_deviation((taus[k] for k in point_keys(d)), target)
 
 
@@ -439,14 +439,6 @@ def solve_cyclic_probability(d: int, seed: int = 0, restarts: int = 64) -> Cycli
         )
 
     half = (d - 1) // 2
-    targets = np.array([2.0 / (d + 1)] + [1.0 / (d + 1)] * half)
-
-    def fun(p):
-        res = np.empty(half + 2)
-        res[0] = p.sum() - 1.0
-        for m in range(half + 1):
-            res[m + 1] = p @ np.roll(p, -m) - targets[m]
-        return res
 
     def jac(p):
         out = np.empty((half + 2, d))
@@ -460,10 +452,10 @@ def solve_cyclic_probability(d: int, seed: int = 0, restarts: int = 64) -> Cycli
     for _ in range(restarts):
         x0 = rng.dirichlet(np.ones(d))
         res = sys.modules[__name__].least_squares(
-            fun, x0, jac=jac, bounds=(0.0, 1.0), method="trf",
+            lambda p: cyclic_residuals(p, d), x0, jac=jac, bounds=(0.0, 1.0), method="trf",
             xtol=1e-15, ftol=1e-15, gtol=1e-15,
         )
-        resid = float(np.abs(fun(res.x)).max())
+        resid = float(np.abs(cyclic_residuals(res.x, d)).max())
         if resid > 1e-12:
             continue
         p = np.where(res.x < 1e-14, 0.0, res.x)
@@ -471,7 +463,7 @@ def solve_cyclic_probability(d: int, seed: int = 0, restarts: int = 64) -> Cycli
         canon = _canonical_cycle(p)
         key = tuple(round(x, 8) for x in canon)
         if key not in found:
-            found[key] = (canon, float(np.abs(fun(np.asarray(canon))).max()))
+            found[key] = (canon, float(np.abs(cyclic_residuals(canon, d)).max()))
     solutions = []
     residuals = []
     for canon, resid in sorted(found.values(), reverse=True):
@@ -691,9 +683,7 @@ class SearchResult:
     restarts_used: int
 
 
-def search_fiducial(
-    d: int, cfg: SearchConfig | None = None, callback=None
-) -> SearchResult:
+def search_fiducial(d: int, cfg: SearchConfig | None = None) -> SearchResult:
     """Seeded restarts of trust-region least squares on the overlap residuals.
 
     The residual vector is r_M(ψ) = |⟨ψ|Mψ⟩|²/‖ψ‖⁴ − 1/(d+1) over nontrivial
@@ -702,8 +692,7 @@ def search_fiducial(
     allows max |r_M| up to √F; the verifiers bound max |r_M| by DEFAULT_TOL,
     so Gauss-Newton steps polish an accepted ket above it, and only a ket
     within it counts as converged.  Budget exhaustion is reported, not
-    raised (``converged = False``).  ``callback``, if given, receives each
-    normalized candidate ket as the optimizer evaluates it.
+    raised (``converged = False``).
     """
     d = require_prime(d)
     cfg = cfg or SearchConfig()
@@ -718,12 +707,6 @@ def search_fiducial(
         table = _overlaps(mons, split(x))[1].reshape(-1)
         nrm2 = float(table[0].real)
         return (np.abs(table[1:]) ** 2) / nrm2**2 - c
-
-    def fun(x):
-        if callback is not None:
-            psi = split(x)
-            callback(psi / np.sqrt(float((psi.conj() @ psi).real)))
-        return residuals(x)
 
     def jac(x):
         psi = split(x)
@@ -743,7 +726,7 @@ def search_fiducial(
         used += 1
         x0 = rng.standard_normal(2 * d)
         res = sys.modules[__name__].least_squares(
-            fun, x0, jac=jac, method="trf", max_nfev=cfg.max_iters,
+            residuals, x0, jac=jac, method="trf", max_nfev=cfg.max_iters,
             xtol=_STEP_TOL, ftol=_STEP_TOL, gtol=_STEP_TOL,
         )
         f_val = float(np.sum(res.fun**2))

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg import HermitianOp, complex_from_json, complex_to_json, header_int
+from .linalg import HermitianOp, complex_from_json, complex_to_json, header_int, label_table
 
 
 def is_prime(n: int) -> bool:
@@ -152,13 +152,10 @@ def verify_mub(mub: MubFamily) -> float:
     Targets: 1 on the diagonal, 0 within a basis, 1/d across bases.  A family
     with a single basis only sees the orthonormality targets.
     """
-    d = mub.d
+    d, n_bases = mub.d, mub.n_bases
     overlaps = np.abs(np.einsum("bmk,cnk->bmcn", mub.bases.conj(), mub.bases)) ** 2
-    n_bases = mub.n_bases
-    target = np.full((n_bases, d, n_bases, d), 1.0 / d)
-    for b in range(n_bases):
-        target[b, :, b, :] = np.eye(d)
-    return float(np.abs(overlaps - target).max())
+    target = label_table(np.repeat(np.arange(n_bases), d), 1.0, 0.0, 1.0 / d)
+    return float(np.abs(overlaps - target.reshape(n_bases, d, n_bases, d)).max())
 
 
 # --- commuting monomial classes and the h/g Hermitian basis -----------------

@@ -1,11 +1,12 @@
+import argparse
 import json
 import os
 
 import numpy as np
 import pytest
 
-from mubsic import linalg, siclab
-from mubsic.cli import main, run
+from mubsic import frames, linalg, plane, siclab, weyl
+from mubsic.cli import build_parser, main, run
 
 
 def test_mub_verify_ok(capsys):
@@ -144,9 +145,20 @@ QUBIT_FAMILY = json.dumps(siclab.generate_hw_sic(siclab.qubit_fiducial()).to_jso
 QUBIT_SPECTRA = "m,j,lambda_1,lambda_2\n" + "".join(
     f"{m},{j},0.7,0.3\n" for j in range(3) for m in range(2)
 )
+I1 = linalg.HermitianOp.identity(1).to_json_dict()
+I2 = linalg.HermitianOp.identity(2).to_json_dict()
+QUTRIT_KET = linalg.complex_to_json(siclab.qutrit_fiducial().ket)
+FRAME_VERIFY = ["frame", "verify", "--points", "IN"]
+LINES_VERIFY = ["frame", "verify", "--points", "POINTS3", "--lines", "IN"]
+SIC_VERIFY = ["sic", "verify", "--in", "IN"]
+LINES2 = frames.line_frame_to_json_dict(
+    frames.line_ops_from_points(
+        frames.point_frame_from_mub(weyl.build_mub(2)), plane.build_dapg(2)
+    )
+)
 
-# argv (IN: the malformed file, OUT: an output path, POINTS: a valid point
-# frame), the malformed file's name, and its text.
+# argv (IN: the malformed file, OUT: an output path, POINTS and POINTS3:
+# valid d = 2 and d = 3 point frames), the malformed file's name, and its text.
 MALFORMED = {
     "fiducial-array": (GENERATE, "fid.json", "[1, 2]\n"),
     "fiducial-string-entry": (
@@ -160,6 +172,32 @@ MALFORMED = {
         ["frame", "verify", "--points", "IN"],
         "points.json",
         '{"d": Infinity, "beta": 1.0, "ops": []}\n',
+    ),
+    # A frame or family file must hold d x d operators for a prime d.
+    "points-2x2-ops-bridge": (
+        ["frame", "bridge", "--points", "IN", "--out", "OUT"],
+        "points.json",
+        json.dumps({"d": 3, "beta": 6.0, "ops": [I2] * 12}) + "\n",
+    ),
+    "points-2x2-ops-verify": (
+        FRAME_VERIFY, "points.json", json.dumps({"d": 3, "beta": 6.0, "ops": [I2] * 12}) + "\n"
+    ),
+    "points-d-1": (
+        FRAME_VERIFY, "points.json", json.dumps({"d": 1, "beta": 1.0, "ops": [I1] * 2}) + "\n"
+    ),
+    "lines-2x2-ops": (
+        LINES_VERIFY, "lines.json", json.dumps({"d": 3, "alpha": 24.0, "ops": [I2] * 9}) + "\n"
+    ),
+    "lines-other-d": (LINES_VERIFY, "lines.json", json.dumps(LINES2) + "\n"),
+    "family-2x2-ops": (
+        SIC_VERIFY,
+        "family.json",
+        json.dumps({"d": 3, "fiducial": QUTRIT_KET, "ops": [I2] * 9}) + "\n",
+    ),
+    "family-d-1": (
+        SIC_VERIFY,
+        "family.json",
+        json.dumps({"d": 1, "fiducial": [[1.0, 0.0]], "ops": [I1]}) + "\n",
     ),
     "rho-dim-infinity": (
         ["quasiprob", "--rho", "IN", "--points", "POINTS", "--out", "OUT"],
@@ -189,7 +227,8 @@ MALFORMED = {
     "d-not-integer": (["mub", "verify", "--d", "x"], "unused.txt", ""),
     "unknown-subcommand": (["mub", "frobnicate"], "unused.txt", ""),
     "generate-tol-inf": (GENERATE + ["--tol", "inf"], "fid.json", QUBIT_FIDUCIAL),
-    "spectra-tol-nan": (
+    # sic spectra takes no --tol: argparse rejects the flag, with exit 2 and one line.
+    "spectra-rejects-tol": (
         ["sic", "spectra", "--in", "IN", "--out", "OUT", "--tol", "nan"],
         "family.json",
         QUBIT_FAMILY,
@@ -212,10 +251,11 @@ def test_malformed_input_is_one_error_line(case, tmp_path, capsys):
     path = tmp_path / name
     path.write_text(text)
     out = tmp_path / "out.json"
-    points = tmp_path / "points2.json"
-    assert run(["frame", "from-mub", "--d", "2", "--out", str(points)]) == 0
+    paths = {"IN": str(path), "OUT": str(out)}
+    for d, key in ((2, "POINTS"), (3, "POINTS3")):
+        paths[key] = str(tmp_path / f"points{d}.json")
+        assert run(["frame", "from-mub", "--d", str(d), "--out", paths[key]]) == 0
     capsys.readouterr()
-    paths = {"IN": str(path), "OUT": str(out), "POINTS": str(points)}
     assert run([paths.get(a, a) for a in argv]) == 2
     stdout, err = capsys.readouterr()
     assert stdout == ""
@@ -256,6 +296,21 @@ def test_non_finite_frame_strength_is_one_error_line(case, value, tmp_path, caps
     assert stdout == ""
     assert len(err.splitlines()) == 1 and err.startswith(f"error: frame {strength} must be finite")
     assert not os.path.exists(paths["OUT"])
+
+
+QUBIT_SPECTRA_CSV = "m,j,lambda_1,lambda_2\n" + "".join(
+    f"{m},{j},0.788675134595,0.211324865405\n" for j in range(3) for m in range(2)
+)
+
+
+def test_sic_spectra_reads_no_tolerance(tmp_path, monkeypatch, capsys):
+    """sic spectra is a report, not a verifier: MUBSIC_TOL does not reach it."""
+    fam = tmp_path / "fam.json"
+    csv_path = tmp_path / "spectra.csv"
+    assert run(["sic", "generate", "--builtin", "qubit", "--out", str(fam)]) == 0
+    monkeypatch.setenv("MUBSIC_TOL", "nan")
+    assert run(["sic", "spectra", "--in", str(fam), "--out", str(csv_path)]) == 0
+    assert csv_path.read_text() == QUBIT_SPECTRA_CSV
 
 
 def test_sic_solve_prob_output(capsys):
@@ -323,3 +378,69 @@ def test_build_outputs_are_deterministic(tmp_path):
 def test_main_entry_point(capsys):
     assert main(["plane", "verify", "--d", "2"]) == 0
     assert np.isfinite(1.0)  # keep numpy import honest
+
+
+def _leaves(parser, path=()):
+    """(command path, leaf parser) for every leaf of the argparse tree."""
+    for action in parser._actions:
+        if isinstance(action, argparse._SubParsersAction):
+            for name, child in action.choices.items():
+                yield from _leaves(child, path + (name,))
+            return
+    yield " ".join(path), parser
+
+
+def _arg(action):
+    kind = action.type.__name__ if action.type else None
+    choices = tuple(action.choices) if action.choices else None
+    return (tuple(action.option_strings), action.dest, action.default, action.required,
+            choices, kind)
+
+
+D = (("--d",), "d", None, True, None, "int")
+OUT = (("--out",), "out", None, False, None, None)
+TOL = (("--tol",), "tol", None, False, None, "float")
+KIND = (("--kind",), "kind", "dapg", False, ("apg", "dapg"), None)
+POINTS = (("--points",), "points", None, True, None, None)
+IN = (("--in",), "infile", None, True, None, None)
+SEED = (("--seed",), "seed", 0, False, None, "int")
+
+# Leaf command -> (handler name, its arguments in parser order).
+PARSER_TREE = {
+    "mub build": ("_cmd_mub_build", [D, OUT]),
+    "mub verify": ("_cmd_mub_verify", [D, TOL]),
+    "plane build": ("_cmd_plane_build", [
+        D, OUT, KIND, (("--export",), "export", "json", False, ("json", "dot"), None)]),
+    "plane verify": ("_cmd_plane_verify", [D, KIND]),
+    "frame from-mub": ("_cmd_frame_from_mub", [D, OUT]),
+    "frame from-hg": ("_cmd_frame_from_hg", [D, OUT]),
+    "frame bridge": ("_cmd_frame_bridge", [POINTS, OUT]),
+    "frame verify": ("_cmd_frame_verify", [
+        POINTS, (("--lines",), "lines", None, False, None, None), TOL]),
+    "sic generate": ("_cmd_sic_generate", [
+        (("--fiducial",), "fiducial", None, False, None, None),
+        (("--builtin",), "builtin", None, False, ("qubit", "qutrit"), None),
+        OUT, TOL]),
+    "sic verify": ("_cmd_sic_verify", [IN, TOL]),
+    "sic spectra": ("_cmd_sic_spectra", [IN, OUT]),
+    "sic group": ("_cmd_sic_group", [IN, (("--tol",), "tol", 1e-6, False, None, "float"), OUT]),
+    "sic solve-prob": ("_cmd_sic_solve_prob", [
+        D, SEED, (("--restarts",), "restarts", 64, False, None, "int")]),
+    "sic search": ("_cmd_sic_search", [
+        D, OUT, SEED, (("--restarts",), "restarts", 24, False, None, "int"),
+        (("--max-iters",), "max_iters", 1000, False, None, "int"),
+        (("--tol",), "tol", 1e-14, False, None, "float")]),
+    "quasiprob": ("_cmd_quasiprob", [
+        (("--rho",), "rho", None, True, None, None), POINTS, OUT]),
+}
+
+
+def test_parser_tree_is_pinned():
+    """Every leaf command's arguments and handler, independent of the help
+    layout of the running Python version."""
+    tree = {
+        path: (leaf.get_default("handler").__name__,
+               [_arg(a) for a in leaf._actions if not isinstance(a, argparse._HelpAction)])
+        for path, leaf in _leaves(build_parser())
+    }
+    assert tree == PARSER_TREE
