@@ -34,7 +34,6 @@ from .plane import (
 from .frames import (
     LineFrame,
     PointFrame,
-    SimplexVectors,
     build_simplex_vectors,
     line_ops_from_points,
     line_probabilities,

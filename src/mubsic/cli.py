@@ -83,27 +83,29 @@ def _cmd_mub_verify(args) -> int:
     return _verdict(f"d={args.d} deviation", dev, _tol(args))
 
 
+_PLANE_KINDS = {
+    "dapg": ("build_dapg", "export_incidence", "verify_incidence"),
+    "apg": ("build_apg", "export_apg", "verify_apg"),
+}
+
+
+def _plane_kind(kind: str):
+    """The build, export and verify functions of a ``--kind``, looked up on
+    the plane module at call time so that a replaced attribute is the one run."""
+    return [getattr(plane, name) for name in _PLANE_KINDS[kind]]
+
+
 def _cmd_plane_build(args) -> int:
-    if args.kind == "dapg":
-        geom = plane.build_dapg(args.d)
-        text = plane.export_incidence(geom, args.export)
-        n_points, n_lines = len(geom.points), len(geom.lines)
-    else:
-        apg = plane.build_apg(args.d)
-        text = plane.export_apg(apg, args.export)
-        n_points, n_lines = len(apg.points), len(apg.lines)
-    _write_text(args.out, text)
-    print(f"{args.kind} d={args.d}: {n_points} points, {n_lines} lines")
+    build, export, _ = _plane_kind(args.kind)
+    geom = build(args.d)
+    _write_text(args.out, export(geom, args.export))
+    print(f"{args.kind} d={args.d}: {len(geom.points)} points, {len(geom.lines)} lines")
     return 0
 
 
 def _cmd_plane_verify(args) -> int:
-    if args.kind == "dapg":
-        report = plane.verify_incidence(plane.build_dapg(args.d))
-    else:
-        apg = plane.build_apg(args.d)
-        violations = plane.verify_apg(apg)
-        report = plane.IncidenceReport(apg.d, len(apg.points), len(apg.lines), violations)
+    build, _, verify = _plane_kind(args.kind)
+    report = verify(build(args.d))
     print(report.summary())
     for v in report.violations:
         print(f"  violation: {v}")

@@ -39,20 +39,10 @@ from .plane import Dapg, column_labels, incidence_sum, line_keys, point_keys
 from .weyl import HGBasis, MubFamily, require_odd_prime, require_prime, verify_mub
 
 
-@dataclass(frozen=True)
-class SimplexVectors:
-    """d unit-pattern vectors in R^(d−1) with constant mutual angle:
-    v_m · v_m = (d−1)/2 and v_m · v_m' = −1/2 for m ≠ m'."""
-
-    d: int
-    vectors: np.ndarray
-
-    def dot(self, m: int, m2: int) -> float:
-        return float(self.vectors[m] @ self.vectors[m2])
-
-
-def build_simplex_vectors(d: int) -> SimplexVectors:
-    """Rows v_m interleave cos(2πkm/d), sin(2πkm/d) for k = 1..(d−1)/2."""
+def build_simplex_vectors(d: int) -> np.ndarray:
+    """The read-only (d, d−1) array of d vectors v_m with constant mutual
+    angle, v_m · v_m = (d−1)/2 and v_m · v_m' = −1/2 for m ≠ m': row v_m
+    interleaves cos(2πkm/d), sin(2πkm/d) for k = 1..(d−1)/2."""
     d = require_odd_prime(d)
     half = (d - 1) // 2
     m = np.arange(d)[:, None]
@@ -62,7 +52,7 @@ def build_simplex_vectors(d: int) -> SimplexVectors:
     vectors[:, 0::2] = np.cos(angles)
     vectors[:, 1::2] = np.sin(angles)
     vectors.flags.writeable = False
-    return SimplexVectors(d=d, vectors=vectors)
+    return vectors
 
 
 # --- frames ------------------------------------------------------------------
@@ -116,25 +106,17 @@ def point_frame_from_mub(mub: MubFamily) -> PointFrame:
 def point_frame_from_hg(basis: HGBasis) -> PointFrame:
     """Point frame f_m^(j) = Σ_k [cos(2πkm/d) h_{j,k} + sin(2πkm/d) g_{j,k}].
 
-    Requires the unit-normalized basis (|ζ|² = 1/(2d)); strength is then
+    The basis is unit-normalized (|ζ|² = 1/(2d)), so the strength is
     β = (d−1)/2, the minimal one realized by Hermitian operator frames here.
     """
     d = basis.d
-    if abs(basis.zeta_modulus**2 - 1.0 / (2 * d)) > 1e-12:
-        raise ValueError(
-            f"need |ζ|² = 1/(2d); got |ζ|² = {basis.zeta_modulus**2:.6e}"
-        )
-    simplex = build_simplex_vectors(d)
-    half = (d - 1) // 2
+    v = build_simplex_vectors(d)
     ops = {}
     for m, j in point_keys(d):
-        cosines = simplex.vectors[m, 0::2]
-        sines = simplex.vectors[m, 1::2]
-        mat = np.tensordot(cosines, basis.h[j], axes=1) + np.tensordot(
-            sines, basis.g[j], axes=1
+        mat = np.tensordot(v[m, 0::2], basis.h[j], axes=1) + np.tensordot(
+            v[m, 1::2], basis.g[j], axes=1
         )
         ops[(m, j)] = HermitianOp.from_matrix(mat)
-    assert half * 2 == d - 1
     return PointFrame(d=d, beta=float((d - 1) / 2), ops=ops)
 
 
@@ -296,9 +278,12 @@ def _frame_from_json(obj: dict, strength: str, keys_of) -> tuple[int, float, dic
     """(d, strength, ops) of a point- or line-frame object."""
     try:
         d = header_int(obj, "d")
-        value = float(obj[strength])
+        value = obj[strength]
         raw = obj["ops"]
-    except (KeyError, TypeError) as exc:
+        if isinstance(value, bool) or not isinstance(value, (int, float)):
+            raise TypeError(f"{strength} must be a number, got {value!r}")
+        value = float(value)
+    except (KeyError, TypeError, OverflowError) as exc:
         raise ValueError(f"malformed frame object: {exc}") from exc
     if not np.isfinite(value):
         raise ValueError(f"frame {strength} must be finite, got {value!r}")

@@ -29,16 +29,6 @@ RANK_TOL = 1e-8
 DEFAULT_TOL = 1e-10
 
 
-def as_square_matrix(entries) -> np.ndarray:
-    """Coerce ``entries`` to a finite square complex matrix (a fresh copy)."""
-    mat = np.array(entries, dtype=np.complex128)
-    if mat.ndim != 2 or mat.shape[0] != mat.shape[1] or mat.shape[0] < 1:
-        raise ValueError(f"expected a square matrix, got shape {mat.shape}")
-    if not np.all(np.isfinite(mat.real)) or not np.all(np.isfinite(mat.imag)):
-        raise ValueError("matrix entries must be finite")
-    return mat
-
-
 @dataclass(frozen=True)
 class HermitianOp:
     """A d x d Hermitian matrix.
@@ -54,10 +44,14 @@ class HermitianOp:
     def from_matrix(cls, entries) -> "HermitianOp":
         """Admit ``entries`` as Hermitian, symmetrizing (m + m†)/2.
 
-        Raises ValueError if any entry of m − m† exceeds HERMITICITY_ATOL in
-        modulus.
+        Raises ValueError unless ``entries`` is a finite square matrix whose
+        m − m† has no entry above HERMITICITY_ATOL in modulus.
         """
-        mat = as_square_matrix(entries)
+        mat = np.array(entries, dtype=np.complex128)
+        if mat.ndim != 2 or mat.shape[0] != mat.shape[1] or mat.shape[0] < 1:
+            raise ValueError(f"expected a square matrix, got shape {mat.shape}")
+        if not np.all(np.isfinite(mat.real)) or not np.all(np.isfinite(mat.imag)):
+            raise ValueError("matrix entries must be finite")
         asym = float(np.abs(mat - mat.conj().T).max())
         if asym > HERMITICITY_ATOL:
             raise ValueError(f"matrix is not Hermitian: max |m - m†| = {asym:.3e}")
@@ -239,7 +233,7 @@ def header_int(obj: dict, key: str) -> int:
 
 
 def matrix_to_json_dict(mat: np.ndarray) -> dict:
-    mat = as_square_matrix(mat)
+    """The operator object of a square matrix, such as a HermitianOp's."""
     d = mat.shape[0]
     return {"dim": d, "entries": complex_to_json(mat.reshape(d * d))}
 

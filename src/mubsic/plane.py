@@ -9,8 +9,9 @@ point (a + jb mod d, j).  Every line has d+1 points (one per column), every
 point lies on d lines, and two distinct lines meet in exactly one point.
 
 A dual plane is held as its 0/1 point×line incidence matrix N: incidence sums
-run along N (:func:`incidence_sum`), and the axiom checks are exact counts on
-NᵀN = J + d·I and on NNᵀ (0 within a column, 1 across columns).
+run along N in row order (:func:`incidence_sum`), and the axiom checks are
+exact counts on NᵀN = J + d·I and on NNᵀ (0 within a column, 1 across
+columns).  Both planes report their axiom checks as an :class:`IncidenceReport`.
 """
 
 from __future__ import annotations
@@ -25,6 +26,24 @@ from .weyl import require_prime
 
 Point = tuple[int, int]
 Line = tuple[int, int]
+
+
+@dataclass
+class IncidenceReport:
+    """Axiom violations of a plane of either kind (empty list = pass)."""
+
+    d: int
+    n_points: int
+    n_lines: int
+    violations: list[str]
+
+    @property
+    def ok(self) -> bool:
+        return not self.violations
+
+    def summary(self) -> str:
+        status = "all axioms pass" if self.ok else f"{len(self.violations)} violations"
+        return f"{self.n_points} points, {self.n_lines} lines, {status}"
 
 
 # --- affine plane -----------------------------------------------------------
@@ -51,8 +70,9 @@ def build_apg(d: int) -> Apg:
     return Apg(d=d, points=points, lines=tuple(lines))
 
 
-def verify_apg(apg: Apg) -> list[str]:
-    """Axiom violations of an affine plane structure (empty list = pass)."""
+def verify_apg(apg: Apg) -> IncidenceReport:
+    """Exact combinatorial check of the affine-plane axioms: d² points,
+    d(d+1) lines of d points each, and one line through any two points."""
     d = apg.d
     violations = []
     if len(apg.points) != d * d:
@@ -66,7 +86,7 @@ def verify_apg(apg: Apg) -> list[str]:
     members = np.array([[p in ln for ln in apg.lines] for p in pts])
     for i, k, joining in _pair_counts(members.reshape(len(pts), len(apg.lines)), 1):
         violations.append(f"points {pts[i]}, {pts[k]} lie on {joining} common lines")
-    return violations
+    return IncidenceReport(d=d, n_points=len(pts), n_lines=len(apg.lines), violations=violations)
 
 
 def _pair_counts(members: np.ndarray, want) -> list[tuple[int, int, int]]:
@@ -150,24 +170,13 @@ def incidence_sum(incidence: np.ndarray, terms) -> np.ndarray:
     array or number per row; pass ``N`` to sum over the points of each line
     and ``N.T`` to sum over the lines through each point.
 
-    Bit-identical to a per-output loop that adds from zeros in increasing r:
-    slot k adds each output's k-th term, for a block of outputs at a time, so
-    no (outputs, terms, ...) temporary is built.  A spare slot adds zeros,
-    which changes no bit, since a sum that starts from +0.0 is never −0.0.
+    Each out[c] starts from zeros and adds its terms in increasing r, in
+    place, so no temporary is built besides ``out``.
     """
-    terms = [*terms, np.zeros_like(terms[0])]
-    cols, rows = np.nonzero(incidence.T)  # grouped by output, rows increasing
-    counts = np.bincount(cols, minlength=incidence.shape[1])
-    slots = np.full((counts.max(initial=0), len(counts)), len(terms) - 1)
-    rank = np.arange(len(rows)) - np.repeat(np.cumsum(counts) - counts, counts)
-    slots[rank, cols] = rows  # each output's k-th term goes to slot k
-    out = np.zeros((len(counts),) + np.shape(terms[0]), dtype=np.result_type(terms[0]))
-    # Gathers of at most 64 KiB reuse freed memory; a whole-slot gather
-    # (2 MB at d = 19) would stay resident after it is freed.
-    step = max(1, 2**16 // out[0].nbytes)
-    for lo in range(0, len(out), step):
-        for slot in slots[:, lo : lo + step]:
-            out[lo : lo + step] += np.array([terms[r] for r in slot])
+    out = np.zeros((incidence.shape[1],) + np.shape(terms[0]), dtype=np.result_type(terms[0]))
+    cols, rows = np.nonzero(incidence.T)  # grouped by c, r increasing
+    for c, r in zip(cols.tolist(), rows.tolist()):
+        out[c] += terms[r]
     return out
 
 
@@ -179,22 +188,6 @@ def build_dapg(d: int) -> Dapg:
         pts.append((b, d))
         points_on[(a, b)] = tuple(pts)
     return Dapg.from_incidence(d, points_on)
-
-
-@dataclass
-class IncidenceReport:
-    d: int
-    n_points: int
-    n_lines: int
-    violations: list[str]
-
-    @property
-    def ok(self) -> bool:
-        return not self.violations
-
-    def summary(self) -> str:
-        status = "all axioms pass" if self.ok else f"{len(self.violations)} violations"
-        return f"{self.n_points} points, {self.n_lines} lines, {status}"
 
 
 def verify_incidence(geom: Dapg) -> IncidenceReport:

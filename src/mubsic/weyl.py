@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg import HermitianOp, complex_from_json, complex_to_json, header_int, label_table
+from .linalg import complex_from_json, complex_to_json, header_int, label_table
 
 
 def is_prime(n: int) -> bool:
@@ -136,11 +136,9 @@ def build_mub(d: int) -> MubFamily:
         bases[1] = [[s, 1j * s], [s, -1j * s]]
     else:
         omega = np.exp(2j * np.pi / d)
-        n = np.arange(d)
+        b, m, n = np.ogrid[:d, :d, :d]
         tri = (n * (n - 1) // 2) % d
-        for b in range(d):
-            for m in range(d):
-                bases[b, m] = omega ** ((b * tri + m * n) % d) / np.sqrt(d)
+        bases[:d] = omega ** ((b * tri + m * n) % d) / np.sqrt(d)
     bases[d] = np.eye(d)
     bases.flags.writeable = False
     return MubFamily(d=d, bases=bases)
@@ -179,43 +177,30 @@ def commuting_classes(wp: WeylPair) -> list[list[tuple[int, int]]]:
 @dataclass(frozen=True)
 class HGBasis:
     """Hermitian basis pairs h_{j,k}, g_{j,k} built from monomial class
-    generators M: h = ζM + ζ*M†, g = −i(ζM − ζ*M†) with ζ = |ζ|e^{iφ_{j,k}}.
+    generators M: h = ζM + ζ*M†, g = −i(ζM − ζ*M†) with ζ = e^{iφ_{j,k}}/√(2d),
+    whose modulus makes every h and g unit-normalized in Hilbert-Schmidt norm
+    (tr h² = 2d|ζ|² = 1).
 
     Row index j runs over classes 0..d (clock class last); column index k−1
-    over generators k = 1..(d−1)/2.  Stored as stacked (d+1, (d−1)/2, d, d)
-    arrays; use :meth:`h_op`/:meth:`g_op` for validated wrappers.
+    over generators k = 1..(d−1)/2.  Stored as read-only stacked
+    (d+1, (d−1)/2, d, d) arrays.
     """
 
     d: int
-    zeta_modulus: float
     phases: np.ndarray
     h: np.ndarray
     g: np.ndarray
 
-    def h_op(self, j: int, k: int) -> HermitianOp:
-        return HermitianOp.from_matrix(self.h[j, k - 1])
 
-    def g_op(self, j: int, k: int) -> HermitianOp:
-        return HermitianOp.from_matrix(self.g[j, k - 1])
-
-
-def build_hg_basis(
-    wp: WeylPair,
-    phases: np.ndarray | None = None,
-    zeta_modulus: float | None = None,
-) -> HGBasis:
+def build_hg_basis(wp: WeylPair, phases: np.ndarray | None = None) -> HGBasis:
     """Construct the h/g basis for all d+1 classes.
 
     ``phases`` is (d+1, (d−1)/2) with row j, column k−1 (defaults to all
-    zero); ``zeta_modulus`` defaults to √(1/(2d)), the value that makes every
-    h and g unit-normalized in Hilbert-Schmidt norm (tr h² = 2d|ζ|² = 1).
+    zero).
     """
     d = require_odd_prime(wp.d)
     half = (d - 1) // 2
-    if zeta_modulus is None:
-        zeta_modulus = float(np.sqrt(1.0 / (2 * d)))
-    if zeta_modulus <= 0:
-        raise ValueError("zeta_modulus must be positive")
+    modulus = float(np.sqrt(1.0 / (2 * d)))
     if phases is None:
         phases = np.zeros((d + 1, half))
     else:
@@ -230,14 +215,14 @@ def build_hg_basis(
     for j, gens in enumerate(classes):
         for idx, (a, b) in enumerate(gens):
             m = monomial(wp, a, b)
-            zeta = zeta_modulus * np.exp(1j * phases[j, idx])
+            zeta = modulus * np.exp(1j * phases[j, idx])
             h[j, idx] = zeta * m + np.conj(zeta) * m.conj().T
             g[j, idx] = -1j * (zeta * m - np.conj(zeta) * m.conj().T)
     phases = phases.copy()
     phases.flags.writeable = False
     h.flags.writeable = False
     g.flags.writeable = False
-    return HGBasis(d=d, zeta_modulus=float(zeta_modulus), phases=phases, h=h, g=g)
+    return HGBasis(d=d, phases=phases, h=h, g=g)
 
 
 def verify_rotation_action(basis: HGBasis) -> float:

@@ -263,7 +263,7 @@ def test_malformed_input_is_one_error_line(case, tmp_path, capsys):
     assert not out.exists()
 
 
-# argv with BAD: the frame file whose strength is not finite; POINTS, LINES
+# argv with BAD: the frame file whose strength is malformed; POINTS, LINES
 # and RHO: valid d = 3 files.
 STRENGTH_CASES = {
     "verify-beta": (["frame", "verify", "--points", "BAD"], "beta"),
@@ -273,9 +273,9 @@ STRENGTH_CASES = {
 }
 
 
-@pytest.mark.parametrize("value", ["NaN", "Infinity", "-Infinity"])
-@pytest.mark.parametrize("case", sorted(STRENGTH_CASES))
-def test_non_finite_frame_strength_is_one_error_line(case, value, tmp_path, capsys):
+def strength_error(case, value, tmp_path, capsys):
+    """The one ``error:`` line of STRENGTH_CASES[case] run on a valid d = 3
+    frame file whose strength is replaced by the JSON text ``value``."""
     argv, strength = STRENGTH_CASES[case]
     paths = {name: str(tmp_path / f"{name.lower()}.json")
              for name in ("POINTS", "LINES", "RHO", "OUT", "BAD")}
@@ -285,17 +285,39 @@ def test_non_finite_frame_strength_is_one_error_line(case, value, tmp_path, caps
     source = paths["POINTS"] if strength == "beta" else paths["LINES"]
     with open(source) as fh:
         obj = json.load(fh)
-    obj[strength] = float(value.replace("Infinity", "inf"))
-    text = json.dumps(obj)
-    assert f'"{strength}": {value}' in text  # the JSON token, not a string
+    obj[strength] = None
+    text = json.dumps(obj).replace(f'"{strength}": null', f'"{strength}": {value}')
+    json.loads(text)  # still well-formed JSON
     with open(paths["BAD"], "w") as fh:
         fh.write(text)
     capsys.readouterr()
     assert run([paths.get(a, a) for a in argv]) == 2
     stdout, err = capsys.readouterr()
     assert stdout == ""
-    assert len(err.splitlines()) == 1 and err.startswith(f"error: frame {strength} must be finite")
+    assert len(err.splitlines()) == 1
     assert not os.path.exists(paths["OUT"])
+    return err
+
+
+@pytest.mark.parametrize("value", ["NaN", "Infinity", "-Infinity"])
+@pytest.mark.parametrize("case", sorted(STRENGTH_CASES))
+def test_non_finite_frame_strength_is_one_error_line(case, value, tmp_path, capsys):
+    strength = STRENGTH_CASES[case][1]
+    err = strength_error(case, value, tmp_path, capsys)
+    assert err.startswith(f"error: frame {strength} must be finite")
+
+
+# A strength must be a JSON number: a string or a bool is not read as one,
+# and an integer too large for a float is rejected, not a traceback.
+@pytest.mark.parametrize(
+    "value", ['"6"', '"24"', "true", "1" + "0" * 400], ids=["str6", "str24", "bool", "huge-int"]
+)
+@pytest.mark.parametrize("case", sorted(STRENGTH_CASES))
+def test_non_number_frame_strength_is_one_error_line(case, value, tmp_path, capsys):
+    strength = STRENGTH_CASES[case][1]
+    err = strength_error(case, value, tmp_path, capsys)
+    want = "int too large" if value.isdigit() else f"{strength} must be a number"
+    assert err.startswith(f"error: malformed frame object: {want}")
 
 
 QUBIT_SPECTRA_CSV = "m,j,lambda_1,lambda_2\n" + "".join(

@@ -43,24 +43,24 @@ def hg_points(d, phases=None):
 
 
 def test_simplex_qutrit():
-    sv = build_simplex_vectors(3)
-    assert sv.vectors.shape == (3, 2)
+    v = build_simplex_vectors(3)
+    assert v.shape == (3, 2)
     for m in range(3):
-        assert sv.dot(m, m) == pytest.approx(1.0, abs=1e-12)
+        assert v[m] @ v[m] == pytest.approx(1.0, abs=1e-12)
         for m2 in range(m + 1, 3):
-            assert sv.dot(m, m2) == pytest.approx(-0.5, abs=1e-12)
+            assert v[m] @ v[m2] == pytest.approx(-0.5, abs=1e-12)
 
 
 def test_simplex_self_dot():
-    sv = build_simplex_vectors(5)
+    v = build_simplex_vectors(5)
     for m in range(5):
-        assert sv.dot(m, m) == pytest.approx(2.0, abs=1e-12)
+        assert v[m] @ v[m] == pytest.approx(2.0, abs=1e-12)
 
 
 def test_simplex_vectors_sum_to_zero():
     for d in (3, 5, 7):
-        sv = build_simplex_vectors(d)
-        assert np.abs(sv.vectors.sum(axis=0)).max() <= 1e-12
+        v = build_simplex_vectors(d)
+        assert np.abs(v.sum(axis=0)).max() <= 1e-12
 
 
 def test_simplex_rejects_even_and_composite():
@@ -110,12 +110,6 @@ def test_hg_frame_strength_and_column_products():
         for m2 in range(m + 1, 3):
             assert hs_inner(pf.ops[(m, 0)], pf.ops[(m2, 0)]) == pytest.approx(-0.5, abs=1e-10)
     assert hs_inner(pf.ops[(0, 0)], pf.ops[(0, 1)]) == pytest.approx(0.0, abs=1e-10)
-
-
-def test_hg_frame_rejects_wrong_modulus():
-    wp = build_weyl_pair(3)
-    with pytest.raises(ValueError):
-        point_frame_from_hg(build_hg_basis(wp, zeta_modulus=0.5))
 
 
 def test_hg_frame_covariance():

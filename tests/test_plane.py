@@ -27,14 +27,14 @@ def test_apg_smallest_plane():
     assert len(apg.points) == 4
     assert len(apg.lines) == 6
     assert all(len(ln) == 2 for ln in apg.lines)
-    assert verify_apg(apg) == []
+    assert verify_apg(apg).violations == []
 
 
 def test_apg_order_three():
     apg = build_apg(3)
     assert len(apg.points) == 9
     assert len(apg.lines) == 12
-    assert verify_apg(apg) == []
+    assert verify_apg(apg).violations == []
     # The 12 lines fall into 4 parallel classes of 3 pairwise-disjoint lines.
     classes = 0
     lines = list(apg.lines)
@@ -187,7 +187,7 @@ def test_apg_flags_broken_plane():
     lines = list(apg.lines)
     lines[4] = frozenset([(0, 0), (1, 1)])
     lines[7] = lines[0]
-    assert verify_apg(Apg(d=3, points=apg.points, lines=tuple(lines))) == [
+    assert verify_apg(Apg(d=3, points=apg.points, lines=tuple(lines))).violations == [
         "line [(0, 0), (1, 1)] has 2 points, expected 3",
         "points (0, 0), (1, 0) lie on 2 common lines",
         "points (0, 0), (1, 1) lie on 2 common lines",
@@ -226,17 +226,19 @@ def test_same_column_points_share_no_line():
 
 
 def test_incidence_sum_matches_loop_on_irregular_incidence():
-    # Outputs with 2, 0 and 3 terms, so spare slots add padding zeros; the
-    # −0.0 terms check that this matches a loop from +0.0 bit for bit.
+    # Outputs with 2, 0 and 3 terms, the empty one all zeros; the −0.0 terms,
+    # as arrays and as numbers, check that each sum matches a loop from +0.0
+    # bit for bit.
     incidence = np.array([[1, 0, 1], [0, 0, 1], [1, 0, 1]], dtype=np.int8)
-    terms = [np.array([-0.0, 1.5]), np.array([-0.0, -2.0]), np.array([-0.0, 1e-300])]
-    out = incidence_sum(incidence, terms)
-    for c in range(3):
-        total = np.zeros(2)
-        for r in range(3):
-            if incidence[r, c]:
-                total = total + terms[r]
-        assert out[c].tobytes() == total.tobytes()
+    arrays = [np.array([-0.0, 1.5]), np.array([-0.0, -2.0]), np.array([-0.0, 1e-300])]
+    for terms in (arrays, [-0.0, -0.0, -0.0], [-0.0, 0.1, 0.2]):
+        out = incidence_sum(incidence, terms)
+        for c in range(3):
+            total = np.zeros(np.shape(terms[0]))
+            for r in range(3):
+                if incidence[r, c]:
+                    total = total + terms[r]
+            assert out[c].tobytes() == total.tobytes()
 
 
 # --- queries -------------------------------------------------------------------------

@@ -1,6 +1,8 @@
 import numpy as np
 import pytest
 
+from helpers import PRIME_DIMS
+from mubsic.linalg import HermitianOp
 from mubsic.weyl import (
     HGBasis,
     MubFamily,
@@ -101,6 +103,31 @@ def test_mub_deviation_small_primes():
         assert verify_mub(mub) <= 1e-12
 
 
+def loop_mub_bases(d):
+    """Reference: the per-ket double loop that the broadcast construction replaced."""
+    bases = np.zeros((d + 1, d, d), dtype=np.complex128)
+    if d == 2:
+        s = 1.0 / np.sqrt(2.0)
+        bases[0] = [[s, s], [s, -s]]
+        bases[1] = [[s, 1j * s], [s, -1j * s]]
+    else:
+        omega = np.exp(2j * np.pi / d)
+        n = np.arange(d)
+        tri = (n * (n - 1) // 2) % d
+        for b in range(d):
+            for m in range(d):
+                bases[b, m] = omega ** ((b * tri + m * n) % d) / np.sqrt(d)
+    bases[d] = np.eye(d)
+    return bases
+
+
+@pytest.mark.parametrize("d", PRIME_DIMS)
+def test_mub_matches_loop_bit_for_bit(d):
+    bases = build_mub(d).bases
+    assert bases.dtype == np.complex128 and bases.shape == (d + 1, d, d)
+    assert bases.tobytes() == loop_mub_bases(d).tobytes()
+
+
 def test_verify_single_basis_family():
     full = build_mub(3)
     sub = MubFamily(d=3, bases=full.bases[:1])
@@ -176,22 +203,20 @@ def test_classes_reject_qubit():
 def test_hg_traceless_and_normalized():
     wp = build_weyl_pair(5)
     basis = build_hg_basis(wp)
-    assert basis.zeta_modulus == pytest.approx(np.sqrt(1 / 10))
     for j in range(6):
         for k in (1, 2):
-            h = basis.h_op(j, k)
-            g = basis.g_op(j, k)
+            h = HermitianOp.from_matrix(basis.h[j, k - 1])
+            g = HermitianOp.from_matrix(basis.g[j, k - 1])
             assert abs(h.trace) <= 1e-12
             assert abs(g.trace) <= 1e-12
-            # tr h² = 2d|ζ|² = 1 at the default modulus
+            # tr h² = 2d|ζ|² = 1 at |ζ|² = 1/(2d)
             assert np.trace(h.mat @ h.mat).real == pytest.approx(1.0, abs=1e-10)
             assert np.trace(h.mat @ g.mat).real == pytest.approx(0.0, abs=1e-10)
 
 
 def test_hg_orthogonality_across_labels():
     wp = build_weyl_pair(5)
-    basis = build_hg_basis(wp, zeta_modulus=0.7)
-    norm = 2 * 5 * 0.7**2
+    basis = build_hg_basis(wp)
     flat_h = basis.h.reshape(-1, 5, 5)
     flat_g = basis.g.reshape(-1, 5, 5)
     n = flat_h.shape[0]
@@ -199,15 +224,13 @@ def test_hg_orthogonality_across_labels():
         for i2 in range(n):
             hh = np.trace(flat_h[i] @ flat_h[i2]).real
             hg = np.trace(flat_h[i] @ flat_g[i2]).real
-            assert hh == pytest.approx(norm if i == i2 else 0.0, abs=1e-10)
+            assert hh == pytest.approx(1.0 if i == i2 else 0.0, abs=1e-10)
             assert hg == pytest.approx(0.0, abs=1e-10)
 
 
 def test_hg_rejects_qubit_and_bad_modulus():
     with pytest.raises(ValueError):
         build_hg_basis(build_weyl_pair(2))
-    with pytest.raises(ValueError):
-        build_hg_basis(build_weyl_pair(3), zeta_modulus=0.0)
     with pytest.raises(ValueError):
         build_hg_basis(build_weyl_pair(3), phases=np.zeros((2, 2)))
 
@@ -253,7 +276,7 @@ def test_rotation_action_matches_loop(d):
     # A wrong angle on one generator is seen.
     h = basis.h.copy()
     h[1, 0] = basis.g[1, 0]
-    bent = HGBasis(d, basis.zeta_modulus, basis.phases, h, basis.g)
+    bent = HGBasis(d, basis.phases, h, basis.g)
     assert verify_rotation_action(bent) == pytest.approx(loop_verify_rotation_action(bent))
     assert verify_rotation_action(bent) > 1e-3
 
