@@ -3,7 +3,6 @@ affine plane geometry in prime dimensions."""
 
 from .linalg import (
     HermitianOp,
-    Spectrum,
     hermitian_eigensystem,
     hs_inner,
     matrix_rank,

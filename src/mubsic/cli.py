@@ -187,10 +187,8 @@ def _cmd_sic_spectra(args) -> int:
     fam = siclab.SicFamily.from_json_dict(_read_json(args.infile))
     table = siclab.spectra_table(siclab.extract_mu_pom(fam))
     _write_text(args.out, siclab.spectra_to_csv(table))
-    report = siclab.assert_column_constant(table)
-    print(
-        f"d={fam.d} spectra: max within-column spread {_fmt(report.max_spread)}"
-    )
+    spread = siclab.assert_column_constant(table).max()
+    print(f"d={fam.d} spectra: max within-column spread {_fmt(spread)}")
     return 0
 
 
@@ -198,12 +196,12 @@ def _cmd_sic_group(args) -> int:
     tol = _read_tol(args.tol, "--tol")
     with open(args.infile) as fh:
         table = siclab.spectra_from_csv(fh.read())
-    report = siclab.assert_column_constant(table, tol=tol)
+    spread = siclab.assert_column_constant(table).max()
     grouping = siclab.group_columns_by_spectrum(table, tol=tol)
-    _write_json(args.out, grouping.to_json_dict())
-    print(f"max within-column spread {_fmt(report.max_spread)}")
-    print(f"groups: {grouping.groups}")
-    if not report.ok:
+    _write_json(args.out, grouping)
+    print(f"max within-column spread {_fmt(spread)}")
+    print(f"groups: {grouping['groups']}")
+    if spread > tol:
         print(f"columns are not constant at tol {_fmt(tol)}", file=sys.stderr)
         return 1
     return 0

@@ -103,39 +103,6 @@ class HermitianOp:
         return cls.from_matrix(matrix_from_json_dict(obj))
 
 
-@dataclass(frozen=True)
-class Spectrum:
-    """Real eigenvalues sorted descending."""
-
-    values: tuple[float, ...]
-
-    def __post_init__(self):
-        vals = self.values
-        if not np.all(np.isfinite(vals)):
-            raise ValueError("spectrum values must be finite")
-        if any(vals[i] < vals[i + 1] for i in range(len(vals) - 1)):
-            raise ValueError("spectrum values must be sorted descending")
-
-    def __iter__(self):
-        return iter(self.values)
-
-    def __len__(self):
-        return len(self.values)
-
-    @property
-    def rank(self) -> int:
-        """Number of eigenvalues with |λ| > RANK_TOL."""
-        return sum(1 for x in self.values if abs(x) > RANK_TOL)
-
-    def max_abs_diff(self, other) -> float:
-        """Max entrywise distance to another descending spectrum."""
-        mine = np.asarray(self.values)
-        theirs = np.asarray(list(other))
-        if mine.shape != theirs.shape:
-            raise ValueError("spectra have different lengths")
-        return float(np.abs(mine - theirs).max())
-
-
 def hs_inner(a: HermitianOp, b: HermitianOp) -> float:
     """Hilbert-Schmidt inner product tr(ab).
 
@@ -148,8 +115,9 @@ def hs_inner(a: HermitianOp, b: HermitianOp) -> float:
     return float(np.vdot(b.mat, a.mat).real)
 
 
-def hermitian_eigensystem(h: HermitianOp) -> tuple[Spectrum, np.ndarray]:
-    """Eigenvalues (descending) and matching orthonormal eigenvector columns.
+def hermitian_eigensystem(h: HermitianOp) -> tuple[np.ndarray, np.ndarray]:
+    """Eigenvalues (a read-only array, descending) and matching orthonormal
+    eigenvector columns.
 
     Raises ValueError if the reconstruction residual ‖h − VΛV†‖_max exceeds
     EIG_RESIDUAL_ATOL, which signals an eigensolver failure.
@@ -160,12 +128,18 @@ def hermitian_eigensystem(h: HermitianOp) -> tuple[Spectrum, np.ndarray]:
     residual = float(np.abs(h.mat - (v * w) @ v.conj().T).max())
     if residual > EIG_RESIDUAL_ATOL:
         raise ValueError(f"eigendecomposition failed: residual {residual:.3e}")
-    return Spectrum(values=tuple(float(x) for x in w)), v
+    w.flags.writeable = False
+    return w, v
+
+
+def spectrum_rank(values) -> int:
+    """Number of eigenvalues with |λ| > RANK_TOL."""
+    return int(np.count_nonzero(np.abs(values) > RANK_TOL))
 
 
 def matrix_rank(h: HermitianOp) -> int:
-    """Number of eigenvalues with |λ| > RANK_TOL."""
-    return hermitian_eigensystem(h)[0].rank
+    """Number of eigenvalues of ``h`` with |λ| > RANK_TOL."""
+    return spectrum_rank(hermitian_eigensystem(h)[0])
 
 
 def third_moment(h: HermitianOp) -> float:

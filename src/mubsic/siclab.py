@@ -21,7 +21,6 @@ import numpy as np
 from .linalg import (
     DEFAULT_TOL,
     HermitianOp,
-    Spectrum,
     complex_from_json,
     complex_to_json,
     gram_deviation,
@@ -30,6 +29,7 @@ from .linalg import (
     label_table,
     ops_from_json,
     ops_to_json,
+    spectrum_rank,
     third_moment,
 )
 from .frames import incidence_ops
@@ -209,89 +209,55 @@ def verify_mu_pom(taus: dict) -> float:
 # --- spectra bookkeeping -------------------------------------------------------
 
 
-def spectra_table(taus: dict) -> dict:
-    """Descending eigenvalue tuples for every point operator, keyed (m, j)."""
+def spectra_table(taus: dict) -> np.ndarray:
+    """The read-only (d+1, d, d) table S of the point operators' spectra:
+    S[j, m] holds the descending eigenvalues of τ_m^(j)."""
     d = next(iter(taus.values())).dim
-    return {k: hermitian_eigensystem(taus[k])[0] for k in point_keys(d)}
+    table = np.array([hermitian_eigensystem(taus[k])[0] for k in point_keys(d)])
+    table = table.reshape(d + 1, d, d)
+    table.flags.writeable = False
+    return table
 
 
-@dataclass
-class ColumnReport:
-    """Within-column spectrum spread; columns are constant when every member
-    of a column shares one spectrum up to tolerance."""
-
-    d: int
-    max_spread: float
-    per_column: dict
-    tol: float
-
-    @property
-    def ok(self) -> bool:
-        return self.max_spread <= self.tol
+def assert_column_constant(table: np.ndarray) -> np.ndarray:
+    """The (d+1,) spreads of a spectra table: column j's is the largest
+    max − min over the members' i-th eigenvalues, which is the largest
+    entrywise gap between two members (rounding is monotone, so
+    fl(max − min) is the largest fl(x − y)).  Columns are constant when
+    every spread is within tolerance."""
+    return (table.max(axis=1) - table.min(axis=1)).max(axis=1)
 
 
-def assert_column_constant(table: dict, tol: float = 1e-8) -> ColumnReport:
-    """Spread of column j: the largest max − min over the members' i-th
-    eigenvalues, which is the largest entrywise gap between two members
-    (rounding is monotone, so fl(max − min) is the largest fl(x − y))."""
-    d = max(k[1] for k in table)
-    specs = np.array([[table[(m, j)].values for m in range(d)] for j in range(d + 1)])
-    spread = (specs.max(axis=1) - specs.min(axis=1)).max(axis=1)
-    per_column = {j: float(s) for j, s in enumerate(spread)}
-    return ColumnReport(
-        d=d, max_spread=max(per_column.values()), per_column=per_column, tol=tol
-    )
-
-
-@dataclass
-class Grouping:
-    """Partition of column labels by shared spectrum, with each group's mean
-    spectrum as its representative."""
-
-    groups: list
-    spectra: list
-
-    def sizes(self) -> list[int]:
-        return sorted(len(g) for g in self.groups)
-
-    def to_json_dict(self) -> dict:
-        return {"groups": self.groups, "spectra": self.spectra}
-
-
-def group_columns_by_spectrum(table: dict, tol: float = 1e-6) -> Grouping:
-    """Partition columns 0..d into the connected components of "spectra agree
-    entrywise within ``tol``", so the result does not depend on column order.
+def group_columns_by_spectrum(table: np.ndarray, tol: float = 1e-6) -> dict:
+    """The groups JSON object {"groups", "spectra"}: columns 0..d partitioned
+    into the connected components of "spectra agree entrywise within
+    ``tol``", so the result does not depend on column order.
 
     Each column is represented by the mean of its members' spectra (callers
-    should have checked column-constancy first).  Groups list their columns
-    in increasing order and are ordered by their smallest column.
+    should have checked column-constancy first), and each group by the mean
+    of its columns'.  Groups list their columns in increasing order and are
+    ordered by their smallest column.
     """
-    d = max(k[1] for k in table)
-    reps = np.array(
-        [np.mean([table[(m, j)].values for m in range(d)], axis=0) for j in range(d + 1)]
-    )
+    reps = table.mean(axis=1)
     close = np.abs(reps[:, None] - reps).max(axis=2) <= tol
     groups: list[list[int]] = []
-    for j in range(d + 1):
+    for j in range(len(reps)):
         linked = [g for g in groups if close[j, g].any()]
         merged = sorted([j] + [k for g in linked for k in g])
         groups = [g for g in groups if g not in linked] + [merged]
     groups.sort()
-    spectra = [
-        [float(x) for x in np.mean([reps[j] for j in g], axis=0)] for g in groups
-    ]
-    return Grouping(groups=groups, spectra=spectra)
+    return {"groups": groups, "spectra": [reps[g].mean(axis=0).tolist() for g in groups]}
 
 
-def spectra_to_csv(table: dict) -> str:
+def spectra_to_csv(table: np.ndarray) -> str:
     """CSV with header m,j,lambda_1..lambda_d; rows ordered (j asc, m asc);
     12 significant digits, '.' decimal separator."""
-    d = max(k[1] for k in table)
+    d = table.shape[1]
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
     writer.writerow(_csv_header(d))
-    for m, j in point_keys(d):
-        writer.writerow([m, j] + [f"{x:.12g}" for x in table[(m, j)].values])
+    for (m, j), values in zip(point_keys(d), table.reshape(-1, d).tolist()):
+        writer.writerow([m, j] + [f"{x:.12g}" for x in values])
     return buf.getvalue()
 
 
@@ -299,29 +265,37 @@ def _csv_header(d: int) -> list[str]:
     return ["m", "j"] + [f"lambda_{i}" for i in range(1, d + 1)]
 
 
-def spectra_from_csv(text: str) -> dict:
+def spectra_from_csv(text: str) -> np.ndarray:
     """Inverse of :func:`spectra_to_csv`; d is the header's lambda count.
 
-    Raises ValueError unless every point (m, j) appears exactly once, each
-    with d finite values in descending order.
+    Raises ValueError unless d is prime and every point (m, j) appears
+    exactly once, each with d finite values in descending order.
     """
     rows = [row for row in csv.reader(io.StringIO(text)) if row]
     d = len(rows[0]) - 2 if rows else 0
     if d < 1 or rows[0] != _csv_header(d):
         raise ValueError("spectra CSV must start with header m,j,lambda_1..lambda_d")
-    table = {}
+    require_prime(d)
+    spectra = {}
     for row in rows[1:]:
         if len(row) != d + 2:
             raise ValueError(f"spectra CSV row {row} does not have {d + 2} fields")
         key = (int(row[0]), int(row[1]))
-        if key in table:
+        if key in spectra:
             raise ValueError(f"spectra CSV lists point {key} twice")
-        table[key] = Spectrum(values=tuple(float(x) for x in row[2:]))
-    if set(table) != set(point_keys(d)):
+        values = np.array([float(x) for x in row[2:]])
+        if not np.all(np.isfinite(values)):
+            raise ValueError("spectrum values must be finite")
+        if np.any(values[:-1] < values[1:]):
+            raise ValueError("spectrum values must be sorted descending")
+        spectra[key] = values
+    if set(spectra) != set(point_keys(d)):
         raise ValueError(
-            f"spectra CSV lists {len(table)} points; d = {d} needs each of the "
+            f"spectra CSV lists {len(spectra)} points; d = {d} needs each of the "
             f"{d * (d + 1)} points (m, j) once"
         )
+    table = np.array([spectra[k] for k in point_keys(d)]).reshape(d + 1, d, d)
+    table.flags.writeable = False
     return table
 
 
@@ -499,7 +473,7 @@ class FiducialExtraction:
     """
 
     lambda0: HermitianOp
-    sum_spectrum: Spectrum
+    sum_spectrum: np.ndarray
     third_moment: float
     rank: int
     fiducial: Fiducial | None
@@ -531,9 +505,9 @@ def fiducial_from_mu_pom(taus, mub: MubFamily) -> FiducialExtraction:
     lambda0 = total - HermitianOp.identity(d)
     sum_spectrum, _ = hermitian_eigensystem(total)
     spectrum, vectors = hermitian_eigensystem(lambda0)
-    rank = spectrum.rank
+    rank = spectrum_rank(spectrum)
     fid = None
-    if rank == 1 and abs(spectrum.values[0] - 1.0) <= 1e-6:
+    if rank == 1 and abs(spectrum[0] - 1.0) <= 1e-6:
         fid = Fiducial(d=d, ket=canonical_ket(vectors[:, 0]), source="reconstructed")
     return FiducialExtraction(
         lambda0=lambda0,

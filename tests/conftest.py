@@ -28,8 +28,8 @@ def searched():
 
 @pytest.fixture(scope="session")
 def searched_mu_pom(searched):
-    """Cached (family, point operators τ, spectra table, column report) per
-    dimension."""
+    """Cached (family, point operators τ, spectra table, per-column spread)
+    per dimension."""
     cache = {}
 
     def get(d: int):
@@ -37,8 +37,8 @@ def searched_mu_pom(searched):
             fam = siclab.generate_hw_sic(searched(d).fiducial)
             taus = siclab.extract_mu_pom(fam)
             table = siclab.spectra_table(taus)
-            report = siclab.assert_column_constant(table)
-            cache[d] = (fam, taus, table, report)
+            spread = siclab.assert_column_constant(table)
+            cache[d] = (fam, taus, table, spread)
         return cache[d]
 
     return get

@@ -75,17 +75,23 @@ D11C = [
 ]
 
 
+def group_sizes(grouping) -> list[int]:
+    """The sorted group sizes of a groups JSON object."""
+    return sorted(len(g) for g in grouping["groups"])
+
+
 def spectra_match(grouping, reference, tol: float = SPECTRA_MATCH_TOL) -> bool:
-    """Whether a Grouping reproduces a reference table up to group relabeling.
+    """Whether a groups JSON object {"groups", "spectra"} reproduces a
+    reference table up to group relabeling.
 
     ``reference`` is a list of (size, spectrum) pairs; every computed group
     must pair off with exactly one reference group of the same size whose
     spectrum agrees entrywise within ``tol``.
     """
-    if sorted(len(g) for g in grouping.groups) != sorted(s for s, _ in reference):
+    if group_sizes(grouping) != sorted(s for s, _ in reference):
         return False
     used = set()
-    for group, spec in zip(grouping.groups, grouping.spectra):
+    for group, spec in zip(grouping["groups"], grouping["spectra"]):
         hit = None
         for i, (size, ref) in enumerate(reference):
             if i in used or len(group) != size or len(spec) != len(ref):

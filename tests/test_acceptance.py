@@ -17,6 +17,7 @@ from helpers import (
     D11A,
     D11B,
     D11C,
+    group_sizes,
     random_density,
     random_ket,
     spectra_match,
@@ -135,7 +136,7 @@ def test_criterion_04_qubit_pipeline(report):
         mu_pom_from_probabilities(mub, [tuple(sol)] * 3), mub
     )
     spec, _ = hermitian_eigensystem(ext.lambda0)
-    dev_eig = spec.max_abs_diff((1.0, 0.0))
+    dev_eig = float(np.abs(spec - (1.0, 0.0)).max())
     fam = generate_hw_sic(ext.fiducial)
     dev_overlap = verify_sic(fam)
     ok = dev_p <= 1e-12 and dev_eig <= 1e-10 and dev_overlap <= 1e-10
@@ -201,15 +202,15 @@ def test_criterion_06_simplex_norms(report):
 
 def test_criterion_07_d5_spectra(report, searched, searched_mu_pom):
     res = searched(5)
-    _, _, table, col_report = searched_mu_pom(5)
+    _, _, table, spread = searched_mu_pom(5)
     grouping = group_columns_by_spectrum(table, tol=1e-4)
-    sizes_ok = grouping.sizes() == [3, 3]
+    sizes_ok = group_sizes(grouping) == [3, 3]
     match_ok = spectra_match(grouping, D5)
     ok = (
         res.converged
         and res.objective <= 1e-12
         and res.restarts_used <= 200
-        and col_report.max_spread <= 1e-8
+        and spread.max() <= 1e-8
         and sizes_ok
         and match_ok
     )
@@ -217,11 +218,11 @@ def test_criterion_07_d5_spectra(report, searched, searched_mu_pom):
         7,
         ok,
         f"search objective {res.objective:.2e} in {res.restarts_used} restart(s); "
-        f"column spread {col_report.max_spread:.2e}; groups of 3+3 match "
+        f"column spread {spread.max():.2e}; groups of 3+3 match "
         f"published spectra: {match_ok}",
     )
     assert res.converged and res.objective <= 1e-12
-    assert col_report.max_spread <= 1e-8
+    assert spread.max() <= 1e-8
     assert sizes_ok
     assert match_ok
 
@@ -229,22 +230,22 @@ def test_criterion_07_d5_spectra(report, searched, searched_mu_pom):
 def test_criterion_08_d7_d11_structure(report, searched, searched_mu_pom):
     _, _, table7, rep7 = searched_mu_pom(7)
     g7 = group_columns_by_spectrum(table7, tol=1e-4)
-    sizes7_ok = g7.sizes() in ([1, 1, 3, 3], [1, 1, 6])
+    sizes7_ok = group_sizes(g7) in ([1, 1, 3, 3], [1, 1, 6])
     match7 = spectra_match(g7, D7A) or spectra_match(g7, D7B)
 
     _, _, table11, rep11 = searched_mu_pom(11)
     g11 = group_columns_by_spectrum(table11, tol=1e-4)
-    sizes11_ok = g11.sizes() == [3, 3, 3, 3]
+    sizes11_ok = group_sizes(g11) == [3, 3, 3, 3]
     match11 = any(spectra_match(g11, ref) for ref in (D11A, D11B, D11C))
 
-    spread_ok = rep7.max_spread <= 1e-8 and rep11.max_spread <= 1e-8
+    spread_ok = rep7.max() <= 1e-8 and rep11.max() <= 1e-8
     ok = spread_ok and sizes7_ok and sizes11_ok and match7 and match11
     report(
         8,
         ok,
-        f"searched fiducials: d=7 sizes {g7.sizes()} (spread {rep7.max_spread:.2e}, "
-        f"table match {match7}); d=11 sizes {g11.sizes()} "
-        f"(spread {rep11.max_spread:.2e}, table match {match11})",
+        f"searched fiducials: d=7 sizes {group_sizes(g7)} (spread {rep7.max():.2e}, "
+        f"table match {match7}); d=11 sizes {group_sizes(g11)} "
+        f"(spread {rep11.max():.2e}, table match {match11})",
     )
     assert spread_ok
     assert sizes7_ok and sizes11_ok

@@ -135,6 +135,32 @@ def test_sic_spectra_and_group(tmp_path, capsys):
     assert len(obj["spectra"]) == 1
 
 
+def test_sic_group_exits_1_when_columns_are_not_constant(tmp_path, capsys):
+    # A valid d = 5 spectra CSV whose column 0 has one member 2**-40 off in
+    # its top eigenvalue: exactly representable, so the spread prints exactly.
+    base = [0.375, 0.25, 0.1875, 0.125, 0.0625]
+    rows = ["m,j," + ",".join(f"lambda_{i}" for i in range(1, 6))]
+    for j in range(6):
+        for m in range(5):
+            values = [base[0] + 2.0**-40] + base[1:] if (m, j) == (1, 0) else base
+            rows.append(f"{m},{j}," + ",".join(repr(x) for x in values))
+    csv_path = tmp_path / "spectra.csv"
+    csv_path.write_text("\n".join(rows) + "\n")
+    groups = tmp_path / "groups.json"
+    argv = ["sic", "group", "--in", str(csv_path), "--tol", "1e-20", "--out", str(groups)]
+    assert run(argv) == 1
+    out, err = capsys.readouterr()
+    assert out == (
+        "max within-column spread 9.09494701773e-13\n"
+        "groups: [[0], [1, 2, 3, 4, 5]]\n"
+    )
+    assert err == "columns are not constant at tol 1e-20\n"
+    obj = json.loads(groups.read_text())
+    assert obj["groups"] == [[0], [1, 2, 3, 4, 5]]
+    assert obj["spectra"][1] == base
+    assert len(obj["spectra"]) == 2
+
+
 GENERATE = ["sic", "generate", "--fiducial", "IN", "--out", "OUT"]
 GROUP = ["sic", "group", "--in", "IN", "--out", "OUT"]
 MUB_VERIFY = ["mub", "verify", "--d", "5"]

@@ -61,13 +61,14 @@ READERS = {
 REPLACEMENTS = {"string": "x", "null": None, "nan": float("nan"), "list": [1, 2]}
 EVERY_FILE = ["drop", *REPLACEMENTS, "truncate"]
 # Header values that leave no valid file behind; so does "op-dim", a
-# wrong-size operator.
+# wrong-size operator.  A spectra CSV's d is its lambda count, so it takes
+# only the integer ones.
 MUST_REJECT = {"d=1": 1, "d=4": 4, "d=2.0": 2.0}
-JSON_ONLY = [*MUST_REJECT, "op-dim"]
+JSON_ONLY = ["d=2.0", "op-dim"]
 CASES = [
     (name, mutation)
     for name in READERS
-    for mutation in EVERY_FILE + (JSON_ONLY if name != "spectra" else [])
+    for mutation in EVERY_FILE + ["d=1", "d=4"] + (JSON_ONLY if name != "spectra" else [])
     if not (mutation == "op-dim" and "ops" not in VALID[name])
 ]
 
@@ -119,6 +120,14 @@ def _mutate_json(obj, mutation, data) -> str:
 
 
 def _mutate_csv(text, mutation, data) -> str:
+    if mutation in MUST_REJECT:
+        # Every point once with n equal values: only the check on d rejects it.
+        n = MUST_REJECT[mutation]
+        rows = [["m", "j"] + [f"lambda_{i}" for i in range(1, n + 1)]]
+        rows += [[m, j] + [1 / n] * n for j in range(n + 1) for m in range(n)]
+        buf = io.StringIO()
+        csv.writer(buf, lineterminator="\n").writerows(rows)
+        return buf.getvalue()
     if mutation == "truncate":
         return text[: data.draw(st.integers(0, len(text) - 1))]
     rows = list(csv.reader(io.StringIO(text)))

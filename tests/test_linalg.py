@@ -7,7 +7,6 @@ from helpers import D5, PRIME_DIMS, SPECTRA_MATCH_TOL, random_hermitian
 from mubsic import frames, siclab, weyl
 from mubsic.linalg import (
     HermitianOp,
-    Spectrum,
     complex_from_json,
     complex_to_json,
     hermitian_eigensystem,
@@ -112,7 +111,7 @@ def test_hs_inner_symmetry_and_positivity():
     assert hs_inner(a, b) == pytest.approx(hs_inner(b, a), abs=1e-12)
     spec, _ = hermitian_eigensystem(a)
     assert hs_inner(a, a) >= 0.0
-    assert hs_inner(a, a) == pytest.approx(sum(v * v for v in spec.values), abs=1e-10)
+    assert hs_inner(a, a) == pytest.approx(float(spec @ spec), abs=1e-10)
 
 
 # --- eigensystem ---------------------------------------------------------------
@@ -120,21 +119,21 @@ def test_hs_inner_symmetry_and_positivity():
 
 def test_eigensystem_diagonal_input():
     spec, vecs = hermitian_eigensystem(HermitianOp.from_matrix(np.diag([2.0, 1.0, 1.0])))
-    assert spec.values == pytest.approx((2.0, 1.0, 1.0))
+    assert spec == pytest.approx((2.0, 1.0, 1.0))
     np.testing.assert_allclose(vecs.conj().T @ vecs, np.eye(3), atol=1e-10)
 
 
 def test_eigensystem_qubit_projector():
     spec, _ = hermitian_eigensystem(qubit_lambda0())
-    assert spec.values[0] == pytest.approx(1.0, abs=1e-12)
-    assert spec.values[1] == pytest.approx(0.0, abs=1e-12)
+    assert spec[0] == pytest.approx(1.0, abs=1e-12)
+    assert spec[1] == pytest.approx(0.0, abs=1e-12)
 
 
 def test_eigensystem_d5_column_spectrum(searched_mu_pom):
     # The (0, 0) measurement operator of the d = 5 family carries one of the
     # two published six-digit spectra.
     _, _, table, _ = searched_mu_pom(5)
-    got = np.asarray(table[(0, 0)].values)
+    got = table[0, 0]
     match = min(
         float(np.abs(got - np.asarray(ref)).max()) for _, ref in D5
     )
@@ -146,11 +145,11 @@ def test_eigensystem_reconstructs_and_sums_to_trace():
     for d in (2, 3, 5, 7):
         h = random_hermitian(rng, d)
         spec, vecs = hermitian_eigensystem(h)
-        assert list(spec.values) == sorted(spec.values, reverse=True)
-        recon = vecs @ np.diag(spec.values) @ vecs.conj().T
+        assert list(spec) == sorted(spec, reverse=True)
+        recon = vecs @ np.diag(spec) @ vecs.conj().T
         assert np.abs(recon - h.mat).max() <= 1e-10
         assert np.abs(vecs.conj().T @ vecs - np.eye(d)).max() <= 1e-10
-        assert sum(spec.values) == pytest.approx(h.trace, abs=1e-10)
+        assert spec.sum() == pytest.approx(h.trace, abs=1e-10)
 
 
 # --- rank and third moment -------------------------------------------------------
@@ -186,28 +185,48 @@ def test_third_moment_equals_eigenvalue_cubes():
     rng = np.random.default_rng(9)
     h = random_hermitian(rng, 6)
     spec, _ = hermitian_eigensystem(h)
-    assert third_moment(h) == pytest.approx(sum(v**3 for v in spec.values), abs=1e-9)
+    assert third_moment(h) == pytest.approx(float((spec**3).sum()), abs=1e-9)
 
 
-# --- spectrum type ---------------------------------------------------------------
+# --- spectrum checks -------------------------------------------------------------
+#
+# An eigensystem's spectrum is a read-only descending array; the finite and
+# descending checks on outside input live in the spectra CSV reader.
+
+QUBIT_SPECTRA_CSV = "m,j,lambda_1,lambda_2\n" + "".join(
+    f"{m},{j},0.7,0.3\n" for j in range(3) for m in range(2)
+)
+
+
+def qubit_spectra_with_row(row: str) -> str:
+    """The valid d = 2 spectra CSV with the values of point (0, 0) replaced."""
+    lines = QUBIT_SPECTRA_CSV.splitlines()
+    return "\n".join([lines[0], f"0,0,{row}"] + lines[2:]) + "\n"
+
+
+def test_eigensystem_spectrum_is_read_only_and_descending():
+    rng = np.random.default_rng(10)
+    for d in (2, 3, 5):
+        spec, _ = hermitian_eigensystem(random_hermitian(rng, d))
+        assert spec.shape == (d,) and spec.dtype == np.float64
+        assert np.all(spec[:-1] >= spec[1:])
+        assert not spec.flags.writeable
+        with pytest.raises(ValueError):
+            spec[0] = 0.0
 
 
 def test_spectrum_requires_descending_order():
-    with pytest.raises(ValueError):
-        Spectrum(values=(0.0, 1.0))
+    assert siclab.spectra_from_csv(qubit_spectra_with_row("0.7,0.3"))[0, 0].tolist() == [0.7, 0.3]
+    with pytest.raises(ValueError, match="descending"):
+        siclab.spectra_from_csv(qubit_spectra_with_row("0.3,0.7"))
 
 
-@pytest.mark.parametrize("bad", [float("nan"), float("inf"), -float("inf")])
+@pytest.mark.parametrize("bad", ["nan", "inf", "-inf"])
 def test_spectrum_rejects_non_finite(bad):
     with pytest.raises(ValueError, match="finite"):
-        Spectrum(values=(bad, 0.0))
+        siclab.spectra_from_csv(qubit_spectra_with_row(f"{bad},0.3"))
     with pytest.raises(ValueError, match="finite"):
-        Spectrum(values=(1.0, bad))
-
-
-def test_spectrum_max_abs_diff():
-    a = Spectrum(values=(0.5, 0.25))
-    assert a.max_abs_diff((0.5, 0.0)) == pytest.approx(0.25)
+        siclab.spectra_from_csv(qubit_spectra_with_row(f"0.7,{bad}"))
 
 
 # --- serialization ---------------------------------------------------------------

@@ -1,3 +1,5 @@
+import csv
+import io
 import json
 
 import numpy as np
@@ -14,11 +16,12 @@ from helpers import (
     D11C,
     PRIMES,
     SPECTRA_MATCH_TOL,
+    group_sizes,
     random_ket,
     spectra_match,
 )
 from mubsic import linalg, siclab
-from mubsic.linalg import HermitianOp, Spectrum, hermitian_eigensystem, third_moment
+from mubsic.linalg import HermitianOp, hermitian_eigensystem, third_moment
 from mubsic.frames import incidence_ops
 from mubsic.plane import build_dapg, line_keys, point_keys
 from mubsic.siclab import (
@@ -184,15 +187,15 @@ def test_qubit_columns_share_one_spectrum():
     hi = (3 + np.sqrt(3)) / 6
     for k in point_keys(2):
         spec, _ = hermitian_eigensystem(taus[k])
-        assert spec.values[0] == pytest.approx(hi, abs=1e-12)
-        assert spec.values[1] == pytest.approx(1 - hi, abs=1e-12)
+        assert spec[0] == pytest.approx(hi, abs=1e-12)
+        assert spec[1] == pytest.approx(1 - hi, abs=1e-12)
 
 
 def test_qutrit_columns_share_one_spectrum():
     taus = extract_mu_pom(generate_hw_sic(qutrit_fiducial()))
     for k in point_keys(3):
         spec, _ = hermitian_eigensystem(taus[k])
-        assert spec.max_abs_diff((0.5, 0.5, 0.0)) <= 1e-12
+        assert np.abs(spec - (0.5, 0.5, 0.0)).max() <= 1e-12
 
 
 def test_extraction_matches_incidence_sums():
@@ -249,14 +252,14 @@ def test_mu_pom_invariants():
         assert np.abs(col - eye).max() <= 1e-10
     for k in point_keys(d):
         spec, _ = hermitian_eigensystem(taus[k])
-        assert min(spec.values) >= -1e-10
+        assert spec.min() >= -1e-10
 
 
 def test_d5_spectra_two_groups(searched, searched_mu_pom):
-    _, _, table, report = searched_mu_pom(5)
-    assert report.max_spread <= 1e-8
+    _, _, table, spread = searched_mu_pom(5)
+    assert spread.max() <= 1e-8
     grouping = group_columns_by_spectrum(table, tol=1e-4)
-    assert grouping.sizes() == [3, 3]
+    assert group_sizes(grouping) == [3, 3]
     assert spectra_match(grouping, D5)
 
 
@@ -270,17 +273,24 @@ def test_column_constancy_report_on_sloppy_family():
         [np.sin(1e-3), np.cos(1e-3)],
     ]
     bent = Fiducial(d=3, ket=canonical_ket(rot @ fid.ket), source="ingested")
-    report = assert_column_constant(spectra_table(line_to_point_bridge(generate_hw_sic(bent))))
-    assert report.max_spread >= 0.0
-    assert set(report.per_column) == {0, 1, 2, 3}
+    spread = assert_column_constant(spectra_table(line_to_point_bridge(generate_hw_sic(bent))))
+    assert spread.shape == (4,)
+    assert spread.min() >= 0.0
 
 
-def loop_assert_column_constant(table, tol=1e-8):
+def spectra_dict(table):
+    """The dict form of a spectra table that the array replaced: (m, j) ->
+    tuple of descending Python floats."""
+    d = table.shape[1]
+    return {(m, j): tuple(table[j, m].tolist()) for m, j in point_keys(d)}
+
+
+def loop_assert_column_constant(spectra):
     """Reference: the pair loop that the per-column max − min replaced."""
-    d = max(k[1] for k in table)
+    d = max(k[1] for k in spectra)
     per_column = {}
     for j in range(d + 1):
-        specs = [np.asarray(table[(m, j)].values) for m in range(d)]
+        specs = [np.asarray(spectra[(m, j)]) for m in range(d)]
         spread = 0.0
         for i in range(len(specs)):
             for i2 in range(i + 1, len(specs)):
@@ -289,39 +299,97 @@ def loop_assert_column_constant(table, tol=1e-8):
     return max(per_column.values()), per_column
 
 
+def loop_spectra_to_csv(spectra):
+    """Reference: the CSV writer over the dict form."""
+    d = max(k[1] for k in spectra)
+    buf = io.StringIO()
+    writer = csv.writer(buf, lineterminator="\n")
+    writer.writerow(["m", "j"] + [f"lambda_{i}" for i in range(1, d + 1)])
+    for m, j in point_keys(d):
+        writer.writerow([m, j] + [f"{x:.12g}" for x in spectra[(m, j)]])
+    return buf.getvalue()
+
+
+def loop_group_columns(spectra, tol):
+    """Reference: grouping over the dict form, with per-column and
+    per-group means taken the way the dict code took them."""
+    d = max(k[1] for k in spectra)
+    reps = np.array(
+        [np.mean([spectra[(m, j)] for m in range(d)], axis=0) for j in range(d + 1)]
+    )
+    close = np.abs(reps[:, None] - reps).max(axis=2) <= tol
+    groups = []
+    for j in range(d + 1):
+        linked = [g for g in groups if close[j, g].any()]
+        merged = sorted([j] + [k for g in linked for k in g])
+        groups = [g for g in groups if g not in linked] + [merged]
+    groups.sort()
+    spectra_out = [
+        [float(x) for x in np.mean([reps[j] for j in g], axis=0)] for g in groups
+    ]
+    return {"groups": groups, "spectra": spectra_out}
+
+
+def random_spectra_table(d):
+    """A (d+1, d, d) table of descending spectra of mixed magnitude, so that
+    most differences and means round; columns share one of a few spectra up
+    to noise within the grouping tolerance, so groups form."""
+    rng = np.random.default_rng(d)
+    shared = rng.uniform(0, 1, (3, d)) * 10.0 ** rng.integers(-8, 1, (3, d))
+    noise = rng.uniform(0, 1e-7, (d + 1, d, d)) * rng.integers(0, 2, (d + 1, 1, 1))
+    values = shared[rng.integers(0, 3, d + 1)][:, None, :] + noise
+    return -np.sort(-values, axis=2)
+
+
 @pytest.mark.parametrize("d", REF_DIMS)
 def test_column_spread_matches_pair_loop(d):
     # Values of mixed magnitude, so that most differences round.
     rng = np.random.default_rng(d)
-    values = rng.uniform(0, 1, (d * (d + 1), d)) * 10.0 ** rng.integers(-8, 1, (d * (d + 1), d))
-    table = {
-        k: Spectrum(values=tuple(np.sort(v)[::-1])) for k, v in zip(point_keys(d), values)
-    }
-    report = assert_column_constant(table)
-    assert (report.max_spread, report.per_column) == loop_assert_column_constant(table)
-    assert type(report.max_spread) is float
+    values = rng.uniform(0, 1, (d + 1, d, d)) * 10.0 ** rng.integers(-8, 1, (d + 1, d, d))
+    table = -np.sort(-values, axis=2)
+    spread = assert_column_constant(table)
+    max_spread, per_column = loop_assert_column_constant(spectra_dict(table))
+    assert spread.shape == (d + 1,)
+    assert spread.tolist() == [per_column[j] for j in range(d + 1)]
+    assert float(spread.max()) == max_spread
+
+
+@pytest.mark.parametrize("d", REF_DIMS)
+def test_spectra_csv_and_grouping_match_dict_loops(d):
+    table = random_spectra_table(d)
+    spectra = spectra_dict(table)
+    text = spectra_to_csv(table)
+    assert text == loop_spectra_to_csv(spectra)
+    back = spectra_from_csv(text)
+    assert np.all(np.abs(back - table) <= 5e-12 * table)  # 12 significant digits
+    for tol in (1e-6, 1e-20):
+        grouping = group_columns_by_spectrum(table, tol=tol)
+        assert json.dumps(grouping) == json.dumps(loop_group_columns(spectra, tol))
+    assert len(group_columns_by_spectrum(table, tol=1e-6)["groups"]) <= 3
 
 
 def test_grouping_qutrit_is_single_group():
     table = spectra_table(extract_mu_pom(generate_hw_sic(qutrit_fiducial())))
+    assert table.shape == (4, 3, 3) and not table.flags.writeable
     grouping = group_columns_by_spectrum(table, tol=1e-8)
-    assert grouping.groups == [[0, 1, 2, 3]]
-    assert grouping.to_json_dict()["groups"] == [[0, 1, 2, 3]]
+    assert list(grouping) == ["groups", "spectra"]
+    assert grouping["groups"] == [[0, 1, 2, 3]]
+    assert len(grouping["spectra"]) == 1
 
 
 def test_grouping_d7_matches_known_orbit(searched, searched_mu_pom):
-    _, _, table, report = searched_mu_pom(7)
-    assert report.max_spread <= 1e-8
+    _, _, table, spread = searched_mu_pom(7)
+    assert spread.max() <= 1e-8
     grouping = group_columns_by_spectrum(table, tol=1e-4)
-    assert grouping.sizes() in ([1, 1, 3, 3], [1, 1, 6])
+    assert group_sizes(grouping) in ([1, 1, 3, 3], [1, 1, 6])
     assert spectra_match(grouping, D7A) or spectra_match(grouping, D7B)
 
 
 def test_grouping_d11_matches_known_orbit(searched, searched_mu_pom):
-    _, _, table, report = searched_mu_pom(11)
-    assert report.max_spread <= 1e-8
+    _, _, table, spread = searched_mu_pom(11)
+    assert spread.max() <= 1e-8
     grouping = group_columns_by_spectrum(table, tol=1e-4)
-    assert grouping.sizes() == [3, 3, 3, 3]
+    assert group_sizes(grouping) == [3, 3, 3, 3]
     assert any(spectra_match(grouping, ref) for ref in (D11A, D11B, D11C))
 
 
@@ -333,14 +401,10 @@ def test_grouping_does_not_depend_on_column_order(reverse):
     offsets = [0.0, 0.6 * tol, 1.2 * tol, 5 * tol]
     if reverse:
         offsets.reverse()
-    table = {
-        (m, j): Spectrum(values=(0.5 + offsets[j], 0.3, 0.2 - offsets[j]))
-        for m in range(3)
-        for j in range(4)
-    }
+    table = np.array([[(0.5 + off, 0.3, 0.2 - off)] * 3 for off in offsets])
     grouping = group_columns_by_spectrum(table, tol=tol)
-    assert grouping.groups == ([[0], [1, 2, 3]] if reverse else [[0, 1, 2], [3]])
-    chained = grouping.spectra[1 if reverse else 0]
+    assert grouping["groups"] == ([[0], [1, 2, 3]] if reverse else [[0, 1, 2], [3]])
+    chained = grouping["spectra"][1 if reverse else 0]
     assert chained == pytest.approx([0.5 + 0.6 * tol, 0.3, 0.2 - 0.6 * tol], abs=1e-15)
 
 
@@ -349,9 +413,9 @@ def test_spectra_csv_round_trip():
     text = spectra_to_csv(table)
     assert text.splitlines()[0] == "m,j,lambda_1,lambda_2"
     back = spectra_from_csv(text)
-    assert set(back) == set(table)
-    for k in table:
-        assert table[k].max_abs_diff(back[k].values) <= 1e-10
+    assert back.shape == table.shape == (3, 2, 2)
+    assert not back.flags.writeable
+    assert np.abs(back - table).max() <= 1e-10
     with pytest.raises(ValueError):
         spectra_from_csv("a,b\n1,2\n")
     lines = text.splitlines()
@@ -464,7 +528,7 @@ def test_qubit_candidate_projector():
     want = (np.eye(2) + (sx + sy + sz) / np.sqrt(3)) / 2
     assert np.abs(ext.lambda0.mat - want).max() <= 1e-10
     spec, _ = hermitian_eigensystem(ext.lambda0)
-    assert spec.max_abs_diff((1.0, 0.0)) <= 1e-10
+    assert np.abs(spec - (1.0, 0.0)).max() <= 1e-10
 
 
 def test_qutrit_candidate_projector():
@@ -476,8 +540,8 @@ def test_qutrit_candidate_projector():
     assert fidelity(ext.fiducial.ket, qutrit_target_ket()) >= 1 - 1e-10
     assert ext.fiducial.source == "reconstructed"
     # sum of the d+1 column operators has eigenvalues {2, 1, 1}
-    assert ext.sum_spectrum.max_abs_diff((2.0, 1.0, 1.0)) <= 1e-8
-    assert sum(ext.sum_spectrum.values) == pytest.approx(4.0, abs=1e-10)
+    assert np.abs(ext.sum_spectrum - (2.0, 1.0, 1.0)).max() <= 1e-8
+    assert ext.sum_spectrum.sum() == pytest.approx(4.0, abs=1e-10)
 
 
 def test_candidate_projector_eigensolves_each_operator_once(monkeypatch):
