@@ -39,10 +39,10 @@ from .weyl import MubFamily, WeylPair, build_weyl_pair, monomial, require_prime
 
 def __getattr__(name):
     """Load ``least_squares`` from scipy.optimize on first use and keep it as
-    this module's attribute: only the two solvers need scipy, and importing
-    it costs most of the package's start-up time.  The solvers call it
-    through the module object, so they reach this hook on the first call and
-    call whatever the attribute holds after that."""
+    this module's attribute: only the fiducial search needs scipy, and
+    importing it costs most of the package's start-up time.  The search calls
+    it through the module object, so it reaches this hook on the first call
+    and calls whatever the attribute holds after that."""
     if name == "least_squares":
         from scipy.optimize import least_squares
 
@@ -336,7 +336,7 @@ class CyclicSolutions:
     reflection.  For d = 3 the full solution set is the one-parameter family
     exposed via ``family`` on ``family_bounds``; for d ≥ 5 the set is a
     positive-dimensional variety and ``solutions`` are deduped sample points
-    found from seeded restarts.
+    found by seeded minimum-norm Gauss-Newton restarts.
     """
 
     d: int
@@ -379,39 +379,41 @@ def _canonical_cycle(p: np.ndarray) -> tuple:
     return best
 
 
+# Gauss-Newton steps allowed per cyclic-probability restart (restarts at
+# d ≤ 31 take 5-19).
+_CYCLIC_STEPS = 50
+
+
 def solve_cyclic_probability(d: int, seed: int = 0, restarts: int = 64) -> CyclicSolutions:
     """Solve the cyclic overlap conditions for probability vectors.
 
-    d = 2 and d = 3 use closed forms; d ≥ 5 runs seeded bounded least-squares
-    restarts and returns residual-clean solutions deduped up to cyclic shift
-    and reflection.
+    d = 2 and d = 3 use closed forms; d ≥ 5 returns the residual-clean
+    results of seeded minimum-norm Gauss-Newton restarts, deduped up to
+    cyclic shift and reflection.
     """
     d = require_prime(d)
     if restarts < 1:
         raise ValueError("restarts must be >= 1")
+    family = {}
     if d == 2:
         hi = (3.0 + np.sqrt(3.0)) / 6.0
-        sols = [
-            ProbabilityVector(entries=(hi, 1.0 - hi)),
-            ProbabilityVector(entries=(1.0 - hi, hi)),
-        ]
-        return CyclicSolutions(
-            d=2,
-            solutions=sols,
-            residuals=[
-                float(np.abs(cyclic_residuals(list(s), 2)).max()) for s in sols
-            ],
-        )
-    if d == 3:
-        distinguished = qutrit_cyclic_family(0.5)
-        return CyclicSolutions(
-            d=3,
-            solutions=[distinguished],
-            residuals=[float(np.abs(cyclic_residuals(list(distinguished), 3)).max())],
-            family=qutrit_cyclic_family,
-            family_bounds=(0.0, 2.0 / 3.0),
-        )
+        vectors = [(hi, 1.0 - hi), (1.0 - hi, hi)]
+    elif d == 3:
+        vectors = [qutrit_cyclic_family(0.5).entries]
+        family = {"family": qutrit_cyclic_family, "family_bounds": (0.0, 2.0 / 3.0)}
+    else:
+        vectors = _cyclic_samples(d, seed, restarts)
+    sols = [ProbabilityVector(entries=v) for v in vectors]
+    residuals = [float(np.abs(cyclic_residuals(s.entries, d)).max()) for s in sols]
+    return CyclicSolutions(d=d, solutions=sols, residuals=residuals, **family)
 
+
+def _cyclic_samples(d: int, seed: int, restarts: int) -> list:
+    """Canonical cycles of the restarts' solutions, deduped at 8 digits and
+    sorted descending.  Each restart writes p = q⊙q, which keeps p ≥ 0, and
+    takes minimum-norm Gauss-Newton steps in q from the square root of a
+    Dirichlet draw: the (d−1)/2 + 2 conditions leave a positive-dimensional
+    solution set, onto which the least-norm step projects quadratically."""
     half = (d - 1) // 2
 
     def jac(p):
@@ -424,26 +426,22 @@ def solve_cyclic_probability(d: int, seed: int = 0, restarts: int = 64) -> Cycli
     rng = np.random.default_rng(seed)
     found: dict[tuple, tuple] = {}
     for _ in range(restarts):
-        x0 = rng.dirichlet(np.ones(d))
-        res = sys.modules[__name__].least_squares(
-            lambda p: cyclic_residuals(p, d), x0, jac=jac, bounds=(0.0, 1.0), method="trf",
-            xtol=1e-15, ftol=1e-15, gtol=1e-15,
-        )
-        resid = float(np.abs(cyclic_residuals(res.x, d)).max())
-        if resid > 1e-12:
+        q = np.sqrt(rng.dirichlet(np.ones(d)))
+        r = cyclic_residuals(q * q, d)
+        for _ in range(_CYCLIC_STEPS):
+            q_next = q - np.linalg.lstsq(jac(q * q) * (2.0 * q), r, rcond=None)[0]
+            r_next = cyclic_residuals(q_next * q_next, d)
+            # Far from the set a full step may raise max |r|; within the
+            # 1e-12 gate below, the first step that does not lower it ends.
+            if np.abs(r).max() <= 1e-12 and np.abs(r_next).max() >= np.abs(r).max():
+                break
+            q, r = q_next, r_next
+        if np.abs(r).max() > 1e-12:
             continue
-        p = np.where(res.x < 1e-14, 0.0, res.x)
-        p = p / p.sum()
-        canon = _canonical_cycle(p)
-        key = tuple(round(x, 8) for x in canon)
-        if key not in found:
-            found[key] = (canon, float(np.abs(cyclic_residuals(canon, d)).max()))
-    solutions = []
-    residuals = []
-    for canon, resid in sorted(found.values(), reverse=True):
-        solutions.append(ProbabilityVector(entries=tuple(float(x) for x in canon)))
-        residuals.append(resid)
-    return CyclicSolutions(d=d, solutions=solutions, residuals=residuals)
+        p = np.where(q * q < 1e-14, 0.0, q * q)
+        canon = _canonical_cycle(p / p.sum())
+        found.setdefault(tuple(round(x, 8) for x in canon), tuple(float(x) for x in canon))
+    return sorted(found.values(), reverse=True)
 
 
 # --- fiducial from measurement columns ------------------------------------------

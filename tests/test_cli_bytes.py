@@ -187,7 +187,7 @@ PINS = {
     ),
     "sic solve-prob --d 5 --seed 11 --restarts 8": (
         0,
-        "fdd5ac8c680b00d3f1bba05a01b7ec050433e60406d679590a5d23ec8f7d9caf",
+        "915b3307b6aa1e75c4567b26ea8b4d48eb6d7153b3bd6916d773dd7e83aaea0c",
         None,
     ),
 }

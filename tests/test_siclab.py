@@ -14,6 +14,7 @@ from helpers import (
     D11A,
     D11B,
     D11C,
+    PRIME_DIMS,
     PRIMES,
     SPECTRA_MATCH_TOL,
     group_sizes,
@@ -478,6 +479,26 @@ def test_d5_solutions_are_distinct_up_to_symmetry():
         assert tuple(p) == max(orbit)
 
 
+@pytest.mark.parametrize("d", PRIME_DIMS[2:])
+@given(st.integers(0, 2**32 - 1))
+def test_cyclic_samples_every_prime(d, seed):
+    res = solve_cyclic_probability(d, seed, restarts=8)
+    assert res.solutions, f"no solutions for d = {d}, seed {seed}"
+    keys = set()
+    for sol in res.solutions:
+        p = np.asarray(sol.entries)
+        assert p.min() >= 0.0
+        assert abs(p.sum() - 1.0) <= 1e-12
+        assert np.abs(cyclic_residuals(p, d)).max() <= 1e-12
+        orbit = {tuple(np.roll(q, s)) for q in (p, p[::-1]) for s in range(d)}
+        assert sol.entries == max(orbit)
+        keys.add(tuple(np.round(p, 8)))
+    assert len(keys) == len(res.solutions)
+    again = solve_cyclic_probability(d, seed, restarts=8)
+    assert [s.entries for s in again.solutions] == [s.entries for s in res.solutions]
+    assert again.residuals == res.residuals
+
+
 def test_probability_vector_validation():
     with pytest.raises(ValueError):
         ProbabilityVector(entries=(0.5, 0.6))
@@ -763,6 +784,18 @@ def test_overlap_table_entries(d):
     assert table[0, 0] == psi.conj() @ psi
     ref = [[psi.conj() @ monomial(wp, a, b) @ psi for b in range(d)] for a in range(d)]
     assert np.abs(table - np.array(ref)).max() <= 1e-14
+
+
+@given(PRIMES, st.integers(0, 2**32 - 1))
+def test_overlap_table_sum_rule(d, seed):
+    # The d² Weyl monomials are an orthogonal operator basis with
+    # tr(W†W) = d, so Σ_{a,b} |⟨ψ|W_ab|ψ⟩|² = d tr(|ψ⟩⟨ψ|²) = d‖ψ‖⁴ for
+    # any ket, unnormalized ones included.
+    rng = np.random.default_rng(seed)
+    psi = rng.uniform(0.5, 2.0) * random_ket(rng, d)
+    want = d * np.vdot(psi, psi).real ** 2
+    got = float((np.abs(overlap_table(psi)) ** 2).sum())
+    assert abs(got - want) <= 1e-13 * want
 
 
 @pytest.mark.parametrize("d", REF_DIMS)

@@ -1,4 +1,5 @@
-"""scipy is loaded only by the two solvers, on first use.
+"""scipy is loaded only by the fiducial search, on first use; the cyclic
+probability solver runs on numpy alone.
 
 The import checks run in fresh interpreters: within the suite, earlier
 searches have already imported scipy, so an in-process check proves nothing.
@@ -47,6 +48,7 @@ def test_import_and_non_solving_call_leave_scipy_unloaded():
     [
         (["sic", "search", "--d", "3"], True),
         (["sic", "solve-prob", "--d", "3"], False),  # closed form, no solver
+        (["sic", "solve-prob", "--d", "5"], False),  # numpy Gauss-Newton
     ],
 )
 def test_only_solving_calls_load_scipy(argv, loads):
@@ -73,7 +75,7 @@ def test_unknown_attribute_raises():
         siclab.no_such_name  # noqa: B018
 
 
-def test_both_solvers_call_the_module_attribute(monkeypatch):
+def test_only_the_search_calls_the_module_attribute(monkeypatch):
     original = siclab.least_squares
     calls = []
 
@@ -84,6 +86,7 @@ def test_both_solvers_call_the_module_attribute(monkeypatch):
     monkeypatch.setitem(siclab.__dict__, "least_squares", counting)
     siclab.search_fiducial(3, siclab.SearchConfig(seed=1))
     searches = len(calls)
-    siclab.solve_cyclic_probability(5, seed=1, restarts=2)
+    res = siclab.solve_cyclic_probability(5, seed=1, restarts=2)
     assert searches >= 1
-    assert len(calls) - searches == 2
+    assert len(calls) == searches
+    assert len(res.solutions) == 2
