@@ -239,22 +239,42 @@ def export_incidence(geom: Dapg, fmt: str) -> str:
     Output ordering is deterministic (points by (column, index), lines
     lexicographic), so identical geometries export byte-identically.
     """
+    # (point, line) pairs, line by line and each line's points in order.
+    cols, rows = np.nonzero(geom.incidence.T)
+    pairs = [(geom.points[r], geom.lines[c]) for c, r in zip(cols.tolist(), rows.tolist())]
     if fmt == "json":
-        obj = {
-            "d": geom.d,
-            "points": [list(p) for p in geom.points],
-            "lines": [list(ln) for ln in geom.lines],
-            "incidence": [
-                [list(p), list(ln)] for ln in geom.lines for p in geom.points_on(ln)
-            ],
-        }
-        return json.dumps(obj, indent=1) + "\n"
+        arrays = {"points": geom.points, "lines": geom.lines, "incidence": pairs}
+        body = "".join(f',\n "{k}": {_indented_json(v, 1)}' for k, v in arrays.items())
+        return f'{{\n "d": {geom.d}{body}\n}}\n'
     if fmt == "dot":
         points = {(m, j): f"p{m}_{j}" for m, j in geom.points}
         lines = {(a, b): f"l{a}_{b}" for a, b in geom.lines}
-        members = [(points[p], lines[ln]) for ln in geom.lines for p in geom.points_on(ln)]
+        members = [(points[p], lines[ln]) for p, ln in pairs]
         return _dot(f"dapg_{geom.d}", points.values(), lines.values(), members)
     raise ValueError(f"unknown export format: {fmt!r} (want 'json' or 'dot')")
+
+
+def _indented_json(rows, depth: int) -> str:
+    """``json.dumps(rows, indent=1)`` as it reads at nesting ``depth`` inside
+    an enclosing object, for a nonempty sequence of equally deep nonempty
+    sequences of ints.  ``indent`` would send json to its pure-Python
+    encoder, so the C encoder writes the one-line text, and each separator
+    between siblings of height h (h = 0 between ints) is then replaced,
+    tallest first, by its line breaks: h closing brackets, a comma, h opening
+    brackets."""
+    text = json.dumps(rows)
+    levels = len(text) - len(text.lstrip("["))
+    pad = ["\n" + " " * (depth + k) for k in range(levels + 1)]
+
+    def closing(h):
+        return "".join(pad[levels - k] + "]" for k in range(1, h + 1))
+
+    def opening(h):
+        return "".join(pad[levels - h + k] + "[" for k in range(h)) + pad[levels]
+
+    for h in range(levels - 1, -1, -1):
+        text = text.replace("]" * h + ", " + "[" * h, closing(h) + "," + opening(h))
+    return opening(levels)[len(pad[0]):] + text[levels:-levels] + closing(levels)
 
 
 def _dot(name: str, point_names, line_names, members) -> str:

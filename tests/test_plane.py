@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given
 
-from helpers import PRIMES
+from helpers import PRIME_DIMS, PRIMES
 from mubsic.plane import (
     Apg,
     Dapg,
@@ -290,6 +290,18 @@ def test_export_json_counts():
     assert len(obj["points"]) == 6
     assert len(obj["lines"]) == 4
     assert len(obj["incidence"]) == 12
+
+
+@pytest.mark.parametrize("d", PRIME_DIMS)
+def test_export_json_matches_indented_dumps(d):
+    geom = build_dapg(d)
+    obj = {
+        "d": d,
+        "points": [list(p) for p in geom.points],
+        "lines": [list(ln) for ln in geom.lines],
+        "incidence": [[list(p), list(ln)] for ln in geom.lines for p in geom.points_on(ln)],
+    }
+    assert export_incidence(geom, "json") == json.dumps(obj, indent=1) + "\n"
 
 
 def test_export_dot_shape():

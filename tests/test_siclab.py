@@ -890,6 +890,39 @@ def test_search_reports_budget_exhaustion():
     assert res.fiducial.d == 5
 
 
+def test_least_squares_matches_scipy_trf(monkeypatch):
+    # The numpy port takes scipy's trf path with the same bits: every point
+    # the residual is evaluated at, and the returned x and residuals, are
+    # byte-equal, on the search's own residual and Jacobian, at full budget
+    # and cut off after a few evaluations.  This assumes numpy's and scipy's
+    # LAPACK/BLAS round alike (both wheels bundle OpenBLAS).
+    scipy_optimize = pytest.importorskip("scipy.optimize")
+    port = siclab.least_squares
+    compared = []
+
+    def both(fun, x0, **kwargs):
+        runs = []
+        for solve, extra in ((scipy_optimize.least_squares, {"method": "trf"}), (port, {})):
+            seen = []
+
+            def recording(x, seen=seen):
+                seen.append(x.copy())
+                return fun(x)
+
+            res = solve(recording, x0, **kwargs, **extra)
+            runs.append(np.concatenate(seen + [res.x, res.fun]).tobytes())
+        assert runs[0] == runs[1]
+        compared.append(kwargs["max_nfev"])
+        return res
+
+    monkeypatch.setattr(siclab, "least_squares", both)
+    for d in SEARCH_PRIMES:
+        for seed in range(3):
+            for max_iters in (1, 2, 3, 5, 10, 20, 1000):
+                search_fiducial(d, SearchConfig(seed=seed, restarts=2, max_iters=max_iters))
+    assert len(compared) >= 6 * 3 * 7
+
+
 def test_search_config_validation():
     with pytest.raises(ValueError):
         SearchConfig(restarts=0)

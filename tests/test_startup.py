@@ -1,8 +1,9 @@
-"""scipy is loaded only by the fiducial search, on first use; the cyclic
-probability solver runs on numpy alone.
+"""No command loads scipy: the fiducial search's trust-region solver and the
+cyclic probability solver run on numpy alone.
 
-The import checks run in fresh interpreters: within the suite, earlier
-searches have already imported scipy, so an in-process check proves nothing.
+The import checks run in fresh interpreters: within the suite, the oracle
+test of the search's solver imports scipy, so an in-process check proves
+nothing.
 """
 
 import json
@@ -44,30 +45,34 @@ def test_import_and_non_solving_call_leave_scipy_unloaded():
 
 
 @pytest.mark.parametrize(
-    "argv, loads",
+    "argv",
     [
-        (["sic", "search", "--d", "3"], True),
-        (["sic", "solve-prob", "--d", "3"], False),  # closed form, no solver
-        (["sic", "solve-prob", "--d", "5"], False),  # numpy Gauss-Newton
+        ["sic", "search", "--d", "3"],  # numpy trust-region solver
+        ["sic", "solve-prob", "--d", "3"],  # closed form, no solver
+        ["sic", "solve-prob", "--d", "5"],  # numpy Gauss-Newton
     ],
 )
-def test_only_solving_calls_load_scipy(argv, loads):
+def test_solving_calls_leave_scipy_optimize_unloaded(argv):
     rc, loaded = _fresh(
         "import json, sys\n"
         "from mubsic import cli\n"
         f"rc = cli.run({argv!r})\n"
         "print(json.dumps([rc, 'scipy.optimize' in sys.modules]))"
     )
-    assert (rc, loaded) == (0, loads)
+    assert (rc, loaded) == (0, False)
 
 
-def test_least_squares_resolves_to_scipy():
-    import scipy.optimize
-
-    from mubsic.siclab import least_squares
-
-    assert siclab.least_squares is scipy.optimize.least_squares
-    assert least_squares is scipy.optimize.least_squares
+def test_search_then_generate_leave_scipy_unloaded(tmp_path):
+    fid = str(tmp_path / "fid.json")
+    search = ["sic", "search", "--d", "5", "--out", fid]
+    generate = ["sic", "generate", "--fiducial", fid, "--out", str(tmp_path / "fam.json")]
+    rcs, loaded = _fresh(
+        "import json, sys\n"
+        "from mubsic import cli\n"
+        f"rcs = [cli.run({search!r}), cli.run({generate!r})]\n"
+        "print(json.dumps([rcs, sorted(m for m in sys.modules if m.split('.')[0] == 'scipy')]))"
+    )
+    assert (rcs, loaded) == ([0, 0], [])
 
 
 def test_unknown_attribute_raises():
@@ -80,7 +85,7 @@ def test_only_the_search_calls_the_module_attribute(monkeypatch):
     calls = []
 
     def counting(*args, **kwargs):
-        calls.append(kwargs.get("method"))
+        calls.append(args)
         return original(*args, **kwargs)
 
     monkeypatch.setitem(siclab.__dict__, "least_squares", counting)
