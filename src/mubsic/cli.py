@@ -11,6 +11,7 @@ finite nonnegative number.  All subcommands are deterministic: the same argv
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
 import math
 import os
@@ -50,21 +51,35 @@ def _verdict(prefix: str, dev: float, tol: float) -> int:
     return 0 if ok else 1
 
 
+def _output(path):
+    """The file an artifact goes to: ``path``, or stdout when it is None."""
+    return contextlib.nullcontext(sys.stdout) if path is None else open(path, "w")
+
+
 def _write_text(path, text: str) -> None:
-    if path is None:
-        sys.stdout.write(text)
-    else:
-        with open(path, "w") as fh:
-            fh.write(text)
+    with _output(path) as fh:
+        fh.write(text)
 
 
 def _write_json(path, obj: dict) -> None:
-    _write_text(path, json.dumps(obj) + "\n")
+    with _output(path) as fh:
+        linalg.dump_json(obj, fh)
 
 
-def _read_json(path) -> dict:
+def _read_json(path, object_hook=linalg.decode_operator) -> dict:
     with open(path) as fh:
-        return json.load(fh)
+        return json.load(fh, object_hook=object_hook)
+
+
+def _load(reader, path):
+    """``reader`` applied to the JSON file at ``path``, whose operator objects
+    are decoded as they are parsed.  A file that the decoding or the reader
+    rejects is parsed again as plain JSON for the reader, so that its error
+    comes in file order and names each value as the file holds it."""
+    try:
+        return reader(_read_json(path))
+    except ValueError:
+        return reader(_read_json(path, None))
 
 
 # --- handlers ----------------------------------------------------------------
@@ -130,7 +145,7 @@ def _cmd_frame_from_hg(args) -> int:
 
 
 def _cmd_frame_bridge(args) -> int:
-    pf = frames.point_frame_from_json_dict(_read_json(args.points))
+    pf = _load(frames.point_frame_from_json_dict, args.points)
     lf = frames.line_ops_from_points(pf, plane.build_dapg(pf.d))
     _write_json(args.out, frames.line_frame_to_json_dict(lf))
     print(f"line frame d={lf.d} alpha={_fmt(lf.alpha)}")
@@ -139,10 +154,10 @@ def _cmd_frame_bridge(args) -> int:
 
 def _cmd_frame_verify(args) -> int:
     tol = _tol(args)
-    pf = frames.point_frame_from_json_dict(_read_json(args.points))
+    pf = _load(frames.point_frame_from_json_dict, args.points)
     # Both files are read before anything prints, so a bad one leaves no
     # partial report on stdout.
-    lf = None if args.lines is None else frames.line_frame_from_json_dict(_read_json(args.lines))
+    lf = None if args.lines is None else _load(frames.line_frame_from_json_dict, args.lines)
     if lf is not None and lf.d != pf.d:
         raise ValueError(f"dimension mismatch: point frame d={pf.d}, line frame d={lf.d}")
     worst = frames.verify_point_table(pf)
@@ -165,7 +180,7 @@ def _load_cli_fiducial(args) -> siclab.Fiducial:
         return {"qubit": siclab.qubit_fiducial, "qutrit": siclab.qutrit_fiducial}[
             args.builtin
         ]()
-    return siclab.Fiducial.from_json_dict(_read_json(args.fiducial))
+    return _load(siclab.Fiducial.from_json_dict, args.fiducial)
 
 
 def _cmd_sic_generate(args) -> int:
@@ -178,13 +193,13 @@ def _cmd_sic_generate(args) -> int:
 
 
 def _cmd_sic_verify(args) -> int:
-    fam = siclab.SicFamily.from_json_dict(_read_json(args.infile))
+    fam = _load(siclab.SicFamily.from_json_dict, args.infile)
     dev = siclab.verify_sic(fam)
     return _verdict(f"d={fam.d} deviation", dev, _tol(args))
 
 
 def _cmd_sic_spectra(args) -> int:
-    fam = siclab.SicFamily.from_json_dict(_read_json(args.infile))
+    fam = _load(siclab.SicFamily.from_json_dict, args.infile)
     table = siclab.spectra_table(siclab.extract_mu_pom(fam))
     _write_text(args.out, siclab.spectra_to_csv(table))
     spread = siclab.assert_column_constant(table).max()
@@ -241,7 +256,7 @@ def _cmd_sic_search(args) -> int:
 
 def _cmd_quasiprob(args) -> int:
     rho = linalg.read_operator_json(args.rho)
-    pf = frames.point_frame_from_json_dict(_read_json(args.points))
+    pf = _load(frames.point_frame_from_json_dict, args.points)
     q = frames.quasi_distribution(rho, pf)
     geom = plane.build_dapg(pf.d)
     p = frames.line_probabilities(q, geom)

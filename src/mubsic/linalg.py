@@ -229,21 +229,54 @@ def ops_to_json(ops: dict, keys) -> list:
 
 
 def ops_from_json(raw, keys: list, d: int) -> dict:
-    """Inverse of :func:`ops_to_json`: one validated d x d operator per key."""
+    """Inverse of :func:`ops_to_json`: one validated d x d operator per key.
+
+    Items already decoded by :func:`decode_operator` are taken as they are.
+    """
     if not isinstance(raw, list) or len(raw) != len(keys):
         got = len(raw) if isinstance(raw, list) else raw
         raise ValueError(f"expected {len(keys)} ops, got {got!r}")
-    ops = {k: HermitianOp.from_json_dict(o) for k, o in zip(keys, raw)}
+    ops = {
+        k: o if isinstance(o, HermitianOp) else HermitianOp.from_json_dict(o)
+        for k, o in zip(keys, raw)
+    }
     for k, op in ops.items():
         if op.dim != d:
             raise ValueError(f"op {k} is {op.dim} x {op.dim}, expected {d} x {d}")
     return ops
 
 
+def decode_operator(obj: dict):
+    """``json.load`` object hook: an object with ``dim`` and ``entries`` as a
+    validated HermitianOp as soon as it is parsed, so that a file of
+    operators is never held as one tree of lists.  Any other object is
+    returned as it is."""
+    if "dim" in obj and "entries" in obj:
+        return HermitianOp.from_json_dict(obj)
+    return obj
+
+
+def dump_json(obj: dict, fh) -> None:
+    """Write ``json.dumps(obj) + "\\n"`` to ``fh`` without building it, for a
+    dict with string keys, as every artifact is: each member, or each item
+    of a member that is a list, goes through the C encoder on its own.  Every
+    JSON artifact is written here."""
+    fh.write("{")
+    for i, (key, value) in enumerate(obj.items()):
+        fh.write(f"{', ' if i else ''}{json.dumps(key)}: ")
+        if isinstance(value, list):
+            fh.write("[")
+            for j, item in enumerate(value):
+                fh.write(f"{', ' if j else ''}{json.dumps(item)}")
+            fh.write("]")
+        else:
+            fh.write(json.dumps(value))
+    fh.write("}\n")
+
+
 def write_operator_json(path, op: HermitianOp) -> None:
     with open(path, "w") as fh:
-        json.dump(op.to_json_dict(), fh)
-        fh.write("\n")
+        dump_json(op.to_json_dict(), fh)
 
 
 def read_operator_json(path) -> HermitianOp:

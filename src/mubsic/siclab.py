@@ -23,6 +23,7 @@ from .linalg import (
     HermitianOp,
     complex_from_json,
     complex_to_json,
+    dump_json,
     gram_deviation,
     header_int,
     hermitian_eigensystem,
@@ -838,5 +839,4 @@ def ingest_fiducial(path, d: int) -> Fiducial:
 
 def write_fiducial_json(path, fid: Fiducial) -> None:
     with open(path, "w") as fh:
-        json.dump(fid.to_json_dict(), fh)
-        fh.write("\n")
+        dump_json(fid.to_json_dict(), fh)

@@ -428,6 +428,175 @@ def test_main_entry_point(capsys):
     assert np.isfinite(1.0)  # keep numpy import honest
 
 
+def _check_json_artifact(argv, obj, tmp_path, capsys):
+    """``argv`` writes json.dumps(obj) plus a newline to ``--out``, and to
+    stdout, ahead of its report, without ``--out``.  Returns the file."""
+    out = tmp_path / "artifact.json"
+    capsys.readouterr()
+    assert run(argv + ["--out", str(out)]) == 0, argv
+    report = capsys.readouterr().out
+    want = json.dumps(obj) + "\n"
+    assert out.read_text() == want, argv
+    assert run(argv) == 0, argv
+    assert capsys.readouterr().out == want + report, argv
+    return out
+
+
+@pytest.mark.parametrize("d", [2, 3, 5, 7])
+def test_json_artifacts_are_json_dumps_bytes(d, tmp_path, capsys):
+    """Every JSON artifact the CLI writes is json.dumps of the object it came
+    from, however the writer streams it.  Each object is built in process,
+    from inputs read as plain JSON."""
+    def check(argv, obj, name):
+        return _check_json_artifact(argv, obj, tmp_path, capsys).rename(tmp_path / name)
+
+    def plain(name):
+        return json.loads((tmp_path / name).read_text())
+
+    def path(name):
+        return str(tmp_path / name)
+
+    geom = plane.build_dapg(d)
+    check(["mub", "build", "--d", str(d)], weyl.build_mub(d).to_json_dict(), "bases.json")
+    pf = frames.point_frame_from_mub(weyl.build_mub(d))
+    check(["frame", "from-mub", "--d", str(d)], frames.point_frame_to_json_dict(pf), "points.json")
+    if d > 2:
+        hg = frames.point_frame_from_hg(weyl.build_hg_basis(weyl.build_weyl_pair(d)))
+        check(["frame", "from-hg", "--d", str(d)], frames.point_frame_to_json_dict(hg), "hg.json")
+    pf = frames.point_frame_from_json_dict(plain("points.json"))
+    lf = frames.line_ops_from_points(pf, geom)
+    check(["frame", "bridge", "--points", path("points.json")],
+          frames.line_frame_to_json_dict(lf), "lines.json")
+
+    # The search writes its fiducial only to a file.
+    assert run(["sic", "search", "--d", str(d), "--out", path("fid.json")]) == 0
+    want = json.dumps(siclab.search_fiducial(d).fiducial.to_json_dict()) + "\n"
+    assert (tmp_path / "fid.json").read_text() == want
+    fid = siclab.Fiducial.from_json_dict(plain("fid.json"))
+    check(["sic", "generate", "--fiducial", path("fid.json")],
+          siclab.generate_hw_sic(fid).to_json_dict(), "family.json")
+    assert run(["sic", "spectra", "--in", path("family.json"), "--out", path("spectra.csv")]) == 0
+    table = siclab.spectra_from_csv((tmp_path / "spectra.csv").read_text())
+    check(["sic", "group", "--in", path("spectra.csv")],
+          siclab.group_columns_by_spectrum(table), "groups.json")
+
+    rho = linalg.HermitianOp.from_matrix(np.outer(fid.ket, fid.ket.conj()))
+    linalg.write_operator_json(path("rho.json"), rho)
+    assert (tmp_path / "rho.json").read_text() == json.dumps(rho.to_json_dict()) + "\n"
+    q = frames.quasi_distribution(linalg.HermitianOp.from_json_dict(plain("rho.json")), pf)
+    p = frames.line_probabilities(q, geom)
+    quasi = {"d": d, "points": [[m, j, q[(m, j)]] for (m, j) in geom.points],
+             "lines": [[a, b, p[(a, b)]] for (a, b) in geom.lines]}
+    check(["quasiprob", "--rho", path("rho.json"), "--points", path("points.json")],
+          quasi, "quasi.json")
+
+
+# Each operator is placed at ops[4], point (1, 1) of a frame and line (1, 1)
+# of a family.  The error lines are those the plain-JSON reader gave before
+# operators were decoded during the parse.
+_BAD_OPS = {
+    "non-hermitian": (
+        {"dim": 3, "entries": [[0.0, 0.0], [1.0, 0.0]] + [[0.0, 0.0]] * 7},
+        "error: matrix is not Hermitian: max |m - m\u2020| = 1.000e+00\n",
+    ),
+    "2x2": (
+        linalg.HermitianOp.identity(2).to_json_dict(),
+        "error: op (1, 1) is 2 x 2, expected 3 x 3\n",
+    ),
+    "string-entry": (
+        {"dim": 3, "entries": [[0.0, 0.0]] * 4 + [["1", 0.0]] + [[0.0, 0.0]] * 4},
+        "error: operator entries must be [re, im] number pairs nested to shape (9,)\n",
+    ),
+    "nan-entry": (
+        {"dim": 3, "entries": [[0.0, 0.0]] * 4 + [[float("nan"), 0.0]] + [[0.0, 0.0]] * 4},
+        "error: operator entries entries must be finite\n",
+    ),
+}
+_OP_READERS = {
+    "bridge": ("points", ["frame", "bridge", "--points", "BAD", "--out", "OUT"]),
+    "verify": ("points", ["frame", "verify", "--points", "BAD"]),
+    "quasiprob": ("points", ["quasiprob", "--rho", "RHO", "--points", "BAD", "--out", "OUT"]),
+    "sic-verify": ("family", ["sic", "verify", "--in", "BAD"]),
+}
+_VALID3 = {
+    "points": frames.point_frame_to_json_dict(frames.point_frame_from_mub(weyl.build_mub(3))),
+    "family": siclab.generate_hw_sic(siclab.qutrit_fiducial()).to_json_dict(),
+}
+_RHO3 = ((1.0 / 3) * linalg.HermitianOp.identity(3)).to_json_dict()
+
+
+def _read_error(reader, obj, tmp_path, capsys):
+    """The exit code, stdout and stderr of ``_OP_READERS[reader]`` on ``obj``."""
+    paths = {name: str(tmp_path / f"{name.lower()}.json") for name in ("BAD", "OUT", "RHO")}
+    (tmp_path / "bad.json").write_text(json.dumps(obj) + "\n")
+    (tmp_path / "rho.json").write_text(json.dumps(_RHO3) + "\n")
+    rc = run([paths.get(a, a) for a in _OP_READERS[reader][1]])
+    assert not os.path.exists(paths["OUT"])
+    return (rc, *capsys.readouterr())
+
+
+def _with_ops(obj, ops: dict):
+    """A copy of ``obj`` with ``ops[i]`` in place of its i-th operator."""
+    obj = json.loads(json.dumps(obj))
+    for i, op in ops.items():
+        obj["ops"][i] = op
+    return obj
+
+
+@pytest.mark.parametrize("case", sorted(_BAD_OPS))
+@pytest.mark.parametrize("reader", sorted(_OP_READERS))
+def test_bad_operator_error_lines_are_pinned(reader, case, tmp_path, capsys):
+    op, line = _BAD_OPS[case]
+    obj = _with_ops(_VALID3[_OP_READERS[reader][0]], {4: op})
+    assert _read_error(reader, obj, tmp_path, capsys) == (2, "", line)
+
+
+@pytest.mark.parametrize("reader", sorted(_OP_READERS))
+def test_header_errors_come_before_operator_errors(reader, tmp_path, capsys):
+    """A d = 4 file, resized as d = 4 needs, with a non-Hermitian operator."""
+    obj = json.loads(json.dumps(_VALID3[_OP_READERS[reader][0]]))
+    count = 20 if "beta" in obj else 16
+    obj.update(d=4, ops=(obj["ops"] * 2)[:count])
+    obj["ops"][6] = _BAD_OPS["non-hermitian"][0]
+    if "fiducial" in obj:
+        obj["fiducial"] = [[1.0, 0.0]] + [[0.0, 0.0]] * 3
+    assert _read_error(reader, obj, tmp_path, capsys) == (2, "", "error: d must be prime, got 4\n")
+
+
+def test_operators_are_checked_in_file_order(tmp_path, capsys):
+    """A construction error is reported before an earlier op's wrong size,
+    and the first bad op in file order is the one named."""
+    obj = _with_ops(_VALID3["points"], {2: _BAD_OPS["2x2"][0], 7: _BAD_OPS["non-hermitian"][0],
+                                        9: _BAD_OPS["string-entry"][0]})
+    assert _read_error("verify", obj, tmp_path, capsys) == (2, "", _BAD_OPS["non-hermitian"][1])
+
+
+def test_operator_with_an_extra_key_is_accepted(tmp_path, capsys):
+    clean = _read_error("verify", _VALID3["points"], tmp_path, capsys)
+    extra = dict(_VALID3["points"]["ops"][4], note="x")
+    assert clean[0] == 0
+    assert _read_error("verify", _with_ops(_VALID3["points"], {4: extra}), tmp_path, capsys) == clean
+
+
+@pytest.mark.parametrize(
+    "reader, obj, line",
+    [
+        # An operator file given where a frame or family file belongs.
+        ("verify", _RHO3, "error: malformed frame object: 'd'\n"),
+        ("sic-verify", _RHO3, "error: malformed family object: 'd'\n"),
+        # An operator object where a number or a list belongs is named as
+        # the file holds it, on one line.
+        ("verify", dict(_VALID3["points"], d=_RHO3), f"error: d must be an integer, got {_RHO3!r}\n"),
+        ("verify", dict(_VALID3["points"], beta=_RHO3),
+         f"error: malformed frame object: beta must be a number, got {_RHO3!r}\n"),
+        ("sic-verify", dict(_VALID3["family"], ops=_RHO3), f"error: expected 9 ops, got {_RHO3!r}\n"),
+    ],
+    ids=["op-as-points", "op-as-family", "op-as-d", "op-as-beta", "op-as-family-ops"],
+)
+def test_operator_object_out_of_place_is_one_error_line(reader, obj, line, tmp_path, capsys):
+    assert _read_error(reader, obj, tmp_path, capsys) == (2, "", line)
+
+
 def _leaves(parser, path=()):
     """(command path, leaf parser) for every leaf of the argparse tree."""
     for action in parser._actions:
