@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import argparse
 import contextlib
-import json
 import math
 import os
 import sys
@@ -67,8 +66,7 @@ def _write_json(path, obj: dict) -> None:
 
 
 def _read_json(path, object_hook=linalg.decode_operator) -> dict:
-    with open(path) as fh:
-        return json.load(fh, object_hook=object_hook)
+    return linalg.load_json(path, object_hook)
 
 
 def _load(reader, path):

@@ -78,9 +78,17 @@ class LineFrame:
 
 
 def trace_one(ops: dict, d: int) -> dict:
-    """The trace-one companions (1 + op)/d of a family, under the same keys."""
-    eye = HermitianOp.identity(d)
-    return {k: (1.0 / d) * (eye + op) for k, op in ops.items()}
+    """The trace-one companions (1 + op)/d of a family, under the same keys,
+    computed in place on one stack of the family."""
+    mats = _companion_stack(np.stack([op.mat for op in ops.values()]), d)
+    return {k: HermitianOp(mat=m) for k, m in zip(ops, mats)}
+
+
+def _companion_stack(mats: np.ndarray, d: int) -> np.ndarray:
+    """``mats``, a (n, d, d) stack, overwritten by (1 + m)/d for each m."""
+    mats += np.eye(d)
+    mats *= 1.0 / d
+    return mats
 
 
 def point_frame_from_mub(mub: MubFamily) -> PointFrame:
@@ -125,9 +133,8 @@ def with_beta(frame: PointFrame, beta: float) -> PointFrame:
     if not (0 < beta < np.inf and 0 < frame.beta < np.inf):
         raise ValueError("frame strengths must be positive and finite")
     c = float(np.sqrt(beta / frame.beta))
-    return PointFrame(
-        d=frame.d, beta=float(beta), ops={k: c * op for k, op in frame.ops.items()}
-    )
+    ops = {k: HermitianOp(mat=c * op.mat) for k, op in frame.ops.items()}
+    return PointFrame(d=frame.d, beta=float(beta), ops=ops)
 
 
 def line_ops_from_points(frame: PointFrame, geom: Dapg) -> LineFrame:
@@ -150,11 +157,10 @@ def point_ops_from_lines(frame: LineFrame, geom: Dapg) -> PointFrame:
 def incidence_ops(ops: dict, keys, incidence: np.ndarray, out_keys, scale: float) -> dict:
     """``scale`` times the sums of ``ops`` (rows in ``keys`` order) along
     ``incidence``, keyed by ``out_keys``: the one bridge between the points
-    and the lines of the plane.  Built directly, as HermitianOp arithmetic
-    does, since sums of Hermitian matrices are exactly Hermitian."""
+    and the lines of the plane.  Each result wraps its row of the summed
+    stack directly, since sums of Hermitian matrices are exactly Hermitian."""
     mats = incidence_sum(incidence, [ops[k].mat for k in keys])
     mats *= scale
-    mats.flags.writeable = False
     return {k: HermitianOp(mat=m) for k, m in zip(out_keys, mats)}
 
 
@@ -232,7 +238,7 @@ def scaled_so(frame: LineFrame) -> dict:
             f"scaled family needs α = (d+1)(d−1)/2 = {expected}; got {frame.alpha}"
         )
     c = float(np.sqrt(2.0 * d / (d + 1)))
-    return trace_one({k: c * frame.ops[k] for k in line_keys(d)}, d)
+    return trace_one({k: HermitianOp(mat=c * frame.ops[k].mat) for k in line_keys(d)}, d)
 
 
 def quasi_distribution(rho: HermitianOp, points: PointFrame) -> dict:
@@ -244,10 +250,12 @@ def quasi_distribution(rho: HermitianOp, points: PointFrame) -> dict:
         raise ValueError(f"dimension mismatch: ρ is {rho.dim}, frame is {points.d}")
     if abs(rho.trace - 1.0) > 1e-10:
         raise ValueError(f"ρ must have unit trace, got {rho.trace!r}")
-    taus = trace_one(points.ops, points.d)
-    # The matmul trace, not hs_inner: these values are written to quasi.json,
-    # whose bytes a reordered sum would change in the last bits.
-    return {k: float(np.trace(taus[k].mat @ rho.mat).real) for k in point_keys(points.d)}
+    d, keys = points.d, point_keys(points.d)
+    taus = _companion_stack(np.stack([points.ops[k].mat for k in keys]), d)
+    # The matmul trace, not hs_inner or an einsum: these values are written to
+    # quasi.json, whose bytes a reordered sum would change in the last bits.
+    values = np.trace(taus @ rho.mat, axis1=1, axis2=2).real
+    return dict(zip(keys, values.tolist()))
 
 
 def line_probabilities(q: dict, geom: Dapg) -> dict:

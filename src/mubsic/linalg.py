@@ -31,14 +31,18 @@ DEFAULT_TOL = 1e-10
 
 @dataclass(frozen=True)
 class HermitianOp:
-    """A d x d Hermitian matrix.
+    """A d x d Hermitian matrix, read-only from construction on.
 
-    Construct through :meth:`from_matrix`, which validates; the arithmetic
-    dunders build results directly since sums and real scalings of Hermitian
-    matrices are exactly Hermitian.
+    Construct through :meth:`from_matrix`, which validates.  Code that builds
+    a family of operators at once (sums and real scalings of Hermitian
+    matrices, which are exactly Hermitian) wraps each result directly as
+    ``HermitianOp(mat=...)``.  An operator holds no arithmetic of its own.
     """
 
     mat: np.ndarray
+
+    def __post_init__(self):
+        self.mat.flags.writeable = False
 
     @classmethod
     def from_matrix(cls, entries) -> "HermitianOp":
@@ -55,15 +59,11 @@ class HermitianOp:
         asym = float(np.abs(mat - mat.conj().T).max())
         if asym > HERMITICITY_ATOL:
             raise ValueError(f"matrix is not Hermitian: max |m - m†| = {asym:.3e}")
-        sym = (mat + mat.conj().T) / 2.0
-        sym.flags.writeable = False
-        return cls(mat=sym)
+        return cls(mat=(mat + mat.conj().T) / 2.0)
 
     @classmethod
     def identity(cls, dim: int) -> "HermitianOp":
-        mat = np.eye(dim, dtype=np.complex128)
-        mat.flags.writeable = False
-        return cls(mat=mat)
+        return cls(mat=np.eye(dim, dtype=np.complex128))
 
     @property
     def dim(self) -> int:
@@ -72,28 +72,6 @@ class HermitianOp:
     @property
     def trace(self) -> float:
         return float(self.mat.diagonal().real.sum())
-
-    def _combine(self, other: "HermitianOp", sign: float) -> "HermitianOp":
-        if not isinstance(other, HermitianOp):
-            return NotImplemented
-        if other.dim != self.dim:
-            raise ValueError(f"dimension mismatch: {self.dim} vs {other.dim}")
-        mat = self.mat + sign * other.mat
-        mat.flags.writeable = False
-        return HermitianOp(mat=mat)
-
-    def __add__(self, other):
-        return self._combine(other, 1.0)
-
-    def __sub__(self, other):
-        return self._combine(other, -1.0)
-
-    def __mul__(self, scalar):
-        mat = float(scalar) * self.mat
-        mat.flags.writeable = False
-        return HermitianOp(mat=mat)
-
-    __rmul__ = __mul__
 
     def to_json_dict(self) -> dict:
         return matrix_to_json_dict(self.mat)
@@ -115,17 +93,19 @@ def hs_inner(a: HermitianOp, b: HermitianOp) -> float:
     return float(np.vdot(b.mat, a.mat).real)
 
 
-def hermitian_eigensystem(h: HermitianOp) -> tuple[np.ndarray, np.ndarray]:
+def hermitian_eigensystem(mats: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Eigenvalues (a read-only array, descending) and matching orthonormal
-    eigenvector columns.
+    eigenvector columns of a Hermitian matrix, or of each matrix of a
+    ``(..., d, d)`` stack in one call.
 
-    Raises ValueError if the reconstruction residual ‖h − VΛV†‖_max exceeds
+    Raises ValueError if a reconstruction residual ‖h − VΛV†‖_max exceeds
     EIG_RESIDUAL_ATOL, which signals an eigensolver failure.
     """
-    w, v = np.linalg.eigh(h.mat)
-    w = w[::-1]
-    v = v[:, ::-1]
-    residual = float(np.abs(h.mat - (v * w) @ v.conj().T).max())
+    w, v = np.linalg.eigh(mats)
+    w = w[..., ::-1]
+    v = v[..., ::-1]
+    recon = (v * w[..., None, :]) @ v.conj().swapaxes(-1, -2)
+    residual = float(np.abs(mats - recon).max())
     if residual > EIG_RESIDUAL_ATOL:
         raise ValueError(f"eigendecomposition failed: residual {residual:.3e}")
     w.flags.writeable = False
@@ -139,7 +119,7 @@ def spectrum_rank(values) -> int:
 
 def matrix_rank(h: HermitianOp) -> int:
     """Number of eigenvalues of ``h`` with |λ| > RANK_TOL."""
-    return spectrum_rank(hermitian_eigensystem(h)[0])
+    return spectrum_rank(hermitian_eigensystem(h.mat)[0])
 
 
 def third_moment(h: HermitianOp) -> float:
@@ -194,7 +174,8 @@ def complex_from_json(raw, shape, what: str) -> np.ndarray:
         raise ValueError(f"{what} must be [re, im] number pairs nested to shape {tuple(shape)}")
     pairs = pairs.astype(np.float64, copy=False)
     if not np.all(np.isfinite(pairs)):
-        raise ValueError(f"{what} entries must be finite")
+        # ``what`` may name the entries already, as an operator's does.
+        raise ValueError(f"{what.removesuffix(' entries')} entries must be finite")
     return pairs.view(np.complex128).reshape(shape)
 
 
@@ -274,11 +255,21 @@ def dump_json(obj: dict, fh) -> None:
     fh.write("}\n")
 
 
+def load_json(path, object_hook=None):
+    """The JSON value of the file at ``path``; every JSON artifact is read
+    here.  A file nested too deeply for the parser is rejected with a
+    ValueError, as any other malformed file is, not a RecursionError."""
+    with open(path) as fh:
+        try:
+            return json.load(fh, object_hook=object_hook)
+        except RecursionError:
+            raise ValueError("JSON nested too deeply to parse") from None
+
+
 def write_operator_json(path, op: HermitianOp) -> None:
     with open(path, "w") as fh:
         dump_json(op.to_json_dict(), fh)
 
 
 def read_operator_json(path) -> HermitianOp:
-    with open(path) as fh:
-        return HermitianOp.from_json_dict(json.load(fh))
+    return HermitianOp.from_json_dict(load_json(path))

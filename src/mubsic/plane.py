@@ -244,14 +244,20 @@ def export_incidence(geom: Dapg, fmt: str) -> str:
     pairs = [(geom.points[r], geom.lines[c]) for c, r in zip(cols.tolist(), rows.tolist())]
     if fmt == "json":
         arrays = {"points": geom.points, "lines": geom.lines, "incidence": pairs}
-        body = "".join(f',\n "{k}": {_indented_json(v, 1)}' for k, v in arrays.items())
-        return f'{{\n "d": {geom.d}{body}\n}}\n'
+        return _plane_json(geom.d, arrays)
     if fmt == "dot":
         points = {(m, j): f"p{m}_{j}" for m, j in geom.points}
         lines = {(a, b): f"l{a}_{b}" for a, b in geom.lines}
         members = [(points[p], lines[ln]) for p, ln in pairs]
         return _dot(f"dapg_{geom.d}", points.values(), lines.values(), members)
     raise ValueError(f"unknown export format: {fmt!r} (want 'json' or 'dot')")
+
+
+def _plane_json(d: int, arrays: dict) -> str:
+    """``json.dumps({"d": d, **arrays}, indent=1) + "\\n"``, written through
+    :func:`_indented_json`: the text of both plane JSON exports."""
+    body = "".join(f',\n "{k}": {_indented_json(v, 1)}' for k, v in arrays.items())
+    return f'{{\n "d": {d}{body}\n}}\n'
 
 
 def _indented_json(rows, depth: int) -> str:
@@ -292,12 +298,7 @@ def export_apg(apg: Apg, fmt: str) -> str:
     """Serialize an affine plane; ``fmt`` is ``"json"`` or ``"dot"``."""
     lines_sorted = [sorted(ln) for ln in apg.lines]
     if fmt == "json":
-        obj = {
-            "d": apg.d,
-            "points": [list(p) for p in apg.points],
-            "lines": [[list(p) for p in ln] for ln in lines_sorted],
-        }
-        return json.dumps(obj, indent=1) + "\n"
+        return _plane_json(apg.d, {"points": apg.points, "lines": lines_sorted})
     if fmt == "dot":
         lines = [f"l{i}" for i in range(len(lines_sorted))]
         members = [(f"p{x}_{y}", lines[i]) for i, ln in enumerate(lines_sorted) for x, y in ln]

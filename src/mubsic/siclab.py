@@ -13,7 +13,6 @@ from __future__ import annotations
 
 import csv
 import io
-import json
 from dataclasses import dataclass
 
 import numpy as np
@@ -28,6 +27,7 @@ from .linalg import (
     header_int,
     hermitian_eigensystem,
     label_table,
+    load_json,
     ops_from_json,
     ops_to_json,
     spectrum_rank,
@@ -200,8 +200,9 @@ def spectra_table(taus: dict) -> np.ndarray:
     """The read-only (d+1, d, d) table S of the point operators' spectra:
     S[j, m] holds the descending eigenvalues of τ_m^(j)."""
     d = next(iter(taus.values())).dim
-    table = np.array([hermitian_eigensystem(taus[k])[0] for k in point_keys(d)])
-    table = table.reshape(d + 1, d, d)
+    spectra, _ = hermitian_eigensystem(np.stack([taus[k].mat for k in point_keys(d)]))
+    # Contiguous, as a table built row by row is: reductions sum in its order.
+    table = np.ascontiguousarray(spectra).reshape(d + 1, d, d)
     table.flags.writeable = False
     return table
 
@@ -258,7 +259,10 @@ def spectra_from_csv(text: str) -> np.ndarray:
     Raises ValueError unless d is prime and every point (m, j) appears
     exactly once, each with d finite values in descending order.
     """
-    rows = [row for row in csv.reader(io.StringIO(text)) if row]
+    try:
+        rows = [row for row in csv.reader(io.StringIO(text)) if row]
+    except csv.Error as exc:  # a field over csv.field_size_limit()
+        raise ValueError(f"spectra CSV is malformed: {exc}") from None
     d = len(rows[0]) - 2 if rows else 0
     if d < 1 or rows[0] != _csv_header(d):
         raise ValueError("spectra CSV must start with header m,j,lambda_1..lambda_d")
@@ -484,12 +488,10 @@ def fiducial_from_mu_pom(taus, mub: MubFamily) -> FiducialExtraction:
             raise ValueError(
                 f"operator {b} is not diagonal in basis {b}: off-diagonal {off:.3e}"
             )
-    total = taus[0]
-    for tau in taus[1:]:
-        total = total + tau
-    lambda0 = total - HermitianOp.identity(d)
+    total = sum((tau.mat for tau in taus[1:]), taus[0].mat)  # left to right
+    lambda0 = HermitianOp(mat=total - np.eye(d))
     sum_spectrum, _ = hermitian_eigensystem(total)
-    spectrum, vectors = hermitian_eigensystem(lambda0)
+    spectrum, vectors = hermitian_eigensystem(lambda0.mat)
     rank = spectrum_rank(spectrum)
     fid = None
     if rank == 1 and abs(spectrum[0] - 1.0) <= 1e-6:
@@ -830,8 +832,7 @@ def search_fiducial(d: int, cfg: SearchConfig | None = None) -> SearchResult:
 def ingest_fiducial(path, d: int) -> Fiducial:
     """Read a fiducial JSON file (see :meth:`Fiducial.from_json_dict`) and
     require dimension d."""
-    with open(path) as fh:
-        fid = Fiducial.from_json_dict(json.load(fh))
+    fid = Fiducial.from_json_dict(load_json(path))
     if fid.d != d:
         raise ValueError(f"fiducial file has d = {fid.d}, expected {d}")
     return fid

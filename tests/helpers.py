@@ -8,6 +8,8 @@ sorted descending), and matching is performed up to relabeling of the column
 groups (a searched fiducial may sit at a different orbit representative).
 """
 
+from fractions import Fraction
+
 import numpy as np
 from hypothesis import strategies as st
 
@@ -119,3 +121,44 @@ def random_density(rng, d: int) -> HermitianOp:
 def random_ket(rng, d: int) -> np.ndarray:
     v = rng.standard_normal(d) + 1j * rng.standard_normal(d)
     return v / np.linalg.norm(v)
+
+
+# --- reference arithmetic ------------------------------------------------------
+#
+# HermitianOp once had +, − and real scaling.  These compute exactly what those
+# operators did, so that the per-operator loops written with them stay the
+# bit-for-bit oracles of the array expressions that replaced them.
+
+
+def op_add(a: HermitianOp, b: HermitianOp, sign: float = 1.0) -> HermitianOp:
+    """a + sign·b, as HermitianOp's ``+`` (sign 1) and ``−`` (sign −1) did."""
+    return HermitianOp(mat=a.mat + sign * b.mat)
+
+
+def op_scale(c: float, a: HermitianOp) -> HermitianOp:
+    """c·a, as HermitianOp's ``*`` did."""
+    return HermitianOp(mat=float(c) * a.mat)
+
+
+def companion(op: HermitianOp, d: int) -> HermitianOp:
+    """(1 + op)/d, one operator at a time, as trace_one once built it."""
+    return op_scale(1.0 / d, op_add(HermitianOp.identity(d), op))
+
+
+# --- exact Hilbert-Schmidt products ---------------------------------------------
+
+
+def exact_hs(a: np.ndarray, b: np.ndarray) -> Fraction:
+    """tr(ab) of two stored complex matrices, exactly: the real part of
+    Σ_ij a_ij·b_ji, summed as integers over the binary values of the real
+    view (x = n·2⁻ᵏ for every float x).  Shares no code with a float kernel
+    and assumes no hermiticity."""
+    x = np.ascontiguousarray(a, dtype=np.complex128).view(np.float64).reshape(-1, 2)
+    y = np.ascontiguousarray(b.T, dtype=np.complex128).view(np.float64).reshape(-1, 2)
+    terms = []
+    for (ar, ai), (br, bi) in zip(x.tolist(), y.tolist()):
+        for u, v, sign in ((ar, br, 1), (ai, bi, -1)):
+            (n, p), (m, q) = u.as_integer_ratio(), v.as_integer_ratio()
+            terms.append((sign * n * m, p.bit_length() + q.bit_length() - 2))
+    k = max(e for _, e in terms)
+    return Fraction(sum(n << (k - e) for n, e in terms), 1 << k)

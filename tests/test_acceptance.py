@@ -18,6 +18,8 @@ from helpers import (
     D11B,
     D11C,
     group_sizes,
+    op_add,
+    op_scale,
     random_density,
     random_ket,
     spectra_match,
@@ -73,7 +75,7 @@ def sic_line_frame(fam) -> LineFrame:
     return LineFrame(
         d=d,
         alpha=float(d * (d - 1)),
-        ops={k: d * fam.projectors[k] - eye for k in line_keys(d)},
+        ops={k: op_add(op_scale(d, fam.projectors[k]), eye, -1.0) for k in line_keys(d)},
     )
 
 
@@ -135,7 +137,7 @@ def test_criterion_04_qubit_pipeline(report):
     ext = fiducial_from_mu_pom(
         mu_pom_from_probabilities(mub, [tuple(sol)] * 3), mub
     )
-    spec, _ = hermitian_eigensystem(ext.lambda0)
+    spec, _ = hermitian_eigensystem(ext.lambda0.mat)
     dev_eig = float(np.abs(spec - (1.0, 0.0)).max())
     fam = generate_hw_sic(ext.fiducial)
     dev_overlap = verify_sic(fam)

@@ -171,6 +171,9 @@ QUBIT_FAMILY = json.dumps(siclab.generate_hw_sic(siclab.qubit_fiducial()).to_jso
 QUBIT_SPECTRA = "m,j,lambda_1,lambda_2\n" + "".join(
     f"{m},{j},0.7,0.3\n" for j in range(3) for m in range(2)
 )
+DEEP_JSON = '{"d": 3, "beta": 6.0, "ops": ' + "[" * 100_000 + "]" * 100_000 + "}\n"
+# The maximally mixed qutrit state, the density operator of the quasiprob cases.
+MIXED3 = linalg.HermitianOp.from_matrix(np.eye(3) / 3)
 I1 = linalg.HermitianOp.identity(1).to_json_dict()
 I2 = linalg.HermitianOp.identity(2).to_json_dict()
 QUTRIT_KET = linalg.complex_to_json(siclab.qutrit_fiducial().ket)
@@ -224,6 +227,15 @@ MALFORMED = {
         SIC_VERIFY,
         "family.json",
         json.dumps({"d": 1, "fiducial": [[1.0, 0.0]], "ops": [I1]}) + "\n",
+    ),
+    # Nesting too deep for the JSON parser, in each kind of JSON input file.
+    "points-deeply-nested": (FRAME_VERIFY, "points.json", DEEP_JSON),
+    "rho-deeply-nested": (
+        ["quasiprob", "--rho", "IN", "--points", "POINTS", "--out", "OUT"], "rho.json", DEEP_JSON
+    ),
+    "fiducial-deeply-nested": (GENERATE, "fid.json", DEEP_JSON),
+    "spectra-field-too-long": (
+        GROUP, "spectra.csv", "m,j,lambda_1,lambda_2\n0,0,0." + "7" * 131072 + ",0.3\n"
     ),
     "rho-dim-infinity": (
         ["quasiprob", "--rho", "IN", "--points", "POINTS", "--out", "OUT"],
@@ -307,7 +319,7 @@ def strength_error(case, value, tmp_path, capsys):
              for name in ("POINTS", "LINES", "RHO", "OUT", "BAD")}
     assert run(["frame", "from-mub", "--d", "3", "--out", paths["POINTS"]]) == 0
     assert run(["frame", "bridge", "--points", paths["POINTS"], "--out", paths["LINES"]]) == 0
-    linalg.write_operator_json(paths["RHO"], (1.0 / 3) * linalg.HermitianOp.identity(3))
+    linalg.write_operator_json(paths["RHO"], MIXED3)
     source = paths["POINTS"] if strength == "beta" else paths["LINES"]
     with open(source) as fh:
         obj = json.load(fh)
@@ -402,9 +414,7 @@ def test_quasiprob_pipeline(tmp_path, capsys):
     rho_path = tmp_path / "rho.json"
     out = tmp_path / "q.json"
     run(["frame", "from-mub", "--d", "3", "--out", str(points)])
-    linalg.write_operator_json(
-        rho_path, (1.0 / 3) * linalg.HermitianOp.identity(3)
-    )
+    linalg.write_operator_json(rho_path, MIXED3)
     assert run(
         ["quasiprob", "--rho", str(rho_path), "--points", str(points),
          "--out", str(out)]
@@ -509,7 +519,7 @@ _BAD_OPS = {
     ),
     "nan-entry": (
         {"dim": 3, "entries": [[0.0, 0.0]] * 4 + [[float("nan"), 0.0]] + [[0.0, 0.0]] * 4},
-        "error: operator entries entries must be finite\n",
+        "error: operator entries must be finite\n",
     ),
 }
 _OP_READERS = {
@@ -522,7 +532,7 @@ _VALID3 = {
     "points": frames.point_frame_to_json_dict(frames.point_frame_from_mub(weyl.build_mub(3))),
     "family": siclab.generate_hw_sic(siclab.qutrit_fiducial()).to_json_dict(),
 }
-_RHO3 = ((1.0 / 3) * linalg.HermitianOp.identity(3)).to_json_dict()
+_RHO3 = MIXED3.to_json_dict()
 
 
 def _read_error(reader, obj, tmp_path, capsys):

@@ -1,3 +1,4 @@
+import functools
 import tracemalloc
 
 import numpy as np
@@ -5,7 +6,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from helpers import PRIME_DIMS, PRIMES, random_density
+from helpers import PRIME_DIMS, PRIMES, companion, op_add, op_scale, random_density
 from mubsic import cli, siclab
 from mubsic.frames import (
     LineFrame,
@@ -211,9 +212,9 @@ def test_bridge_rejects_dimension_mismatch():
 def loop_line_ops(frame, geom):
     ops = {}
     for ln in line_keys(frame.d):
-        total = HermitianOp.identity(frame.d) * 0.0
+        total = op_scale(0.0, HermitianOp.identity(frame.d))
         for m, j in geom.points_on(ln):
-            total = total + frame.ops[(m, j)]
+            total = op_add(total, frame.ops[(m, j)])
         ops[ln] = total
     return ops
 
@@ -222,10 +223,10 @@ def loop_point_ops(frame, geom):
     d = frame.d
     ops = {}
     for p in point_keys(d):
-        total = HermitianOp.identity(d) * 0.0
+        total = op_scale(0.0, HermitianOp.identity(d))
         for a, b in geom.lines_through(p):
-            total = total + frame.ops[(a, b)]
-        ops[p] = (1.0 / d) * total
+            total = op_add(total, frame.ops[(a, b)])
+        ops[p] = op_scale(1.0 / d, total)
     return ops
 
 
@@ -337,19 +338,16 @@ def loop_point_line_products(points, lines, geom):
     """Reference: the per-pair loop that rebuilt both trace-one companions
     for every (point, line) pair; returns (traceless, trace-one) deviations."""
     d, beta = points.d, points.beta
-
-    def companion(op):
-        return (1.0 / d) * (HermitianOp.identity(d) + op)
-
     on = geom.incidence.T == 1
     want_t = np.where(on, beta, -beta * (d + 1) / (d * d - 1)).tolist()
     want_tau = np.where(on, (d + beta) / d**2, (d - beta / (d - 1)) / d**2).tolist()
     dev_t = dev_tau = 0.0
     for c, ln in enumerate(geom.lines):
-        l_op, lam_op = lines.ops[ln], companion(lines.ops[ln])
+        l_op, lam_op = lines.ops[ln], companion(lines.ops[ln], d)
         for r, p in enumerate(geom.points):
             dev_t = max(dev_t, abs(hs_inner(points.ops[p], l_op) - want_t[c][r]))
-            dev_tau = max(dev_tau, abs(hs_inner(companion(points.ops[p]), lam_op) - want_tau[c][r]))
+            tau_op = companion(points.ops[p], d)
+            dev_tau = max(dev_tau, abs(hs_inner(tau_op, lam_op) - want_tau[c][r]))
     return dev_t, dev_tau
 
 
@@ -377,16 +375,57 @@ def test_point_line_identities_every_odd_prime(d, make):
     assert report.max_dev <= DEFAULT_TOL
 
 
-@pytest.mark.parametrize("d", [2, 3, 7])
+# The family-wide array expressions against the per-operator loops they
+# replaced, written with the reference arithmetic of helpers: bit for bit, at
+# every prime d ≤ 31, on the unbiased-basis and rotation-basis point frames
+# (the latter needs an odd d) and their bridged line frames.
+
+
+@functools.lru_cache(maxsize=None)
+def point_frames(d):
+    return (mub_points(d),) + ((hg_points(d),) if d > 2 else ())
+
+
+@pytest.mark.parametrize("d", PRIME_DIMS)
 def test_trace_one_is_the_companion_expression(d):
-    pf = hg_points(d) if d > 2 else mub_points(d)
-    lf = line_ops_from_points(pf, build_dapg(d))
-    for ops in (pf.ops, lf.ops):
-        got = trace_one(ops, d)
-        assert list(got) == list(ops)
-        for k, op in ops.items():
-            want = (1.0 / d) * (HermitianOp.identity(d) + op)
-            assert got[k].mat.tobytes() == want.mat.tobytes()
+    geom = build_dapg(d)
+    for pf in point_frames(d):
+        for ops in (pf.ops, line_ops_from_points(pf, geom).ops):
+            got = trace_one(ops, d)
+            assert list(got) == list(ops)
+            for k, op in ops.items():
+                assert got[k].mat.tobytes() == companion(op, d).mat.tobytes()
+
+
+@pytest.mark.parametrize("d", PRIME_DIMS)
+def test_rescalings_match_operator_loops(d):
+    # with_beta: c·t per operator.  scaled_so: (1 + c·l)/d per operator, on
+    # line frames at the strength α = (d+1)(d−1)/2 it needs.
+    geom, beta = build_dapg(d), (d - 1) / 2
+    for pf in point_frames(d):
+        scaled = with_beta(pf, beta)
+        c = float(np.sqrt(beta / pf.beta))
+        assert list(scaled.ops) == list(pf.ops)
+        for k, op in pf.ops.items():
+            assert scaled.ops[k].mat.tobytes() == op_scale(c, op).mat.tobytes()
+        lf = line_ops_from_points(scaled, geom)
+        sig = scaled_so(lf)
+        c = float(np.sqrt(2.0 * d / (d + 1)))
+        assert list(sig) == line_keys(d)
+        for k in line_keys(d):
+            want = companion(op_scale(c, lf.ops[k]), d)
+            assert sig[k].mat.tobytes() == want.mat.tobytes()
+
+
+@pytest.mark.parametrize("d", PRIME_DIMS)
+def test_quasi_distribution_matches_trace_loop(d):
+    rho = random_density(np.random.default_rng(d), d)
+    for pf in point_frames(d):
+        q = quasi_distribution(rho, pf)
+        assert list(q) == point_keys(d)
+        for k, op in pf.ops.items():
+            want = float(np.trace(companion(op, d).mat @ rho.mat).real)
+            assert np.float64(q[k]).tobytes() == np.float64(want).tobytes()
 
 
 # --- unit-purity rescaling --------------------------------------------------------------
@@ -418,7 +457,7 @@ def test_scaled_family_rejects_other_strengths():
 def test_uniform_state_is_flat():
     d = 3
     pf = mub_points(d)
-    rho = (1.0 / d) * HermitianOp.identity(d)
+    rho = HermitianOp.from_matrix(np.eye(d) / d)
     q = quasi_distribution(rho, pf)
     assert all(abs(v - 1 / d) <= 1e-12 for v in q.values())
     geom = build_dapg(d)
@@ -463,7 +502,10 @@ def test_quasi_distribution_on_sic_lines_is_nonnegative():
     lf = LineFrame(
         d=d,
         alpha=float(d * (d - 1)),
-        ops={k: d * fam.projectors[k] - HermitianOp.identity(d) for k in line_keys(d)},
+        ops={
+            k: op_add(op_scale(d, fam.projectors[k]), HermitianOp.identity(d), -1.0)
+            for k in line_keys(d)
+        },
     )
     geom = build_dapg(d)
     pf = point_ops_from_lines(lf, geom)

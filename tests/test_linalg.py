@@ -1,21 +1,26 @@
 import json
+from fractions import Fraction
 
 import numpy as np
 import pytest
 
-from helpers import D5, PRIME_DIMS, SPECTRA_MATCH_TOL, random_hermitian
+from helpers import D5, PRIME_DIMS, SPECTRA_MATCH_TOL, exact_hs, random_hermitian
 from mubsic import frames, siclab, weyl
 from mubsic.linalg import (
+    DEFAULT_TOL,
     HermitianOp,
     complex_from_json,
     complex_to_json,
+    gram_deviation,
     hermitian_eigensystem,
     hs_inner,
+    label_table,
     matrix_rank,
     read_operator_json,
     third_moment,
     write_operator_json,
 )
+from mubsic.plane import column_labels, point_keys
 
 SX = np.array([[0, 1], [1, 0]], dtype=complex)
 SY = np.array([[0, -1j], [1j, 0]], dtype=complex)
@@ -50,19 +55,23 @@ def test_trace_is_real_diagonal_sum():
     rng = np.random.default_rng(5)
     op = random_hermitian(rng, 4)
     assert op.trace == pytest.approx(float(np.trace(op.mat).real), abs=1e-12)
-    # The trace is read off the matrix, so arithmetic results carry theirs.
-    for res in (op + op, op - 2.5 * op, 0.5 * HermitianOp.identity(3)):
+    # The trace is read off the matrix, so operators wrapped directly carry theirs.
+    for res in (HermitianOp(mat=op.mat + op.mat), HermitianOp(mat=0.5 * np.eye(3))):
         assert res.trace == float(res.mat.diagonal().real.sum())
-    assert (0.5 * HermitianOp.identity(3)).trace == 1.5
+    assert HermitianOp(mat=0.5 * np.eye(3)).trace == 1.5
 
 
-def test_arithmetic_matches_matrix_arithmetic():
-    rng = np.random.default_rng(6)
-    a, b = random_hermitian(rng, 3), random_hermitian(rng, 3)
-    np.testing.assert_allclose((a + b).mat, a.mat + b.mat, atol=1e-14)
-    np.testing.assert_allclose((a - b).mat, a.mat - b.mat, atol=1e-14)
-    np.testing.assert_allclose((2.5 * a).mat, 2.5 * a.mat, atol=1e-14)
-    np.testing.assert_allclose((a * 2.5).mat, 2.5 * a.mat, atol=1e-14)
+def test_operator_has_no_arithmetic_and_a_read_only_matrix():
+    a = HermitianOp.from_matrix(np.eye(2))
+    for op in ("__add__", "__sub__", "__mul__", "__rmul__"):
+        assert op not in vars(HermitianOp)
+    with pytest.raises(TypeError):
+        a + a
+    with pytest.raises(TypeError):
+        2.0 * a
+    # Every way in sets the matrix read-only: the constructors and direct wrapping.
+    for op in (a, HermitianOp.identity(2), HermitianOp(mat=np.zeros((2, 2), complex))):
+        assert not op.mat.flags.writeable
 
 
 # --- hs_inner -----------------------------------------------------------------
@@ -109,22 +118,78 @@ def test_hs_inner_symmetry_and_positivity():
     rng = np.random.default_rng(7)
     a, b = random_hermitian(rng, 5), random_hermitian(rng, 5)
     assert hs_inner(a, b) == pytest.approx(hs_inner(b, a), abs=1e-12)
-    spec, _ = hermitian_eigensystem(a)
+    spec, _ = hermitian_eigensystem(a.mat)
     assert hs_inner(a, a) >= 0.0
     assert hs_inner(a, a) == pytest.approx(float(spec @ spec), abs=1e-10)
+
+
+# --- kernels against exact products --------------------------------------------
+#
+# hs_inner and gram_deviation's einsum Gram against helpers.exact_hs, on the
+# unbiased-basis point frame.  Its table constant is β = tr t² = ‖t‖², so any
+# order of summation of the 2d² real products errs by at most γ_{2d²}·β
+# (Higham, Accuracy and Stability of Numerical Algorithms, §3.1).  The exact
+# deviation over the checked entries is a lower bound on the data's own.
+
+UNIT_ROUNDOFF = 2.0**-53
+
+
+def test_exact_hs_is_the_trace_of_the_product():
+    a = np.array([[1, 2j], [3, 4]])
+    b = np.array([[5, 6], [7j, 8]])
+    assert exact_hs(a, b) == 41 == np.trace(a @ b).real
+    assert exact_hs(np.eye(3) * 0.1, np.eye(3)) == 3 * Fraction(0.1)
+
+
+@pytest.mark.parametrize("d", [d for d in PRIME_DIMS if d <= 23])
+def test_hs_kernels_against_exact_products(d, monkeypatch):
+    # Sampled pairs plus each kernel's 40 worst entries; errors in units of β.
+    pf = frames.point_frame_from_mub(weyl.build_mub(d))
+    ops = [pf.ops[k] for k in point_keys(d)]
+    beta, n = pf.beta, len(ops)
+    target = label_table(column_labels(d), beta, -beta / (d - 1), 0.0)
+    grams, einsum = [], np.einsum
+
+    def caught(*args, **kwargs):  # gram_deviation's own Gram on its way out
+        grams.append(einsum(*args, **kwargs).real)
+        return grams[-1]
+
+    monkeypatch.setattr(np, "einsum", caught)
+    printed = gram_deviation(ops, target)
+    monkeypatch.undo()
+    # hs_inner on the upper triangle, which holds the diagonal and one of each pair.
+    inner = np.full((n, n), np.nan)
+    for a, b in zip(*np.triu_indices(n)):
+        inner[a, b] = hs_inner(ops[a], ops[b])
+    draws = np.random.default_rng(d).integers(n, size=(20, 2)).tolist()
+    sampled = {tuple(sorted(p)) for p in draws}
+    gamma = 2 * d * d * UNIT_ROUNDOFF / (1 - 2 * d * d * UNIT_ROUNDOFF)
+    exact_dev = Fraction(0)
+    for name, table in (("einsum", grams[0]), ("hs_inner", inner)):
+        dev = np.nan_to_num(np.abs(table - target), nan=-1.0)
+        worst = [int(i) for i in np.argsort(dev, axis=None)[-40:] if dev.flat[i] >= 0]
+        pairs = sampled | {divmod(i, n) for i in worst}
+        error = Fraction(0)
+        for a, b in pairs:
+            exact = exact_hs(ops[a].mat, ops[b].mat)
+            error = max(error, abs(Fraction(table[a, b]) - exact) / Fraction(beta))
+            exact_dev = max(exact_dev, abs(exact - Fraction(target[a, b])))
+        assert error <= gamma, f"{name} errs by {float(error):.2e} β at d = {d}"
+    assert printed == float(np.abs(grams[0] - target).max())
+    assert float(exact_dev) <= DEFAULT_TOL
 
 
 # --- eigensystem ---------------------------------------------------------------
 
 
 def test_eigensystem_diagonal_input():
-    spec, vecs = hermitian_eigensystem(HermitianOp.from_matrix(np.diag([2.0, 1.0, 1.0])))
+    spec, vecs = hermitian_eigensystem(np.diag([2.0, 1.0, 1.0]).astype(complex))
     assert spec == pytest.approx((2.0, 1.0, 1.0))
     np.testing.assert_allclose(vecs.conj().T @ vecs, np.eye(3), atol=1e-10)
 
 
 def test_eigensystem_qubit_projector():
-    spec, _ = hermitian_eigensystem(qubit_lambda0())
+    spec, _ = hermitian_eigensystem(qubit_lambda0().mat)
     assert spec[0] == pytest.approx(1.0, abs=1e-12)
     assert spec[1] == pytest.approx(0.0, abs=1e-12)
 
@@ -144,7 +209,7 @@ def test_eigensystem_reconstructs_and_sums_to_trace():
     rng = np.random.default_rng(8)
     for d in (2, 3, 5, 7):
         h = random_hermitian(rng, d)
-        spec, vecs = hermitian_eigensystem(h)
+        spec, vecs = hermitian_eigensystem(h.mat)
         assert list(spec) == sorted(spec, reverse=True)
         recon = vecs @ np.diag(spec) @ vecs.conj().T
         assert np.abs(recon - h.mat).max() <= 1e-10
@@ -172,7 +237,7 @@ def test_third_moment_projector_and_mixed():
     proj = HermitianOp.from_matrix(np.diag([1.0, 0.0]))
     assert third_moment(proj) == pytest.approx(1.0, abs=1e-14)
     for d in (2, 3, 5):
-        mixed = (1.0 / d) * HermitianOp.identity(d)
+        mixed = HermitianOp.from_matrix(np.eye(d) / d)
         assert third_moment(mixed) == pytest.approx(1.0 / d**2, abs=1e-14)
 
 
@@ -184,7 +249,7 @@ def test_third_moment_of_fiducial_projector():
 def test_third_moment_equals_eigenvalue_cubes():
     rng = np.random.default_rng(9)
     h = random_hermitian(rng, 6)
-    spec, _ = hermitian_eigensystem(h)
+    spec, _ = hermitian_eigensystem(h.mat)
     assert third_moment(h) == pytest.approx(float((spec**3).sum()), abs=1e-9)
 
 
@@ -207,7 +272,7 @@ def qubit_spectra_with_row(row: str) -> str:
 def test_eigensystem_spectrum_is_read_only_and_descending():
     rng = np.random.default_rng(10)
     for d in (2, 3, 5):
-        spec, _ = hermitian_eigensystem(random_hermitian(rng, d))
+        spec, _ = hermitian_eigensystem(random_hermitian(rng, d).mat)
         assert spec.shape == (d,) and spec.dtype == np.float64
         assert np.all(spec[:-1] >= spec[1:])
         assert not spec.flags.writeable

@@ -302,6 +302,13 @@ def test_export_json_matches_indented_dumps(d):
         "incidence": [[list(p), list(ln)] for ln in geom.lines for p in geom.points_on(ln)],
     }
     assert export_incidence(geom, "json") == json.dumps(obj, indent=1) + "\n"
+    apg = build_apg(d)
+    obj = {
+        "d": d,
+        "points": [list(p) for p in apg.points],
+        "lines": [[list(p) for p in sorted(ln)] for ln in apg.lines],
+    }
+    assert export_apg(apg, "json") == json.dumps(obj, indent=1) + "\n"
 
 
 def test_export_dot_shape():

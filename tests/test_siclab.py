@@ -18,6 +18,7 @@ from helpers import (
     PRIMES,
     SPECTRA_MATCH_TOL,
     group_sizes,
+    op_add,
     random_ket,
     spectra_match,
 )
@@ -187,7 +188,7 @@ def test_qubit_columns_share_one_spectrum():
     taus = extract_mu_pom(generate_hw_sic(qubit_fiducial()))
     hi = (3 + np.sqrt(3)) / 6
     for k in point_keys(2):
-        spec, _ = hermitian_eigensystem(taus[k])
+        spec, _ = hermitian_eigensystem(taus[k].mat)
         assert spec[0] == pytest.approx(hi, abs=1e-12)
         assert spec[1] == pytest.approx(1 - hi, abs=1e-12)
 
@@ -195,7 +196,7 @@ def test_qubit_columns_share_one_spectrum():
 def test_qutrit_columns_share_one_spectrum():
     taus = extract_mu_pom(generate_hw_sic(qutrit_fiducial()))
     for k in point_keys(3):
-        spec, _ = hermitian_eigensystem(taus[k])
+        spec, _ = hermitian_eigensystem(taus[k].mat)
         assert np.abs(spec - (0.5, 0.5, 0.0)).max() <= 1e-12
 
 
@@ -252,8 +253,22 @@ def test_mu_pom_invariants():
         col = sum(taus[(m, j)].mat for m in range(d))
         assert np.abs(col - eye).max() <= 1e-10
     for k in point_keys(d):
-        spec, _ = hermitian_eigensystem(taus[k])
+        spec, _ = hermitian_eigensystem(taus[k].mat)
         assert spec.min() >= -1e-10
+
+
+@pytest.mark.parametrize("d", PRIME_DIMS)
+def test_spectra_table_matches_eigensystem_loop(d):
+    # One eigensystem call on the stacked points against the per-operator
+    # calls it replaced, on the bridged points of a random fiducial's family.
+    rng = np.random.default_rng(d)
+    fid = Fiducial(d=d, ket=canonical_ket(random_ket(rng, d)))
+    taus = line_to_point_bridge(generate_hw_sic(fid))
+    table = spectra_table(taus)
+    loop = np.array([hermitian_eigensystem(taus[k].mat)[0] for k in point_keys(d)])
+    assert table.shape == (d + 1, d, d)
+    assert table.tobytes() == loop.tobytes()
+    assert spectra_to_csv(table) == spectra_to_csv(loop.reshape(d + 1, d, d))
 
 
 def test_d5_spectra_two_groups(searched, searched_mu_pom):
@@ -536,6 +551,23 @@ def test_mu_pom_from_probabilities_matches_loop(d):
         mu_pom_from_probabilities(mub, [probs[0], probs[1][:-1]] + list(probs[2:]))
 
 
+@pytest.mark.parametrize("d", [3, 5, 7])
+def test_lambda0_matches_operator_sum_loop(d):
+    # λ₀ = Σ_b τ^(b) − 1 summed left to right, against the loop of operator
+    # sums it replaced; uniform columns make exact zeros, whose signs count too.
+    mub = build_mub(d)
+    for probs in (np.random.default_rng(d).dirichlet(np.ones(d), size=d + 1),
+                  np.full((d + 1, d), 1.0 / d)):
+        taus = mu_pom_from_probabilities(mub, probs)
+        total = taus[0]
+        for tau in taus[1:]:
+            total = op_add(total, tau)
+        lambda0 = op_add(total, HermitianOp.identity(d), -1.0)
+        ext = fiducial_from_mu_pom(taus, mub)
+        assert ext.lambda0.mat.tobytes() == lambda0.mat.tobytes()
+        assert ext.sum_spectrum.tobytes() == hermitian_eigensystem(total.mat)[0].tobytes()
+
+
 def test_qubit_candidate_projector():
     mub = build_mub(2)
     hi = (3 + np.sqrt(3)) / 6
@@ -548,7 +580,7 @@ def test_qubit_candidate_projector():
     sz = np.diag([1.0, -1.0])
     want = (np.eye(2) + (sx + sy + sz) / np.sqrt(3)) / 2
     assert np.abs(ext.lambda0.mat - want).max() <= 1e-10
-    spec, _ = hermitian_eigensystem(ext.lambda0)
+    spec, _ = hermitian_eigensystem(ext.lambda0.mat)
     assert np.abs(spec - (1.0, 0.0)).max() <= 1e-10
 
 
