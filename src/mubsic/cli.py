@@ -134,8 +134,7 @@ def _cmd_frame_from_mub(args) -> int:
 
 
 def _cmd_frame_from_hg(args) -> int:
-    basis = weyl.build_hg_basis(weyl.build_weyl_pair(args.d))
-    pf = frames.point_frame_from_hg(basis)
+    pf = frames.point_frame_from_hg(weyl.build_hg_basis(weyl.build_weyl_pair(args.d)))
     dev = frames.verify_point_table(pf)
     _write_json(args.out, frames.point_frame_to_json_dict(pf))
     print(f"point frame d={pf.d} beta={_fmt(pf.beta)}, table deviation {_fmt(dev)}")

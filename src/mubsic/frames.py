@@ -14,9 +14,9 @@ and the bridged line operators l_μ = Σ_{(m,j)∈μ} t_m^(j) then satisfy
     tr(l_μ l_μ') = α δ_μμ' − α/(d²−1)·(1 − δ_μμ'),   α = β(d+1).
 
 Trace-one companions are τ = (1 + t)/d and λ = (1 + l)/d, built once per
-family by :func:`trace_one`.  Every family is a plain dict of operators;
-its file and check order is plane.point_keys / plane.line_keys, never the
-dict's insertion order.
+family by :func:`trace_one`.  Every family is one read-only (n, d, d) stack
+whose rows are in plane.point_keys / plane.line_keys order: the order of its
+file, of every check and of the canonical dual plane's incidence matrix.
 """
 
 from __future__ import annotations
@@ -30,10 +30,12 @@ from .linalg import (
     HermitianOp,
     gram_deviation,
     header_int,
+    hermitian_stack,
     hs_inner,
     label_table,
     ops_from_json,
     ops_to_json,
+    read_only,
 )
 from .plane import Dapg, column_labels, incidence_sum, line_keys, point_keys
 from .weyl import HGBasis, MubFamily, require_odd_prime, require_prime, verify_mub
@@ -51,8 +53,7 @@ def build_simplex_vectors(d: int) -> np.ndarray:
     vectors = np.empty((d, d - 1))
     vectors[:, 0::2] = np.cos(angles)
     vectors[:, 1::2] = np.sin(angles)
-    vectors.flags.writeable = False
-    return vectors
+    return read_only(vectors)
 
 
 # --- frames ------------------------------------------------------------------
@@ -60,35 +61,27 @@ def build_simplex_vectors(d: int) -> np.ndarray:
 
 @dataclass(frozen=True)
 class PointFrame:
-    """d(d+1) traceless point operators t_m^(j) in ``ops[(m, j)]``, plus the
-    strength β."""
+    """d(d+1) traceless point operators t_m^(j), the rows of the read-only
+    stack ``ops`` in point_keys order, plus the strength β."""
 
     d: int
     beta: float
-    ops: dict
+    ops: np.ndarray
 
 
 @dataclass(frozen=True)
 class LineFrame:
-    """d² traceless line operators l_μ in ``ops[(a, b)]``, plus the strength α."""
+    """d² traceless line operators l_μ, the rows of the read-only stack
+    ``ops`` in line_keys order, plus the strength α."""
 
     d: int
     alpha: float
-    ops: dict
+    ops: np.ndarray
 
 
-def trace_one(ops: dict, d: int) -> dict:
-    """The trace-one companions (1 + op)/d of a family, under the same keys,
-    computed in place on one stack of the family."""
-    mats = _companion_stack(np.stack([op.mat for op in ops.values()]), d)
-    return {k: HermitianOp(mat=m) for k, m in zip(ops, mats)}
-
-
-def _companion_stack(mats: np.ndarray, d: int) -> np.ndarray:
-    """``mats``, a (n, d, d) stack, overwritten by (1 + m)/d for each m."""
-    mats += np.eye(d)
-    mats *= 1.0 / d
-    return mats
+def trace_one(ops: np.ndarray, d: int) -> np.ndarray:
+    """The read-only stack of trace-one companions (1 + op)/d of a family."""
+    return read_only((ops + np.eye(d)) * (1.0 / d))
 
 
 def point_frame_from_mub(mub: MubFamily) -> PointFrame:
@@ -104,10 +97,8 @@ def point_frame_from_mub(mub: MubFamily) -> PointFrame:
     if dev > DEFAULT_TOL:
         raise ValueError(f"basis family fails unbiasedness: deviation {dev:.3e}")
     eye = np.eye(d)
-    ops = {}
-    for m, j in point_keys(d):
-        ket = mub.bases[j, m]
-        ops[(m, j)] = HermitianOp.from_matrix(d * np.outer(ket, ket.conj()) - eye)
+    kets = (mub.bases[j, m] for m, j in point_keys(d))
+    ops = hermitian_stack((d * np.outer(k, k.conj()) - eye for k in kets), d * (d + 1), d)
     return PointFrame(d=d, beta=float(d * (d - 1)), ops=ops)
 
 
@@ -119,12 +110,12 @@ def point_frame_from_hg(basis: HGBasis) -> PointFrame:
     """
     d = basis.d
     v = build_simplex_vectors(d)
-    ops = {}
-    for m, j in point_keys(d):
-        mat = np.tensordot(v[m, 0::2], basis.h[j], axes=1) + np.tensordot(
-            v[m, 1::2], basis.g[j], axes=1
-        )
-        ops[(m, j)] = HermitianOp.from_matrix(mat)
+    mats = (
+        np.tensordot(v[m, 0::2], basis.h[j], axes=1)
+        + np.tensordot(v[m, 1::2], basis.g[j], axes=1)
+        for m, j in point_keys(d)
+    )
+    ops = hermitian_stack(mats, d * (d + 1), d)
     return PointFrame(d=d, beta=float((d - 1) / 2), ops=ops)
 
 
@@ -133,35 +124,30 @@ def with_beta(frame: PointFrame, beta: float) -> PointFrame:
     if not (0 < beta < np.inf and 0 < frame.beta < np.inf):
         raise ValueError("frame strengths must be positive and finite")
     c = float(np.sqrt(beta / frame.beta))
-    ops = {k: HermitianOp(mat=c * op.mat) for k, op in frame.ops.items()}
-    return PointFrame(d=frame.d, beta=float(beta), ops=ops)
+    return PointFrame(d=frame.d, beta=float(beta), ops=read_only(c * frame.ops))
+
+
+def _require_plane(geom: Dapg, *frames) -> None:
+    """Reject a plane other than the dual plane of the frames' d with points
+    and lines in point_keys / line_keys order, the order of the frames' rows."""
+    d, keys = geom.d, (tuple(point_keys(geom.d)), tuple(line_keys(geom.d)))
+    if any(f.d != d for f in frames) or (geom.points, geom.lines) != keys:
+        ds = [f.d for f in frames]
+        raise ValueError(f"frames of d {ds} need the canonical dual plane of their d, got d={d}")
 
 
 def line_ops_from_points(frame: PointFrame, geom: Dapg) -> LineFrame:
     """Bridge points to lines: l_μ = Σ_{(m,j)∈μ} t_m^(j); α = β(d+1)."""
-    if frame.d != geom.d:
-        raise ValueError(f"dimension mismatch: frame d={frame.d}, geometry d={geom.d}")
-    ops = incidence_ops(frame.ops, geom.points, geom.incidence, geom.lines, 1.0)
+    _require_plane(geom, frame)
+    ops = read_only(incidence_sum(geom.incidence, frame.ops))
     return LineFrame(d=frame.d, alpha=float(frame.beta * (frame.d + 1)), ops=ops)
 
 
 def point_ops_from_lines(frame: LineFrame, geom: Dapg) -> PointFrame:
     """Bridge lines back to points: t_m^(j) = (1/d) Σ_{μ∋(m,j)} l_μ."""
-    if frame.d != geom.d:
-        raise ValueError(f"dimension mismatch: frame d={frame.d}, geometry d={geom.d}")
-    d = frame.d
-    ops = incidence_ops(frame.ops, geom.lines, geom.incidence.T, geom.points, 1.0 / d)
-    return PointFrame(d=d, beta=float(frame.alpha / (d + 1)), ops=ops)
-
-
-def incidence_ops(ops: dict, keys, incidence: np.ndarray, out_keys, scale: float) -> dict:
-    """``scale`` times the sums of ``ops`` (rows in ``keys`` order) along
-    ``incidence``, keyed by ``out_keys``: the one bridge between the points
-    and the lines of the plane.  Each result wraps its row of the summed
-    stack directly, since sums of Hermitian matrices are exactly Hermitian."""
-    mats = incidence_sum(incidence, [ops[k].mat for k in keys])
-    mats *= scale
-    return {k: HermitianOp(mat=m) for k, m in zip(out_keys, mats)}
+    _require_plane(geom, frame)
+    ops = read_only(incidence_sum(geom.incidence.T, frame.ops) * (1.0 / frame.d))
+    return PointFrame(d=frame.d, beta=float(frame.alpha / (frame.d + 1)), ops=ops)
 
 
 # --- verification ------------------------------------------------------------
@@ -171,14 +157,14 @@ def verify_point_table(frame: PointFrame) -> float:
     """Max deviation of tr(t t') from {β; −β/(d−1); 0 across columns}."""
     d, beta = frame.d, frame.beta
     target = label_table(column_labels(d), beta, -beta / (d - 1), 0.0)
-    return gram_deviation((frame.ops[k] for k in point_keys(d)), target)
+    return gram_deviation(frame.ops, target)
 
 
 def verify_line_table(frame: LineFrame) -> float:
     """Max deviation of tr(l l') from {α; −α/(d²−1)}."""
     d, alpha = frame.d, frame.alpha
     target = label_table(np.arange(d * d), alpha, alpha, -alpha / (d * d - 1))
-    return gram_deviation((frame.ops[k] for k in line_keys(d)), target)
+    return gram_deviation(frame.ops, target)
 
 
 @dataclass
@@ -202,17 +188,15 @@ class PointLineReport:
 def verify_point_line_products(
     points: PointFrame, lines: LineFrame, geom: Dapg
 ) -> PointLineReport:
-    if not (points.d == lines.d == geom.d):
-        raise ValueError("dimension mismatch between frames and geometry")
+    _require_plane(geom, points, lines)
     d, beta = points.d, points.beta
     on = geom.incidence.T == 1  # [line, point]
     want_t = np.where(on, beta, -beta * (d + 1) / (d * d - 1)).tolist()
     want_tau = np.where(on, (d + beta) / d**2, (d - beta / (d - 1)) / d**2).tolist()
-    taus, lams = trace_one(points.ops, d), trace_one(lines.ops, d)
-    pairs = [(points.ops[p], taus[p]) for p in geom.points]
+    pairs = list(zip(points.ops, trace_one(points.ops, d)))
     dev_t = dev_tau = 0.0
-    for ln, want_t_row, want_tau_row in zip(geom.lines, want_t, want_tau):
-        l_op, lam_op = lines.ops[ln], lams[ln]
+    rows = zip(lines.ops, trace_one(lines.ops, d), want_t, want_tau)
+    for l_op, lam_op, want_t_row, want_tau_row in rows:
         for (t_op, tau_op), w_t, w_tau in zip(pairs, want_t_row, want_tau_row):
             dev_t = max(dev_t, abs(hs_inner(t_op, l_op) - w_t))
             dev_tau = max(dev_tau, abs(hs_inner(tau_op, lam_op) - w_tau))
@@ -224,7 +208,7 @@ def verify_point_line_products(
 # --- scaled line family and quasi-probabilities -------------------------------
 
 
-def scaled_so(frame: LineFrame) -> dict:
+def scaled_so(frame: LineFrame) -> np.ndarray:
     """Unit-purity rescaling σ_μ = (1/d)(1 + √(2d/(d+1)) l_μ).
 
     Only defined at the minimal strength α = (d+1)(d−1)/2, where it gives
@@ -238,7 +222,7 @@ def scaled_so(frame: LineFrame) -> dict:
             f"scaled family needs α = (d+1)(d−1)/2 = {expected}; got {frame.alpha}"
         )
     c = float(np.sqrt(2.0 * d / (d + 1)))
-    return trace_one({k: HermitianOp(mat=c * frame.ops[k].mat) for k in line_keys(d)}, d)
+    return trace_one(c * frame.ops, d)
 
 
 def quasi_distribution(rho: HermitianOp, points: PointFrame) -> dict:
@@ -250,12 +234,11 @@ def quasi_distribution(rho: HermitianOp, points: PointFrame) -> dict:
         raise ValueError(f"dimension mismatch: ρ is {rho.dim}, frame is {points.d}")
     if abs(rho.trace - 1.0) > 1e-10:
         raise ValueError(f"ρ must have unit trace, got {rho.trace!r}")
-    d, keys = points.d, point_keys(points.d)
-    taus = _companion_stack(np.stack([points.ops[k].mat for k in keys]), d)
+    taus = trace_one(points.ops, points.d)
     # The matmul trace, not hs_inner or an einsum: these values are written to
     # quasi.json, whose bytes a reordered sum would change in the last bits.
     values = np.trace(taus @ rho.mat, axis1=1, axis2=2).real
-    return dict(zip(keys, values.tolist()))
+    return dict(zip(point_keys(points.d), values.tolist()))
 
 
 def line_probabilities(q: dict, geom: Dapg) -> dict:
@@ -275,14 +258,14 @@ def line_probabilities(q: dict, geom: Dapg) -> dict:
 
 
 def point_frame_to_json_dict(frame: PointFrame) -> dict:
-    return {"d": frame.d, "beta": frame.beta, "ops": ops_to_json(frame.ops, point_keys(frame.d))}
+    return {"d": frame.d, "beta": frame.beta, "ops": ops_to_json(frame.ops)}
 
 
 def line_frame_to_json_dict(frame: LineFrame) -> dict:
-    return {"d": frame.d, "alpha": frame.alpha, "ops": ops_to_json(frame.ops, line_keys(frame.d))}
+    return {"d": frame.d, "alpha": frame.alpha, "ops": ops_to_json(frame.ops)}
 
 
-def _frame_from_json(obj: dict, strength: str, keys_of) -> tuple[int, float, dict]:
+def _frame_from_json(obj: dict, strength: str, keys_of) -> tuple[int, float, np.ndarray]:
     """(d, strength, ops) of a point- or line-frame object."""
     try:
         d = header_int(obj, "d")

@@ -33,10 +33,9 @@ DEFAULT_TOL = 1e-10
 class HermitianOp:
     """A d x d Hermitian matrix, read-only from construction on.
 
-    Construct through :meth:`from_matrix`, which validates.  Code that builds
-    a family of operators at once (sums and real scalings of Hermitian
-    matrices, which are exactly Hermitian) wraps each result directly as
-    ``HermitianOp(mat=...)``.  An operator holds no arithmetic of its own.
+    Construct through :meth:`from_matrix`, which validates.  A family of
+    operators is one read-only ``(n, d, d)`` stack (:func:`hermitian_stack`),
+    not a list of these.  An operator holds no arithmetic of its own.
     """
 
     mat: np.ndarray
@@ -81,16 +80,31 @@ class HermitianOp:
         return cls.from_matrix(matrix_from_json_dict(obj))
 
 
-def hs_inner(a: HermitianOp, b: HermitianOp) -> float:
-    """Hilbert-Schmidt inner product tr(ab).
+def read_only(arr: np.ndarray) -> np.ndarray:
+    """``arr``, set read-only."""
+    arr.flags.writeable = False
+    return arr
+
+
+def hermitian_stack(mats, n: int, d: int) -> np.ndarray:
+    """The read-only ``(n, d, d)`` stack of the n matrices ``mats``, each
+    admitted by :meth:`HermitianOp.from_matrix` and copied into its row."""
+    stack = np.empty((n, d, d), dtype=np.complex128)
+    for row, mat in zip(stack, mats):
+        row[...] = HermitianOp.from_matrix(mat).mat
+    return read_only(stack)
+
+
+def hs_inner(a: np.ndarray, b: np.ndarray) -> float:
+    """Hilbert-Schmidt inner product tr(ab) of two Hermitian matrices.
 
     Computed as tr(b†a) = Σ conj(b_ij)·a_ij, one O(d²) sum instead of a
-    d × d matmul; it equals tr(ab) because every HermitianOp is exactly
-    Hermitian.  The numerical imaginary residue is discarded.
+    d × d matmul; it equals tr(ab) because every admitted operator is
+    exactly Hermitian.  The numerical imaginary residue is discarded.
     """
-    if a.dim != b.dim:
-        raise ValueError(f"dimension mismatch: {a.dim} vs {b.dim}")
-    return float(np.vdot(b.mat, a.mat).real)
+    if a.shape != b.shape:
+        raise ValueError(f"dimension mismatch: {len(a)} vs {len(b)}")
+    return float(np.vdot(b, a).real)
 
 
 def hermitian_eigensystem(mats: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -138,10 +152,10 @@ def label_table(labels, diag: float, same: float, other: float) -> np.ndarray:
     return table
 
 
-def gram_deviation(ops, target) -> float:
-    """Max |tr(a b) − target[a, b]| over every ordered pair of ``ops``: the
-    Hilbert-Schmidt Gram-table check behind every frame and family verifier."""
-    stack = np.stack([op.mat for op in ops])
+def gram_deviation(stack: np.ndarray, target) -> float:
+    """Max |tr(a b) − target[a, b]| over every ordered pair of rows of the
+    ``(n, d, d)`` stack: the Hilbert-Schmidt Gram-table check behind every
+    frame and family verifier."""
     gram = np.einsum("aij,bji->ab", stack, stack).real
     return float(np.abs(gram - target).max())
 
@@ -204,27 +218,27 @@ def matrix_from_json_dict(obj: dict) -> np.ndarray:
     return complex_from_json(entries, (d * d,), "operator entries").reshape(d, d)
 
 
-def ops_to_json(ops: dict, keys) -> list:
-    """Operator objects listed in ``keys`` order."""
-    return [ops[k].to_json_dict() for k in keys]
+def ops_to_json(stack: np.ndarray) -> list:
+    """Operator objects of the rows of ``stack``, in stack order."""
+    return [matrix_to_json_dict(mat) for mat in stack]
 
 
-def ops_from_json(raw, keys: list, d: int) -> dict:
-    """Inverse of :func:`ops_to_json`: one validated d x d operator per key.
+def ops_from_json(raw, keys: list, d: int) -> np.ndarray:
+    """Inverse of :func:`ops_to_json`: the read-only stack of one validated
+    d x d operator per key; ``keys`` name the rows in error messages.
 
     Items already decoded by :func:`decode_operator` are taken as they are.
     """
     if not isinstance(raw, list) or len(raw) != len(keys):
         got = len(raw) if isinstance(raw, list) else raw
         raise ValueError(f"expected {len(keys)} ops, got {got!r}")
-    ops = {
-        k: o if isinstance(o, HermitianOp) else HermitianOp.from_json_dict(o)
-        for k, o in zip(keys, raw)
-    }
-    for k, op in ops.items():
+    ops = [o if isinstance(o, HermitianOp) else HermitianOp.from_json_dict(o) for o in raw]
+    stack = np.empty((len(keys), d, d), dtype=np.complex128)
+    for k, op, row in zip(keys, ops, stack):
         if op.dim != d:
             raise ValueError(f"op {k} is {op.dim} x {op.dim}, expected {d} x {d}")
-    return ops
+        row[...] = op.mat
+    return read_only(stack)
 
 
 def decode_operator(obj: dict):
@@ -255,15 +269,20 @@ def dump_json(obj: dict, fh) -> None:
     fh.write("}\n")
 
 
+def parse_json(text: str, object_hook=None):
+    """The JSON value of ``text``; every JSON input is parsed here.  Text
+    nested too deeply for the parser is rejected with a ValueError, as any
+    other malformed text is, not a RecursionError."""
+    try:
+        return json.loads(text, object_hook=object_hook)
+    except RecursionError:
+        raise ValueError("JSON nested too deeply to parse") from None
+
+
 def load_json(path, object_hook=None):
-    """The JSON value of the file at ``path``; every JSON artifact is read
-    here.  A file nested too deeply for the parser is rejected with a
-    ValueError, as any other malformed file is, not a RecursionError."""
+    """The JSON value of the file at ``path``, through :func:`parse_json`."""
     with open(path) as fh:
-        try:
-            return json.load(fh, object_hook=object_hook)
-        except RecursionError:
-            raise ValueError("JSON nested too deeply to parse") from None
+        return parse_json(fh.read(), object_hook)
 
 
 def write_operator_json(path, op: HermitianOp) -> None:

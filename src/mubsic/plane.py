@@ -21,7 +21,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .linalg import header_int
+from .linalg import header_int, parse_json
 from .weyl import require_prime
 
 Point = tuple[int, int]
@@ -309,7 +309,7 @@ def export_apg(apg: Apg, fmt: str) -> str:
 def incidence_from_json(text: str) -> Dapg:
     """Rebuild a Dapg from :func:`export_incidence` JSON output, whose point
     list must name each point of the incidence pairs once, in any order."""
-    obj = json.loads(text)
+    obj = parse_json(text)
     try:
         d = header_int(obj, "d")
         points = [tuple(p) for p in obj["points"]]

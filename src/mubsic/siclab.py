@@ -26,15 +26,16 @@ from .linalg import (
     gram_deviation,
     header_int,
     hermitian_eigensystem,
+    hermitian_stack,
     label_table,
     load_json,
     ops_from_json,
     ops_to_json,
+    read_only,
     spectrum_rank,
     third_moment,
 )
-from .frames import incidence_ops
-from .plane import build_dapg, column_labels, line_keys, point_keys
+from .plane import build_dapg, column_labels, incidence_sum, line_keys, point_keys
 from .weyl import MubFamily, WeylPair, build_weyl_pair, monomial, require_prime
 
 
@@ -68,6 +69,8 @@ class Fiducial:
     def __post_init__(self):
         if self.ket.shape != (self.d,):
             raise ValueError(f"ket must have length {self.d}, got {self.ket.shape}")
+        if not np.all(np.isfinite(self.ket)):
+            raise ValueError("ket components must be finite")
         norm = float(np.linalg.norm(self.ket))
         if abs(norm - 1.0) > 1e-12:
             raise ValueError(f"ket must be unit-norm, got ‖ψ‖ = {norm!r}")
@@ -112,18 +115,19 @@ def qutrit_fiducial() -> Fiducial:
 
 @dataclass(frozen=True)
 class SicFamily:
-    """d² rank-one trace-one operators λ_μ in ``projectors[(a, b)]``, generated
-    from (or read alongside) a fiducial ket."""
+    """d² rank-one trace-one operators λ_μ, the rows of the read-only stack
+    ``projectors`` in plane.line_keys order, generated from (or read
+    alongside) a fiducial ket."""
 
     d: int
     fiducial: Fiducial
-    projectors: dict
+    projectors: np.ndarray
 
     def to_json_dict(self) -> dict:
         return {
             "d": self.d,
             "fiducial": complex_to_json(self.fiducial.ket),
-            "ops": ops_to_json(self.projectors, line_keys(self.d)),
+            "ops": ops_to_json(self.projectors),
         }
 
     @classmethod
@@ -150,10 +154,8 @@ def generate_hw_sic(fid: Fiducial) -> SicFamily:
     d = require_prime(fid.d)
     wp = build_weyl_pair(d)
     rho0 = np.outer(fid.ket, fid.ket.conj())
-    projectors = {}
-    for a, b in line_keys(d):
-        u = monomial(wp, b, (d - a) % d).conj().T
-        projectors[(a, b)] = HermitianOp.from_matrix(u @ rho0 @ u.conj().T)
+    us = (monomial(wp, b, (d - a) % d).conj().T for a, b in line_keys(d))
+    projectors = hermitian_stack((u @ rho0 @ u.conj().T for u in us), d * d, d)
     return SicFamily(d=d, fiducial=fid, projectors=projectors)
 
 
@@ -162,16 +164,17 @@ def verify_sic(fam: SicFamily) -> float:
     1/(d+1) off it}."""
     d = fam.d
     target = label_table(np.arange(d * d), 1.0, 1.0, 1.0 / (d + 1))
-    return gram_deviation((fam.projectors[k] for k in line_keys(d)), target)
+    return gram_deviation(fam.projectors, target)
 
 
 # --- measurement columns over the dual affine plane ---------------------------
 
 
-def extract_mu_pom(fam: SicFamily) -> dict:
-    """The d(d+1) trace-one operators τ_m^(j) = (1/d) Σ_{μ∋(m,j)} λ_μ, keyed
-    by dual-plane point (m, j): the frames' line-to-point bridge applied to
-    the projector family.  Each column j sums to the identity.
+def extract_mu_pom(fam: SicFamily) -> np.ndarray:
+    """The read-only stack of the d(d+1) trace-one operators
+    τ_m^(j) = (1/d) Σ_{μ∋(m,j)} λ_μ, in plane.point_keys order: the frames'
+    line-to-point bridge applied to the projector family.  Each column j
+    sums to the identity.
 
     The input family is verified first: if its overlap deviation exceeds
     1e−8 the extraction is refused, since the output pattern is only
@@ -181,30 +184,28 @@ def extract_mu_pom(fam: SicFamily) -> dict:
     dev = verify_sic(fam)
     if dev > 1e-8:
         raise ValueError(f"family fails equal-overlap check: deviation {dev:.3e}")
-    geom = build_dapg(d)
-    return incidence_ops(fam.projectors, geom.lines, geom.incidence.T, geom.points, 1.0 / d)
+    return read_only(incidence_sum(build_dapg(d).incidence.T, fam.projectors) * (1.0 / d))
 
 
-def verify_mu_pom(taus: dict) -> float:
-    """Max deviation of tr(τ τ') from the three-value pattern
-    {1/d across columns; 2/(d+1) on the diagonal; 1/(d+1) within a column}."""
-    d = next(iter(taus.values())).dim
+def verify_mu_pom(taus: np.ndarray) -> float:
+    """Max deviation of tr(τ τ') over the stack ``taus`` from the three-value
+    pattern {1/d across columns; 2/(d+1) on the diagonal; 1/(d+1) within a
+    column}."""
+    d = taus.shape[-1]
     target = label_table(column_labels(d), 2.0 / (d + 1), 1.0 / (d + 1), 1.0 / d)
-    return gram_deviation((taus[k] for k in point_keys(d)), target)
+    return gram_deviation(taus, target)
 
 
 # --- spectra bookkeeping -------------------------------------------------------
 
 
-def spectra_table(taus: dict) -> np.ndarray:
-    """The read-only (d+1, d, d) table S of the point operators' spectra:
-    S[j, m] holds the descending eigenvalues of τ_m^(j)."""
-    d = next(iter(taus.values())).dim
-    spectra, _ = hermitian_eigensystem(np.stack([taus[k].mat for k in point_keys(d)]))
+def spectra_table(taus: np.ndarray) -> np.ndarray:
+    """The read-only (d+1, d, d) table S of the spectra of the point-operator
+    stack ``taus``: S[j, m] holds the descending eigenvalues of τ_m^(j)."""
+    d = taus.shape[-1]
+    spectra, _ = hermitian_eigensystem(taus)
     # Contiguous, as a table built row by row is: reductions sum in its order.
-    table = np.ascontiguousarray(spectra).reshape(d + 1, d, d)
-    table.flags.writeable = False
-    return table
+    return read_only(np.ascontiguousarray(spectra).reshape(d + 1, d, d))
 
 
 def assert_column_constant(table: np.ndarray) -> np.ndarray:
@@ -285,9 +286,7 @@ def spectra_from_csv(text: str) -> np.ndarray:
             f"spectra CSV lists {len(spectra)} points; d = {d} needs each of the "
             f"{d * (d + 1)} points (m, j) once"
         )
-    table = np.array([spectra[k] for k in point_keys(d)]).reshape(d + 1, d, d)
-    table.flags.writeable = False
-    return table
+    return read_only(np.array([spectra[k] for k in point_keys(d)]).reshape(d + 1, d, d))
 
 
 # --- cyclic probability conditions ---------------------------------------------
@@ -745,6 +744,8 @@ class SearchConfig:
             raise ValueError("restarts must be >= 1")
         if self.max_iters < 1:
             raise ValueError("max_iters must be >= 1")
+        if not np.isfinite(self.objective_tol):
+            raise ValueError("objective_tol must be finite")
         if self.objective_tol <= 0:
             raise ValueError("objective_tol must be positive")
 

@@ -125,24 +125,25 @@ def random_ket(rng, d: int) -> np.ndarray:
 
 # --- reference arithmetic ------------------------------------------------------
 #
-# HermitianOp once had +, − and real scaling.  These compute exactly what those
-# operators did, so that the per-operator loops written with them stay the
-# bit-for-bit oracles of the array expressions that replaced them.
+# HermitianOp once had +, − and real scaling, and families were dicts of
+# operators.  These compute exactly what those operators did, on the matrices
+# (a family stack's rows), so that the per-operator loops written with them
+# stay the bit-for-bit oracles of the array expressions that replaced them.
 
 
-def op_add(a: HermitianOp, b: HermitianOp, sign: float = 1.0) -> HermitianOp:
+def op_add(a: np.ndarray, b: np.ndarray, sign: float = 1.0) -> np.ndarray:
     """a + sign·b, as HermitianOp's ``+`` (sign 1) and ``−`` (sign −1) did."""
-    return HermitianOp(mat=a.mat + sign * b.mat)
+    return a + sign * b
 
 
-def op_scale(c: float, a: HermitianOp) -> HermitianOp:
+def op_scale(c: float, a: np.ndarray) -> np.ndarray:
     """c·a, as HermitianOp's ``*`` did."""
-    return HermitianOp(mat=float(c) * a.mat)
+    return float(c) * a
 
 
-def companion(op: HermitianOp, d: int) -> HermitianOp:
+def companion(op: np.ndarray, d: int) -> np.ndarray:
     """(1 + op)/d, one operator at a time, as trace_one once built it."""
-    return op_scale(1.0 / d, op_add(HermitianOp.identity(d), op))
+    return op_scale(1.0 / d, op_add(np.eye(d, dtype=np.complex128), op))
 
 
 # --- exact Hilbert-Schmidt products ---------------------------------------------

@@ -64,19 +64,16 @@ def report(capsys):
     return emit
 
 
-def gram(mats) -> np.ndarray:
-    stack = np.stack(mats)
+def gram(stack) -> np.ndarray:
     return np.einsum("aij,bji->ab", stack, stack).real
 
 
 def sic_line_frame(fam) -> LineFrame:
     d = fam.d
-    eye = HermitianOp.identity(d)
-    return LineFrame(
-        d=d,
-        alpha=float(d * (d - 1)),
-        ops={k: op_add(op_scale(d, fam.projectors[k]), eye, -1.0) for k in line_keys(d)},
-    )
+    eye = HermitianOp.identity(d).mat
+    # l = d·λ − 1 for each row, as the per-operator arithmetic computed it.
+    ops = np.stack([op_add(op_scale(d, lam), eye, -1.0) for lam in fam.projectors])
+    return LineFrame(d=d, alpha=float(d * (d - 1)), ops=ops)
 
 
 def test_criterion_01_unbiased_bases(report):
@@ -111,7 +108,6 @@ def test_criterion_03_operator_basis_case(report):
         geom = build_dapg(d)
         lf = line_ops_from_points(pf, geom)
         lams = trace_one(lf.ops, d)
-        lams = [lams[k].mat for k in line_keys(d)]
         worst_gram = max(
             worst_gram, float(np.abs(gram(lams) - d * np.eye(d * d)).max())
         )
@@ -182,15 +178,13 @@ def test_criterion_06_simplex_norms(report):
         geom = build_dapg(d)
         lf = line_ops_from_points(point_frame_from_hg(basis), geom)
         n = d * d
-        ls = [lf.ops[k].mat for k in line_keys(d)]
         target = np.full((n, n), -0.5)
         np.fill_diagonal(target, (d + 1) * (d - 1) / 2)
-        worst_line = max(worst_line, float(np.abs(gram(ls) - target).max()))
+        worst_line = max(worst_line, float(np.abs(gram(lf.ops) - target).max()))
         sig = scaled_so(lf)
-        sigs = [sig[k].mat for k in line_keys(d)]
         target_s = np.full((n, n), 1.0 / (d + 1))
         np.fill_diagonal(target_s, 1.0)
-        worst_scaled = max(worst_scaled, float(np.abs(gram(sigs) - target_s).max()))
+        worst_scaled = max(worst_scaled, float(np.abs(gram(sig) - target_s).max()))
     ok = worst_line <= 1e-10 and worst_scaled <= 1e-10
     report(
         6,
@@ -272,8 +266,9 @@ def test_criterion_09_quasi_probability_identity(report, searched):
         for _ in range(100):
             rho = random_density(rng, d)
             p = line_probabilities(quasi_distribution(rho, pf), geom)
-            for key, value in p.items():
-                direct = hs_inner(lams[key], rho) / d
+            assert list(p) == line_keys(d)
+            for lam, value in zip(lams, p.values()):
+                direct = hs_inner(lam, rho.mat) / d
                 worst_line_sum = max(worst_line_sum, abs(value - direct))
             worst_total = max(worst_total, abs(sum(p.values()) - 1.0))
     ok = worst_line_sum <= 1e-12 and worst_total <= 1e-12

@@ -6,7 +6,15 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from helpers import PRIME_DIMS, PRIMES, companion, op_add, op_scale, random_density
+from helpers import (
+    PRIME_DIMS,
+    PRIMES,
+    companion,
+    op_add,
+    op_scale,
+    random_density,
+    random_ket,
+)
 from mubsic import cli, siclab
 from mubsic.frames import (
     LineFrame,
@@ -29,7 +37,7 @@ from mubsic.frames import (
     with_beta,
 )
 from mubsic.linalg import DEFAULT_TOL, HermitianOp, hs_inner
-from mubsic.plane import build_dapg, line_keys, point_keys
+from mubsic.plane import Dapg, build_dapg, line_keys, point_keys
 from mubsic.weyl import build_hg_basis, build_mub, build_weyl_pair, monomial
 
 
@@ -79,11 +87,12 @@ def test_mub_frame_strength_and_overlaps():
     pf = mub_points(3)
     taus = trace_one(pf.ops, 3)
     assert pf.beta == pytest.approx(6.0)
-    # projectors: same point 1, same column 0, cross-column 1/d
-    assert hs_inner(taus[(0, 0)], taus[(0, 0)]) == pytest.approx(1.0, abs=1e-12)
-    assert hs_inner(taus[(0, 0)], taus[(1, 0)]) == pytest.approx(0.0, abs=1e-12)
-    assert hs_inner(taus[(0, 0)], taus[(0, 1)]) == pytest.approx(1 / 3, abs=1e-12)
-    assert hs_inner(pf.ops[(0, 0)], pf.ops[(0, 0)]) == pytest.approx(6.0, abs=1e-10)
+    # projectors: same point 1, same column 0, cross-column 1/d.  Rows are in
+    # point_keys order: (0, 0), (1, 0), (2, 0), (0, 1), ...
+    assert hs_inner(taus[0], taus[0]) == pytest.approx(1.0, abs=1e-12)
+    assert hs_inner(taus[0], taus[1]) == pytest.approx(0.0, abs=1e-12)
+    assert hs_inner(taus[0], taus[3]) == pytest.approx(1 / 3, abs=1e-12)
+    assert hs_inner(pf.ops[0], pf.ops[0]) == pytest.approx(6.0, abs=1e-10)
 
 
 def test_point_tables_small_primes():
@@ -97,22 +106,21 @@ def test_columns_resolve_identity():
     for pf in (mub_points(3), hg_points(5)):
         d = pf.d
         eye = np.eye(d)
-        taus = trace_one(pf.ops, d)
-        for j in range(d + 1):
-            total = sum(taus[(m, j)].mat for m in range(d))
-            assert np.abs(total - eye).max() <= 1e-12
-            traceless = sum(pf.ops[(m, j)].mat for m in range(d))
-            assert np.abs(traceless).max() <= 1e-10
+        # Column j is rows j·d .. j·d + d − 1.
+        columns = trace_one(pf.ops, d).reshape(d + 1, d, d, d).sum(axis=1)
+        assert np.abs(columns - eye).max() <= 1e-12
+        traceless = pf.ops.reshape(d + 1, d, d, d).sum(axis=1)
+        assert np.abs(traceless).max() <= 1e-10
 
 
 def test_hg_frame_strength_and_column_products():
     pf = hg_points(3)
     assert pf.beta == pytest.approx(1.0)
-    for m in range(3):
-        assert hs_inner(pf.ops[(m, 0)], pf.ops[(m, 0)]) == pytest.approx(1.0, abs=1e-10)
+    for m in range(3):  # point (m, 0) is row m
+        assert hs_inner(pf.ops[m], pf.ops[m]) == pytest.approx(1.0, abs=1e-10)
         for m2 in range(m + 1, 3):
-            assert hs_inner(pf.ops[(m, 0)], pf.ops[(m2, 0)]) == pytest.approx(-0.5, abs=1e-10)
-    assert hs_inner(pf.ops[(0, 0)], pf.ops[(0, 1)]) == pytest.approx(0.0, abs=1e-10)
+            assert hs_inner(pf.ops[m], pf.ops[m2]) == pytest.approx(-0.5, abs=1e-10)
+    assert hs_inner(pf.ops[0], pf.ops[3]) == pytest.approx(0.0, abs=1e-10)
 
 
 def test_hg_frame_covariance():
@@ -129,8 +137,8 @@ def test_hg_frame_covariance():
             for j in range(d + 1):
                 for m in range(d):
                     m2 = (m + b) % d if j == d else (m + a + j * b) % d
-                    got = u @ pf.ops[(m, j)].mat @ u.conj().T
-                    assert np.abs(got - pf.ops[(m2, j)].mat).max() <= 1e-10
+                    got = u @ pf.ops[j * d + m] @ u.conj().T
+                    assert np.abs(got - pf.ops[j * d + m2]).max() <= 1e-10
 
 
 def test_with_beta_rescales():
@@ -151,7 +159,6 @@ def test_lines_from_mub_points_give_orthogonal_basis():
         assert lf.alpha == pytest.approx(d * (d - 1) * (d + 1))
         assert verify_line_table(lf) <= 1e-10
         lams = trace_one(lf.ops, d)
-        lams = [lams[k].mat for k in line_keys(d)]
         for i, l1 in enumerate(lams):
             for i2, l2 in enumerate(lams):
                 want = float(d) if i == i2 else 0.0
@@ -161,8 +168,7 @@ def test_lines_from_mub_points_give_orthogonal_basis():
 def test_line_sum_vanishes():
     for pf in (mub_points(3), hg_points(5), with_beta(mub_points(2), 0.7)):
         lf = line_ops_from_points(pf, build_dapg(pf.d))
-        total = sum(lf.ops[k].mat for k in line_keys(pf.d))
-        assert np.abs(total).max() <= 1e-10
+        assert np.abs(lf.ops.sum(axis=0)).max() <= 1e-10
 
 
 def test_equal_overlap_strength_gives_uniform_gram():
@@ -170,7 +176,6 @@ def test_equal_overlap_strength_gives_uniform_gram():
     beta = d * (d - 1) / (d + 1)
     lf = line_ops_from_points(with_beta(mub_points(d), beta), build_dapg(d))
     lams = trace_one(lf.ops, d)
-    lams = [lams[k].mat for k in line_keys(d)]
     for i, l1 in enumerate(lams):
         for i2, l2 in enumerate(lams):
             want = 1.0 if i == i2 else 1 / (d + 1)
@@ -185,19 +190,16 @@ def test_points_from_lines_round_trip():
     back = point_ops_from_lines(lf, geom)
     assert back.beta == pytest.approx(lf.alpha / (d + 1))
     assert back.beta == pytest.approx(2.0)
-    for k in point_keys(d):
-        assert np.abs(back.ops[k].mat - pf.ops[k].mat).max() <= 1e-10
+    assert np.abs(back.ops - pf.ops).max() <= 1e-10
 
 
 def test_points_from_zero_lines_are_maximally_mixed():
     d = 3
-    zero = HermitianOp.from_matrix(np.zeros((d, d)))
-    lf = LineFrame(d=d, alpha=0.0, ops={(a, b): zero for a in range(d) for b in range(d)})
+    lf = LineFrame(d=d, alpha=0.0, ops=np.zeros((d * d, d, d), dtype=complex))
     pf = point_ops_from_lines(lf, build_dapg(d))
-    taus = trace_one(pf.ops, d)
-    for k in point_keys(d):
-        assert np.abs(pf.ops[k].mat).max() == 0.0
-        assert np.abs(taus[k].mat - np.eye(d) / d).max() <= 1e-15
+    assert pf.ops.shape == (d * (d + 1), d, d)
+    assert np.abs(pf.ops).max() == 0.0
+    assert np.abs(trace_one(pf.ops, d) - np.eye(d) / d).max() <= 1e-15
 
 
 def test_bridge_rejects_dimension_mismatch():
@@ -205,29 +207,57 @@ def test_bridge_rejects_dimension_mismatch():
         line_ops_from_points(mub_points(3), build_dapg(5))
 
 
+def test_bridges_and_products_reject_other_planes():
+    # Frame rows are in point_keys / line_keys order, so only the canonical
+    # plane of the frames' d indexes them: a plane of another order, or one
+    # missing a line or a point, is rejected, not bridged over some rows.
+    d = 3
+    pf = mub_points(d)
+    geom = build_dapg(d)
+    lf = line_ops_from_points(pf, geom)
+    all_lines = {ln: geom.points_on(ln) for ln in geom.lines}
+    planes = [
+        build_dapg(5),
+        Dapg.from_incidence(d, dict(list(all_lines.items())[:-1])),
+        Dapg.from_incidence(d, {ln: pts[1:] for ln, pts in all_lines.items()}),
+        Dapg.from_incidence(5, all_lines),
+    ]
+    for plane in planes:
+        with pytest.raises(ValueError, match="canonical dual plane"):
+            line_ops_from_points(pf, plane)
+        with pytest.raises(ValueError, match="canonical dual plane"):
+            point_ops_from_lines(lf, plane)
+        with pytest.raises(ValueError, match="canonical dual plane"):
+            verify_point_line_products(pf, lf, plane)
+    with pytest.raises(ValueError, match="canonical dual plane"):
+        verify_point_line_products(pf, line_ops_from_points(mub_points(5), build_dapg(5)), geom)
+
+
 # Reference implementations: the per-line and per-point loops that the
-# incidence sums replaced.  The sums must match them bit for bit.
+# incidence sums replaced, each looking the row of a key up by the key.  The
+# sums must match them bit for bit.
 
 
 def loop_line_ops(frame, geom):
-    ops = {}
-    for ln in line_keys(frame.d):
-        total = op_scale(0.0, HermitianOp.identity(frame.d))
-        for m, j in geom.points_on(ln):
-            total = op_add(total, frame.ops[(m, j)])
-        ops[ln] = total
-    return ops
+    d, row = frame.d, {p: i for i, p in enumerate(point_keys(frame.d))}
+    ops = []
+    for ln in line_keys(d):
+        total = op_scale(0.0, np.eye(d, dtype=complex))
+        for p in geom.points_on(ln):
+            total = op_add(total, frame.ops[row[p]])
+        ops.append(total)
+    return np.stack(ops)
 
 
 def loop_point_ops(frame, geom):
-    d = frame.d
-    ops = {}
+    d, row = frame.d, {ln: i for i, ln in enumerate(line_keys(frame.d))}
+    ops = []
     for p in point_keys(d):
-        total = op_scale(0.0, HermitianOp.identity(d))
-        for a, b in geom.lines_through(p):
-            total = op_add(total, frame.ops[(a, b)])
-        ops[p] = op_scale(1.0 / d, total)
-    return ops
+        total = op_scale(0.0, np.eye(d, dtype=complex))
+        for ln in geom.lines_through(p):
+            total = op_add(total, frame.ops[row[ln]])
+        ops.append(op_scale(1.0 / d, total))
+    return np.stack(ops)
 
 
 def loop_line_probabilities(q, geom):
@@ -241,10 +271,8 @@ def loop_line_probabilities(q, geom):
 
 
 def assert_same_bits(ops, ref):
-    assert list(ops) == list(ref)
-    for k, op in ref.items():
-        assert ops[k].mat.tobytes() == op.mat.tobytes()
-        assert np.float64(ops[k].trace).tobytes() == np.float64(op.trace).tobytes()
+    assert ops.shape == ref.shape and ops.dtype == ref.dtype
+    assert ops.tobytes() == ref.tobytes()
 
 
 @pytest.mark.parametrize("d", [3, 5, 7, 11, 19])
@@ -265,7 +293,7 @@ def test_bridge_round_trip_every_prime(d):
     pf = mub_points(d)
     geom = build_dapg(d)
     back = point_ops_from_lines(line_ops_from_points(pf, geom), geom)
-    assert max(np.abs(back.ops[k].mat - pf.ops[k].mat).max() for k in point_keys(d)) <= 1e-12
+    assert np.abs(back.ops - pf.ops).max() <= 1e-12
 
 
 @given(PRIMES, st.integers(0, 2**32 - 1))
@@ -283,9 +311,7 @@ def test_line_probabilities_are_line_expectations_every_prime(d, seed):
     geom = build_dapg(d)
     lf = line_ops_from_points(pf, geom)
     p = line_probabilities(quasi_distribution(rho, pf), geom)
-    lams = trace_one(lf.ops, d)
-    lams = np.stack([lams[ln].mat for ln in geom.lines])
-    direct = np.einsum("lij,ji->l", lams, rho.mat).real / d
+    direct = np.einsum("lij,ji->l", trace_one(lf.ops, d), rho.mat).real / d
     assert np.abs(np.array([p[ln] for ln in geom.lines]) - direct).max() <= 1e-12
 
 
@@ -300,8 +326,8 @@ def test_products_for_basis_strength():
         report = verify_point_line_products(pf, lf, geom)
         assert report.max_dev <= 1e-10
         # with β = d(d−1) the trace-one products are exactly 1 on-line, 0 off
-        lam, taus = trace_one(lf.ops, d)[(0, 0)], trace_one(pf.ops, d)
-        on = {p: hs_inner(taus[p], lam) for p in geom.points_on((0, 0))}
+        lam, taus = trace_one(lf.ops, d)[0], trace_one(pf.ops, d)
+        on = {p: hs_inner(taus[point_keys(d).index(p)], lam) for p in geom.points_on((0, 0))}
         assert all(abs(v - 1.0) <= 1e-10 for v in on.values())
 
 
@@ -315,8 +341,8 @@ def test_products_at_equal_overlap_strength():
     assert report.max_dev <= 1e-10
     on_value = (d + beta) / d**2
     assert on_value == pytest.approx(0.5)
-    lam = trace_one(lf.ops, d)[(1, 2)]
-    p_on = geom.points_on((1, 2))[0]
+    lam = trace_one(lf.ops, d)[line_keys(d).index((1, 2))]
+    p_on = point_keys(d).index(geom.points_on((1, 2))[0])
     assert hs_inner(trace_one(pf.ops, d)[p_on], lam) == pytest.approx(0.5, abs=1e-10)
 
 
@@ -326,11 +352,11 @@ def test_on_off_product_gap():
     pf = with_beta(mub_points(d), beta)
     geom = build_dapg(d)
     lf = line_ops_from_points(pf, geom)
-    lam, taus = trace_one(lf.ops, d)[(0, 1)], trace_one(pf.ops, d)
+    lam, taus = trace_one(lf.ops, d)[line_keys(d).index((0, 1))], trace_one(pf.ops, d)
     members = set(geom.points_on((0, 1)))
-    on = hs_inner(taus[next(iter(members))], lam)
-    off_point = next(p for p in point_keys(d) if p not in members)
-    off = hs_inner(taus[off_point], lam)
+    on_line = [p in members for p in point_keys(d)]
+    on = hs_inner(taus[on_line.index(True)], lam)
+    off = hs_inner(taus[on_line.index(False)], lam)
     assert on - off == pytest.approx(beta * d / ((d - 1) * d**2), abs=1e-10)
 
 
@@ -341,12 +367,16 @@ def loop_point_line_products(points, lines, geom):
     on = geom.incidence.T == 1
     want_t = np.where(on, beta, -beta * (d + 1) / (d * d - 1)).tolist()
     want_tau = np.where(on, (d + beta) / d**2, (d - beta / (d - 1)) / d**2).tolist()
+    point_row = {p: i for i, p in enumerate(point_keys(d))}
+    line_row = {ln: i for i, ln in enumerate(line_keys(d))}
     dev_t = dev_tau = 0.0
     for c, ln in enumerate(geom.lines):
-        l_op, lam_op = lines.ops[ln], companion(lines.ops[ln], d)
+        l_op = lines.ops[line_row[ln]]
+        lam_op = companion(l_op, d)
         for r, p in enumerate(geom.points):
-            dev_t = max(dev_t, abs(hs_inner(points.ops[p], l_op) - want_t[c][r]))
-            tau_op = companion(points.ops[p], d)
+            t_op = points.ops[point_row[p]]
+            dev_t = max(dev_t, abs(hs_inner(t_op, l_op) - want_t[c][r]))
+            tau_op = companion(t_op, d)
             dev_tau = max(dev_tau, abs(hs_inner(tau_op, lam_op) - want_tau[c][r]))
     return dev_t, dev_tau
 
@@ -387,14 +417,70 @@ def point_frames(d):
 
 
 @pytest.mark.parametrize("d", PRIME_DIMS)
+def test_family_stacks_are_read_only_rows_in_key_order(d):
+    # Row i of a family is the operator of key i: the unbiased-basis point
+    # frame t = d|m;j⟩⟨m;j| − 1 at (m, j) = point_keys(d)[i], and the bridged
+    # lines as the per-line loop finds them by key.  No family can be written.
+    mub, geom, eye = build_mub(d), build_dapg(d), np.eye(d)
+    pf = point_frame_from_mub(mub)
+    for row, (m, j) in zip(pf.ops, point_keys(d), strict=True):
+        ket = mub.bases[j, m]
+        want = HermitianOp.from_matrix(d * np.outer(ket, ket.conj()) - eye).mat
+        assert row.tobytes() == want.tobytes()
+    lf = line_ops_from_points(pf, geom)
+    assert_same_bits(lf.ops, loop_line_ops(pf, geom))
+    minimal = line_ops_from_points(with_beta(pf, (d - 1) / 2), geom)
+    fid = siclab.Fiducial(d=d, ket=siclab.canonical_ket(random_ket(np.random.default_rng(d), d)))
+    stacks = {
+        "points": pf.ops,
+        "lines": lf.ops,
+        "bridged points": point_ops_from_lines(lf, geom).ops,
+        "read points": point_frame_from_json_dict(point_frame_to_json_dict(pf)).ops,
+        "with_beta": with_beta(pf, 1.0).ops,
+        "scaled_so": scaled_so(minimal),
+        "trace_one": trace_one(lf.ops, d),
+        "projectors": siclab.generate_hw_sic(fid).projectors,
+    }
+    if d <= 3:
+        fam = siclab.generate_hw_sic((siclab.qubit_fiducial, siclab.qutrit_fiducial)[d - 2]())
+        stacks["extract_mu_pom"] = siclab.extract_mu_pom(fam)
+    for name, stack in stacks.items():
+        assert stack.dtype == np.complex128 and stack.shape[1:] == (d, d), name
+        assert not stack.flags.writeable, name
+        with pytest.raises(ValueError, match="read-only"):
+            stack[0, 0, 0] = 1.0
+
+
+def test_checks_read_the_family_stacks_as_they_are(monkeypatch):
+    # Every check reads the family's own stack; none stacks its rows again.
+    d = 3
+    pf, geom = mub_points(d), build_dapg(d)
+    lf = line_ops_from_points(pf, geom)
+    fam = siclab.generate_hw_sic(siclab.qutrit_fiducial())
+    rho = random_density(np.random.default_rng(0), d)
+
+    def restacked(*args, **kwargs):
+        raise AssertionError("a family was stacked again")
+
+    monkeypatch.setattr(np, "stack", restacked)
+    assert verify_point_table(pf) <= DEFAULT_TOL and verify_line_table(lf) <= DEFAULT_TOL
+    assert verify_point_line_products(pf, lf, geom).max_dev <= DEFAULT_TOL
+    assert sum(quasi_distribution(rho, pf).values()) == pytest.approx(d + 1)
+    assert siclab.verify_sic(fam) <= DEFAULT_TOL
+    taus = siclab.extract_mu_pom(fam)
+    assert siclab.verify_mu_pom(taus) <= DEFAULT_TOL
+    assert siclab.spectra_table(taus).shape == (d + 1, d, d)
+
+
+@pytest.mark.parametrize("d", PRIME_DIMS)
 def test_trace_one_is_the_companion_expression(d):
     geom = build_dapg(d)
     for pf in point_frames(d):
         for ops in (pf.ops, line_ops_from_points(pf, geom).ops):
             got = trace_one(ops, d)
-            assert list(got) == list(ops)
-            for k, op in ops.items():
-                assert got[k].mat.tobytes() == companion(op, d).mat.tobytes()
+            assert got.shape == ops.shape
+            for row, op in zip(got, ops):
+                assert row.tobytes() == companion(op, d).tobytes()
 
 
 @pytest.mark.parametrize("d", PRIME_DIMS)
@@ -405,16 +491,15 @@ def test_rescalings_match_operator_loops(d):
     for pf in point_frames(d):
         scaled = with_beta(pf, beta)
         c = float(np.sqrt(beta / pf.beta))
-        assert list(scaled.ops) == list(pf.ops)
-        for k, op in pf.ops.items():
-            assert scaled.ops[k].mat.tobytes() == op_scale(c, op).mat.tobytes()
+        assert scaled.ops.shape == pf.ops.shape
+        for row, op in zip(scaled.ops, pf.ops):
+            assert row.tobytes() == op_scale(c, op).tobytes()
         lf = line_ops_from_points(scaled, geom)
         sig = scaled_so(lf)
         c = float(np.sqrt(2.0 * d / (d + 1)))
-        assert list(sig) == line_keys(d)
-        for k in line_keys(d):
-            want = companion(op_scale(c, lf.ops[k]), d)
-            assert sig[k].mat.tobytes() == want.mat.tobytes()
+        assert sig.shape == lf.ops.shape
+        for row, op in zip(sig, lf.ops):
+            assert row.tobytes() == companion(op_scale(c, op), d).tobytes()
 
 
 @pytest.mark.parametrize("d", PRIME_DIMS)
@@ -423,8 +508,8 @@ def test_quasi_distribution_matches_trace_loop(d):
     for pf in point_frames(d):
         q = quasi_distribution(rho, pf)
         assert list(q) == point_keys(d)
-        for k, op in pf.ops.items():
-            want = float(np.trace(companion(op, d).mat @ rho.mat).real)
+        for k, op in zip(point_keys(d), pf.ops):
+            want = float(np.trace(companion(op, d) @ rho.mat).real)
             assert np.float64(q[k]).tobytes() == np.float64(want).tobytes()
 
 
@@ -436,11 +521,10 @@ def test_scaled_family_gram():
         lf = line_ops_from_points(hg_points(d), build_dapg(d))
         assert lf.alpha == pytest.approx((d + 1) * (d - 1) / 2)
         sig = scaled_so(lf)
-        mats = [sig[k].mat for k in line_keys(d)]
-        for m in mats:
+        for m in sig:
             assert np.trace(m).real == pytest.approx(1.0, abs=1e-12)
-        for i, m1 in enumerate(mats):
-            for i2, m2 in enumerate(mats):
+        for i, m1 in enumerate(sig):
+            for i2, m2 in enumerate(sig):
                 want = 1.0 if i == i2 else 1 / (d + 1)
                 assert np.trace(m1 @ m2).real == pytest.approx(want, abs=1e-10)
 
@@ -484,8 +568,9 @@ def test_line_sum_identity_random_states():
     for _ in range(10):
         rho = random_density(rng, d)
         p = line_probabilities(quasi_distribution(rho, pf), geom)
-        for (a, b), value in p.items():
-            direct = hs_inner(lams[(a, b)], rho) / d
+        assert list(p) == line_keys(d)
+        for lam, value in zip(lams, p.values()):
+            direct = hs_inner(lam, rho.mat) / d
             assert value == pytest.approx(direct, abs=1e-12)
         assert sum(p.values()) == pytest.approx(1.0, abs=1e-12)
 
@@ -502,10 +587,7 @@ def test_quasi_distribution_on_sic_lines_is_nonnegative():
     lf = LineFrame(
         d=d,
         alpha=float(d * (d - 1)),
-        ops={
-            k: op_add(op_scale(d, fam.projectors[k]), HermitianOp.identity(d), -1.0)
-            for k in line_keys(d)
-        },
+        ops=op_add(op_scale(d, fam.projectors), np.eye(d, dtype=complex), -1.0),
     )
     geom = build_dapg(d)
     pf = point_ops_from_lines(lf, geom)
@@ -523,16 +605,14 @@ def test_point_frame_json_round_trip():
     pf = mub_points(3)
     back = point_frame_from_json_dict(point_frame_to_json_dict(pf))
     assert back.d == 3 and back.beta == pytest.approx(pf.beta)
-    for k in point_keys(3):
-        assert np.abs(back.ops[k].mat - pf.ops[k].mat).max() <= 1e-15
+    assert np.abs(back.ops - pf.ops).max() <= 1e-15
 
 
 def test_line_frame_json_round_trip():
     lf = line_ops_from_points(hg_points(3), build_dapg(3))
     back = line_frame_from_json_dict(line_frame_to_json_dict(lf))
     assert back.d == 3 and back.alpha == pytest.approx(lf.alpha)
-    for k in line_keys(3):
-        assert np.abs(back.ops[k].mat - lf.ops[k].mat).max() <= 1e-15
+    assert np.abs(back.ops - lf.ops).max() <= 1e-15
 
 
 def test_frame_json_memory_at_d19(tmp_path):
@@ -557,4 +637,4 @@ def test_frame_json_memory_at_d19(tmp_path):
     size = (tmp_path / "points.json").stat().st_size
     assert write_peak < 1e6
     assert read_peak < 2.5 * size
-    assert all(np.array_equal(back.ops[k].mat, pf.ops[k].mat) for k in point_keys(19))
+    assert np.array_equal(back.ops, pf.ops)

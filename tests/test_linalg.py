@@ -79,28 +79,27 @@ def test_operator_has_no_arithmetic_and_a_read_only_matrix():
 
 def test_hs_inner_identity_gives_dimension():
     for d in (1, 2, 3, 5):
-        eye = HermitianOp.identity(d)
+        eye = HermitianOp.identity(d).mat
         assert hs_inner(eye, eye) == pytest.approx(d)
 
 
 def test_hs_inner_pauli_orthogonality():
-    z = HermitianOp.from_matrix(SZ)
-    x = HermitianOp.from_matrix(SX)
-    assert hs_inner(z, x) == pytest.approx(0.0, abs=1e-15)
+    assert hs_inner(SZ, SX) == pytest.approx(0.0, abs=1e-15)
 
 
 def test_hs_inner_same_column_cross_point_value():
     # Same-column distinct points of a strength-β frame meet at −β/(d−1);
     # the d = 3 unbiased-basis frame has β = 6, so the value is −3.
     pf = frames.point_frame_from_mub(weyl.build_mub(3))
-    got = hs_inner(pf.ops[(0, 1)], pf.ops[(1, 1)])
+    p, q = point_keys(3).index((0, 1)), point_keys(3).index((1, 1))
+    got = hs_inner(pf.ops[p], pf.ops[q])
     assert got == pytest.approx(-pf.beta / 2, abs=1e-10)
     assert got == pytest.approx(-3.0, abs=1e-10)
 
 
 def test_hs_inner_dimension_mismatch():
     with pytest.raises(ValueError):
-        hs_inner(HermitianOp.identity(2), HermitianOp.identity(3))
+        hs_inner(np.eye(2), np.eye(3))
 
 
 @pytest.mark.parametrize("d", PRIME_DIMS)
@@ -108,17 +107,17 @@ def test_hs_inner_matches_trace_of_product(d):
     # The definition tr(ab), computed the long way, on seeded random pairs.
     rng = np.random.default_rng(d)
     for _ in range(8):
-        a, b = random_hermitian(rng, d), random_hermitian(rng, d)
-        want = np.trace(a.mat @ b.mat).real
-        scale = np.linalg.norm(a.mat) * np.linalg.norm(b.mat)
+        a, b = random_hermitian(rng, d).mat, random_hermitian(rng, d).mat
+        want = np.trace(a @ b).real
+        scale = np.linalg.norm(a) * np.linalg.norm(b)
         assert abs(hs_inner(a, b) - want) <= 1e-12 * scale
 
 
 def test_hs_inner_symmetry_and_positivity():
     rng = np.random.default_rng(7)
-    a, b = random_hermitian(rng, 5), random_hermitian(rng, 5)
+    a, b = random_hermitian(rng, 5).mat, random_hermitian(rng, 5).mat
     assert hs_inner(a, b) == pytest.approx(hs_inner(b, a), abs=1e-12)
-    spec, _ = hermitian_eigensystem(a.mat)
+    spec, _ = hermitian_eigensystem(a)
     assert hs_inner(a, a) >= 0.0
     assert hs_inner(a, a) == pytest.approx(float(spec @ spec), abs=1e-10)
 
@@ -145,8 +144,7 @@ def test_exact_hs_is_the_trace_of_the_product():
 def test_hs_kernels_against_exact_products(d, monkeypatch):
     # Sampled pairs plus each kernel's 40 worst entries; errors in units of β.
     pf = frames.point_frame_from_mub(weyl.build_mub(d))
-    ops = [pf.ops[k] for k in point_keys(d)]
-    beta, n = pf.beta, len(ops)
+    ops, beta, n = pf.ops, pf.beta, len(pf.ops)
     target = label_table(column_labels(d), beta, -beta / (d - 1), 0.0)
     grams, einsum = [], np.einsum
 
@@ -171,7 +169,7 @@ def test_hs_kernels_against_exact_products(d, monkeypatch):
         pairs = sampled | {divmod(i, n) for i in worst}
         error = Fraction(0)
         for a, b in pairs:
-            exact = exact_hs(ops[a].mat, ops[b].mat)
+            exact = exact_hs(ops[a], ops[b])
             error = max(error, abs(Fraction(table[a, b]) - exact) / Fraction(beta))
             exact_dev = max(exact_dev, abs(exact - Fraction(target[a, b])))
         assert error <= gamma, f"{name} errs by {float(error):.2e} β at d = {d}"
@@ -243,7 +241,7 @@ def test_third_moment_projector_and_mixed():
 
 def test_third_moment_of_fiducial_projector():
     fam = siclab.generate_hw_sic(siclab.qutrit_fiducial())
-    assert third_moment(fam.projectors[(0, 0)]) == pytest.approx(1.0, abs=1e-10)
+    assert third_moment(HermitianOp(mat=fam.projectors[0])) == pytest.approx(1.0, abs=1e-10)
 
 
 def test_third_moment_equals_eigenvalue_cubes():

@@ -343,6 +343,13 @@ def test_import_checks_the_point_list():
             incidence_from_json(json.dumps(bad))
 
 
+def test_import_rejects_deeply_nested_text():
+    # The parser's RecursionError becomes the ValueError every JSON reader gives.
+    deep = '{"d": 3, "points": ' + "[" * 100_000 + "]" * 100_000 + "}"
+    with pytest.raises(ValueError, match="JSON nested too deeply to parse"):
+        incidence_from_json(deep)
+
+
 def test_export_rejects_unknown_format():
     with pytest.raises(ValueError):
         export_incidence(build_dapg(2), "yaml")

@@ -24,7 +24,7 @@ from helpers import (
 )
 from mubsic import linalg, siclab
 from mubsic.linalg import HermitianOp, hermitian_eigensystem, third_moment
-from mubsic.frames import incidence_ops
+from mubsic.frames import LineFrame, point_ops_from_lines
 from mubsic.plane import build_dapg, line_keys, point_keys
 from mubsic.siclab import (
     Fiducial,
@@ -90,35 +90,36 @@ def test_canonical_ket_fixes_global_phase():
 def test_fiducial_requires_unit_norm():
     with pytest.raises(ValueError):
         Fiducial(d=2, ket=np.array([1.0, 1.0]), source="ingested")
+    # A non-finite component is rejected as such: |nan − 1| > 1e−12 is False,
+    # so the norm test alone would let it through.
+    for bad in ([np.nan, 0j], [1.0, np.inf], [1.0, complex(0.0, np.nan)]):
+        with pytest.raises(ValueError, match="finite"):
+            Fiducial(d=2, ket=np.array(bad, dtype=complex))
 
 
 def test_qubit_family_overlaps():
     fam = generate_hw_sic(qubit_fiducial())
-    assert list(fam.projectors) == line_keys(2)
+    assert fam.projectors.shape == (4, 2, 2)
     assert verify_sic(fam) <= 1e-12
-    kets = [fam.projectors[k].mat for k in line_keys(2)]
-    for i, p1 in enumerate(kets):
-        for p2 in kets[i + 1:]:
+    for i, p1 in enumerate(fam.projectors):
+        for p2 in fam.projectors[i + 1:]:
             assert np.trace(p1 @ p2).real == pytest.approx(1 / 3, abs=1e-12)
 
 
 def test_qutrit_family_overlaps():
     fam = generate_hw_sic(qutrit_fiducial())
-    assert list(fam.projectors) == line_keys(3)
+    assert fam.projectors.shape == (9, 3, 3)
     assert verify_sic(fam) <= 1e-12
-    others = [k for k in line_keys(3) if k != (0, 0)]
-    p0 = fam.projectors[(0, 0)].mat
-    for k in others:
-        assert np.trace(p0 @ fam.projectors[k].mat).real == pytest.approx(
-            1 / 4, abs=1e-12
-        )
+    p0 = fam.projectors[0]  # line (0, 0)
+    for other in fam.projectors[1:]:
+        assert np.trace(p0 @ other).real == pytest.approx(1 / 4, abs=1e-12)
 
 
 def test_family_anchor_is_fiducial_projector():
     fid = qutrit_fiducial()
     fam = generate_hw_sic(fid)
     outer = np.outer(fid.ket, fid.ket.conj())
-    assert np.abs(fam.projectors[(0, 0)].mat - outer).max() <= 1e-12
+    assert np.abs(fam.projectors[0] - outer).max() <= 1e-12
 
 
 def test_basis_state_is_not_equal_overlap():
@@ -151,9 +152,9 @@ def test_hw_covariance_permutes_family():
             for b2 in range(d):
                 u = np.linalg.matrix_power(wp.X.conj().T, b2) @ monomial(wp, 0, a2)
                 for a in range(d):
-                    for b in range(d):
-                        got = u @ fam.projectors[(a, b)].mat @ u.conj().T
-                        want = fam.projectors[((a + a2) % d, (b + b2) % d)].mat
+                    for b in range(d):  # line (a, b) is row a·d + b
+                        got = u @ fam.projectors[a * d + b] @ u.conj().T
+                        want = fam.projectors[(a + a2) % d * d + (b + b2) % d]
                         assert np.abs(got - want).max() <= 1e-10
 
 
@@ -166,10 +167,9 @@ def test_orbit_covariance_every_prime(d, seed):
     big_a, big_b = (int(x) for x in rng.integers(0, d, size=2))
     wp = build_weyl_pair(d)
     u = np.linalg.matrix_power(wp.X.conj().T, big_b) @ monomial(wp, 0, big_a)
-    got = np.stack([u @ fam.projectors[k].mat @ u.conj().T for k in line_keys(d)])
-    want = np.stack(
-        [fam.projectors[((a + big_a) % d, (b + big_b) % d)].mat for a, b in line_keys(d)]
-    )
+    got = u @ fam.projectors @ u.conj().T
+    row = {ln: i for i, ln in enumerate(line_keys(d))}
+    want = fam.projectors[[row[(a + big_a) % d, (b + big_b) % d] for a, b in line_keys(d)]]
     assert np.abs(got - want).max() <= 1e-10
 
 
@@ -177,8 +177,7 @@ def test_sic_family_json_round_trip():
     fam = generate_hw_sic(qubit_fiducial())
     back = siclab.SicFamily.from_json_dict(fam.to_json_dict())
     assert back.d == 2
-    for k in line_keys(2):
-        assert np.abs(back.projectors[k].mat - fam.projectors[k].mat).max() <= 1e-12
+    assert np.abs(back.projectors - fam.projectors).max() <= 1e-12
 
 
 # --- measurement-column extraction -------------------------------------------------
@@ -187,16 +186,16 @@ def test_sic_family_json_round_trip():
 def test_qubit_columns_share_one_spectrum():
     taus = extract_mu_pom(generate_hw_sic(qubit_fiducial()))
     hi = (3 + np.sqrt(3)) / 6
-    for k in point_keys(2):
-        spec, _ = hermitian_eigensystem(taus[k].mat)
+    for tau in taus:
+        spec, _ = hermitian_eigensystem(tau)
         assert spec[0] == pytest.approx(hi, abs=1e-12)
         assert spec[1] == pytest.approx(1 - hi, abs=1e-12)
 
 
 def test_qutrit_columns_share_one_spectrum():
     taus = extract_mu_pom(generate_hw_sic(qutrit_fiducial()))
-    for k in point_keys(3):
-        spec, _ = hermitian_eigensystem(taus[k].mat)
+    for tau in taus:
+        spec, _ = hermitian_eigensystem(tau)
         assert np.abs(spec - (0.5, 0.5, 0.0)).max() <= 1e-12
 
 
@@ -204,30 +203,32 @@ def test_extraction_matches_incidence_sums():
     fam = generate_hw_sic(qutrit_fiducial())
     geom = build_dapg(3)
     taus = extract_mu_pom(fam)
-    assert list(taus) == point_keys(3)
-    for p in point_keys(3):
-        total = sum(fam.projectors[ln].mat for ln in geom.lines_through(p)) / 3
-        assert np.abs(taus[p].mat - total).max() <= 1e-14
-    for p, op in loop_extract_mu_pom(fam, geom).items():
-        assert taus[p].mat.tobytes() == op.mat.tobytes()
+    assert taus.shape == (12, 3, 3)
+    row = {ln: i for i, ln in enumerate(line_keys(3))}
+    for tau, p in zip(taus, point_keys(3)):
+        total = sum(fam.projectors[row[ln]] for ln in geom.lines_through(p)) / 3
+        assert np.abs(tau - total).max() <= 1e-14
+    assert taus.tobytes() == loop_extract_mu_pom(fam, geom).tobytes()
+    assert taus.tobytes() == line_to_point_bridge(fam).tobytes()
 
 
 def loop_extract_mu_pom(fam, geom):
     """Reference: the per-point loop that the incidence sum replaced."""
-    d = fam.d
-    ops = {}
+    d, row = fam.d, {ln: i for i, ln in enumerate(line_keys(fam.d))}
+    ops = []
     for p in point_keys(d):
         total = np.zeros((d, d), dtype=np.complex128)
         for ln in geom.lines_through(p):
-            total += fam.projectors[ln].mat
-        ops[p] = HermitianOp.from_matrix(total / d)
-    return ops
+            total += fam.projectors[row[ln]]
+        ops.append(HermitianOp.from_matrix(total / d).mat)
+    return np.stack(ops)
 
 
 def line_to_point_bridge(fam):
-    """extract_mu_pom's sum without its equal-overlap gate."""
-    d, geom = fam.d, build_dapg(fam.d)
-    return incidence_ops(fam.projectors, geom.lines, geom.incidence.T, geom.points, 1.0 / d)
+    """extract_mu_pom's sum without its equal-overlap gate: the frames'
+    line-to-point bridge applied to the projectors."""
+    lines = LineFrame(d=fam.d, alpha=0.0, ops=fam.projectors)
+    return point_ops_from_lines(lines, build_dapg(fam.d)).ops
 
 
 @pytest.mark.parametrize("d", [3, 5, 7, 11, 19])
@@ -238,22 +239,18 @@ def test_extraction_matches_loop(d):
     geom = build_dapg(d)
     ops = line_to_point_bridge(fam)
     ref = loop_extract_mu_pom(fam, geom)
-    assert list(ops) == list(ref)
-    for k, op in ref.items():
-        assert ops[k].mat.tobytes() == op.mat.tobytes()
-        assert ops[k].trace == op.trace
+    assert ops.shape == ref.shape
+    assert ops.tobytes() == ref.tobytes()
 
 
 def test_mu_pom_invariants():
     taus = extract_mu_pom(generate_hw_sic(qutrit_fiducial()))
     d = 3
     assert verify_mu_pom(taus) <= 1e-10
-    eye = np.eye(d)
-    for j in range(d + 1):
-        col = sum(taus[(m, j)].mat for m in range(d))
-        assert np.abs(col - eye).max() <= 1e-10
-    for k in point_keys(d):
-        spec, _ = hermitian_eigensystem(taus[k].mat)
+    columns = taus.reshape(d + 1, d, d, d).sum(axis=1)  # column j: rows j·d ..
+    assert np.abs(columns - np.eye(d)).max() <= 1e-10
+    for tau in taus:
+        spec, _ = hermitian_eigensystem(tau)
         assert spec.min() >= -1e-10
 
 
@@ -265,7 +262,7 @@ def test_spectra_table_matches_eigensystem_loop(d):
     fid = Fiducial(d=d, ket=canonical_ket(random_ket(rng, d)))
     taus = line_to_point_bridge(generate_hw_sic(fid))
     table = spectra_table(taus)
-    loop = np.array([hermitian_eigensystem(taus[k].mat)[0] for k in point_keys(d)])
+    loop = np.array([hermitian_eigensystem(tau)[0] for tau in taus])
     assert table.shape == (d + 1, d, d)
     assert table.tobytes() == loop.tobytes()
     assert spectra_to_csv(table) == spectra_to_csv(loop.reshape(d + 1, d, d))
@@ -559,13 +556,13 @@ def test_lambda0_matches_operator_sum_loop(d):
     for probs in (np.random.default_rng(d).dirichlet(np.ones(d), size=d + 1),
                   np.full((d + 1, d), 1.0 / d)):
         taus = mu_pom_from_probabilities(mub, probs)
-        total = taus[0]
+        total = taus[0].mat
         for tau in taus[1:]:
-            total = op_add(total, tau)
-        lambda0 = op_add(total, HermitianOp.identity(d), -1.0)
+            total = op_add(total, tau.mat)
+        lambda0 = op_add(total, HermitianOp.identity(d).mat, -1.0)
         ext = fiducial_from_mu_pom(taus, mub)
-        assert ext.lambda0.mat.tobytes() == lambda0.mat.tobytes()
-        assert ext.sum_spectrum.tobytes() == hermitian_eigensystem(total.mat)[0].tobytes()
+        assert ext.lambda0.mat.tobytes() == lambda0.tobytes()
+        assert ext.sum_spectrum.tobytes() == hermitian_eigensystem(total)[0].tobytes()
 
 
 def test_qubit_candidate_projector():
@@ -960,6 +957,10 @@ def test_search_config_validation():
         SearchConfig(restarts=0)
     with pytest.raises(ValueError):
         SearchConfig(objective_tol=0.0)
+    # A NaN tolerance would make every restart run and report no convergence.
+    for bad in (float("nan"), float("inf"), float("-inf")):
+        with pytest.raises(ValueError, match="objective_tol must be finite"):
+            SearchConfig(objective_tol=bad)
 
 
 # --- fiducial files ---------------------------------------------------------------------
