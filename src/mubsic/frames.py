@@ -217,7 +217,7 @@ def scaled_so(frame: LineFrame) -> np.ndarray:
     """
     d = frame.d
     expected = (d + 1) * (d - 1) / 2.0
-    if abs(frame.alpha - expected) > 1e-8:
+    if not abs(frame.alpha - expected) <= 1e-8:
         raise ValueError(
             f"scaled family needs α = (d+1)(d−1)/2 = {expected}; got {frame.alpha}"
         )

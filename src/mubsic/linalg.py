@@ -103,7 +103,7 @@ def hs_inner(a: np.ndarray, b: np.ndarray) -> float:
     exactly Hermitian.  The numerical imaginary residue is discarded.
     """
     if a.shape != b.shape:
-        raise ValueError(f"dimension mismatch: {len(a)} vs {len(b)}")
+        raise ValueError(f"shape mismatch: {a.shape} vs {b.shape}")
     return float(np.vdot(b, a).real)
 
 

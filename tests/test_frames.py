@@ -533,6 +533,11 @@ def test_scaled_family_rejects_other_strengths():
     lf = line_ops_from_points(mub_points(3), build_dapg(3))
     with pytest.raises(ValueError):
         scaled_so(lf)
+    # NaN compares false against any tolerance; every non-finite strength is
+    # rejected with the same message.
+    for alpha in (float("nan"), float("inf"), float("-inf")):
+        with pytest.raises(ValueError, match="scaled family needs"):
+            scaled_so(LineFrame(d=3, alpha=alpha, ops=lf.ops))
 
 
 # --- quasi-probabilities ----------------------------------------------------------------

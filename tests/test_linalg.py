@@ -98,8 +98,11 @@ def test_hs_inner_same_column_cross_point_value():
 
 
 def test_hs_inner_dimension_mismatch():
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match=r"\(2, 2\) vs \(3, 3\)"):
         hs_inner(np.eye(2), np.eye(3))
+    # Same row count, different shapes: the message must tell them apart.
+    with pytest.raises(ValueError, match=r"\(3, 3\) vs \(3, 2\)"):
+        hs_inner(np.eye(3), np.ones((3, 2)))
 
 
 @pytest.mark.parametrize("d", PRIME_DIMS)

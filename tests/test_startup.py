@@ -1,5 +1,6 @@
 """No command loads scipy: the fiducial search's trust-region solver and the
-cyclic probability solver run on numpy alone.
+cyclic probability solver run on numpy alone.  ``import mubsic`` loads
+nothing at all: each public name lives only in its module.
 
 The import checks run in fresh interpreters: within the suite, the oracle
 test of the search's solver imports scipy, so an in-process check proves
@@ -42,6 +43,18 @@ def test_import_and_non_solving_call_leave_scipy_unloaded():
         "print(json.dumps([rc, seen + [scipy_modules()]]))"
     )
     assert after_each == [0, [[], [], []]]
+
+
+def test_package_import_loads_no_module():
+    after_package, rc = _fresh(
+        "import json, sys\n"
+        "import mubsic\n"
+        "seen = sorted(m for m in sys.modules\n"
+        "              if m.startswith('mubsic.') or m.split('.')[0] == 'numpy')\n"
+        "import mubsic.cli\n"
+        "print(json.dumps([seen, mubsic.cli.run(['mub', 'verify', '--d', '5'])]))"
+    )
+    assert (after_package, rc) == ([], 0)
 
 
 @pytest.mark.parametrize(
