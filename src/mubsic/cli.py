@@ -128,7 +128,7 @@ def _cmd_plane_verify(args) -> int:
 def _cmd_frame_from_mub(args) -> int:
     pf = frames.point_frame_from_mub(weyl.build_mub(args.d))
     dev = frames.verify_point_table(pf)
-    _write_json(args.out, frames.point_frame_to_json_dict(pf))
+    _write_json(args.out, frames.point_frame_layout(pf))
     print(f"point frame d={pf.d} beta={_fmt(pf.beta)}, table deviation {_fmt(dev)}")
     return 0
 
@@ -136,7 +136,7 @@ def _cmd_frame_from_mub(args) -> int:
 def _cmd_frame_from_hg(args) -> int:
     pf = frames.point_frame_from_hg(weyl.build_hg_basis(weyl.build_weyl_pair(args.d)))
     dev = frames.verify_point_table(pf)
-    _write_json(args.out, frames.point_frame_to_json_dict(pf))
+    _write_json(args.out, frames.point_frame_layout(pf))
     print(f"point frame d={pf.d} beta={_fmt(pf.beta)}, table deviation {_fmt(dev)}")
     return 0
 
@@ -144,7 +144,7 @@ def _cmd_frame_from_hg(args) -> int:
 def _cmd_frame_bridge(args) -> int:
     pf = _load(frames.point_frame_from_json_dict, args.points)
     lf = frames.line_ops_from_points(pf, plane.build_dapg(pf.d))
-    _write_json(args.out, frames.line_frame_to_json_dict(lf))
+    _write_json(args.out, frames.line_frame_layout(lf))
     print(f"line frame d={lf.d} alpha={_fmt(lf.alpha)}")
     return 0
 
@@ -185,7 +185,7 @@ def _cmd_sic_generate(args) -> int:
     fid = _load_cli_fiducial(args)
     fam = siclab.generate_hw_sic(fid)
     dev = siclab.verify_sic(fam)
-    _write_json(args.out, fam.to_json_dict())
+    _write_json(args.out, fam.layout())
     return _verdict(f"d={fam.d} family from {fid.source} fiducial: deviation", dev, tol)
 
 

@@ -16,7 +16,8 @@ and the bridged line operators l_μ = Σ_{(m,j)∈μ} t_m^(j) then satisfy
 Trace-one companions are τ = (1 + t)/d and λ = (1 + l)/d, built once per
 family by :func:`trace_one`.  Every family is one read-only (n, d, d) stack
 whose rows are in plane.point_keys / plane.line_keys order: the order of its
-file, of every check and of the canonical dual plane's incidence matrix.
+file, of every check and of the canonical dual plane's incidence matrix.  A
+file layout holds the stack itself, which linalg.dump_json encodes as it writes.
 """
 
 from __future__ import annotations
@@ -32,9 +33,9 @@ from .linalg import (
     header_int,
     hermitian_stack,
     hs_inner,
+    json_value,
     label_table,
     ops_from_json,
-    ops_to_json,
     read_only,
 )
 from .plane import Dapg, column_labels, incidence_sum, line_keys, point_keys
@@ -191,12 +192,12 @@ def verify_point_line_products(
     _require_plane(geom, points, lines)
     d, beta = points.d, points.beta
     on = geom.incidence.T == 1  # [line, point]
-    want_t = np.where(on, beta, -beta * (d + 1) / (d * d - 1)).tolist()
-    want_tau = np.where(on, (d + beta) / d**2, (d - beta / (d - 1)) / d**2).tolist()
     pairs = list(zip(points.ops, trace_one(points.ops, d)))
     dev_t = dev_tau = 0.0
-    rows = zip(lines.ops, trace_one(lines.ops, d), want_t, want_tau)
-    for l_op, lam_op, want_t_row, want_tau_row in rows:
+    # Targets one line row at a time: whole tables as lists are 9 MB at d=19.
+    for l_op, lam_op, on_row in zip(lines.ops, trace_one(lines.ops, d), on):
+        want_t_row = np.where(on_row, beta, -beta * (d + 1) / (d * d - 1)).tolist()
+        want_tau_row = np.where(on_row, (d + beta) / d**2, (d - beta / (d - 1)) / d**2).tolist()
         for (t_op, tau_op), w_t, w_tau in zip(pairs, want_t_row, want_tau_row):
             dev_t = max(dev_t, abs(hs_inner(t_op, l_op) - w_t))
             dev_tau = max(dev_tau, abs(hs_inner(tau_op, lam_op) - w_tau))
@@ -254,15 +255,24 @@ def line_probabilities(q: dict, geom: Dapg) -> dict:
 # --- serialization ------------------------------------------------------------
 #
 # Frame JSON: { "d": d, "beta"|"alpha": x, "ops": [operator, ...] } with ops
-# listed in plane.point_keys / plane.line_keys order.
+# listed in plane.point_keys / plane.line_keys order.  The *_layout functions
+# spell it once, ops held as the stack; *_to_json_dict give its plain value.
+
+
+def point_frame_layout(frame: PointFrame) -> dict:
+    return {"d": frame.d, "beta": frame.beta, "ops": frame.ops}
+
+
+def line_frame_layout(frame: LineFrame) -> dict:
+    return {"d": frame.d, "alpha": frame.alpha, "ops": frame.ops}
 
 
 def point_frame_to_json_dict(frame: PointFrame) -> dict:
-    return {"d": frame.d, "beta": frame.beta, "ops": ops_to_json(frame.ops)}
+    return json_value(point_frame_layout(frame))
 
 
 def line_frame_to_json_dict(frame: LineFrame) -> dict:
-    return {"d": frame.d, "alpha": frame.alpha, "ops": ops_to_json(frame.ops)}
+    return json_value(line_frame_layout(frame))
 
 
 def _frame_from_json(obj: dict, strength: str, keys_of) -> tuple[int, float, np.ndarray]:

@@ -218,14 +218,16 @@ def matrix_from_json_dict(obj: dict) -> np.ndarray:
     return complex_from_json(entries, (d * d,), "operator entries").reshape(d, d)
 
 
-def ops_to_json(stack: np.ndarray) -> list:
-    """Operator objects of the rows of ``stack``, in stack order."""
-    return [matrix_to_json_dict(mat) for mat in stack]
+def json_value(obj: dict) -> dict:
+    """``obj`` with each member that is an ``(n, d, d)`` stack as its rows'
+    operator objects: the value whose ``json.dumps`` :func:`dump_json` writes."""
+    return {k: [matrix_to_json_dict(m) for m in v] if isinstance(v, np.ndarray) else v
+            for k, v in obj.items()}
 
 
 def ops_from_json(raw, keys: list, d: int) -> np.ndarray:
-    """Inverse of :func:`ops_to_json`: the read-only stack of one validated
-    d x d operator per key; ``keys`` name the rows in error messages.
+    """Inverse of :func:`json_value` on a stack: the read-only stack of one
+    validated d x d operator per key; ``keys`` name the rows in errors.
 
     Items already decoded by :func:`decode_operator` are taken as they are.
     """
@@ -252,16 +254,18 @@ def decode_operator(obj: dict):
 
 
 def dump_json(obj: dict, fh) -> None:
-    """Write ``json.dumps(obj) + "\\n"`` to ``fh`` without building it, for a
-    dict with string keys, as every artifact is: each member, or each item
-    of a member that is a list, goes through the C encoder on its own.  Every
-    JSON artifact is written here."""
+    """Write ``json.dumps(json_value(obj)) + "\\n"`` to ``fh`` without
+    building it, for a dict with string keys, as every artifact is: each
+    member, or each item of a member that is a list or a stack, goes through
+    the C encoder on its own.  A stack's rows are encoded here, one operator
+    object each, as the writer reaches them.  Every JSON artifact is written here."""
     fh.write("{")
     for i, (key, value) in enumerate(obj.items()):
         fh.write(f"{', ' if i else ''}{json.dumps(key)}: ")
-        if isinstance(value, list):
+        if isinstance(value, (list, np.ndarray)):
+            items = map(matrix_to_json_dict, value) if isinstance(value, np.ndarray) else value
             fh.write("[")
-            for j, item in enumerate(value):
+            for j, item in enumerate(items):
                 fh.write(f"{', ' if j else ''}{json.dumps(item)}")
             fh.write("]")
         else:

@@ -27,10 +27,10 @@ from .linalg import (
     header_int,
     hermitian_eigensystem,
     hermitian_stack,
+    json_value,
     label_table,
     load_json,
     ops_from_json,
-    ops_to_json,
     read_only,
     spectrum_rank,
     third_moment,
@@ -123,12 +123,12 @@ class SicFamily:
     fiducial: Fiducial
     projectors: np.ndarray
 
+    def layout(self) -> dict:
+        """The file object, ``ops`` held as the stack (see linalg.dump_json)."""
+        return {"d": self.d, "fiducial": complex_to_json(self.fiducial.ket), "ops": self.projectors}
+
     def to_json_dict(self) -> dict:
-        return {
-            "d": self.d,
-            "fiducial": complex_to_json(self.fiducial.ket),
-            "ops": ops_to_json(self.projectors),
-        }
+        return json_value(self.layout())
 
     @classmethod
     def from_json_dict(cls, obj: dict) -> "SicFamily":

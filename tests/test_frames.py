@@ -1,4 +1,5 @@
 import functools
+import json
 import tracemalloc
 
 import numpy as np
@@ -26,6 +27,7 @@ from mubsic.frames import (
     point_frame_from_hg,
     point_frame_from_json_dict,
     point_frame_from_mub,
+    point_frame_layout,
     point_frame_to_json_dict,
     point_ops_from_lines,
     quasi_distribution,
@@ -386,10 +388,20 @@ def loop_point_line_products(points, lines, geom):
     + [(19, mub_points)],
 )
 def test_point_line_products_match_loop(d, make):
+    """Bit for bit the per-pair loop's deviations.  The on/off targets are
+    built one line row at a time, so the traced peak stays under 8 MB (at
+    d = 19 it was 13.5 MB when both whole target tables were Python lists)."""
     pf = make(d)
     geom = build_dapg(d)
-    report = verify_point_line_products(pf, line_ops_from_points(pf, geom), geom)
-    ref = loop_point_line_products(pf, line_ops_from_points(pf, geom), geom)
+    lf = line_ops_from_points(pf, geom)
+    tracemalloc.start()
+    try:
+        report = verify_point_line_products(pf, lf, geom)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 8e6
+    ref = loop_point_line_products(pf, lf, geom)
     assert (report.max_dev_traceless, report.max_dev_trace_one) == ref
 
 
@@ -643,3 +655,34 @@ def test_frame_json_memory_at_d19(tmp_path):
     assert write_peak < 1e6
     assert read_peak < 2.5 * size
     assert np.array_equal(back.ops, pf.ops)
+
+
+def _sic_family_d19():
+    ket = siclab.canonical_ket(random_ket(np.random.default_rng(19), 19))
+    return siclab.generate_hw_sic(siclab.Fiducial(d=19, ket=ket))
+
+
+@pytest.mark.parametrize(
+    "make, layout, to_json_dict",
+    [
+        (lambda: mub_points(19), point_frame_layout, point_frame_to_json_dict),
+        (_sic_family_d19, siclab.SicFamily.layout, siclab.SicFamily.to_json_dict),
+    ],
+    ids=["point-frame", "sic-family"],
+)
+def test_family_write_memory_at_d19(make, layout, to_json_dict, tmp_path):
+    """The CLI's write of a d = 19 family, traced from the family object to
+    the file: the layout holds the stack, and each row is encoded only when
+    the writer reaches it, so the peak stays under 1 MB (17.7 MB for the
+    point frame when its whole ops list was built first).  The file is
+    json.dumps of the family's plain JSON value."""
+    family = make()
+    path = tmp_path / "family.json"
+    tracemalloc.start()
+    try:
+        cli._write_json(str(path), layout(family))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1e6
+    assert path.read_text() == json.dumps(to_json_dict(family)) + "\n"
