@@ -192,15 +192,14 @@ def verify_point_line_products(
     _require_plane(geom, points, lines)
     d, beta = points.d, points.beta
     on = geom.incidence.T == 1  # [line, point]
+    t_on, t_off = beta, -beta * (d + 1) / (d * d - 1)
+    tau_on, tau_off = (d + beta) / d**2, (d - beta / (d - 1)) / d**2
     pairs = list(zip(points.ops, trace_one(points.ops, d)))
     dev_t = dev_tau = 0.0
-    # Targets one line row at a time: whole tables as lists are 9 MB at d=19.
     for l_op, lam_op, on_row in zip(lines.ops, trace_one(lines.ops, d), on):
-        want_t_row = np.where(on_row, beta, -beta * (d + 1) / (d * d - 1)).tolist()
-        want_tau_row = np.where(on_row, (d + beta) / d**2, (d - beta / (d - 1)) / d**2).tolist()
-        for (t_op, tau_op), w_t, w_tau in zip(pairs, want_t_row, want_tau_row):
-            dev_t = max(dev_t, abs(hs_inner(t_op, l_op) - w_t))
-            dev_tau = max(dev_tau, abs(hs_inner(tau_op, lam_op) - w_tau))
+        for (t_op, tau_op), is_on in zip(pairs, on_row.tolist()):
+            dev_t = max(dev_t, abs(hs_inner(t_op, l_op) - (t_on if is_on else t_off)))
+            dev_tau = max(dev_tau, abs(hs_inner(tau_op, lam_op) - (tau_on if is_on else tau_off)))
     return PointLineReport(
         d=d, beta=beta, max_dev_traceless=dev_t, max_dev_trace_one=dev_tau
     )

@@ -218,11 +218,15 @@ def matrix_from_json_dict(obj: dict) -> np.ndarray:
     return complex_from_json(entries, (d * d,), "operator entries").reshape(d, d)
 
 
+def _json_items(member):
+    """A list member's items, or a stack member's rows as operator objects."""
+    return map(matrix_to_json_dict, member) if isinstance(member, np.ndarray) else member
+
+
 def json_value(obj: dict) -> dict:
     """``obj`` with each member that is an ``(n, d, d)`` stack as its rows'
     operator objects: the value whose ``json.dumps`` :func:`dump_json` writes."""
-    return {k: [matrix_to_json_dict(m) for m in v] if isinstance(v, np.ndarray) else v
-            for k, v in obj.items()}
+    return {k: list(_json_items(v)) if isinstance(v, np.ndarray) else v for k, v in obj.items()}
 
 
 def ops_from_json(raw, keys: list, d: int) -> np.ndarray:
@@ -263,9 +267,8 @@ def dump_json(obj: dict, fh) -> None:
     for i, (key, value) in enumerate(obj.items()):
         fh.write(f"{', ' if i else ''}{json.dumps(key)}: ")
         if isinstance(value, (list, np.ndarray)):
-            items = map(matrix_to_json_dict, value) if isinstance(value, np.ndarray) else value
             fh.write("[")
-            for j, item in enumerate(items):
+            for j, item in enumerate(_json_items(value)):
                 fh.write(f"{', ' if j else ''}{json.dumps(item)}")
             fh.write("]")
         else:

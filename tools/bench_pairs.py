@@ -2,33 +2,39 @@
 
     python3 tools/bench_pairs.py PARENT CHANGE --out BENCH_NAME.json \\
         --label NAME --describe TEXT --pairs frame-bridge=601-610 --pairs sic-hunt=611-615
-    python3 tools/bench_pairs.py PARENT CHANGE --steps 19 [--runs 3] [--out BENCH_NAME.json]
+    python3 tools/bench_pairs.py PARENT CHANGE --steps 19 [--out BENCH_NAME.json]
 
 PARENT and CHANGE are checkout roots, each with its own ``src``, ``perfbench``
-and ``BENCHMARK.json``.
+and ``BENCHMARK.json``.  Either both have bytecode for every module of
+``src/mubsic`` (``python -m compileall``) or neither has; without it each
+child compiles the package from source, as in a fresh checkout, and the heap
+the compiler leaves behind moves peak RSS with the length of the source.
 
 With ``--pairs WORKLOAD=SEEDS`` each seed runs ``perfbench/run.py --workload
 WORKLOAD --seed SEED --trace 0`` once per side, back to back, the parent first
-on even pairs and the change first on odd ones.  ``--out`` gets the label,
-method, seeds and environment, and per workload the failed and attempted
-calls and, for every end-to-end metric of the parent's BENCHMARK.json, each
-side's runs, median and quartiles (numpy linear percentiles), and the pairs
-the change won and lost by the metric's own direction.
+on even pairs and the change first on odd ones; each workload needs at least
+two seeds.  ``--out`` gets the label, method, seeds and environment, and per
+workload the failed and attempted calls and, for every end-to-end metric of
+the parent's BENCHMARK.json, each side's runs, median and quartiles (numpy
+linear percentiles), and the pairs the change won and lost by the metric's
+own direction.  Runs from byte-compiled checkouts go under ``compiled``.
 
 With ``--steps D`` the frame chain ``frame from-mub → bridge → verify --lines
 → quasiprob``, then ``frame from-hg`` and ``sic generate`` of a seeded unit ket,
-run at D as ``python -m mubsic`` subprocesses, ``--runs`` times per side,
+run at D as ``python -m mubsic`` subprocesses, ``STEP_RUNS`` times per side,
 alternating.  Each step's median wall time and wait4 ``ru_maxrss`` is printed,
 and whether both sides gave the same exit codes and the same SHA-256 of every
 stdout, stderr and file.  ``--out`` adds the table as ``frame_steps_d<D>``.
 
-Runs go one at a time, so that the two sides see the same machine.
+``--out`` adds its keys to the file if it exists.  Runs go one at a time, so
+that the two sides see the same machine.
 """
 
 from __future__ import annotations
 
 import argparse
 import hashlib
+import importlib.util
 import json
 import os
 import random
@@ -45,6 +51,8 @@ SIDES = ("parent", "change")
 # Children run with the program's default BLAS threading and tolerance, as
 # perfbench/run.py runs them.
 STRIPPED_ENV = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS", "MUBSIC_TOL")
+# Runs per side of the --steps table; its cells are the medians of these.
+STEP_RUNS = 3
 
 
 def side_order(i: int) -> tuple[str, ...]:
@@ -65,11 +73,39 @@ def commit(root: str) -> str:
     return probe.stdout.strip() if probe.returncode == 0 else "an uncommitted tree"
 
 
+def compiled(root: str) -> bool:
+    """Whether every module of the checkout's ``src/mubsic`` has current
+    bytecode for this interpreter, so that no child compiles it."""
+    pkg = os.path.join(root, "src", "mubsic")
+    sources = [os.path.join(pkg, name) for name in os.listdir(pkg) if name.endswith(".py")]
+    caches = [importlib.util.cache_from_source(src) for src in sources]
+    return all(os.path.exists(pyc) and os.path.getmtime(pyc) >= os.path.getmtime(src)
+               for src, pyc in zip(sources, caches))
+
+
 def parse_pairs(text: str) -> tuple[str, list[int]]:
-    """``frame-bridge=601-610`` (or ``=7``) as the workload and its seeds."""
+    """``frame-bridge=601-610`` as the workload and its seeds, at least two."""
     workload, _, seeds = text.partition("=")
     lo, _, hi = seeds.partition("-")
-    return workload, list(range(int(lo), int(hi or lo) + 1))
+    try:
+        span = list(range(int(lo), int(hi) + 1))
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"expected WORKLOAD=FIRST-LAST, got {text!r}") from None
+    if len(span) < 2:
+        raise argparse.ArgumentTypeError(f"{text!r} names fewer than two seeds")
+    return workload, span
+
+
+def merge_into(path: str, record: dict) -> None:
+    """Write the JSON object in ``path`` (empty if there is none) with the
+    keys of ``record`` added or replaced."""
+    old = {}
+    if os.path.exists(path):
+        with open(path) as fh:
+            old = json.load(fh)
+    with open(path, "w") as fh:
+        json.dump({**old, **record}, fh, indent=1)
+        fh.write("\n")
 
 
 # --- perfbench pairs -----------------------------------------------------------
@@ -201,11 +237,11 @@ def chain_run(root: str, d: int) -> tuple[list, str]:
     return records, sha256(json.dumps([outputs, files]).encode())
 
 
-def run_steps(roots: dict, d: int, runs: int) -> dict:
+def run_steps(roots: dict, d: int, bytecode: str) -> dict:
     names = [name for name, _ in frame_chain(d)[0]]
     table = {name: {side: {"wall_s": [], "rss_mb": []} for side in SIDES} for name in names}
     outputs = set()
-    for i in range(runs):
+    for i in range(STEP_RUNS):
         for side in side_order(i):
             records, digest = chain_run(roots[side], d)
             outputs.add(digest)
@@ -218,9 +254,10 @@ def run_steps(roots: dict, d: int, runs: int) -> dict:
             cell["median_rss_mb"] = statistics.median(cell["rss_mb"])
     return {
         "command": f"python3 -m mubsic, each step at d={d}: " + ", ".join(names),
-        "note": (f"{runs} alternating runs per side (parent first on even runs); wall time and "
-                 "wait4 ru_maxrss of each subprocess; rho is 1/d times the identity; the "
-                 "family's fiducial is a seeded unit ket, so sic generate exits 1."),
+        "note": (f"{STEP_RUNS} alternating runs per side (parent first on even runs); wall time "
+                 "and wait4 ru_maxrss of each subprocess; rho is 1/d times the identity; the "
+                 "family's fiducial is a seeded unit ket, so sic generate exits 1; the package "
+                 f"ran {bytecode}."),
         "same_outputs": len(outputs) == 1,
         "steps": table,
     }
@@ -243,7 +280,6 @@ def main() -> int:
     parser.add_argument("--pairs", action="append", type=parse_pairs, default=[],
                         metavar="WORKLOAD=SEEDS", help="e.g. frame-bridge=601-610; repeatable")
     parser.add_argument("--steps", type=int, metavar="D", help="per-step table at dimension D")
-    parser.add_argument("--runs", type=int, default=3, help="runs per side of --steps")
     parser.add_argument("--out", help="BENCH_*.json to write, or to add a step table to")
     parser.add_argument("--label", default="")
     parser.add_argument("--describe", default="", help="what the change does")
@@ -251,54 +287,53 @@ def main() -> int:
     if bool(args.pairs) == (args.steps is not None):
         parser.error("give either --pairs or --steps")
     roots = {"parent": os.path.abspath(args.parent), "change": os.path.abspath(args.change)}
+    sides_compiled = {compiled(root) for root in roots.values()}
+    if len(sides_compiled) != 1:
+        parser.error("one checkout has bytecode for src/mubsic and the other has not")
+    is_compiled = sides_compiled.pop()
+    bytecode = ("from bytecode (python -m compileall)" if is_compiled
+                else "compiled from source by every child")
 
     if args.steps is not None:
-        result = run_steps(roots, args.steps, args.runs)
+        result = run_steps(roots, args.steps, bytecode)
         for name, cells in result["steps"].items():
             print(f"{name:<10}" + "".join(
                 f"  {side} {c['median_wall_s']:7.2f} s {c['median_rss_mb']:7.1f} MB"
                 for side, c in cells.items()))
         print(f"same outputs on both sides: {result['same_outputs']}")
         if args.out:
-            record = {}
-            if os.path.exists(args.out):
-                with open(args.out) as fh:
-                    record = json.load(fh)
-            record[f"frame_steps_d{args.steps}"] = result
-            with open(args.out, "w") as fh:
-                json.dump(record, fh, indent=1)
-                fh.write("\n")
+            merge_into(args.out, {f"frame_steps_d{args.steps}": result})
         return 0 if result["same_outputs"] else 1
 
     with open(os.path.join(roots["parent"], "BENCHMARK.json")) as fh:
         spec = json.load(fh)
     seeds = [s for _, workload_seeds in args.pairs for s in workload_seeds]
     plan = ", ".join(f"{w} {len(s)} pairs on seeds {s[0]}-{s[-1]}" for w, s in args.pairs)
-    record = {
-        "label": args.label,
-        "change": args.describe,
-        "command": f"{spec['command'][0]} {spec['command'][1]} --workload <name> "
-                   "--seed <seed> --trace 0",
+    group = {
         "method": ("Each side ran from its own checkout (src, perfbench, BENCHMARK.json) by "
                    "tools/bench_pairs.py. For each seed the parent and the change ran the workload "
                    "back to back, the parent first on even pairs and the change first on odd pairs. "
                    "Values are the end-to-end metrics of the JSON line run.py prints; medians and "
                    "quartiles (numpy linear percentiles) are over the pairs, and change_wins "
                    "counts the pairs in which the change read better (change_losses worse). "
-                   f"{plan}; one run at a time."),
+                   f"{plan}; one run at a time; the package ran {bytecode}."),
+        "seeds": seeds,
+        "workloads": run_pairs(roots, args.pairs, spec),
+    }
+    header = {
+        "label": args.label,
+        "change": args.describe,
+        "command": f"{spec['command'][0]} {spec['command'][1]} --workload <name> "
+                   "--seed <seed> --trace 0",
         "parent_commit": commit(roots["parent"]),
         "change_commit": commit(roots["change"]),
-        "seeds": seeds,
         "nproc": os.cpu_count(),
         "environment": environment(),
         "run_seconds": spec["run_seconds"],
-        "workloads": run_pairs(roots, args.pairs, spec),
     }
     if args.out:
-        with open(args.out, "w") as fh:
-            json.dump(record, fh, indent=1)
-            fh.write("\n")
-    for workload, w in record["workloads"].items():
+        merge_into(args.out, {**header, "compiled": group} if is_compiled else {**header, **group})
+    for workload, w in group["workloads"].items():
         for name, m in w["metrics"].items():
             print(f"{workload:<13} {name:<15} {m['parent_median']:10.4g} -> "
                   f"{m['change_median']:10.4g}  wins {m['change_wins']}/{w['pairs']}")
