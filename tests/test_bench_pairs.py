@@ -1,0 +1,44 @@
+"""The argument and record helpers of tools/bench_pairs.py (no runs)."""
+
+import argparse
+import importlib.util
+import json
+import pathlib
+import py_compile
+
+import pytest
+
+TOOL = pathlib.Path(__file__).resolve().parents[1] / "tools" / "bench_pairs.py"
+spec = importlib.util.spec_from_file_location("bench_pairs", TOOL)
+bench_pairs = importlib.util.module_from_spec(spec)
+spec.loader.exec_module(bench_pairs)
+
+
+def test_parse_pairs_needs_two_seeds():
+    """Quartiles need two runs per side, so a plan is refused before any run."""
+    assert bench_pairs.parse_pairs("frame-bridge=601-603") == ("frame-bridge", [601, 602, 603])
+    for text in ("sic-hunt=7", "sic-hunt=7-7", "sic-hunt=9-7", "sic-hunt=x-y", "sic-hunt"):
+        with pytest.raises(argparse.ArgumentTypeError):
+            bench_pairs.parse_pairs(text)
+    assert bench_pairs.quartiles([1.0, 2.0]) == [1.25, 1.75]
+
+
+def test_compiled_needs_current_bytecode_for_every_module(tmp_path):
+    pkg = tmp_path / "src" / "mubsic"
+    pkg.mkdir(parents=True)
+    for name in ("__init__.py", "cli.py"):
+        (pkg / name).write_text("x = 1\n")
+    assert not bench_pairs.compiled(str(tmp_path))
+    py_compile.compile(str(pkg / "cli.py"))
+    assert not bench_pairs.compiled(str(tmp_path))
+    py_compile.compile(str(pkg / "__init__.py"))
+    assert bench_pairs.compiled(str(tmp_path))
+
+
+def test_merge_into_keeps_other_keys(tmp_path):
+    path = tmp_path / "BENCH_x.json"
+    bench_pairs.merge_into(str(path), {"label": "x", "workloads": {"a": 1}})
+    bench_pairs.merge_into(str(path), {"frame_steps_d19": {"b": 2}, "label": "y"})
+    assert json.loads(path.read_text()) == {
+        "label": "y", "workloads": {"a": 1}, "frame_steps_d19": {"b": 2}
+    }
