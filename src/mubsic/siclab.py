@@ -3,7 +3,7 @@ needed to hunt, certify, and dissect them: fiducial kets, the d² covariant
 projectors, the unbiased probability-operator columns extracted over the dual
 affine plane, spectra bookkeeping, cyclic probability-vector solving, phase
 reconstruction of the fiducial state, and a seeded numerical search whose
-trust-region least-squares solver (:func:`least_squares`) runs on numpy alone.
+Levenberg-Marquardt solver (:func:`least_squares`) runs on numpy alone.
 
 The orbit convention is λ_{a,b} = X^†ᵇ Zᵃ ρ₀ Z^†ᵃ Xᵇ with ρ₀ = |ψ₀⟩⟨ψ₀|, so
 conjugating the whole family by X^†ᴮ Zᴬ permutes labels (a, b) → (a⊕A, b⊕B).
@@ -602,7 +602,18 @@ def rank_one_conditions(fid: Fiducial) -> tuple[float, float]:
     return full, float(dev[1 : (d + 1) // 2].max())
 
 
-# --- trust-region least squares ---------------------------------------------------
+# --- Levenberg-Marquardt least squares ---------------------------------------------
+
+# Damping of every least-squares restart: λ starts at _DAMPING_START, grows ×4
+# after a rejected step and shrinks ÷3 after an accepted one.  Past
+# _DAMPING_CAP a step is a millionth of the scaled gradient step, and one that
+# still cannot lower the cost means the restart sits at its floor.
+_DAMPING_START = 1e-3
+_DAMPING_CAP = 1e6
+
+# A restart also ends when an accepted step lowers the cost by less than this
+# share of it.
+_STEP_TOL = 1e-15
 
 
 @dataclass(frozen=True)
@@ -613,120 +624,48 @@ class LeastSquaresResult:
     fun: np.ndarray
 
 
-def least_squares(fun, x0, *, jac, max_nfev, xtol, ftol, gtol) -> LeastSquaresResult:
-    """Minimize ½‖fun(x)‖² from x0 by trust-region Levenberg-Marquardt steps
-    (Moré 1977), each solved exactly through one SVD of the Jacobian.
+def least_squares(fun, x0, *, jac, max_nfev) -> LeastSquaresResult:
+    """Minimize ‖fun(x)‖² from x0 by Levenberg-Marquardt steps (Moré 1978).
 
-    This is the path scipy.optimize.least_squares(method="trf") takes with no
-    bounds, unit variable scale, linear loss and the dense exact solver, with
-    the same iterates bit for bit.  It stops when the gradient's max norm is
-    below ``gtol``, when a step lowers the cost by less than ``ftol`` of it
-    (with reduction ratio above 1/4), when a step is shorter than ``xtol``
-    relative to ‖x‖, or after ``max_nfev`` residual evaluations.  The search
-    calls it as this module's attribute, so replacing the attribute watches
-    every residual evaluation.
+    Each step solves (JᵀJ + λ·diag JᵀJ) s = −Jᵀr by least squares, which
+    needs no special case when JᵀJ is singular (the search's residuals do not
+    see the norm or global phase of ψ).  A step that lowers the cost is
+    accepted; a rejected one, non-finite residuals included, raises λ.  The
+    last accepted point is returned when an accepted step lowers the cost by
+    less than ``_STEP_TOL`` of it, when λ passes ``_DAMPING_CAP``, or after
+    ``max_nfev`` residual evaluations.  The search calls it as this module's
+    attribute, so replacing the attribute watches every residual evaluation.
     """
     x = np.array(x0, dtype=float)
     f, jmat = fun(x), jac(x)
-    nfev = 1
-    m, n = jmat.shape
-    cost = 0.5 * np.dot(f, f)
-    grad = jmat.T.dot(f)
-    radius = np.linalg.norm(x) or 1.0
-    alpha = 0.0
-    done = False
-    while not (done or np.linalg.norm(grad, ord=np.inf) < gtol or nfev == max_nfev):
-        u, s, vt = np.linalg.svd(jmat, full_matrices=False)
-        # LAPACK hands scipy Fortran-ordered factors; the same layout makes
-        # BLAS sum the products below in the same order.
-        v = np.asfortranarray(vt).T
-        uf = np.asfortranarray(u).T.dot(f)
-        reduction = -1
-        while reduction <= 0 and nfev < max_nfev:
-            step, alpha = _trust_region_step(n, m, uf, s, v, radius, alpha)
-            js = jmat.dot(step)
-            predicted = -(0.5 * np.dot(js, js) + np.dot(step, grad))
-            x_new = x + step
-            f_new = fun(x_new)
-            nfev += 1
-            step_norm = np.linalg.norm(step)
-            if not np.all(np.isfinite(f_new)):
-                radius = 0.25 * step_norm
-                continue
-            cost_new = 0.5 * np.dot(f_new, f_new)
-            reduction = cost - cost_new
-            if predicted > 0:
-                ratio = reduction / predicted
-            else:
-                ratio = 1 if predicted == reduction == 0 else 0
-            if ratio < 0.25:
-                radius_new = 0.25 * step_norm
-            elif ratio > 0.75 and step_norm > 0.95 * radius:
-                radius_new = radius * 2.0
-            else:
-                radius_new = radius
-            done = (reduction < ftol * cost and ratio > 0.25) or (
-                step_norm < xtol * (xtol + np.linalg.norm(x))
-            )
-            if done:
-                break
-            alpha *= radius / radius_new
-            radius = radius_new
-        if reduction > 0:
-            x, f, cost = x_new, f_new, cost_new
-            jmat = jac(x)
-            grad = jmat.T.dot(f)
-    return LeastSquaresResult(x=x, fun=f)
-
-
-def _trust_region_step(n, m, uf, s, v, radius, alpha):
-    """The step p minimizing ‖J p + f‖ within ‖p‖ ≤ radius, and its
-    Levenberg-Marquardt parameter α, from J = U diag(s) Vᵀ and uf = Uᵀf:
-    the Gauss-Newton step if J has full rank and the step fits, else
-    p = −V (s uf / (s² + α)) with α found by at most 10 safeguarded Newton
-    steps on ‖p(α)‖ − radius, warm-started from the previous α."""
-    suf = s * uf
-
-    def phi_and_derivative(a):
-        denom = s**2 + a
-        p_norm = np.linalg.norm(suf / denom)
-        return p_norm - radius, -np.sum(suf**2 / denom**3) / p_norm
-
-    full_rank = m >= n and s[-1] > np.finfo(float).eps * m * s[0]
-    if full_rank:
-        p = -v.dot(uf / s)
-        if np.linalg.norm(p) <= radius:
-            return p, 0.0
-    upper = np.linalg.norm(suf) / radius
-    lower = 0.0
-    if full_rank:
-        phi, phi_prime = phi_and_derivative(0.0)
-        lower = -phi / phi_prime
-    elif alpha == 0:
-        alpha = max(0.001 * upper, (lower * upper) ** 0.5)
-    for _ in range(10):
-        if alpha < lower or alpha > upper:
-            alpha = max(0.001 * upper, (lower * upper) ** 0.5)
-        phi, phi_prime = phi_and_derivative(alpha)
-        if phi < 0:
-            upper = alpha
-        ratio = phi / phi_prime
-        lower = max(lower, alpha - ratio)
-        alpha -= (phi + radius) * ratio / radius
-        if np.abs(phi) < 0.01 * radius:
+    nfev, cost, damping = 1, f @ f, _DAMPING_START
+    while nfev < max_nfev and damping <= _DAMPING_CAP:
+        jtj = jmat.T @ jmat
+        lhs = jtj + damping * np.diag(jtj.diagonal())
+        step = np.linalg.lstsq(lhs, -(jmat.T @ f), rcond=None)[0]
+        x_new = x + step
+        f_new = fun(x_new)
+        nfev += 1
+        cost_new = f_new @ f_new
+        if not cost_new < cost:
+            damping *= 4.0
+            continue
+        done = cost - cost_new < _STEP_TOL * cost
+        x, f, cost = x_new, f_new, cost_new
+        if done:
             break
-    p = -v.dot(suf / (s**2 + alpha))
-    return p * (radius / np.linalg.norm(p)), alpha
+        damping /= 3.0
+        jmat = jac(x)
+    return LeastSquaresResult(x=x, fun=f)
 
 
 # --- numerical search --------------------------------------------------------------
 
-# Step, cost and gradient tolerance of every least-squares restart.
-_STEP_TOL = 1e-15
-
 # Gauss-Newton steps given to an accepted ket whose max |r_M| is above
-# DEFAULT_TOL.  One step takes the d = 13 kets of the tests from 1e-9 to
-# 1e-16, while near the continuous d = 3 family each step gains only ~4x.
+# DEFAULT_TOL.  A restart that runs its course ends near 1e-16, so only one
+# cut short by ``max_iters`` is accepted above it.  One step takes such kets
+# from 1e-8 to 1e-16 at d ≥ 5, while near the continuous d = 3 family each
+# step gains only ~4x.
 _POLISH_STEPS = 3
 
 
@@ -763,8 +702,7 @@ class SearchResult:
 
 
 def search_fiducial(d: int, cfg: SearchConfig | None = None) -> SearchResult:
-    """Seeded restarts of :func:`least_squares` (scipy's trf iterates, on
-    numpy) on the overlap residuals.
+    """Seeded restarts of :func:`least_squares` on the overlap residuals.
 
     The residual vector is r_M(ψ) = |⟨ψ|Mψ⟩|²/‖ψ‖⁴ − 1/(d+1) over nontrivial
     monomials M, with the exact Jacobian in the 2d real coordinates of ψ.
@@ -805,10 +743,7 @@ def search_fiducial(d: int, cfg: SearchConfig | None = None) -> SearchResult:
     for _ in range(cfg.restarts):
         used += 1
         x0 = rng.standard_normal(2 * d)
-        res = least_squares(
-            residuals, x0, jac=jac, max_nfev=cfg.max_iters,
-            xtol=_STEP_TOL, ftol=_STEP_TOL, gtol=_STEP_TOL,
-        )
+        res = least_squares(residuals, x0, jac=jac, max_nfev=cfg.max_iters)
         f_val = float(np.sum(res.fun**2))
         if f_val < best_f:
             best_f = f_val

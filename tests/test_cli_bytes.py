@@ -132,53 +132,53 @@ PINS = {
     ),
     "sic search --d 5 --seed 7 --restarts 200 --out fiducial5.json": (
         0,
-        "a4ff22d8187c802aecbcace6c28c279a36c58b661493d427f8d20364249bd33a",
-        "e41faa7849a696d34e8eda968626d12eda6fcb87e8cf1e074fefd9bcaf8eeb44",
+        "98c3b0a63d62442cb13c39dedb37cdc3824514db5725e47f96eefe7f885959bf",
+        "d40468786ff14457153274dc1217f1521fdb46aa5c7d5885eda09e4008215bc4",
     ),
     "sic generate --fiducial fiducial5.json --out family5.json": (
         0,
-        "39f8dcf08b1fb9ffc83c4d89408ac55b0281e267808ec218e1b12be0ebdb9dd2",
-        "fdd50659771f897ebe38be1ecc45f2c910b59fc526f35c5ebeee16abff334f96",
+        "da2706ed7ce2f4b3682054b4bed814da69826cd8a124b801b9e30ef9b717f157",
+        "0b09ad72310197ca2ff30cf6ddec659b894f51ddbbd6ec1072a579659c99211f",
     ),
     "sic verify --in family5.json": (
         0,
-        "14400d6e3fa5adbbf8fa5773fcab8d749394e4956e735b3c0ad414a2c815c11e",
+        "ee16ab46004dcdaf670b89b01a37e88961cb366ee7ef891848944648f22ec7e5",
         None,
     ),
     "sic spectra --in family5.json --out spectra5.csv": (
         0,
-        "bc845494c37fc9ce2d7ce2093a901d4bdbdf004d16fbfe7ed628aa38a29ed1d3",
-        "bc662c12a1e4a1314e9617a80954112b99358286e51efa305cab4a3b462818c4",
+        "26b1e7d330c02673e5f261c0ccfd1e4ac5f76cff42dae8709e75266bfbddd04f",
+        "9d49193d6de7b6c9683e273774a53bbbec0a3245281e0d8707947241c66fb589",
     ),
     "sic group --in spectra5.csv --tol 1e-4 --out groups5.json": (
         0,
         "462f271af61128e4d74ec1acb735b7634a5c5cbd14d8e3d56d68358834da0ed8",
-        "77f15714aa9973acd2d5bc4035c149e3223e285415f9840ca8e04ff0484efdc9",
+        "233833066a1e3994e27743163502e324d82c3ca2d56f3467315796208ea4b68a",
     ),
     "sic search --d 7 --seed 3 --restarts 200 --out fiducial7.json": (
         0,
-        "87b37488683bcb5dcf04330dfb4fbad453ba1d07d9b3e2f76f69f8459d471696",
-        "4b96daa9feb71c6aa317d728a3bd92c9d524ff16578f832176ba58a64af14ee8",
+        "811e2567e99f7cd6dbaa388cb885887aad89428d99cf16d959aeeb6ff605bda8",
+        "b239dfcbe9e9cf56db10535b5938e7d52eac186a247a042f4d752c8d26516d7b",
     ),
     "sic generate --fiducial fiducial7.json --out family7.json": (
         0,
-        "6e7c2b5248235ead5735233de5f5f5358ec20c633f0602491e74f4ed6a577c46",
-        "38903d04f848b85af487df2a16479e81a437e16dcc71df33919ef14524c1cb1e",
+        "a7e42dd91dbef20daf66b97ed8de37a0dc4e0b15fcdf89795187507d40d10347",
+        "1beae7b9f84d83ef6adbde1d03633711632786e8e676a283285f44a4af0ab211",
     ),
     "sic verify --in family7.json": (
         0,
-        "046ebfb56486bc32128dba1da06bbf088b0eccc8a7c73c0eee72db1ac1f07b5c",
+        "2871bb3e967ee3d10bca5521943dc2b4a15a0e2db92ec4587f720ef4d196acd2",
         None,
     ),
     "sic spectra --in family7.json --out spectra7.csv": (
         0,
-        "7b14460f4318500460c671c6e0c99b1bb2bdcf0a390fa2faa991f1f40723b6c4",
-        "ca884ef7ee75aa15840977ae585811c05ff742ba6982b2993a814e864af018f2",
+        "217379373bcfc619f0060f8484cc4a0718967ecf0aa44ad55de3a99a4711aca2",
+        "8fa993e1cbe283a9699fdf3e4a1aeb26e48b29d6a3c3ee2064d1361945095285",
     ),
     "sic group --in spectra7.csv --out groups7.json": (
         0,
         "e6e209f573cb544b98cbdc2fd8c94d4cd7a74cc2fc30640566527952f6a4a755",
-        "8f95d879ae1b26f1d352640dd995c30cab0f807f8fc1ba59b621bf4aef455301",
+        "36d1c6fc8b5c286a71d4dd6077bb79d26435acc623497be3f5bdba8083801a44",
     ),
     "sic solve-prob --d 3": (
         0,

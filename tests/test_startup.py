@@ -1,9 +1,9 @@
-"""No command loads scipy: the fiducial search's trust-region solver and the
-cyclic probability solver run on numpy alone.  ``import mubsic`` loads
-nothing at all: each public name lives only in its module.
+"""No command loads scipy: the fiducial search's Levenberg-Marquardt solver
+and the cyclic probability solver run on numpy alone.  ``import mubsic``
+loads nothing at all: each public name lives only in its module.
 
-The import checks run in fresh interpreters: within the suite, the oracle
-test of the search's solver imports scipy, so an in-process check proves
+The import checks run in fresh interpreters: within the suite, other tests
+have already imported the package and numpy, so an in-process check proves
 nothing.
 """
 
@@ -60,7 +60,7 @@ def test_package_import_loads_no_module():
 @pytest.mark.parametrize(
     "argv",
     [
-        ["sic", "search", "--d", "3"],  # numpy trust-region solver
+        ["sic", "search", "--d", "3"],  # numpy Levenberg-Marquardt
         ["sic", "solve-prob", "--d", "3"],  # closed form, no solver
         ["sic", "solve-prob", "--d", "5"],  # numpy Gauss-Newton
     ],
