@@ -605,10 +605,13 @@ def rank_one_conditions(fid: Fiducial) -> tuple[float, float]:
 # --- Levenberg-Marquardt least squares ---------------------------------------------
 
 # Damping of every least-squares restart: λ starts at _DAMPING_START, grows ×4
-# after a rejected step and shrinks ÷3 after an accepted one.  Past
-# _DAMPING_CAP a step is a millionth of the scaled gradient step, and one that
-# still cannot lower the cost means the restart sits at its floor.
+# after a rejected step and shrinks ÷3 after an accepted one.  JᵀJ is singular
+# along ψ's norm and global phase, and _DAMPING_FLOOR keeps λ·diag JᵀJ above
+# its rounding (√m·eps ≈ 7e-15 at d = 31), so the damped matrix stays
+# invertible.  Past _DAMPING_CAP a step is a millionth of the scaled gradient
+# step; one that still cannot lower the cost ends the restart.
 _DAMPING_START = 1e-3
+_DAMPING_FLOOR = 1e-14
 _DAMPING_CAP = 1e6
 
 # A restart also ends when an accepted step lowers the cost by less than this
@@ -627,14 +630,13 @@ class LeastSquaresResult:
 def least_squares(fun, x0, *, jac, max_nfev) -> LeastSquaresResult:
     """Minimize ‖fun(x)‖² from x0 by Levenberg-Marquardt steps (Moré 1978).
 
-    Each step solves (JᵀJ + λ·diag JᵀJ) s = −Jᵀr by least squares, which
-    needs no special case when JᵀJ is singular (the search's residuals do not
-    see the norm or global phase of ψ).  A step that lowers the cost is
-    accepted; a rejected one, non-finite residuals included, raises λ.  The
-    last accepted point is returned when an accepted step lowers the cost by
-    less than ``_STEP_TOL`` of it, when λ passes ``_DAMPING_CAP``, or after
-    ``max_nfev`` residual evaluations.  The search calls it as this module's
-    attribute, so replacing the attribute watches every residual evaluation.
+    Each step solves (JᵀJ + λ·diag JᵀJ) s = −Jᵀr.  A step that lowers the
+    cost is accepted; a rejected one, non-finite residuals included, raises
+    λ.  The last accepted point is returned when an accepted step lowers the
+    cost by less than ``_STEP_TOL`` of it, when λ passes ``_DAMPING_CAP``, or
+    after ``max_nfev`` residual evaluations.  The search calls it as this
+    module's attribute, so replacing the attribute watches every residual
+    evaluation.
     """
     x = np.array(x0, dtype=float)
     f, jmat = fun(x), jac(x)
@@ -642,7 +644,7 @@ def least_squares(fun, x0, *, jac, max_nfev) -> LeastSquaresResult:
     while nfev < max_nfev and damping <= _DAMPING_CAP:
         jtj = jmat.T @ jmat
         lhs = jtj + damping * np.diag(jtj.diagonal())
-        step = np.linalg.lstsq(lhs, -(jmat.T @ f), rcond=None)[0]
+        step = np.linalg.solve(lhs, -(jmat.T @ f))
         x_new = x + step
         f_new = fun(x_new)
         nfev += 1
@@ -654,7 +656,7 @@ def least_squares(fun, x0, *, jac, max_nfev) -> LeastSquaresResult:
         x, f, cost = x_new, f_new, cost_new
         if done:
             break
-        damping /= 3.0
+        damping = max(damping / 3.0, _DAMPING_FLOOR)
         jmat = jac(x)
     return LeastSquaresResult(x=x, fun=f)
 

@@ -132,22 +132,22 @@ PINS = {
     ),
     "sic search --d 5 --seed 7 --restarts 200 --out fiducial5.json": (
         0,
-        "98c3b0a63d62442cb13c39dedb37cdc3824514db5725e47f96eefe7f885959bf",
-        "d40468786ff14457153274dc1217f1521fdb46aa5c7d5885eda09e4008215bc4",
+        "32de576a33dc2043f366e0d7f47b7ba6de8aefd77edc7d15db3360af3159ed2d",
+        "51ce392aeae4a0540662579a9e7d515b273bb1f3f00722a5c95296d24abf0900",
     ),
     "sic generate --fiducial fiducial5.json --out family5.json": (
         0,
-        "da2706ed7ce2f4b3682054b4bed814da69826cd8a124b801b9e30ef9b717f157",
-        "0b09ad72310197ca2ff30cf6ddec659b894f51ddbbd6ec1072a579659c99211f",
+        "a0bb090fc01903765b5982f0d683195b35120157da253f95096153a54bff63de",
+        "7c1f66577a25a5ec8988785cf2a424d48391f06fc8d7beb89e1d8a7fe5a24cdc",
     ),
     "sic verify --in family5.json": (
         0,
-        "ee16ab46004dcdaf670b89b01a37e88961cb366ee7ef891848944648f22ec7e5",
+        "659a5846379fb2bcab59ec2bf41cf4a6cc766f41ebea5ae2ab44ca23014463bd",
         None,
     ),
     "sic spectra --in family5.json --out spectra5.csv": (
         0,
-        "26b1e7d330c02673e5f261c0ccfd1e4ac5f76cff42dae8709e75266bfbddd04f",
+        "4ecfbd3d93cf4b0a7a71d82fd91ee779dea40a3729644b237fa941ebd1f23aea",
         "9d49193d6de7b6c9683e273774a53bbbec0a3245281e0d8707947241c66fb589",
     ),
     "sic group --in spectra5.csv --tol 1e-4 --out groups5.json": (
@@ -157,22 +157,22 @@ PINS = {
     ),
     "sic search --d 7 --seed 3 --restarts 200 --out fiducial7.json": (
         0,
-        "811e2567e99f7cd6dbaa388cb885887aad89428d99cf16d959aeeb6ff605bda8",
-        "b239dfcbe9e9cf56db10535b5938e7d52eac186a247a042f4d752c8d26516d7b",
+        "ccc1ef7e435cb9f99781e31183dfa6fd0fb3fc20c15e4dc52d35116e172864d1",
+        "51bf418f105d6e739f652a754f62336ac341768bf9d7bbf5f731252fc7062440",
     ),
     "sic generate --fiducial fiducial7.json --out family7.json": (
         0,
-        "a7e42dd91dbef20daf66b97ed8de37a0dc4e0b15fcdf89795187507d40d10347",
-        "1beae7b9f84d83ef6adbde1d03633711632786e8e676a283285f44a4af0ab211",
+        "53bbed301ab69d9e418d0ee3bf3146593486bcda181645b50e927ceead2b98db",
+        "b22f57f922c5b2c73da944d7625bf71576ec45cce1e97bd9bd3f9fd0767c6582",
     ),
     "sic verify --in family7.json": (
         0,
-        "2871bb3e967ee3d10bca5521943dc2b4a15a0e2db92ec4587f720ef4d196acd2",
+        "7027dd27a6b2de34b86bfc86fbccbd72b797979aeb87ad3334a0d8c4bc6b80da",
         None,
     ),
     "sic spectra --in family7.json --out spectra7.csv": (
         0,
-        "217379373bcfc619f0060f8484cc4a0718967ecf0aa44ad55de3a99a4711aca2",
+        "f062c255f938f3f7f570dd796faa3cca2982bdca99273b858662116fdf41c5e1",
         "8fa993e1cbe283a9699fdf3e4a1aeb26e48b29d6a3c3ee2064d1361945095285",
     ),
     "sic group --in spectra7.csv --out groups7.json": (
