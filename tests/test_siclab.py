@@ -900,6 +900,7 @@ def test_search_polishes_accepted_ket(monkeypatch, d, seed, max_iters):
     # overlap deviation of 3.3e-8, 2.1e-8 and 2.6e-9; the polish takes it
     # within DEFAULT_TOL.
     accepted = []
+    least_squares = siclab.least_squares
 
     def recording(fun, x0, **kwargs):
         res = least_squares(fun, x0, **kwargs)
@@ -907,7 +908,6 @@ def test_search_polishes_accepted_ket(monkeypatch, d, seed, max_iters):
             accepted.append(float(np.abs(res.fun).max()))
         return res
 
-    least_squares = siclab.least_squares
     monkeypatch.setattr(siclab, "least_squares", recording)
     res = search_fiducial(d, SearchConfig(seed=seed, max_iters=max_iters))
     assert accepted[0] > linalg.DEFAULT_TOL
@@ -944,6 +944,7 @@ def test_search_reports_budget_exhaustion():
 
 def test_least_squares_stays_within_max_nfev(monkeypatch):
     used = []
+    least_squares = siclab.least_squares
 
     def counting(fun, x0, **kwargs):
         calls = []
@@ -956,7 +957,6 @@ def test_least_squares_stays_within_max_nfev(monkeypatch):
         used.append((len(calls), kwargs["max_nfev"]))
         return res
 
-    least_squares = siclab.least_squares
     monkeypatch.setattr(siclab, "least_squares", counting)
     for d in SEARCH_PRIMES:
         for max_iters in (1, 2, 3, 5, 10, 20):
@@ -966,46 +966,34 @@ def test_least_squares_stays_within_max_nfev(monkeypatch):
     assert any(calls == cap for calls, cap in used)
 
 
-def _quadratic(x):
-    return np.array([x[0] - 1.0, x[1] - 2.0])
-
-
-def _quadratic_jac(x):
-    return np.eye(2)
-
-
 def test_least_squares_keeps_last_finite_point():
-    # The residuals turn NaN beyond x₀ = 0.5, short of the minimum at 1:
+    # The residuals x − (1, 2) turn NaN beyond x₀ = 0.5, short of the minimum:
     # every step past it is rejected, and the loop ends with finite residuals.
     seen = []
 
     def fun(x):
         seen.append(x.copy())
-        return _quadratic(x) if x[0] <= 0.5 else np.full(2, np.nan)
+        return x - [1.0, 2.0] if x[0] <= 0.5 else np.full(2, np.nan)
 
-    res = siclab.least_squares(fun, [0.0, 0.0], jac=_quadratic_jac, max_nfev=200)
+    res = siclab.least_squares(fun, [0.0, 0.0], jac=lambda x: np.eye(2), max_nfev=200)
     assert len(seen) < 200
     assert any(x[0] > 0.5 for x in seen)
     assert 0.4 < res.x[0] <= 0.5
-    assert np.array_equal(res.fun, _quadratic(res.x))
+    assert np.array_equal(res.fun, res.x - [1.0, 2.0])
 
 
 def test_least_squares_stops_where_no_step_lowers_the_cost():
     # At the minimum of an inconsistent system every step is rejected until
     # the damping passes its cap; the start comes back unchanged.
-    def fun(x):
-        return np.array([x[0], x[0] - 1.0])
-
     calls = []
 
-    def counted(x):
+    def fun(x):
         calls.append(1)
-        return fun(x)
+        return np.array([x[0], x[0] - 1.0])
 
-    x0 = np.array([0.5])
-    res = siclab.least_squares(counted, x0, jac=lambda x: np.ones((2, 1)), max_nfev=1000)
-    assert np.array_equal(res.x, x0)
-    assert np.array_equal(res.fun, fun(x0))
+    res = siclab.least_squares(fun, [0.5], jac=lambda x: np.ones((2, 1)), max_nfev=1000)
+    assert np.array_equal(res.x, [0.5])
+    assert np.array_equal(res.fun, [0.5, -0.5])
     assert len(calls) < 1000
 
 
