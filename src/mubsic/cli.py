@@ -70,14 +70,18 @@ def _read_json(path, object_hook=linalg.decode_operator) -> dict:
 
 
 def _load(reader, path):
-    """``reader`` applied to the JSON file at ``path``, whose operator objects
-    are decoded as they are parsed.  A file that the decoding or the reader
-    rejects is parsed again as plain JSON for the reader, so that its error
-    comes in file order and names each value as the file holds it."""
+    """``reader`` applied to the JSON object in the file at ``path``, whose
+    operator objects are decoded as they are parsed.  A file that the
+    decoding or the reader rejects, or that is not an object once decoded,
+    is parsed again as plain JSON for the reader, so that its error comes in
+    file order and names each value as the file holds it."""
     try:
-        return reader(_read_json(path))
+        obj = _read_json(path)
+        if isinstance(obj, dict):
+            return reader(obj)
     except ValueError:
-        return reader(_read_json(path, None))
+        pass
+    return reader(_read_json(path, None))
 
 
 # --- handlers ----------------------------------------------------------------
@@ -96,29 +100,23 @@ def _cmd_mub_verify(args) -> int:
     return _verdict(f"d={args.d} deviation", dev, _tol(args))
 
 
-_PLANE_KINDS = {
-    "dapg": ("build_dapg", "export_incidence", "verify_incidence"),
-    "apg": ("build_apg", "export_apg", "verify_apg"),
-}
-
-
-def _plane_kind(kind: str):
-    """The build, export and verify functions of a ``--kind``, looked up on
-    the plane module at call time so that a replaced attribute is the one run."""
-    return [getattr(plane, name) for name in _PLANE_KINDS[kind]]
-
-
 def _cmd_plane_build(args) -> int:
-    build, export, _ = _plane_kind(args.kind)
-    geom = build(args.d)
-    _write_text(args.out, export(geom, args.export))
+    if args.kind == "apg":
+        geom = plane.build_apg(args.d)
+        text = plane.export_apg(geom, args.export)
+    else:
+        geom = plane.build_dapg(args.d)
+        text = plane.export_incidence(geom, args.export)
+    _write_text(args.out, text)
     print(f"{args.kind} d={args.d}: {len(geom.points)} points, {len(geom.lines)} lines")
     return 0
 
 
 def _cmd_plane_verify(args) -> int:
-    build, _, verify = _plane_kind(args.kind)
-    report = verify(build(args.d))
+    if args.kind == "apg":
+        report = plane.verify_apg(plane.build_apg(args.d))
+    else:
+        report = plane.verify_incidence(plane.build_dapg(args.d))
     print(report.summary())
     for v in report.violations:
         print(f"  violation: {v}")
@@ -362,7 +360,7 @@ def run(argv) -> int:
         return args.handler(args)
     except SystemExit as exc:  # --help
         return int(exc.code or 0)
-    except (ValueError, OSError, KeyError) as exc:
+    except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

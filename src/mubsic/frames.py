@@ -28,7 +28,6 @@ import numpy as np
 
 from .linalg import (
     DEFAULT_TOL,
-    HermitianOp,
     gram_deviation,
     header_int,
     hermitian_stack,
@@ -225,19 +224,21 @@ def scaled_so(frame: LineFrame) -> np.ndarray:
     return trace_one(c * frame.ops, d)
 
 
-def quasi_distribution(rho: HermitianOp, points: PointFrame) -> dict:
-    """Q_(m,j) = tr(τ_m^(j) ρ) over all points, for a unit-trace ρ.
+def quasi_distribution(rho: np.ndarray, points: PointFrame) -> dict:
+    """Q_(m,j) = tr(τ_m^(j) ρ) over all points, for a unit-trace Hermitian
+    matrix ρ.
 
     Columns each sum to 1; entries may be negative unless the τ are positive.
     """
-    if rho.dim != points.d:
-        raise ValueError(f"dimension mismatch: ρ is {rho.dim}, frame is {points.d}")
-    if abs(rho.trace - 1.0) > 1e-10:
-        raise ValueError(f"ρ must have unit trace, got {rho.trace!r}")
+    if len(rho) != points.d:
+        raise ValueError(f"dimension mismatch: ρ is {len(rho)}, frame is {points.d}")
+    trace = float(rho.diagonal().real.sum())
+    if abs(trace - 1.0) > 1e-10:
+        raise ValueError(f"ρ must have unit trace, got {trace!r}")
     taus = trace_one(points.ops, points.d)
     # The matmul trace, not hs_inner or an einsum: these values are written to
     # quasi.json, whose bytes a reordered sum would change in the last bits.
-    values = np.trace(taus @ rho.mat, axis1=1, axis2=2).real
+    values = np.trace(taus @ rho, axis1=1, axis2=2).real
     return dict(zip(point_keys(points.d), values.tolist()))
 
 

@@ -1,16 +1,16 @@
 """Dense complex-matrix plumbing: Hermitian operators, the Hilbert-Schmidt
 inner product, and eigenanalysis.
 
-Everything here is a pure function of immutable inputs; operators are plain
-numpy arrays wrapped in a frozen dataclass that validates hermiticity once at
-construction, so values can be shared freely across threads.  An operator
-holds only its matrix; its trace is read off the diagonal.
+Everything here is a pure function of immutable inputs.  An operator is a
+read-only complex ``(d, d)`` ndarray admitted once by
+:meth:`HermitianOp.from_matrix`, and a family of them is one read-only
+``(n, d, d)`` stack (:func:`hermitian_stack`), so values can be shared
+freely across threads.
 """
 
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -29,23 +29,18 @@ RANK_TOL = 1e-8
 DEFAULT_TOL = 1e-10
 
 
-@dataclass(frozen=True)
 class HermitianOp:
-    """A d x d Hermitian matrix, read-only from construction on.
+    """The admission check of every operator, :meth:`from_matrix`.
 
-    Construct through :meth:`from_matrix`, which validates.  A family of
-    operators is one read-only ``(n, d, d)`` stack (:func:`hermitian_stack`),
-    not a list of these.  An operator holds no arithmetic of its own.
+    It stays a class, not a function, only because the benchmark tracer
+    patches ``HermitianOp.from_matrix`` by name; renaming it to
+    ``linalg.hermitian`` waits on the tracer's rebase (ROADMAP item 2).
     """
 
-    mat: np.ndarray
-
-    def __post_init__(self):
-        self.mat.flags.writeable = False
-
     @classmethod
-    def from_matrix(cls, entries) -> "HermitianOp":
-        """Admit ``entries`` as Hermitian, symmetrizing (m + m†)/2.
+    def from_matrix(cls, entries) -> np.ndarray:
+        """``entries`` admitted as Hermitian: the read-only complex matrix
+        (m + m†)/2.
 
         Raises ValueError unless ``entries`` is a finite square matrix whose
         m − m† has no entry above HERMITICITY_ATOL in modulus.
@@ -58,26 +53,7 @@ class HermitianOp:
         asym = float(np.abs(mat - mat.conj().T).max())
         if asym > HERMITICITY_ATOL:
             raise ValueError(f"matrix is not Hermitian: max |m - m†| = {asym:.3e}")
-        return cls(mat=(mat + mat.conj().T) / 2.0)
-
-    @classmethod
-    def identity(cls, dim: int) -> "HermitianOp":
-        return cls(mat=np.eye(dim, dtype=np.complex128))
-
-    @property
-    def dim(self) -> int:
-        return self.mat.shape[0]
-
-    @property
-    def trace(self) -> float:
-        return float(self.mat.diagonal().real.sum())
-
-    def to_json_dict(self) -> dict:
-        return matrix_to_json_dict(self.mat)
-
-    @classmethod
-    def from_json_dict(cls, obj: dict) -> "HermitianOp":
-        return cls.from_matrix(matrix_from_json_dict(obj))
+        return read_only((mat + mat.conj().T) / 2.0)
 
 
 def read_only(arr: np.ndarray) -> np.ndarray:
@@ -91,7 +67,7 @@ def hermitian_stack(mats, n: int, d: int) -> np.ndarray:
     admitted by :meth:`HermitianOp.from_matrix` and copied into its row."""
     stack = np.empty((n, d, d), dtype=np.complex128)
     for row, mat in zip(stack, mats):
-        row[...] = HermitianOp.from_matrix(mat).mat
+        row[...] = HermitianOp.from_matrix(mat)
     return read_only(stack)
 
 
@@ -131,15 +107,14 @@ def spectrum_rank(values) -> int:
     return int(np.count_nonzero(np.abs(values) > RANK_TOL))
 
 
-def matrix_rank(h: HermitianOp) -> int:
-    """Number of eigenvalues of ``h`` with |λ| > RANK_TOL."""
-    return spectrum_rank(hermitian_eigensystem(h.mat)[0])
+def matrix_rank(h: np.ndarray) -> int:
+    """Number of eigenvalues of the Hermitian matrix ``h`` with |λ| > RANK_TOL."""
+    return spectrum_rank(hermitian_eigensystem(h)[0])
 
 
-def third_moment(h: HermitianOp) -> float:
+def third_moment(h: np.ndarray) -> float:
     """tr(h³); equals 1 exactly when h is a rank-one projector."""
-    m2 = h.mat @ h.mat
-    return float(np.trace(m2 @ h.mat).real)
+    return float(np.trace(h @ h @ h).real)
 
 
 def label_table(labels, diag: float, same: float, other: float) -> np.ndarray:
@@ -202,7 +177,7 @@ def header_int(obj: dict, key: str) -> int:
 
 
 def matrix_to_json_dict(mat: np.ndarray) -> dict:
-    """The operator object of a square matrix, such as a HermitianOp's."""
+    """The operator object of a square matrix."""
     d = mat.shape[0]
     return {"dim": d, "entries": complex_to_json(mat.reshape(d * d))}
 
@@ -238,22 +213,27 @@ def ops_from_json(raw, keys: list, d: int) -> np.ndarray:
     if not isinstance(raw, list) or len(raw) != len(keys):
         got = len(raw) if isinstance(raw, list) else raw
         raise ValueError(f"expected {len(keys)} ops, got {got!r}")
-    ops = [o if isinstance(o, HermitianOp) else HermitianOp.from_json_dict(o) for o in raw]
+    ops = [o if isinstance(o, np.ndarray) else _operator(o) for o in raw]
     stack = np.empty((len(keys), d, d), dtype=np.complex128)
     for k, op, row in zip(keys, ops, stack):
-        if op.dim != d:
-            raise ValueError(f"op {k} is {op.dim} x {op.dim}, expected {d} x {d}")
-        row[...] = op.mat
+        if len(op) != d:
+            raise ValueError(f"op {k} is {len(op)} x {len(op)}, expected {d} x {d}")
+        row[...] = op
     return read_only(stack)
 
 
+def _operator(obj: dict) -> np.ndarray:
+    """The admitted matrix of an operator object."""
+    return HermitianOp.from_matrix(matrix_from_json_dict(obj))
+
+
 def decode_operator(obj: dict):
-    """``json.load`` object hook: an object with ``dim`` and ``entries`` as a
-    validated HermitianOp as soon as it is parsed, so that a file of
+    """``json.load`` object hook: an object with ``dim`` and ``entries`` as
+    its admitted read-only matrix as soon as it is parsed, so that a file of
     operators is never held as one tree of lists.  Any other object is
     returned as it is."""
     if "dim" in obj and "entries" in obj:
-        return HermitianOp.from_json_dict(obj)
+        return _operator(obj)
     return obj
 
 
@@ -292,10 +272,10 @@ def load_json(path, object_hook=None):
         return parse_json(fh.read(), object_hook)
 
 
-def write_operator_json(path, op: HermitianOp) -> None:
+def write_operator_json(path, op: np.ndarray) -> None:
     with open(path, "w") as fh:
-        dump_json(op.to_json_dict(), fh)
+        dump_json(matrix_to_json_dict(op), fh)
 
 
-def read_operator_json(path) -> HermitianOp:
-    return HermitianOp.from_json_dict(load_json(path))
+def read_operator_json(path) -> np.ndarray:
+    return _operator(load_json(path))

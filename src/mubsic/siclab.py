@@ -437,8 +437,9 @@ def _cyclic_samples(d: int, seed: int, restarts: int) -> list:
 # --- fiducial from measurement columns ------------------------------------------
 
 
-def mu_pom_from_probabilities(mub: MubFamily, probs) -> list[HermitianOp]:
-    """Build one diagonal operator per basis: τ_b = Σ_m p_m |m;b⟩⟨m;b|."""
+def mu_pom_from_probabilities(mub: MubFamily, probs) -> np.ndarray:
+    """The read-only (d+1, d, d) stack of one diagonal operator per basis:
+    row b is τ_b = Σ_m p_m |m;b⟩⟨m;b|."""
     d = mub.d
     if mub.n_bases != d + 1:
         raise ValueError(f"need a complete family of {d + 1} bases")
@@ -449,7 +450,7 @@ def mu_pom_from_probabilities(mub: MubFamily, probs) -> list[HermitianOp]:
         if p.shape != (d,):
             raise ValueError(f"probability vector for basis {b} has wrong length")
     mats = np.einsum("bm,bmi,bmk->bik", np.array(probs), mub.bases, mub.bases.conj())
-    return [HermitianOp.from_matrix(mat) for mat in mats]
+    return hermitian_stack(mats, d + 1, d)
 
 
 @dataclass
@@ -460,37 +461,34 @@ class FiducialExtraction:
     eigenvalues {2, 1, …, 1} and λ₀'s top eigenvector is the fiducial ket).
     """
 
-    lambda0: HermitianOp
+    lambda0: np.ndarray
     sum_spectrum: np.ndarray
     third_moment: float
     rank: int
     fiducial: Fiducial | None
 
 
-def fiducial_from_mu_pom(taus, mub: MubFamily) -> FiducialExtraction:
-    """Assemble a candidate fiducial projector from d+1 basis-diagonal
-    operators (one per unbiased basis, in basis order).
+def fiducial_from_mu_pom(taus: np.ndarray, mub: MubFamily) -> FiducialExtraction:
+    """Assemble a candidate fiducial projector from the (d+1, d, d) stack of
+    basis-diagonal operators (one per unbiased basis, in basis order).
 
     Each τ must be diagonal in its own basis within 1e−10; rank-one-ness of
     λ₀ is decided by linalg.RANK_TOL and certified by tr λ₀³ = 1.
     """
     d = mub.d
-    taus = list(taus)
-    if len(taus) != d + 1:
-        raise ValueError(f"need {d + 1} operators, got {len(taus)}")
+    if taus.shape != (d + 1, d, d):
+        raise ValueError(f"need {d + 1} operators of dim {d}, got shape {taus.shape}")
     for b, tau in enumerate(taus):
-        if tau.dim != d:
-            raise ValueError(f"operator {b} has dim {tau.dim}, expected {d}")
-        rep = mub.bases[b].conj() @ tau.mat @ mub.bases[b].T
+        rep = mub.bases[b].conj() @ tau @ mub.bases[b].T
         off = float(np.abs(rep - np.diag(rep.diagonal())).max())
         if off > 1e-10:
             raise ValueError(
                 f"operator {b} is not diagonal in basis {b}: off-diagonal {off:.3e}"
             )
-    total = sum((tau.mat for tau in taus[1:]), taus[0].mat)  # left to right
-    lambda0 = HermitianOp(mat=total - np.eye(d))
+    total = sum(taus[1:], taus[0])  # left to right
+    lambda0 = read_only(total - np.eye(d))
     sum_spectrum, _ = hermitian_eigensystem(total)
-    spectrum, vectors = hermitian_eigensystem(lambda0.mat)
+    spectrum, vectors = hermitian_eigensystem(lambda0)
     rank = spectrum_rank(spectrum)
     fid = None
     if rank == 1 and abs(spectrum[0] - 1.0) <= 1e-6:
@@ -549,7 +547,7 @@ def phases_from_fiducial(fid: Fiducial) -> np.ndarray:
     return np.vstack([np.angle(table[d - k, (-j * k) % d]), -np.angle(table[0, k])])
 
 
-def build_sigma0_from_phases(d: int, phases) -> HermitianOp:
+def build_sigma0_from_phases(d: int, phases) -> np.ndarray:
     """Rebuild the distinguished trace-one operator from (d²−1)/2 phases.
 
     Diagonal: σ_nn = (1/d)[1 + (2/√(d+1)) Σ_k cos(φ_{d,k} + 2πkn/d)].
@@ -710,8 +708,8 @@ def search_fiducial(d: int, cfg: SearchConfig | None = None) -> SearchResult:
     monomials M, with the exact Jacobian in the 2d real coordinates of ψ.
     The restarts stop at the first ket with F = Σr² ≤ ``objective_tol``, which
     allows max |r_M| up to √F; the verifiers bound max |r_M| by DEFAULT_TOL,
-    so Gauss-Newton steps polish an accepted ket above it, and only a ket
-    within it counts as converged.  Budget exhaustion is reported, not
+    so Gauss-Newton steps polish an accepted ket above it, each kept only if
+    it lowers max |r_M|, and only a ket within it counts as converged.  Budget exhaustion is reported, not
     raised (``converged = False``).
     """
     d = require_prime(d)
@@ -756,8 +754,12 @@ def search_fiducial(d: int, cfg: SearchConfig | None = None) -> SearchResult:
     x, r = best_x, residuals(best_x)
     if accepted and np.abs(r).max() > DEFAULT_TOL:
         for _ in range(_POLISH_STEPS):
-            x = x + np.linalg.lstsq(jac(x), -r, rcond=None)[0]
-            r = residuals(x)
+            x_new = x + np.linalg.lstsq(jac(x), -r, rcond=None)[0]
+            r_new = residuals(x_new)
+            # Near the continuous d = 3 family an undamped step can overshoot.
+            if np.abs(r_new).max() >= np.abs(r).max():
+                break
+            x, r = x_new, r_new
     fid = Fiducial(d=d, ket=canonical_ket(split(x)), source="searched")
     return SearchResult(
         fiducial=fid,

@@ -107,12 +107,12 @@ def spectra_match(grouping, reference, tol: float = SPECTRA_MATCH_TOL) -> bool:
     return len(used) == len(reference)
 
 
-def random_hermitian(rng, d: int) -> HermitianOp:
+def random_hermitian(rng, d: int) -> np.ndarray:
     m = rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
     return HermitianOp.from_matrix((m + m.conj().T) / 2)
 
 
-def random_density(rng, d: int) -> HermitianOp:
+def random_density(rng, d: int) -> np.ndarray:
     m = rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
     rho = m @ m.conj().T
     return HermitianOp.from_matrix(rho / np.trace(rho).real)
@@ -125,8 +125,8 @@ def random_ket(rng, d: int) -> np.ndarray:
 
 # --- reference arithmetic ------------------------------------------------------
 #
-# HermitianOp once had +, − and real scaling, and families were dicts of
-# operators.  These compute exactly what those operators did, on the matrices
+# Operators were once HermitianOp objects with +, − and real scaling, and
+# families were dicts of them.  These compute exactly what those operators did, on the matrices
 # (a family stack's rows), so that the per-operator loops written with them
 # stay the bit-for-bit oracles of the array expressions that replaced them.
 

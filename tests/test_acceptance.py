@@ -37,7 +37,7 @@ from mubsic.frames import (
     trace_one,
     verify_point_line_products,
 )
-from mubsic.linalg import HermitianOp, hermitian_eigensystem, hs_inner
+from mubsic.linalg import hermitian_eigensystem, hs_inner
 from mubsic.plane import build_dapg, line_keys, verify_incidence
 from mubsic.siclab import (
     Fiducial,
@@ -70,7 +70,7 @@ def gram(stack) -> np.ndarray:
 
 def sic_line_frame(fam) -> LineFrame:
     d = fam.d
-    eye = HermitianOp.identity(d).mat
+    eye = np.eye(d, dtype=complex)
     # l = d·λ − 1 for each row, as the per-operator arithmetic computed it.
     ops = np.stack([op_add(op_scale(d, lam), eye, -1.0) for lam in fam.projectors])
     return LineFrame(d=d, alpha=float(d * (d - 1)), ops=ops)
@@ -133,7 +133,7 @@ def test_criterion_04_qubit_pipeline(report):
     ext = fiducial_from_mu_pom(
         mu_pom_from_probabilities(mub, [tuple(sol)] * 3), mub
     )
-    spec, _ = hermitian_eigensystem(ext.lambda0.mat)
+    spec, _ = hermitian_eigensystem(ext.lambda0)
     dev_eig = float(np.abs(spec - (1.0, 0.0)).max())
     fam = generate_hw_sic(ext.fiducial)
     dev_overlap = verify_sic(fam)
@@ -268,7 +268,7 @@ def test_criterion_09_quasi_probability_identity(report, searched):
             p = line_probabilities(quasi_distribution(rho, pf), geom)
             assert list(p) == line_keys(d)
             for lam, value in zip(lams, p.values()):
-                direct = hs_inner(lam, rho.mat) / d
+                direct = hs_inner(lam, rho) / d
                 worst_line_sum = max(worst_line_sum, abs(value - direct))
             worst_total = max(worst_total, abs(sum(p.values()) - 1.0))
     ok = worst_line_sum <= 1e-12 and worst_total <= 1e-12

@@ -174,8 +174,8 @@ QUBIT_SPECTRA = "m,j,lambda_1,lambda_2\n" + "".join(
 DEEP_JSON = '{"d": 3, "beta": 6.0, "ops": ' + "[" * 100_000 + "]" * 100_000 + "}\n"
 # The maximally mixed qutrit state, the density operator of the quasiprob cases.
 MIXED3 = linalg.HermitianOp.from_matrix(np.eye(3) / 3)
-I1 = linalg.HermitianOp.identity(1).to_json_dict()
-I2 = linalg.HermitianOp.identity(2).to_json_dict()
+I1 = linalg.matrix_to_json_dict(np.eye(1))
+I2 = linalg.matrix_to_json_dict(np.eye(2))
 QUTRIT_KET = linalg.complex_to_json(siclab.qutrit_fiducial().ket)
 FRAME_VERIFY = ["frame", "verify", "--points", "IN"]
 LINES_VERIFY = ["frame", "verify", "--points", "POINTS3", "--lines", "IN"]
@@ -492,8 +492,8 @@ def test_json_artifacts_are_json_dumps_bytes(d, tmp_path, capsys):
 
     rho = linalg.HermitianOp.from_matrix(np.outer(fid.ket, fid.ket.conj()))
     linalg.write_operator_json(path("rho.json"), rho)
-    assert (tmp_path / "rho.json").read_text() == json.dumps(rho.to_json_dict()) + "\n"
-    q = frames.quasi_distribution(linalg.HermitianOp.from_json_dict(plain("rho.json")), pf)
+    assert (tmp_path / "rho.json").read_text() == json.dumps(linalg.matrix_to_json_dict(rho)) + "\n"
+    q = frames.quasi_distribution(linalg.decode_operator(plain("rho.json")), pf)
     p = frames.line_probabilities(q, geom)
     quasi = {"d": d, "points": [[m, j, q[(m, j)]] for (m, j) in geom.points],
              "lines": [[a, b, p[(a, b)]] for (a, b) in geom.lines]}
@@ -510,7 +510,7 @@ _BAD_OPS = {
         "error: matrix is not Hermitian: max |m - m\u2020| = 1.000e+00\n",
     ),
     "2x2": (
-        linalg.HermitianOp.identity(2).to_json_dict(),
+        linalg.matrix_to_json_dict(np.eye(2)),
         "error: op (1, 1) is 2 x 2, expected 3 x 3\n",
     ),
     "string-entry": (
@@ -532,7 +532,7 @@ _VALID3 = {
     "points": frames.point_frame_to_json_dict(frames.point_frame_from_mub(weyl.build_mub(3))),
     "family": siclab.generate_hw_sic(siclab.qutrit_fiducial()).to_json_dict(),
 }
-_RHO3 = MIXED3.to_json_dict()
+_RHO3 = linalg.matrix_to_json_dict(MIXED3)
 
 
 def _read_error(reader, obj, tmp_path, capsys):

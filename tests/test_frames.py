@@ -313,7 +313,7 @@ def test_line_probabilities_are_line_expectations_every_prime(d, seed):
     geom = build_dapg(d)
     lf = line_ops_from_points(pf, geom)
     p = line_probabilities(quasi_distribution(rho, pf), geom)
-    direct = np.einsum("lij,ji->l", trace_one(lf.ops, d), rho.mat).real / d
+    direct = np.einsum("lij,ji->l", trace_one(lf.ops, d), rho).real / d
     assert np.abs(np.array([p[ln] for ln in geom.lines]) - direct).max() <= 1e-12
 
 
@@ -437,7 +437,7 @@ def test_family_stacks_are_read_only_rows_in_key_order(d):
     pf = point_frame_from_mub(mub)
     for row, (m, j) in zip(pf.ops, point_keys(d), strict=True):
         ket = mub.bases[j, m]
-        want = HermitianOp.from_matrix(d * np.outer(ket, ket.conj()) - eye).mat
+        want = HermitianOp.from_matrix(d * np.outer(ket, ket.conj()) - eye)
         assert row.tobytes() == want.tobytes()
     lf = line_ops_from_points(pf, geom)
     assert_same_bits(lf.ops, loop_line_ops(pf, geom))
@@ -521,7 +521,7 @@ def test_quasi_distribution_matches_trace_loop(d):
         q = quasi_distribution(rho, pf)
         assert list(q) == point_keys(d)
         for k, op in zip(point_keys(d), pf.ops):
-            want = float(np.trace(companion(op, d) @ rho.mat).real)
+            want = float(np.trace(companion(op, d) @ rho).real)
             assert np.float64(q[k]).tobytes() == np.float64(want).tobytes()
 
 
@@ -587,7 +587,7 @@ def test_line_sum_identity_random_states():
         p = line_probabilities(quasi_distribution(rho, pf), geom)
         assert list(p) == line_keys(d)
         for lam, value in zip(lams, p.values()):
-            direct = hs_inner(lam, rho.mat) / d
+            direct = hs_inner(lam, rho) / d
             assert value == pytest.approx(direct, abs=1e-12)
         assert sum(p.values()) == pytest.approx(1.0, abs=1e-12)
 
@@ -595,7 +595,7 @@ def test_line_sum_identity_random_states():
 def test_quasi_distribution_rejects_bad_trace():
     pf = mub_points(2)
     with pytest.raises(ValueError):
-        quasi_distribution(HermitianOp.identity(2), pf)
+        quasi_distribution(HermitianOp.from_matrix(np.eye(2)), pf)
 
 
 def test_quasi_distribution_on_sic_lines_is_nonnegative():

@@ -15,6 +15,7 @@ import json
 import os
 import tempfile
 
+import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -103,7 +104,7 @@ def _mutate_json(obj, mutation, data) -> str:
     if mutation == "op-dim":
         i = data.draw(st.integers(0, len(obj["ops"]) - 1))
         dim = data.draw(st.sampled_from([2, 4]))
-        obj["ops"][i] = linalg.HermitianOp.identity(dim).to_json_dict()
+        obj["ops"][i] = linalg.matrix_to_json_dict(np.eye(dim))
         return json.dumps(obj)
     text = json.dumps(obj)
     if mutation == "truncate":

@@ -27,7 +27,7 @@ SY = np.array([[0, -1j], [1j, 0]], dtype=complex)
 SZ = np.diag([1.0, -1.0]).astype(complex)
 
 
-def qubit_lambda0() -> HermitianOp:
+def qubit_lambda0() -> np.ndarray:
     return HermitianOp.from_matrix((np.eye(2) + (SX + SY + SZ) / np.sqrt(3)) / 2)
 
 
@@ -42,8 +42,8 @@ def test_from_matrix_rejects_non_hermitian():
 def test_from_matrix_symmetrizes_tiny_asymmetry():
     mat = np.array([[1.0, 0.5 + 1e-14], [0.5 - 1e-14, 2.0]], dtype=complex)
     op = HermitianOp.from_matrix(mat)
-    assert np.abs(op.mat - op.mat.conj().T).max() == 0.0
-    assert op.trace == pytest.approx(3.0)
+    assert np.abs(op - op.conj().T).max() == 0.0
+    assert op.diagonal().real.sum() == pytest.approx(3.0)
 
 
 def test_from_matrix_rejects_nan():
@@ -51,27 +51,15 @@ def test_from_matrix_rejects_nan():
         HermitianOp.from_matrix(np.array([[np.nan, 0.0], [0.0, 1.0]]))
 
 
-def test_trace_is_real_diagonal_sum():
-    rng = np.random.default_rng(5)
-    op = random_hermitian(rng, 4)
-    assert op.trace == pytest.approx(float(np.trace(op.mat).real), abs=1e-12)
-    # The trace is read off the matrix, so operators wrapped directly carry theirs.
-    for res in (HermitianOp(mat=op.mat + op.mat), HermitianOp(mat=0.5 * np.eye(3))):
-        assert res.trace == float(res.mat.diagonal().real.sum())
-    assert HermitianOp(mat=0.5 * np.eye(3)).trace == 1.5
-
-
-def test_operator_has_no_arithmetic_and_a_read_only_matrix():
-    a = HermitianOp.from_matrix(np.eye(2))
-    for op in ("__add__", "__sub__", "__mul__", "__rmul__"):
-        assert op not in vars(HermitianOp)
+def test_hermitian_op_is_only_the_admission_check():
+    # An operator is its matrix: from_matrix returns it read-only and makes
+    # no instance, and the class holds nothing else.
+    assert [k for k in vars(HermitianOp) if not k.startswith("__")] == ["from_matrix"]
+    op = HermitianOp.from_matrix([[1, 2j], [-2j, 0]])
+    assert type(op) is np.ndarray and op.dtype == np.complex128 and op.shape == (2, 2)
+    assert not op.flags.writeable
     with pytest.raises(TypeError):
-        a + a
-    with pytest.raises(TypeError):
-        2.0 * a
-    # Every way in sets the matrix read-only: the constructors and direct wrapping.
-    for op in (a, HermitianOp.identity(2), HermitianOp(mat=np.zeros((2, 2), complex))):
-        assert not op.mat.flags.writeable
+        HermitianOp(np.eye(2))
 
 
 # --- hs_inner -----------------------------------------------------------------
@@ -79,7 +67,7 @@ def test_operator_has_no_arithmetic_and_a_read_only_matrix():
 
 def test_hs_inner_identity_gives_dimension():
     for d in (1, 2, 3, 5):
-        eye = HermitianOp.identity(d).mat
+        eye = np.eye(d, dtype=complex)
         assert hs_inner(eye, eye) == pytest.approx(d)
 
 
@@ -110,7 +98,7 @@ def test_hs_inner_matches_trace_of_product(d):
     # The definition tr(ab), computed the long way, on seeded random pairs.
     rng = np.random.default_rng(d)
     for _ in range(8):
-        a, b = random_hermitian(rng, d).mat, random_hermitian(rng, d).mat
+        a, b = random_hermitian(rng, d), random_hermitian(rng, d)
         want = np.trace(a @ b).real
         scale = np.linalg.norm(a) * np.linalg.norm(b)
         assert abs(hs_inner(a, b) - want) <= 1e-12 * scale
@@ -118,7 +106,7 @@ def test_hs_inner_matches_trace_of_product(d):
 
 def test_hs_inner_symmetry_and_positivity():
     rng = np.random.default_rng(7)
-    a, b = random_hermitian(rng, 5).mat, random_hermitian(rng, 5).mat
+    a, b = random_hermitian(rng, 5), random_hermitian(rng, 5)
     assert hs_inner(a, b) == pytest.approx(hs_inner(b, a), abs=1e-12)
     spec, _ = hermitian_eigensystem(a)
     assert hs_inner(a, a) >= 0.0
@@ -190,7 +178,7 @@ def test_eigensystem_diagonal_input():
 
 
 def test_eigensystem_qubit_projector():
-    spec, _ = hermitian_eigensystem(qubit_lambda0().mat)
+    spec, _ = hermitian_eigensystem(qubit_lambda0())
     assert spec[0] == pytest.approx(1.0, abs=1e-12)
     assert spec[1] == pytest.approx(0.0, abs=1e-12)
 
@@ -210,19 +198,19 @@ def test_eigensystem_reconstructs_and_sums_to_trace():
     rng = np.random.default_rng(8)
     for d in (2, 3, 5, 7):
         h = random_hermitian(rng, d)
-        spec, vecs = hermitian_eigensystem(h.mat)
+        spec, vecs = hermitian_eigensystem(h)
         assert list(spec) == sorted(spec, reverse=True)
         recon = vecs @ np.diag(spec) @ vecs.conj().T
-        assert np.abs(recon - h.mat).max() <= 1e-10
+        assert np.abs(recon - h).max() <= 1e-10
         assert np.abs(vecs.conj().T @ vecs - np.eye(d)).max() <= 1e-10
-        assert spec.sum() == pytest.approx(h.trace, abs=1e-10)
+        assert spec.sum() == pytest.approx(np.trace(h).real, abs=1e-10)
 
 
 # --- rank and third moment -------------------------------------------------------
 
 
 def test_matrix_rank_identity_and_projector():
-    assert matrix_rank(HermitianOp.identity(4)) == 4
+    assert matrix_rank(np.eye(4, dtype=complex)) == 4
     proj = HermitianOp.from_matrix(np.diag([1.0, 0.0, 0.0]))
     assert matrix_rank(proj) == 1
 
@@ -244,13 +232,13 @@ def test_third_moment_projector_and_mixed():
 
 def test_third_moment_of_fiducial_projector():
     fam = siclab.generate_hw_sic(siclab.qutrit_fiducial())
-    assert third_moment(HermitianOp(mat=fam.projectors[0])) == pytest.approx(1.0, abs=1e-10)
+    assert third_moment(fam.projectors[0]) == pytest.approx(1.0, abs=1e-10)
 
 
 def test_third_moment_equals_eigenvalue_cubes():
     rng = np.random.default_rng(9)
     h = random_hermitian(rng, 6)
-    spec, _ = hermitian_eigensystem(h.mat)
+    spec, _ = hermitian_eigensystem(h)
     assert third_moment(h) == pytest.approx(float((spec**3).sum()), abs=1e-9)
 
 
@@ -273,7 +261,7 @@ def qubit_spectra_with_row(row: str) -> str:
 def test_eigensystem_spectrum_is_read_only_and_descending():
     rng = np.random.default_rng(10)
     for d in (2, 3, 5):
-        spec, _ = hermitian_eigensystem(random_hermitian(rng, d).mat)
+        spec, _ = hermitian_eigensystem(random_hermitian(rng, d))
         assert spec.shape == (d,) and spec.dtype == np.float64
         assert np.all(spec[:-1] >= spec[1:])
         assert not spec.flags.writeable
@@ -307,7 +295,7 @@ def test_operator_json_round_trip(tmp_path):
     assert obj["dim"] == 3
     assert len(obj["entries"]) == 9
     back = read_operator_json(path)
-    assert np.abs(back.mat - op.mat).max() <= 1e-15
+    assert np.abs(back - op).max() <= 1e-15
 
 
 def _reference_pairs(z) -> list:

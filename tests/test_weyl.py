@@ -207,11 +207,11 @@ def test_hg_traceless_and_normalized():
         for k in (1, 2):
             h = HermitianOp.from_matrix(basis.h[j, k - 1])
             g = HermitianOp.from_matrix(basis.g[j, k - 1])
-            assert abs(h.trace) <= 1e-12
-            assert abs(g.trace) <= 1e-12
+            assert abs(np.trace(h).real) <= 1e-12
+            assert abs(np.trace(g).real) <= 1e-12
             # tr h² = 2d|ζ|² = 1 at |ζ|² = 1/(2d)
-            assert np.trace(h.mat @ h.mat).real == pytest.approx(1.0, abs=1e-10)
-            assert np.trace(h.mat @ g.mat).real == pytest.approx(0.0, abs=1e-10)
+            assert np.trace(h @ h).real == pytest.approx(1.0, abs=1e-10)
+            assert np.trace(h @ g).real == pytest.approx(0.0, abs=1e-10)
 
 
 def test_hg_orthogonality_across_labels():
