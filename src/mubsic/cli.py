@@ -342,8 +342,8 @@ def build_parser() -> argparse.ArgumentParser:
     leaf(sic, "solve-prob", "cyclic probability conditions", _cmd_sic_solve_prob, d_arg, seed_arg,
          ("--restarts", {"type": int, "default": 64}))
     leaf(sic, "search", "numerical fiducial search", _cmd_sic_search, d_arg, out_arg, seed_arg,
-         ("--restarts", {"type": int, "default": 24}),
-         ("--max-iters", {"type": int, "default": 1000}),
+         ("--restarts", {"type": int, "default": siclab.SearchConfig.restarts}),
+         ("--max-iters", {"type": int, "default": siclab.SearchConfig.max_iters}),
          ("--tol", {"type": float, "default": siclab.SearchConfig.objective_tol,
                     "help": "objective tolerance"}))
 
@@ -360,7 +360,7 @@ def run(argv) -> int:
         return args.handler(args)
     except SystemExit as exc:  # --help
         return int(exc.code or 0)
-    except (ValueError, OSError) as exc:
+    except (ValueError, OSError, MemoryError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -98,8 +98,7 @@ def hermitian_eigensystem(mats: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     residual = float(np.abs(mats - recon).max())
     if residual > EIG_RESIDUAL_ATOL:
         raise ValueError(f"eigendecomposition failed: residual {residual:.3e}")
-    w.flags.writeable = False
-    return w, v
+    return read_only(w), v
 
 
 def spectrum_rank(values) -> int:

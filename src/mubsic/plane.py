@@ -21,7 +21,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .linalg import header_int, parse_json
+from .linalg import header_int, parse_json, read_only
 from .weyl import require_prime
 
 Point = tuple[int, int]
@@ -145,8 +145,7 @@ class Dapg:
         incidence = np.zeros((len(points), len(lines)), dtype=np.int8)
         for c, ln in enumerate(lines):
             incidence[[row[p] for p in points_on[ln]], c] = 1
-        incidence.flags.writeable = False
-        return cls(d=int(d), points=points, lines=lines, incidence=incidence)
+        return cls(d=int(d), points=points, lines=lines, incidence=read_only(incidence))
 
     def points_on(self, line: Line) -> tuple[Point, ...]:
         """Points of ``line`` in ``points`` order."""

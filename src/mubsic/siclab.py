@@ -49,9 +49,7 @@ def canonical_ket(vec) -> np.ndarray:
     if norm <= 1e-12:
         raise ValueError("cannot normalize a (near-)zero vector")
     vec = vec / norm
-    vec = vec * np.exp(-1j * np.angle(vec[np.flatnonzero(np.abs(vec) > 1e-12)[0]]))
-    vec.flags.writeable = False
-    return vec
+    return read_only(vec * np.exp(-1j * np.angle(vec[np.flatnonzero(np.abs(vec) > 1e-12)[0]])))
 
 
 @dataclass(frozen=True)
@@ -310,9 +308,6 @@ class ProbabilityVector:
     def __iter__(self):
         return iter(self.entries)
 
-    def __len__(self):
-        return len(self.entries)
-
     def autocorrelation(self, m: int) -> float:
         p = np.asarray(self.entries)
         return float(p @ np.roll(p, -m))
@@ -369,11 +364,6 @@ def _canonical_cycle(p: np.ndarray) -> tuple:
     return best
 
 
-# Gauss-Newton steps allowed per cyclic-probability restart (restarts at
-# d ≤ 31 take 5-19).
-_CYCLIC_STEPS = 50
-
-
 def solve_cyclic_probability(d: int, seed: int = 0, restarts: int = 64) -> CyclicSolutions:
     """Solve the cyclic overlap conditions for probability vectors.
 
@@ -406,26 +396,24 @@ def _cyclic_samples(d: int, seed: int, restarts: int) -> list:
     solution set, onto which the least-norm step projects quadratically."""
     half = (d - 1) // 2
 
-    def jac(p):
+    def fun(q):
+        return cyclic_residuals(q * q, d)
+
+    def jac(q):
+        # The conditions' Jacobian at p = q⊙q, times dp/dq = 2q.
+        p = q * q
         out = np.empty((half + 2, d))
         out[0] = 1.0
         for m in range(half + 1):
             out[m + 1] = np.roll(p, -m) + np.roll(p, m)
-        return out
+        return out * (2.0 * q)
 
     rng = np.random.default_rng(seed)
     found: dict[tuple, tuple] = {}
     for _ in range(restarts):
         q = np.sqrt(rng.dirichlet(np.ones(d)))
-        r = cyclic_residuals(q * q, d)
-        for _ in range(_CYCLIC_STEPS):
-            q_next = q - np.linalg.lstsq(jac(q * q) * (2.0 * q), r, rcond=None)[0]
-            r_next = cyclic_residuals(q_next * q_next, d)
-            # Far from the set a full step may raise max |r|; within the
-            # 1e-12 gate below, the first step that does not lower it ends.
-            if np.abs(r).max() <= 1e-12 and np.abs(r_next).max() >= np.abs(r).max():
-                break
-            q, r = q_next, r_next
+        # Far from the set a full step may raise max |r|: all are taken.
+        q, r = _gauss_newton(fun, jac, q, fun(q), 1e-12)
         if np.abs(r).max() > 1e-12:
             continue
         p = np.where(q * q < 1e-14, 0.0, q * q)
@@ -600,7 +588,7 @@ def rank_one_conditions(fid: Fiducial) -> tuple[float, float]:
     return full, float(dev[1 : (d + 1) // 2].max())
 
 
-# --- Levenberg-Marquardt least squares ---------------------------------------------
+# --- least squares: Levenberg-Marquardt and minimum-norm Gauss-Newton ----------------
 
 # Damping of every least-squares restart: λ starts at _DAMPING_START, grows ×4
 # after a rejected step and shrinks ÷3 after an accepted one.  JᵀJ is singular
@@ -659,15 +647,25 @@ def least_squares(fun, x0, *, jac, max_nfev) -> LeastSquaresResult:
     return LeastSquaresResult(x=x, fun=f)
 
 
+# Steps allowed per call of _gauss_newton (cyclic restarts at d ≤ 31 take 5-19).
+_GN_STEPS = 50
+
+
+def _gauss_newton(fun, jac, x, r, gate):
+    """Minimum-norm Gauss-Newton steps x ← x − lstsq(J(x), r) from x, where
+    r = fun(x).  Every step is taken while max |r| is above ``gate``; within
+    it, the first step that does not lower max |r| ends the loop and the
+    better point is kept.  Returns the last point and its residuals."""
+    for _ in range(_GN_STEPS):
+        x_new = x - np.linalg.lstsq(jac(x), r, rcond=None)[0]
+        r_new = fun(x_new)
+        if np.abs(r).max() <= gate and np.abs(r_new).max() >= np.abs(r).max():
+            break
+        x, r = x_new, r_new
+    return x, r
+
+
 # --- numerical search --------------------------------------------------------------
-
-# Gauss-Newton steps given to an accepted ket whose max |r_M| is above
-# DEFAULT_TOL.  A restart that runs its course ends near 1e-16, so only one
-# cut short by ``max_iters`` is accepted above it.  One step takes such kets
-# from 1e-8 to 1e-16 at d ≥ 5, while near the continuous d = 3 family each
-# step gains only ~4x.
-_POLISH_STEPS = 3
-
 
 @dataclass(frozen=True)
 class SearchConfig:
@@ -708,9 +706,9 @@ def search_fiducial(d: int, cfg: SearchConfig | None = None) -> SearchResult:
     monomials M, with the exact Jacobian in the 2d real coordinates of ψ.
     The restarts stop at the first ket with F = Σr² ≤ ``objective_tol``, which
     allows max |r_M| up to √F; the verifiers bound max |r_M| by DEFAULT_TOL,
-    so Gauss-Newton steps polish an accepted ket above it, each kept only if
-    it lowers max |r_M|, and only a ket within it counts as converged.  Budget exhaustion is reported, not
-    raised (``converged = False``).
+    so :func:`_gauss_newton` polishes an accepted ket above it until max |r_M|
+    stops falling, and only a ket within it counts as converged.  Budget
+    exhaustion is reported, not raised (``converged = False``).
     """
     d = require_prime(d)
     cfg = cfg or SearchConfig()
@@ -737,33 +735,24 @@ def search_fiducial(d: int, cfg: SearchConfig | None = None) -> SearchResult:
         return np.concatenate([2.0 * u.real, 2.0 * u.imag], axis=1)
 
     rng = np.random.default_rng(cfg.seed)
-    best_x = None
     best_f = np.inf
-    used = 0
-    for _ in range(cfg.restarts):
-        used += 1
+    for used in range(1, cfg.restarts + 1):
         x0 = rng.standard_normal(2 * d)
         res = least_squares(residuals, x0, jac=jac, max_nfev=cfg.max_iters)
         f_val = float(np.sum(res.fun**2))
         if f_val < best_f:
-            best_f = f_val
-            best_x = res.x
+            best, best_f = res, f_val
         if best_f <= cfg.objective_tol:
             break
     accepted = best_f <= cfg.objective_tol
-    x, r = best_x, residuals(best_x)
+    x, r = best.x, best.fun
     if accepted and np.abs(r).max() > DEFAULT_TOL:
-        for _ in range(_POLISH_STEPS):
-            x_new = x + np.linalg.lstsq(jac(x), -r, rcond=None)[0]
-            r_new = residuals(x_new)
-            # Near the continuous d = 3 family an undamped step can overshoot.
-            if np.abs(r_new).max() >= np.abs(r).max():
-                break
-            x, r = x_new, r_new
+        # Gate ∞: near the continuous d = 3 family an undamped step can overshoot.
+        x, r = _gauss_newton(residuals, jac, x, r, np.inf)
     fid = Fiducial(d=d, ket=canonical_ket(split(x)), source="searched")
     return SearchResult(
         fiducial=fid,
-        objective=best_f if x is best_x else float(np.sum(r**2)),
+        objective=best_f if x is best.x else float(np.sum(r**2)),
         converged=bool(accepted and np.abs(r).max() <= DEFAULT_TOL),
         restarts_used=used,
     )

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg import complex_from_json, complex_to_json, header_int, label_table
+from .linalg import complex_from_json, complex_to_json, header_int, label_table, read_only
 
 
 def is_prime(n: int) -> bool:
@@ -66,9 +66,7 @@ def build_weyl_pair(d: int) -> WeylPair:
     Z = np.diag(omega ** np.arange(d))
     X = np.zeros((d, d), dtype=np.complex128)
     X[np.arange(d), (np.arange(d) + 1) % d] = 1.0
-    X.flags.writeable = False
-    Z.flags.writeable = False
-    return WeylPair(d=d, X=X, Z=Z, omega=complex(omega))
+    return WeylPair(d=d, X=read_only(X), Z=read_only(Z), omega=complex(omega))
 
 
 def monomial(wp: WeylPair, a: int, b: int) -> np.ndarray:
@@ -85,8 +83,7 @@ def monomial(wp: WeylPair, a: int, b: int) -> np.ndarray:
     cols = (rows + a) % d
     mat = np.zeros((d, d), dtype=np.complex128)
     mat[rows, cols] = wp.omega ** ((b * cols) % d)
-    mat.flags.writeable = False
-    return mat
+    return read_only(mat)
 
 
 # --- mutually unbiased bases ------------------------------------------------
@@ -116,8 +113,7 @@ class MubFamily:
         except (KeyError, TypeError) as exc:
             raise ValueError(f"malformed basis-family object: {exc}") from exc
         bases = complex_from_json(raw, (n_bases, d, d), "bases")
-        bases.flags.writeable = False
-        return cls(d=d, bases=bases)
+        return cls(d=d, bases=read_only(bases))
 
 
 def build_mub(d: int) -> MubFamily:
@@ -140,8 +136,7 @@ def build_mub(d: int) -> MubFamily:
         tri = (n * (n - 1) // 2) % d
         bases[:d] = omega ** ((b * tri + m * n) % d) / np.sqrt(d)
     bases[d] = np.eye(d)
-    bases.flags.writeable = False
-    return MubFamily(d=d, bases=bases)
+    return MubFamily(d=d, bases=read_only(bases))
 
 
 def verify_mub(mub: MubFamily) -> float:
@@ -218,11 +213,7 @@ def build_hg_basis(wp: WeylPair, phases: np.ndarray | None = None) -> HGBasis:
             zeta = modulus * np.exp(1j * phases[j, idx])
             h[j, idx] = zeta * m + np.conj(zeta) * m.conj().T
             g[j, idx] = -1j * (zeta * m - np.conj(zeta) * m.conj().T)
-    phases = phases.copy()
-    phases.flags.writeable = False
-    h.flags.writeable = False
-    g.flags.writeable = False
-    return HGBasis(d=d, phases=phases, h=h, g=g)
+    return HGBasis(d=d, phases=read_only(phases.copy()), h=read_only(h), g=read_only(g))
 
 
 def verify_rotation_action(basis: HGBasis) -> float:

@@ -42,3 +42,14 @@ def test_merge_into_keeps_other_keys(tmp_path):
     assert json.loads(path.read_text()) == {
         "label": "y", "workloads": {"a": 1}, "frame_steps_d19": {"b": 2}
     }
+
+
+def test_step_table_runs_both_solvers():
+    """The same-outputs check of ``--steps D`` covers the frame chain, the
+    family writer and both solvers, each from a seed, so outputs repeat."""
+    steps, inputs = bench_pairs.step_chain(7)
+    names = [name for name, _ in steps]
+    assert names == ["from-mub", "bridge", "verify", "quasiprob", "from-hg", "generate",
+                     "solve-prob", "search"]
+    assert dict(steps)["search"][:6] == ["sic", "search", "--d", "7", "--seed", "0"]
+    assert sorted(inputs) == ["fid.json", "rho.json"]

@@ -301,6 +301,22 @@ def test_malformed_input_is_one_error_line(case, tmp_path, capsys):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("argv", [["sic", "search", "--d", "1000003", "--restarts", "1"],
+                                  ["frame", "from-hg", "--d", "1000003"]])
+def test_unallocatable_dimension_is_one_error_line(argv, monkeypatch, capsys):
+    # At this prime np.diag in build_weyl_pair asks for 14.6 TiB.  The error
+    # is raised here without allocating, as numpy's MemoryError would be.
+    def too_big(d):
+        raise MemoryError(f"Unable to allocate 14.6 TiB for an array with shape ({d}, {d})")
+
+    monkeypatch.setattr(weyl, "build_weyl_pair", too_big)
+    monkeypatch.setattr(siclab, "build_weyl_pair", too_big)
+    assert run(argv) == 2
+    stdout, err = capsys.readouterr()
+    assert stdout == ""
+    assert len(err.splitlines()) == 1 and err.startswith("error: Unable to allocate ")
+
+
 # argv with BAD: the frame file whose strength is malformed; POINTS, LINES
 # and RHO: valid d = 3 files.
 STRENGTH_CASES = {

@@ -953,6 +953,17 @@ def test_search_polish_never_worsens_accepted_ket(d, seed, max_iters):
     assert rank_one_conditions(res.fiducial)[0] <= 1e-7
 
 
+@pytest.mark.parametrize("max_iters", [12, 13, 14])
+def test_search_polishes_qutrit_until_max_residual_stops_falling(max_iters):
+    # Cut short by these budgets, seed 6 accepts a d = 3 ket whose polish
+    # steps each gain only a few times; three steps left it at 1e-10 to
+    # 4.4e-10, while steps taken until max |r_M| stops falling reach 2.6e-14
+    # or below.
+    res = search_fiducial(3, SearchConfig(seed=6, max_iters=max_iters))
+    assert res.converged
+    assert max(rank_one_conditions(res.fiducial)) <= 1e-10
+
+
 @pytest.mark.parametrize("d", [2, 5, 7, 11, 13])
 def test_converged_search_ends_at_float_floor(d):
     # A restart runs until its steps stop lowering the cost, not merely until

@@ -20,9 +20,9 @@ linear percentiles), and the pairs the change won and lost by the metric's
 own direction.  Runs from byte-compiled checkouts go under ``compiled``.
 
 With ``--steps D`` the frame chain ``frame from-mub → bridge → verify --lines
-→ quasiprob``, then ``frame from-hg`` and ``sic generate`` of a seeded unit ket,
-run at D as ``python -m mubsic`` subprocesses, ``STEP_RUNS`` times per side,
-alternating.  Each step's median wall time and wait4 ``ru_maxrss`` is printed,
+→ quasiprob``, then ``frame from-hg``, ``sic generate`` of a seeded unit ket and
+the two solvers, ``sic solve-prob`` and ``sic search`` at seed 0, run at D as
+``python -m mubsic`` subprocesses, ``STEP_RUNS`` times per side, alternating.  Each step's median wall time and wait4 ``ru_maxrss`` is printed,
 and whether both sides gave the same exit codes and the same SHA-256 of every
 stdout, stderr and file.  ``--out`` adds the table as ``frame_steps_d<D>``.
 
@@ -169,12 +169,13 @@ def run_pairs(roots: dict, plan: list, spec: dict) -> dict:
 # --- per-step table ---------------------------------------------------------------
 
 
-def frame_chain(d: int) -> tuple[list, dict]:
+def step_chain(d: int) -> tuple[list, dict]:
     """The steps (name, argv with ``{w}`` for the work directory) and the
     input files at ``d``.  ρ is 1/d times the identity.  The family's
     fiducial is a unit ket drawn from ``random.Random(d)``, no SIC fiducial,
     so ``sic generate`` exits 1 after writing the family; its exit code,
-    bytes and memory are compared like every other step's."""
+    bytes and memory are compared like every other step's, and so are those
+    of the solvers, whose results at seed 0 are deterministic."""
     rng = random.Random(d)
     ket = [complex(rng.gauss(0, 1), rng.gauss(0, 1)) for _ in range(d)]
     norm = sum(abs(z) ** 2 for z in ket) ** 0.5
@@ -193,6 +194,8 @@ def frame_chain(d: int) -> tuple[list, dict]:
         ("from-hg", ["frame", "from-hg", "--d", str(d), "--out", "{w}/hg.json"]),
         ("generate", ["sic", "generate", "--fiducial", "{w}/fid.json",
                       "--out", "{w}/family.json"]),
+        ("solve-prob", ["sic", "solve-prob", "--d", str(d), "--seed", "0"]),
+        ("search", ["sic", "search", "--d", str(d), "--seed", "0", "--out", "{w}/search.json"]),
     ]
     return steps, inputs
 
@@ -220,7 +223,7 @@ def timed_step(root: str, argv: list[str]) -> dict:
 def chain_run(root: str, d: int) -> tuple[list, str]:
     """One run of the chain in a fresh directory: each step's record, and a
     digest of every step's exit code and output and of every file."""
-    steps, inputs = frame_chain(d)
+    steps, inputs = step_chain(d)
     work = tempfile.mkdtemp(prefix="bench-steps-")
     try:
         for name, obj in inputs.items():
@@ -238,7 +241,7 @@ def chain_run(root: str, d: int) -> tuple[list, str]:
 
 
 def run_steps(roots: dict, d: int, bytecode: str) -> dict:
-    names = [name for name, _ in frame_chain(d)[0]]
+    names = [name for name, _ in step_chain(d)[0]]
     table = {name: {side: {"wall_s": [], "rss_mb": []} for side in SIDES} for name in names}
     outputs = set()
     for i in range(STEP_RUNS):
