@@ -741,18 +741,18 @@ def search_fiducial(d: int, cfg: SearchConfig | None = None) -> SearchResult:
         res = least_squares(residuals, x0, jac=jac, max_nfev=cfg.max_iters)
         f_val = float(np.sum(res.fun**2))
         if f_val < best_f:
-            best, best_f = res, f_val
+            best_x, best_r, best_f = res.x, res.fun, f_val
         if best_f <= cfg.objective_tol:
             break
     accepted = best_f <= cfg.objective_tol
-    x, r = best.x, best.fun
+    x, r = best_x, best_r
     if accepted and np.abs(r).max() > DEFAULT_TOL:
         # Gate ∞: near the continuous d = 3 family an undamped step can overshoot.
         x, r = _gauss_newton(residuals, jac, x, r, np.inf)
     fid = Fiducial(d=d, ket=canonical_ket(split(x)), source="searched")
     return SearchResult(
         fiducial=fid,
-        objective=best_f if x is best.x else float(np.sum(r**2)),
+        objective=best_f if x is best_x else float(np.sum(r**2)),
         converged=bool(accepted and np.abs(r).max() <= DEFAULT_TOL),
         restarts_used=used,
     )
