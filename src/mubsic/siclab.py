@@ -412,7 +412,7 @@ def _cyclic_samples(d: int, seed: int, restarts: int) -> list:
     found: dict[tuple, tuple] = {}
     for _ in range(restarts):
         q = np.sqrt(rng.dirichlet(np.ones(d)))
-        # Far from the set a full step may raise max |r|: all are taken.
+        # Far from the set a full step may raise max |r|; none is refused above 1e-12.
         q, r = _gauss_newton(fun, jac, q, fun(q), 1e-12)
         if np.abs(r).max() > 1e-12:
             continue
@@ -666,6 +666,7 @@ def _gauss_newton(fun, jac, x, r, gate):
 
 
 # --- numerical search --------------------------------------------------------------
+
 
 @dataclass(frozen=True)
 class SearchConfig:
