@@ -77,7 +77,7 @@ PINS = {
     ),
     "frame from-mub --d 3 --out points3.json": (
         0,
-        "44712b92ebdb24312630873c6dd59894d16beba2cb87638b11e4d045cede51ea",
+        "a184868087a4831b0b88e015b37813bc052eefd23aebb00a1ae0cf216c97ba3f",
         "3edb5c6e35fff3dbf4d338f9867e1ab45437189031986e7f853da56ceaa1dd7b",
     ),
     "frame bridge --points points3.json --out lines3.json": (
@@ -87,12 +87,12 @@ PINS = {
     ),
     "frame verify --points points3.json --lines lines3.json": (
         0,
-        "f383f37dd4d872bf8bbcc5e73b22dfcce9fd630d8f71f19818564c6eb1c13935",
+        "c67b0cfe6e4547f22791b17800fbee29a11a84589d4bdb1595a870e4a41c7954",
         None,
     ),
     "frame from-mub --d 7 --out points7.json": (
         0,
-        "38ecbba303227a557ec0db54148ed55900939093e5761f29f07a5767d12ce4dc",
+        "dfcda5d923872a0bb390db10e6485cc15cccd88884634a08bfa893a21b51bc91",
         "873eea3165396dfd4892ee0fb864b9b7bdf562d86e51a460a96fe41e87260e31",
     ),
     "frame bridge --points points7.json --out lines7.json": (
@@ -102,17 +102,17 @@ PINS = {
     ),
     "frame verify --points points7.json --lines lines7.json": (
         0,
-        "c1c244caf59eecdbcb42decce988ef084a9ff5ce380b6531b8ff89dcc4e87d84",
+        "cfea540a7b283929a483be8a39887b5a846f5698bf2bffc7a4db2984a4ee7bc5",
         None,
     ),
     "frame from-hg --d 5 --out hg5.json": (
         0,
-        "d825a4052d64bc493ab713bfdfa71c47f48bfdad7833214ba48619e31fd7bc9a",
+        "ba8a44021b295589d4ffbfac092fc7006c54042f2591a7ca363c1387dbcb6358",
         "5b9a0fba9a5f389bd58a2dca3a87052c08083bf7bc4f2f44e03e33e34b7554ea",
     ),
     "frame verify --points hg5.json": (
         0,
-        "6b85c9bae266d818a2cd10b265c0769dc2bda606ab7ecc6d6b9cc81f5d8a4e76",
+        "4118fc7f18c35b8a734a5183b1e01466f95b0d8f3c7e948b5ea4aa0e8ad8a169",
         None,
     ),
     "quasiprob --rho rho3.json --points points3.json --out quasi3.json": (
@@ -127,7 +127,7 @@ PINS = {
     ),
     "sic generate --builtin qutrit --out family3.json": (
         0,
-        "bdd2e6f67e306fb3823bbecc0a9eeb133c22d1f732d5f3e15d49f6477634a7b9",
+        "e9e1492252904fd575a93f341d045a85df3899406b08dbaba3ee6fdc4750f8f8",
         "8111e7599622cb5a224ef15ef74c5436c809f918dab5882e040e6eeddd078f18",
     ),
     "sic search --d 5 --seed 7 --restarts 200 --out fiducial5.json": (

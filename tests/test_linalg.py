@@ -1,11 +1,19 @@
 import json
+import os
+import pathlib
+import subprocess
+import sys
+import warnings
 from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from helpers import D5, PRIME_DIMS, SPECTRA_MATCH_TOL, exact_hs, random_hermitian
-from mubsic import frames, siclab, weyl
+from mubsic import frames, linalg, siclab, weyl
 from mubsic.linalg import (
     DEFAULT_TOL,
     HermitianOp,
@@ -115,13 +123,26 @@ def test_hs_inner_symmetry_and_positivity():
 
 # --- kernels against exact products --------------------------------------------
 #
-# hs_inner and gram_deviation's einsum Gram against helpers.exact_hs, on the
+# hs_inner and gram_deviation's sliced Gram against helpers.exact_hs, on the
 # unbiased-basis point frame.  Its table constant is β = tr t² = ‖t‖², so any
 # order of summation of the 2d² real products errs by at most γ_{2d²}·β
-# (Higham, Accuracy and Stability of Numerical Algorithms, §3.1).  The exact
-# deviation over the checked entries is a lower bound on the data's own.
+# (Higham, Accuracy and Stability of Numerical Algorithms, §3.1), as hs_inner
+# may; the sliced Gram rounds once, to within u·β.  The exact deviation over
+# the checked entries is a lower bound on the data's own.
 
 UNIT_ROUNDOFF = 2.0**-53
+
+
+def sliced_gram(stack: np.ndarray) -> np.ndarray:
+    """gram_deviation's whole Gram table, from the blocks of its upper
+    triangle; NaN where no block reached."""
+    n = len(stack)
+    gram = np.full((n, n), np.nan)
+    for lo, at, block in linalg._gram_blocks(stack):
+        rows, cols = slice(lo, lo + len(block)), slice(at, at + block.shape[1])
+        gram[rows, cols] = block
+        gram[cols, rows] = block.T
+    return gram
 
 
 def test_exact_hs_is_the_trace_of_the_product():
@@ -132,20 +153,12 @@ def test_exact_hs_is_the_trace_of_the_product():
 
 
 @pytest.mark.parametrize("d", [d for d in PRIME_DIMS if d <= 23])
-def test_hs_kernels_against_exact_products(d, monkeypatch):
+def test_hs_kernels_against_exact_products(d):
     # Sampled pairs plus each kernel's 40 worst entries; errors in units of β.
     pf = frames.point_frame_from_mub(weyl.build_mub(d))
     ops, beta, n = pf.ops, pf.beta, len(pf.ops)
     target = label_table(column_labels(d), beta, -beta / (d - 1), 0.0)
-    grams, einsum = [], np.einsum
-
-    def caught(*args, **kwargs):  # gram_deviation's own Gram on its way out
-        grams.append(einsum(*args, **kwargs).real)
-        return grams[-1]
-
-    monkeypatch.setattr(np, "einsum", caught)
-    printed = gram_deviation(ops, target)
-    monkeypatch.undo()
+    gram = sliced_gram(ops)
     # hs_inner on the upper triangle, which holds the diagonal and one of each pair.
     inner = np.full((n, n), np.nan)
     for a, b in zip(*np.triu_indices(n)):
@@ -154,7 +167,7 @@ def test_hs_kernels_against_exact_products(d, monkeypatch):
     sampled = {tuple(sorted(p)) for p in draws}
     gamma = 2 * d * d * UNIT_ROUNDOFF / (1 - 2 * d * d * UNIT_ROUNDOFF)
     exact_dev = Fraction(0)
-    for name, table in (("einsum", grams[0]), ("hs_inner", inner)):
+    for name, table, bound in (("sliced Gram", gram, UNIT_ROUNDOFF), ("hs_inner", inner, gamma)):
         dev = np.nan_to_num(np.abs(table - target), nan=-1.0)
         worst = [int(i) for i in np.argsort(dev, axis=None)[-40:] if dev.flat[i] >= 0]
         pairs = sampled | {divmod(i, n) for i in worst}
@@ -163,9 +176,120 @@ def test_hs_kernels_against_exact_products(d, monkeypatch):
             exact = exact_hs(ops[a], ops[b])
             error = max(error, abs(Fraction(table[a, b]) - exact) / Fraction(beta))
             exact_dev = max(exact_dev, abs(exact - Fraction(target[a, b])))
-        assert error <= gamma, f"{name} errs by {float(error):.2e} β at d = {d}"
-    assert printed == float(np.abs(grams[0] - target).max())
+        assert error <= bound, f"{name} errs by {float(error):.2e} β at d = {d}"
+    assert gram_deviation(ops, target) == float(np.abs(gram - target).max())
     assert float(exact_dev) <= DEFAULT_TOL
+
+
+# --- the sliced Gram on edge-case stacks ------------------------------------------
+#
+# Beside one rounding of the exact value, a coordinate below 2^(−3·bits) of
+# its row's largest is truncated; for d ≤ 31 the two together stay within
+# u·(|tr(ab)| + ‖a‖‖b‖/4), and a product below the normal range rounds to a
+# multiple of the smallest subnormal, 2^−1074.
+
+BLOCK = linalg._GRAM_BLOCK
+
+
+def assert_gram_exact(stack: np.ndarray) -> None:
+    """Every entry of the sliced Gram within u·(|tr(ab)| + ‖a‖‖b‖/4) + 2^−1074
+    of the exact value, and gram_deviation of a zero table its largest modulus."""
+    gram = sliced_gram(stack)
+    assert not np.isnan(gram).any()
+    u = Fraction(UNIT_ROUNDOFF)
+    squares = [exact_hs(op, op) for op in stack]  # ‖a‖², exactly
+    for a, b in zip(*np.triu_indices(len(stack))):
+        exact = exact_hs(stack[a], stack[b])
+        excess = abs(Fraction(gram[a, b]) - exact) - u * abs(exact) - Fraction(2) ** -1074
+        assert excess <= 0 or (4 * excess) ** 2 <= u * u * squares[a] * squares[b], (a, b)
+    assert gram_deviation(stack, np.zeros_like(gram)) == np.abs(gram).max()
+
+
+def hermitian_rows(rng, n: int, d: int) -> np.ndarray:
+    return linalg.hermitian_stack((random_hermitian(rng, d) for _ in range(n)), n, d)
+
+
+@pytest.mark.parametrize("n", [1, 5, BLOCK - 1, BLOCK, BLOCK + 1, 2 * BLOCK + 3])
+def test_sliced_gram_covers_every_pair(n):
+    # A single row, fewer rows than a block, exactly one, and a ragged last block.
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert_gram_exact(hermitian_rows(np.random.default_rng(n), n, 2))
+
+
+@pytest.mark.parametrize("at", [(0, 1), (1, 0), (BLOCK, BLOCK - 1), (BLOCK + 2, 2 * BLOCK)])
+def test_gram_deviation_reads_every_ordered_pair(at):
+    # One entry of the table moved by 1, above or below the diagonal and in
+    # any block, is the deviation.
+    stack = hermitian_rows(np.random.default_rng(0), 2 * BLOCK + 3, 2)
+    target = sliced_gram(stack)
+    target[at] += 1.0
+    assert gram_deviation(stack, target) == 1.0
+
+
+def test_sliced_gram_zero_rows_and_wide_binades():
+    # A zero row (no log of 0), rows whose entries span 2^±60 scaled by 2^±400,
+    # and a row of one nonzero entry, all without a floating-point warning.
+    rng = np.random.default_rng(7)
+    d = 5
+    spread = 2.0 ** rng.integers(-60, 61, size=(4, d, d))
+    wide = [HermitianOp.from_matrix(m + m.T) for m in spread * rng.standard_normal((4, d, d))]
+    single = np.zeros((d, d), dtype=complex)
+    single[1, 3] = single[3, 1] = 3.0
+    rows = [np.zeros((d, d)), *[w * 2.0**s for w, s in zip(wide, (-400, 0, 200, 400))], single]
+    stack = linalg.hermitian_stack(rows, len(rows), d)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert_gram_exact(stack)
+        assert gram_deviation(stack[:1], np.zeros((1, 1))) == 0.0
+
+
+def test_sliced_gram_beyond_float64_is_inf_without_warning():
+    stack = linalg.hermitian_stack([np.full((2, 2), 1e200)], 1, 2)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert gram_deviation(stack, np.zeros((1, 1))) == np.inf
+
+
+@st.composite
+def hermitian_stacks(draw):
+    d = draw(st.sampled_from((1, 2, 3, 5)))
+    n = draw(st.integers(1, 12))
+    parts = draw(hnp.arrays(np.float64, (n, d, d, 2),
+                            elements=st.floats(-1e6, 1e6, allow_subnormal=False)))
+    mats = parts[..., 0] + 1j * parts[..., 1]
+    return linalg.hermitian_stack(((m + m.conj().T) / 2 for m in mats), n, d)
+
+
+@given(stack=hermitian_stacks())
+@settings(max_examples=60, deadline=None)
+def test_sliced_gram_of_drawn_stacks_is_exact(stack):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert_gram_exact(stack)
+
+
+def test_sliced_gram_bits_do_not_depend_on_blas_threads():
+    # The same bits with one BLAS thread and with the default count.
+    code = (
+        "import hashlib\n"
+        "from mubsic import frames, linalg, weyl\n"
+        "pf = frames.point_frame_from_mub(weyl.build_mub(19))\n"
+        "blocks = b''.join(b.tobytes() for _, _, b in linalg._gram_blocks(pf.ops))\n"
+        "print(repr(frames.verify_point_table(pf)), hashlib.sha256(blocks).hexdigest())\n"
+    )
+    src = pathlib.Path(linalg.__file__).resolve().parents[1]
+    outputs = []
+    for threads in ("1", None):
+        env = {k: v for k, v in os.environ.items() if k != "OPENBLAS_NUM_THREADS"}
+        env["PYTHONPATH"] = str(src)
+        if threads:
+            env["OPENBLAS_NUM_THREADS"] = threads
+        proc = subprocess.run([sys.executable, "-c", code], env=env,
+                              capture_output=True, text=True, check=True)
+        assert proc.stderr == ""
+        outputs.append(proc.stdout)
+    assert outputs[0] == outputs[1]
 
 
 # --- eigensystem ---------------------------------------------------------------
