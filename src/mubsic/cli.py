@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import argparse
 import contextlib
+import functools
 import math
 import os
 import sys
@@ -352,11 +353,15 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+# Every run() of a process parses with one tree, built at its first call:
+# building it takes about 4 ms.  build_parser() itself still builds afresh.
+_shared_parser = functools.cache(build_parser)
+
+
 def run(argv) -> int:
     """Parse and dispatch; returns the process exit code."""
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _shared_parser().parse_args(argv)
         return args.handler(args)
     except SystemExit as exc:  # --help
         return int(exc.code or 0)

@@ -5,7 +5,7 @@ import os
 import numpy as np
 import pytest
 
-from mubsic import frames, linalg, plane, siclab, weyl
+from mubsic import cli, frames, linalg, plane, siclab, weyl
 from mubsic.cli import build_parser, main, run
 
 
@@ -687,3 +687,15 @@ def test_parser_tree_is_pinned():
         for path, leaf in _leaves(build_parser())
     }
     assert tree == PARSER_TREE
+
+
+def test_run_parses_with_one_tree_per_process(monkeypatch, capsys):
+    """run() builds its argparse tree once, not per call; build_parser()
+    still returns a fresh tree."""
+    assert build_parser() is not build_parser()
+    run(["mub", "verify", "--d", "3"])
+    monkeypatch.setattr(cli, "build_parser", None)
+    assert run(["mub", "verify", "--d", "3"]) == 0
+    assert run(["plane", "verify", "--d", "5", "--kind", "apg"]) == 0
+    assert run(["mub", "verify"]) == 2
+    assert capsys.readouterr().err.count("error:") == 1

@@ -9,7 +9,6 @@ file written.  A wrong header d or a wrong-size operator must be exit 2.
 
 import contextlib
 import csv
-import functools
 import io
 import json
 import os
@@ -145,9 +144,7 @@ def _mutate_csv(text, mutation, data) -> str:
 
 @pytest.fixture(scope="module")
 def workdir():
-    # One parser serves every call: building it is most of a d = 3 call's time.
-    with pytest.MonkeyPatch.context() as mp, tempfile.TemporaryDirectory() as tmp:
-        mp.setattr(cli, "build_parser", functools.cache(cli.build_parser))
+    with tempfile.TemporaryDirectory() as tmp:
         paths = {name: os.path.join(tmp, name.lower()) for name in ("BAD", "OUT", "POINTS", "RHO")}
         for key, obj in (("POINTS", VALID["points"]), ("RHO", RHO)):
             with open(paths[key], "w") as fh:
