@@ -46,10 +46,12 @@ def test_merge_into_keeps_other_keys(tmp_path):
 
 def test_step_table_runs_both_solvers():
     """The same-outputs check of ``--steps D`` covers the frame chain, the
-    family writer and both solvers, each from a seed, so outputs repeat."""
+    family writer and its reader, and both solvers, each from a seed, so
+    outputs repeat."""
     steps, inputs = bench_pairs.step_chain(7)
     names = [name for name, _ in steps]
     assert names == ["from-mub", "bridge", "verify", "quasiprob", "from-hg", "generate",
-                     "solve-prob", "search"]
+                     "sic-verify", "solve-prob", "search"]
+    assert dict(steps)["sic-verify"] == ["sic", "verify", "--in", "{w}/family.json"]
     assert dict(steps)["search"][:6] == ["sic", "search", "--d", "7", "--seed", "0"]
     assert sorted(inputs) == ["fid.json", "rho.json"]

@@ -20,11 +20,13 @@ linear percentiles), and the pairs the change won and lost by the metric's
 own direction.  Runs from byte-compiled checkouts go under ``compiled``.
 
 With ``--steps D`` the frame chain ``frame from-mub → bridge → verify --lines
-→ quasiprob``, then ``frame from-hg``, ``sic generate`` of a seeded unit ket and
-the two solvers, ``sic solve-prob`` and ``sic search`` at seed 0, run at D as
-``python -m mubsic`` subprocesses, ``STEP_RUNS`` times per side, alternating.  Each step's median wall time and wait4 ``ru_maxrss`` is printed,
-and whether both sides gave the same exit codes and the same SHA-256 of every
-stdout, stderr and file.  ``--out`` adds the table as ``frame_steps_d<D>``.
+→ quasiprob``, then ``frame from-hg``, ``sic generate`` of a seeded unit ket,
+``sic verify`` of the family it writes, and the two solvers, ``sic
+solve-prob`` and ``sic search`` at seed 0, run at D as ``python -m mubsic``
+subprocesses, ``STEP_RUNS`` times per side, alternating.  Each step's median
+wall time and wait4 ``ru_maxrss`` is printed, and whether both sides gave the
+same exit codes and the same SHA-256 of every stdout, stderr and file.
+``--out`` adds the table as ``frame_steps_d<D>``.
 
 ``--out`` adds its keys to the file if it exists.  Runs go one at a time, so
 that the two sides see the same machine.
@@ -173,9 +175,10 @@ def step_chain(d: int) -> tuple[list, dict]:
     """The steps (name, argv with ``{w}`` for the work directory) and the
     input files at ``d``.  ρ is 1/d times the identity.  The family's
     fiducial is a unit ket drawn from ``random.Random(d)``, no SIC fiducial,
-    so ``sic generate`` exits 1 after writing the family; its exit code,
-    bytes and memory are compared like every other step's, and so are those
-    of the solvers, whose results at seed 0 are deterministic."""
+    so ``sic generate`` exits 1 after writing the family, and so does ``sic
+    verify`` reading it back; their exit codes, bytes and memory are compared
+    like every other step's, and so are those of the solvers, whose results
+    at seed 0 are deterministic."""
     rng = random.Random(d)
     ket = [complex(rng.gauss(0, 1), rng.gauss(0, 1)) for _ in range(d)]
     norm = sum(abs(z) ** 2 for z in ket) ** 0.5
@@ -194,6 +197,7 @@ def step_chain(d: int) -> tuple[list, dict]:
         ("from-hg", ["frame", "from-hg", "--d", str(d), "--out", "{w}/hg.json"]),
         ("generate", ["sic", "generate", "--fiducial", "{w}/fid.json",
                       "--out", "{w}/family.json"]),
+        ("sic-verify", ["sic", "verify", "--in", "{w}/family.json"]),
         ("solve-prob", ["sic", "solve-prob", "--d", str(d), "--seed", "0"]),
         ("search", ["sic", "search", "--d", str(d), "--seed", "0", "--out", "{w}/search.json"]),
     ]
