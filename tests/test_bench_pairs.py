@@ -1,6 +1,7 @@
 """The argument and record helpers of tools/bench_pairs.py (no runs)."""
 
 import argparse
+import hashlib
 import importlib.util
 import json
 import pathlib
@@ -55,3 +56,14 @@ def test_step_table_runs_both_solvers():
     assert dict(steps)["sic-verify"] == ["sic", "verify", "--in", "{w}/family.json"]
     assert dict(steps)["search"][:6] == ["sic", "search", "--d", "7", "--seed", "0"]
     assert sorted(inputs) == ["fid.json", "rho.json"]
+
+
+def test_file_sha256_digests_a_file_in_pieces(tmp_path):
+    """Artifacts are hashed a piece at a time, so that the tool's own peak
+    RSS, which every child's wait4 peak includes, stays small."""
+    path = tmp_path / "artifact.json"
+    data = bytes(range(256)) * 5000  # several 1 MiB pieces and a partial one
+    path.write_bytes(data)
+    assert bench_pairs.file_sha256(str(path)) == hashlib.sha256(data).hexdigest()
+    path.write_bytes(b"")
+    assert bench_pairs.file_sha256(str(path)) == hashlib.sha256(b"").hexdigest()

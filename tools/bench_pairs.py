@@ -48,8 +48,9 @@ import tempfile
 import time
 
 SIDES = ("parent", "change")
-# This process imports no numpy: until a child execs, it shares this process's
-# memory, and wait4's ru_maxrss of the child counts it.
+# This process imports no numpy and never holds a whole artifact: a child
+# starts in this process's memory, and wait4's ru_maxrss of the child is at
+# least this process's own peak RSS.
 # Children run with the program's default BLAS threading and tolerance, as
 # perfbench/run.py runs them.
 STRIPPED_ENV = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS", "MUBSIC_TOL")
@@ -208,6 +209,15 @@ def sha256(data: bytes) -> str:
     return hashlib.sha256(data).hexdigest()
 
 
+def file_sha256(path: str) -> str:
+    """The SHA-256 of the file at ``path``, read 1 MiB at a time."""
+    digest = hashlib.sha256()
+    with open(path, "rb") as fh:
+        for chunk in iter(lambda: fh.read(1 << 20), b""):
+            digest.update(chunk)
+    return digest.hexdigest()
+
+
 def timed_step(root: str, argv: list[str]) -> dict:
     """``python -m mubsic argv`` from checkout ``root``: exit code, wall
     seconds, wait4 peak RSS of that child, digests of its output."""
@@ -234,10 +244,7 @@ def chain_run(root: str, d: int) -> tuple[list, str]:
             with open(os.path.join(work, name), "w") as fh:
                 fh.write(json.dumps(obj) + "\n")
         records = [timed_step(root, [a.format(w=work) for a in argv]) for _, argv in steps]
-        files = {}
-        for name in sorted(os.listdir(work)):
-            with open(os.path.join(work, name), "rb") as fh:
-                files[name] = sha256(fh.read())
+        files = {name: file_sha256(os.path.join(work, name)) for name in sorted(os.listdir(work))}
     finally:
         shutil.rmtree(work)
     outputs = [[r["rc"], r["stdout"], r["stderr"]] for r in records]
