@@ -38,7 +38,7 @@ DEFAULT_TOL = 1e-10
 # gram_deviation splits each operator into this many exact slices (two leave
 # errors of order 1e-11 at d = 31) and forms the Gram in square blocks of this
 # many rows, so that its memory does not grow with the number of operators.
-# It sums the slice products pairwise from the smallest to the largest.
+# It adds the products of slices i and j in this order, smallest first.
 _GRAM_SLICES = 3
 _GRAM_BLOCK = 64
 _SLICE_PAIRS = sorted(itertools.product(range(_GRAM_SLICES), repeat=2), key=sum, reverse=True)
