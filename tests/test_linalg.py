@@ -59,6 +59,16 @@ def test_from_matrix_rejects_nan():
         HermitianOp.from_matrix(np.array([[np.nan, 0.0], [0.0, 1.0]]))
 
 
+@pytest.mark.parametrize("at", [(0, 0), (0, 1)])
+def test_from_matrix_rejects_overflow_when_symmetrized(at):
+    mat = np.zeros((2, 2))
+    mat[at] = mat[at[::-1]] = 1.5e308
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match="overflow when symmetrized"):
+            HermitianOp.from_matrix(mat)
+
+
 def test_hermitian_op_is_only_the_admission_check():
     # An operator is its matrix: from_matrix returns it read-only and makes
     # no instance, and the class holds nothing else.
@@ -249,6 +259,17 @@ def test_sliced_gram_beyond_float64_is_inf_without_warning():
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         assert gram_deviation(stack, np.zeros((1, 1))) == np.inf
+
+
+@pytest.mark.parametrize("bad", [np.inf, -np.inf, np.nan])
+def test_gram_deviation_of_a_non_finite_row_is_nan_without_warning(bad):
+    # The row sits in the last of three blocks; every other block reads a
+    # finite deviation, and the NaN of the row's blocks is not dropped.
+    stack = np.array(hermitian_rows(np.random.default_rng(1), 2 * BLOCK + 3, 2))
+    stack[-1, 0, 0] = bad
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert np.isnan(gram_deviation(stack, np.zeros((len(stack), len(stack)))))
 
 
 @st.composite
