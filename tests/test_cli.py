@@ -107,6 +107,28 @@ def test_flag_tolerance_beats_env(tmp_path, monkeypatch):
     assert run(["frame", "verify", "--points", str(points), "--tol", "1e-6"]) == 0
 
 
+# A finite diagonal entry of 1.5e308 overflows (m + m†)/2 and is rejected on
+# input; one of 8e307 is admitted, and its Gram overflows to an inf deviation.
+@pytest.mark.parametrize("entry, code", [(1.5e308, 2), (8e307, 1)])
+@pytest.mark.parametrize("argv", [["frame", "from-mub", "--d", "3"],
+                                  ["sic", "generate", "--builtin", "qutrit"]])
+def test_huge_operator_entry_fails_verify(argv, entry, code, tmp_path, capsys):
+    path = tmp_path / "ops.json"
+    assert run(argv + ["--out", str(path)]) == 0
+    obj = json.loads(path.read_text())
+    obj["ops"][0]["entries"][0][0] = entry
+    path.write_text(json.dumps(obj))
+    capsys.readouterr()
+    verify = ["frame", "verify", "--points"] if argv[0] == "frame" else ["sic", "verify", "--in"]
+    assert run(verify + [str(path)]) == code
+    out, err = capsys.readouterr()
+    if code == 2:
+        assert out == "" and err == "error: matrix entries overflow when symmetrized: " \
+            "m + m† is not finite\n"
+    else:
+        assert err == "" and "deviation inf" in out and "fail at" in out
+
+
 def test_sic_generate_verify_cycle(tmp_path, capsys):
     fam = tmp_path / "fam.json"
     assert run(["sic", "generate", "--builtin", "qutrit", "--out", str(fam)]) == 0
@@ -691,11 +713,29 @@ def test_parser_tree_is_pinned():
 
 def test_run_parses_with_one_tree_per_process(monkeypatch, capsys):
     """run() builds its argparse tree once, not per call; build_parser()
-    still returns a fresh tree."""
+    still returns a fresh tree.  Rebinding build_parser, as a wrapper that
+    times it does, builds one tree through the new binding and parses with it."""
     assert build_parser() is not build_parser()
     run(["mub", "verify", "--d", "3"])
-    monkeypatch.setattr(cli, "build_parser", None)
-    assert run(["mub", "verify", "--d", "3"]) == 0
+    tree = cli._shared_parser()
     assert run(["plane", "verify", "--d", "5", "--kind", "apg"]) == 0
     assert run(["mub", "verify"]) == 2
     assert capsys.readouterr().err.count("error:") == 1
+    assert cli._shared_parser() is tree
+
+    built, parsed = [], []
+
+    def wrapped():
+        parser = build_parser()
+        parse = parser.parse_args
+        parser.parse_args = lambda argv: parsed.append(argv) or parse(argv)
+        built.append(parser)
+        return parser
+
+    monkeypatch.setattr(cli, "build_parser", wrapped)
+    for d in ("2", "3"):
+        assert run(["mub", "verify", "--d", d]) == 0
+    assert len(built) == 1 and parsed == [["mub", "verify", "--d", d] for d in ("2", "3")]
+    monkeypatch.undo()
+    assert run(["mub", "verify", "--d", "2"]) == 0
+    assert cli._shared_parser() not in (tree, built[0])
