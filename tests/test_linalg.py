@@ -59,13 +59,16 @@ def test_from_matrix_rejects_nan():
         HermitianOp.from_matrix(np.array([[np.nan, 0.0], [0.0, 1.0]]))
 
 
-@pytest.mark.parametrize("at", [(0, 0), (0, 1)])
-def test_from_matrix_rejects_overflow_when_symmetrized(at):
+@pytest.mark.parametrize("at, lower, error", [((0, 0), 1.5e308, "overflow when symmetrized"),
+                                              ((0, 1), 1.5e308, "overflow when symmetrized"),
+                                              ((0, 1), -1.5e308, "not Hermitian: max .* = inf")])
+def test_from_matrix_rejects_overflow_without_warning(at, lower, error):
     mat = np.zeros((2, 2))
-    mat[at] = mat[at[::-1]] = 1.5e308
+    mat[at] = 1.5e308
+    mat[at[::-1]] = lower if at[0] != at[1] else mat[at]
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        with pytest.raises(ValueError, match="overflow when symmetrized"):
+        with pytest.raises(ValueError, match=error):
             HermitianOp.from_matrix(mat)
 
 
