@@ -61,6 +61,7 @@ def _write_text(path, text: str) -> None:
 
 
 def _write_json(path, obj: dict) -> None:
+    linalg.require_finite(obj)
     with _output(path) as fh:
         linalg.dump_json(obj, fh)
 
@@ -70,11 +71,12 @@ def _read_json(path, object_hook=linalg.decode_operator) -> dict:
 
 
 def _load(reader, path):
-    """``reader`` applied to the JSON object in the file at ``path``, whose
-    operator objects are decoded as they are parsed.  A file that the
-    decoding or the reader rejects, or that is not an object once decoded,
-    is parsed again as plain JSON for the reader, so that its error comes in
-    file order and names each value as the file holds it."""
+    """``reader`` applied to the JSON object in the file at ``path``, read
+    a chunk at a time with its operator objects decoded into stacks as they
+    are parsed.  A file that the decoding or the reader rejects, or that is
+    not an object once decoded, is parsed again whole as plain JSON for the
+    reader, so that its error comes in file order, at its place in the
+    file, and names each value as the file holds it."""
     try:
         obj = _read_json(path)
         if isinstance(obj, dict):

@@ -13,8 +13,8 @@ and the bridged line operators l_μ = Σ_{(m,j)∈μ} t_m^(j) then satisfy
 
     tr(l_μ l_μ') = α δ_μμ' − α/(d²−1)·(1 − δ_μμ'),   α = β(d+1).
 
-Trace-one companions are τ = (1 + t)/d and λ = (1 + l)/d, built once per
-family by :func:`trace_one`.  Every family is one read-only (n, d, d) stack
+Trace-one companions are τ = (1 + t)/d and λ = (1 + l)/d, the stacks
+:func:`trace_one` builds.  Every family is one read-only (n, d, d) stack
 whose rows are in plane.point_keys / plane.line_keys order: the order of its
 file, of every check and of the canonical dual plane's incidence matrix.  A
 file layout holds the stack itself, which linalg.dump_json encodes as it writes.
@@ -194,8 +194,11 @@ def verify_point_line_products(
     t_on, t_off = beta, -beta * (d + 1) / (d * d - 1)
     tau_on, tau_off = (d + beta) / d**2, (d - beta / (d - 1)) / d**2
     pairs = list(zip(points.ops, trace_one(points.ops, d)))
+    eye, inv_d = np.eye(d), 1.0 / d
     dev_t = dev_tau = 0.0
-    for l_op, lam_op, on_row in zip(lines.ops, trace_one(lines.ops, d), on):
+    for l_op, on_row in zip(lines.ops, on):
+        # trace_one's arithmetic on one row, so no second stack is built.
+        lam_op = (l_op + eye) * inv_d
         for (t_op, tau_op), is_on in zip(pairs, on_row.tolist()):
             dev_t = max(dev_t, abs(hs_inner(t_op, l_op) - (t_on if is_on else t_off)))
             dev_tau = max(dev_tau, abs(hs_inner(tau_op, lam_op) - (tau_on if is_on else tau_off)))
@@ -290,7 +293,7 @@ def _frame_from_json(obj: dict, strength: str, keys_of) -> tuple[int, float, np.
         raise ValueError(f"frame {strength} must be finite, got {value!r}")
     # Both layouts hold at least d² ops; checked before d is tested for
     # primality and d² keys are built.
-    if not isinstance(raw, list) or d * d > len(raw):
+    if not isinstance(raw, (list, np.ndarray)) or d * d > len(raw):
         raise ValueError(f"frame object with d = {d} needs a list of at least {d * d} ops")
     return d, value, ops_from_json(raw, keys_of(require_prime(d)), d)
 

@@ -15,6 +15,9 @@ from __future__ import annotations
 
 import itertools
 import json
+import math
+import re
+from json.decoder import WHITESPACE as _WHITESPACE
 
 import numpy as np
 
@@ -39,6 +42,12 @@ DEFAULT_TOL = 1e-10
 _GRAM_SLICES = 3
 _GRAM_BLOCK = 64
 _SLICE_PAIRS = sorted(itertools.product(range(_GRAM_SLICES), repeat=2), key=sum, reverse=True)
+
+# load_json reads a file with a hook this many characters at a time.
+_CHUNK = 1 << 18
+# What may follow a number's digits up to the end of the text read so far, if
+# the next chunk goes on with the number.
+_NUMBER_TAIL = re.compile(r"[0-9.eE+-]*\Z")
 
 
 class HermitianOp:
@@ -297,11 +306,17 @@ def ops_from_json(raw, keys: list, d: int) -> np.ndarray:
     """Inverse of :func:`json_value` on a stack: the read-only stack of one
     validated d x d operator per key; ``keys`` name the rows in errors.
 
-    Items already decoded by :func:`decode_operator` are taken as they are.
+    ``raw`` is a list of operator objects, or of matrices already decoded by
+    :func:`decode_operator`, or the stack :func:`load_json` reads such a
+    list into, which is taken as it is.
     """
-    if not isinstance(raw, list) or len(raw) != len(keys):
-        got = len(raw) if isinstance(raw, list) else raw
+    if not isinstance(raw, (list, np.ndarray)) or len(raw) != len(keys):
+        got = len(raw) if isinstance(raw, (list, np.ndarray)) else raw
         raise ValueError(f"expected {len(keys)} ops, got {got!r}")
+    if isinstance(raw, np.ndarray):
+        if raw.shape[1:] != (d, d):
+            raise ValueError(f"op {keys[0]} is {raw.shape[1]} x {raw.shape[1]}, expected {d} x {d}")
+        return raw
     ops = [o if isinstance(o, np.ndarray) else _operator(o) for o in raw]
     stack = np.empty((len(keys), d, d), dtype=np.complex128)
     for k, op, row in zip(keys, ops, stack):
@@ -326,6 +341,25 @@ def decode_operator(obj: dict):
     return obj
 
 
+def require_finite(value) -> None:
+    """Raise ValueError unless every number in ``value`` is finite:
+    ``json.dumps`` would write inf and NaN as ``Infinity`` and ``NaN``, which
+    no reader takes.  ``value`` is a number, an array, or lists and dicts of
+    them, as an artifact is; an array is checked a row at a time, as floats,
+    so that no temporary of its size is built."""
+    if isinstance(value, np.ndarray):
+        rows = value.reshape(value.shape[:1] + (-1,))
+        ok = all(np.isfinite(row.real).all() and np.isfinite(row.imag).all() for row in rows)
+    elif isinstance(value, (list, dict)):
+        for item in value.values() if isinstance(value, dict) else value:
+            require_finite(item)
+        return
+    else:
+        ok = not isinstance(value, float) or math.isfinite(value)
+    if not ok:
+        raise ValueError("the result holds a value that is not finite (inf or NaN), so it is not written")
+
+
 def dump_json(obj: dict, fh) -> None:
     """Write ``json.dumps(json_value(obj)) + "\\n"`` to ``fh`` without
     building it, for a dict with string keys, as every artifact is: each
@@ -345,20 +379,153 @@ def dump_json(obj: dict, fh) -> None:
     fh.write("}\n")
 
 
-def parse_json(text: str, object_hook=None):
-    """The JSON value of ``text``; every JSON input is parsed here.  Text
-    nested too deeply for the parser is rejected with a ValueError, as any
-    other malformed text is, not a RecursionError."""
+def parse_json(text: str):
+    """The JSON value of ``text``; every JSON input read whole is parsed
+    here.  Text nested too deeply for the parser is rejected with a
+    ValueError, as any other malformed text is, not a RecursionError."""
     try:
-        return json.loads(text, object_hook=object_hook)
+        return json.loads(text)
     except RecursionError:
         raise ValueError("JSON nested too deeply to parse") from None
 
 
 def load_json(path, object_hook=None):
-    """The JSON value of the file at ``path``, through :func:`parse_json`."""
+    """The JSON value of the file at ``path``, as ``json.loads`` gives it
+    with ``object_hook``.
+
+    Without a hook the whole text goes through :func:`parse_json`.  With
+    one, the text is read ``_CHUNK`` characters at a time and never held
+    whole (:class:`_ChunkedJson`): memory is bounded by the chunk size, the
+    largest single member or item, and the value returned.  A list whose
+    items the hook all turns into arrays of one shape and dtype, as
+    :func:`decode_operator` does a family's operators, comes back as their
+    read-only stack, the form :func:`dump_json` writes from.
+
+    Malformed text raises ValueError either way, but only the whole-file
+    parse places its error in the file: ``cli._load`` parses a rejected
+    file again without a hook, so its message and ``line … column …
+    (char …)`` come from there.
+    """
     with open(path) as fh:
-        return parse_json(fh.read(), object_hook)
+        if object_hook is None:
+            return parse_json(fh.read())
+        try:
+            return _ChunkedJson(fh, json.JSONDecoder(object_hook=object_hook)).document()
+        except RecursionError:
+            raise ValueError("JSON nested too deeply to parse") from None
+
+
+class _ChunkedJson:
+    """The JSON text of an open file, read ``_CHUNK`` characters at a time
+    and decoded one value at a time by ``decoder.raw_decode``.  The
+    top-level object is walked member by member, and the top-level list or
+    a list member item by item; every other value is decoded whole.
+    ``text[pos:]`` is the part read but not yet decoded."""
+
+    def __init__(self, fh, decoder: json.JSONDecoder):
+        self.fh, self.decoder, self.text, self.pos = fh, decoder, "", 0
+        self.eof, self.longest = False, 0
+
+    def _more(self) -> bool:
+        """Read the next chunk after the undecoded text, which then starts
+        at ``pos`` 0; False at the end of the file."""
+        if self.eof:
+            return False
+        tail, self.text = self.text[self.pos :], ""
+        chunk = self.fh.read(_CHUNK)
+        self.text, self.pos, self.eof = tail + chunk, 0, not chunk
+        return not self.eof
+
+    def _peek(self) -> str:
+        """The next character after JSON whitespace, or "" at the end."""
+        while True:
+            self.pos = _WHITESPACE.match(self.text, self.pos).end()
+            if self.pos < len(self.text) or not self._more():
+                return self.text[self.pos : self.pos + 1]
+
+    def _take(self, chars: str) -> str:
+        """The next character, which must be one of ``chars``."""
+        char = self._peek()
+        if not char or char not in chars:
+            raise ValueError(f"malformed JSON: expected one of {chars!r}, got {char!r}")
+        self.pos += 1
+        return char
+
+    def _value(self):
+        """The next value.  The next chunk is read first when less text is
+        left than the longest value so far took (up to a chunk), so that few
+        values are cut by the end of the text.  One that is cut is decoded
+        again with the next chunk, and so is a number that the text ends
+        in, which the next chunk may go on."""
+        if len(self.text) - self.pos < min(self.longest, _CHUNK):
+            self._more()
+        self._peek()
+        while True:
+            try:
+                value, end = self.decoder.raw_decode(self.text, self.pos)
+            except json.JSONDecodeError:
+                if self._more():
+                    continue
+                raise
+            size = end - self.pos
+            if self.text[end - 1].isdigit() and _NUMBER_TAIL.match(self.text, end) and self._more():
+                continue
+            self.pos, self.longest = self.pos + size, max(self.longest, size)
+            return value
+
+    def _each(self, close: str):
+        """Step past the opening bracket just peeked at, then yield once
+        for each member or item, which the caller reads, through ``close``."""
+        self.pos += 1
+        if self._peek() == close:
+            self.pos += 1
+            return
+        yield
+        while self._take("," + close) == ",":
+            yield
+
+    def _object(self):
+        obj = {}
+        for _ in self._each("}"):
+            if self._peek() != '"':
+                raise ValueError("malformed JSON: an object key must be a string")
+            key = self._value()
+            self._take(":")
+            obj[key] = self._list() if self._peek() == "[" else self._value()
+        return self.decoder.object_hook(obj)
+
+    def _list(self):
+        """A list, or the read-only stack of its items if they are all
+        arrays of one shape and dtype.  Each such item is copied into a
+        buffer that grows in place as rows arrive, so no list of arrays is
+        held beside the stack."""
+        rows, n, like, items = bytearray(), 0, None, []
+        for _ in self._each("]"):
+            value = self._value()
+            if not items and isinstance(value, np.ndarray) and like in (None, (value.shape, value.dtype)):
+                like = value.shape, value.dtype
+                rows += memoryview(np.ascontiguousarray(value))
+                n += 1
+                continue
+            if like is not None:  # not a stack after all
+                items, like = list(_rows_stack(rows, n, like)), None
+            items.append(value)
+        return items if like is None else _rows_stack(rows, n, like)
+
+    def document(self):
+        """The file's one JSON value."""
+        char = self._peek()
+        value = self._object() if char == "{" else self._list() if char == "[" else self._value()
+        if self._peek():
+            raise ValueError("malformed JSON: extra data after the value")
+        return value
+
+
+def _rows_stack(rows: bytearray, n: int, like: tuple) -> np.ndarray:
+    """The read-only stack of the ``n`` arrays of (shape, dtype) ``like``
+    whose bytes ``rows`` holds, as a view of it."""
+    shape, dtype = like
+    return read_only(np.frombuffer(rows, dtype).reshape((n, *shape)))
 
 
 def write_operator_json(path, op: np.ndarray) -> None:

@@ -170,12 +170,14 @@ def incidence_sum(incidence: np.ndarray, terms) -> np.ndarray:
     and ``N.T`` to sum over the lines through each point.
 
     Each out[c] starts from zeros and adds its terms in increasing r, in
-    place, so no temporary is built besides ``out``.
+    place, so no temporary is built besides ``out``.  A sum beyond float64
+    reads inf (or NaN) without a warning; the writers refuse it.
     """
     out = np.zeros((incidence.shape[1],) + np.shape(terms[0]), dtype=np.result_type(terms[0]))
     cols, rows = np.nonzero(incidence.T)  # grouped by c, r increasing
-    for c, r in zip(cols.tolist(), rows.tolist()):
-        out[c] += terms[r]
+    with np.errstate(over="ignore", invalid="ignore"):
+        for c, r in zip(cols.tolist(), rows.tolist()):
+            out[c] += terms[r]
     return out
 
 

@@ -32,6 +32,7 @@ from .linalg import (
     load_json,
     ops_from_json,
     read_only,
+    require_finite,
     spectrum_rank,
     third_moment,
 )
@@ -239,6 +240,7 @@ def group_columns_by_spectrum(table: np.ndarray, tol: float = 1e-6) -> dict:
 def spectra_to_csv(table: np.ndarray) -> str:
     """CSV with header m,j,lambda_1..lambda_d; rows ordered (j asc, m asc);
     12 significant digits, '.' decimal separator."""
+    require_finite(table)
     d = table.shape[1]
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
@@ -769,5 +771,7 @@ def ingest_fiducial(path, d: int) -> Fiducial:
 
 
 def write_fiducial_json(path, fid: Fiducial) -> None:
+    obj = fid.to_json_dict()
+    require_finite(obj)
     with open(path, "w") as fh:
-        dump_json(fid.to_json_dict(), fh)
+        dump_json(obj, fh)

@@ -67,3 +67,32 @@ def test_file_sha256_digests_a_file_in_pieces(tmp_path):
     assert bench_pairs.file_sha256(str(path)) == hashlib.sha256(data).hexdigest()
     path.write_bytes(b"")
     assert bench_pairs.file_sha256(str(path)) == hashlib.sha256(b"").hexdigest()
+
+
+def test_step_table_reports_files_exit_codes_and_streams_apart(monkeypatch):
+    """A change that moves printed digits on purpose shows as different
+    stdout alone, with the same files and exit codes."""
+    def record(rc, stdout):
+        return {"rc": rc, "seconds": 0.5, "rss_mb": 40.0, "stdout": stdout, "stderr": "e"}
+
+    files = {"points.json": "f"}
+    base = bench_pairs.output_digests([record(0, "a")], files)
+
+    def moved(records, files):
+        digests = bench_pairs.output_digests(records, files)
+        return {name for name in bench_pairs.OUTPUTS if digests[name] != base[name]}
+
+    assert moved([record(0, "b")], files) == {"stdout"}
+    assert moved([record(1, "a")], files) == {"exit_codes"}
+    assert moved([record(0, "a")], {"points.json": "g"}) == {"files"}
+
+    def chain_run(root, d):
+        steps = bench_pairs.step_chain(d)[0]
+        records = [record(0, "new digits" if root == "change" else "old digits") for _ in steps]
+        return records, bench_pairs.output_digests(records, files)
+
+    monkeypatch.setattr(bench_pairs, "chain_run", chain_run)
+    result = bench_pairs.run_steps({"parent": "parent", "change": "change"}, 3, "from bytecode")
+    flags = {k: v for k, v in result.items() if k.startswith("same_")}
+    assert flags == {"same_files": True, "same_exit_codes": True, "same_stdout": False,
+                     "same_stderr": True}

@@ -1,6 +1,7 @@
 import argparse
 import json
 import os
+import warnings
 
 import numpy as np
 import pytest
@@ -321,6 +322,61 @@ def test_malformed_input_is_one_error_line(case, tmp_path, capsys):
     assert stdout == ""
     assert len(err.splitlines()) == 1 and err.startswith("error: ")
     assert not out.exists()
+
+
+# The error line of each invalid d = 3 point file, as the whole-file parse
+# places it; the text is the file `frame from-mub --d 3` writes (3145
+# characters), edited.
+READ_ERRORS = {
+    "bom": (lambda t: "\ufeff" + t,
+            "error: Unexpected UTF-8 BOM (decode using utf-8-sig): line 1 column 1 (char 0)"),
+    "trailing-data": (lambda t: t + "]\n", "error: Extra data: line 2 column 1 (char 3145)"),
+    "truncated": (lambda t: t[: len(t) // 2],
+                  "error: Expecting ',' delimiter: line 1 column 1571 (char 1570)"),
+    "top-level-list": (lambda t: "[" + t.rstrip("\n") + "]\n",
+                       "error: malformed frame object: list indices must be integers or slices, "
+                       "not str"),
+}
+
+
+@pytest.mark.parametrize("chunk", [5, 1 << 18])
+@pytest.mark.parametrize("case", sorted(READ_ERRORS))
+def test_read_error_lines_come_from_the_whole_file(case, chunk, tmp_path, monkeypatch, capsys):
+    """However the bounded reader cuts the text, the error line is the one
+    the whole-file parse gives, with its position in the file."""
+    edit, line = READ_ERRORS[case]
+    path = tmp_path / "points.json"
+    assert run(["frame", "from-mub", "--d", "3", "--out", str(path)]) == 0
+    path.write_text(edit(path.read_text()))
+    capsys.readouterr()
+    monkeypatch.setattr(linalg, "_CHUNK", chunk)
+    for argv in (["frame", "verify", "--points", str(path)],
+                 ["frame", "bridge", "--points", str(path), "--out", str(tmp_path / "out.json")]):
+        assert run(argv) == 2
+        assert capsys.readouterr() == ("", line + "\n")
+    assert not (tmp_path / "out.json").exists()
+
+
+def test_bridge_refuses_an_overflowing_line_frame(tmp_path, capsys):
+    """A d = 3 point file with diagonal entries 8e307 is admitted, but each
+    line operator sums four of them past float64.  The bridge writes no
+    file, warns nothing and ends with one error line (exit 2, as for any
+    input the program cannot take)."""
+    points, lines = tmp_path / "points.json", tmp_path / "lines.json"
+    assert run(["frame", "from-mub", "--d", "3", "--out", str(points)]) == 0
+    obj = json.loads(points.read_text())
+    for op in obj["ops"]:
+        for i in range(3):
+            op["entries"][4 * i] = [8e307, 0.0]
+    points.write_text(json.dumps(obj))
+    capsys.readouterr()
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert run(["frame", "bridge", "--points", str(points), "--out", str(lines)]) == 2
+    assert capsys.readouterr() == (
+        "", "error: the result holds a value that is not finite (inf or NaN), so it is not written\n"
+    )
+    assert not lines.exists()
 
 
 @pytest.mark.parametrize("argv", [["sic", "search", "--d", "1000003", "--restarts", "1"],

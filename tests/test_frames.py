@@ -657,6 +657,25 @@ def test_frame_json_memory_at_d19(tmp_path):
     assert np.array_equal(back.ops, pf.ops)
 
 
+def test_frame_read_through_load_is_below_the_file_size_at_d19(tmp_path):
+    """The CLI's read of the d = 19 point-frame file (5.5 MB), traced from
+    the path to the frame: the text is read a chunk at a time and each
+    operator goes straight into its row of the stack, so the traced peak
+    stays below the file's size (11.1 MB when the file was read whole)."""
+    pf = mub_points(19)
+    path = tmp_path / "points.json"
+    cli._write_json(str(path), point_frame_layout(pf))
+    tracemalloc.start()
+    try:
+        start = tracemalloc.get_traced_memory()[0]
+        back = cli._load(point_frame_from_json_dict, str(path))
+        read_peak = tracemalloc.get_traced_memory()[1] - start
+    finally:
+        tracemalloc.stop()
+    assert read_peak < path.stat().st_size
+    assert back.ops.tobytes() == pf.ops.tobytes() and back.beta == pf.beta
+
+
 def _sic_family_d19():
     ket = siclab.canonical_ket(random_ket(np.random.default_rng(19), 19))
     return siclab.generate_hw_sic(siclab.Fiducial(d=19, ket=ket))

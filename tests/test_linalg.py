@@ -165,7 +165,7 @@ def test_exact_hs_is_the_trace_of_the_product():
     assert exact_hs(np.eye(3) * 0.1, np.eye(3)) == 3 * Fraction(0.1)
 
 
-@pytest.mark.parametrize("d", [d for d in PRIME_DIMS if d <= 23])
+@pytest.mark.parametrize("d", PRIME_DIMS)
 def test_hs_kernels_against_exact_products(d):
     # Sampled pairs plus each kernel's 40 worst entries; errors in units of β.
     pf = frames.point_frame_from_mub(weyl.build_mub(d))
@@ -498,3 +498,208 @@ def test_complex_codec_round_trip_is_bit_exact(z):
 def test_complex_from_json_rejects_malformed(raw, shape):
     with pytest.raises(ValueError):
         complex_from_json(raw, shape, "entries")
+
+
+# --- the bounded reader ----------------------------------------------------------
+#
+# load_json with a hook reads linalg._CHUNK characters at a time.  Patched down
+# to a few characters, every number, string, \uXXXX escape and surrogate pair
+# of a drawn file is cut by a chunk boundary somewhere.
+
+
+def _canonical(value):
+    """``value`` with every array as (dtype, shape, bytes) and every list of
+    arrays of one shape and dtype as their stack, which is how load_json
+    returns such a list."""
+    if isinstance(value, list) and value and all(isinstance(v, np.ndarray) for v in value):
+        if len({(v.shape, v.dtype) for v in value}) == 1:
+            value = np.stack(value)
+    if isinstance(value, np.ndarray):
+        return ("array", value.dtype.str, value.shape, value.tobytes())
+    if isinstance(value, list):
+        return [_canonical(v) for v in value]
+    if isinstance(value, dict):
+        return {k: _canonical(v) for k, v in value.items()}
+    return value
+
+
+@st.composite
+def operator_objects(draw):
+    """An operator object of a Hermitian matrix with entries in
+    [-1e6, 1e6], some of them JSON integers."""
+    d = draw(st.integers(1, 3))
+    parts = st.one_of(st.floats(-1e6, 1e6, allow_subnormal=True), st.integers(-9, 9))
+    mat = [[0, 0] for _ in range(d * d)]
+    for i in range(d):
+        mat[i * d + i] = [draw(parts), 0]
+        for j in range(i + 1, d):
+            re, im = draw(parts), draw(parts)
+            mat[i * d + j], mat[j * d + i] = [re, im], [re, -im if im else im]
+    return {"dim": d, "entries": mat}
+
+
+_TEXT = st.text(st.characters(exclude_categories=("Cs",)), max_size=6)
+_SCALARS = st.one_of(st.none(), st.booleans(), st.integers(-10**20, 10**20),
+                     st.floats(allow_nan=False), _TEXT)
+_VALUES = st.recursive(
+    st.one_of(_SCALARS, operator_objects()),
+    lambda inner: st.one_of(st.lists(inner, max_size=4),
+                            st.dictionaries(_TEXT, inner, max_size=3)),
+    max_leaves=12,
+)
+_MEMBERS = st.one_of(_VALUES, st.lists(operator_objects(), max_size=5),
+                     st.lists(st.one_of(operator_objects(), _SCALARS), max_size=5))
+_WS = st.text(" \t\n\r", max_size=2)
+
+
+@st.composite
+def json_documents(draw):
+    """The text of a JSON object (an operator object among them), a list or
+    a scalar, with drawn spacing around every member and item, keys in any
+    order and repeated, and non-ASCII text either raw or escaped."""
+    ascii_only = draw(st.booleans())
+    indent = draw(st.sampled_from([None, 0, 2]))
+
+    def dumps(value):
+        return json.dumps(value, ensure_ascii=ascii_only, indent=indent)
+
+    def join(open_, parts, close):
+        body = ",".join(f"{draw(_WS)}{p}{draw(_WS)}" for p in parts)
+        return f"{open_}{body or draw(_WS)}{close}"
+
+    def list_text(items):
+        return join("[", [dumps(item) for item in items], "]")
+
+    kind = draw(st.sampled_from(["object", "operator", "list", "scalar"]))
+    if kind in ("object", "operator"):
+        keys = st.sampled_from(["d", "ops", "é", 'a"b', "\U0001f600"])
+        members = draw(st.lists(st.tuples(keys, _MEMBERS), max_size=4))
+        if kind == "operator":  # decoded by the hook on the top-level object
+            members = draw(st.permutations(list(draw(operator_objects()).items())))
+        if members and draw(st.booleans()):
+            members.append((members[0][0], draw(_MEMBERS)))
+        text = join("{", [f"{dumps(k)}:{draw(_WS)}"
+                          f"{list_text(v) if isinstance(v, list) else dumps(v)}"
+                          for k, v in members], "}")
+    elif kind == "list":
+        text = list_text(draw(st.one_of(st.lists(operator_objects(), max_size=5),
+                                        st.lists(_VALUES, max_size=4))))
+    else:
+        text = dumps(draw(_SCALARS))
+    return f"{draw(_WS)}{text}{draw(_WS)}"
+
+
+def _outcome(read):
+    """``read()``'s canonical value, or "ValueError" if it raises one."""
+    try:
+        return _canonical(read())
+    except ValueError:
+        return "ValueError"
+
+
+@given(text=json_documents(), chunk=st.integers(1, 64))
+@settings(max_examples=100, deadline=None)
+def test_bounded_reader_gives_what_json_loads_gives(text, chunk):
+    import tempfile
+    from unittest import mock
+
+    with tempfile.TemporaryDirectory() as tmp:
+        path = pathlib.Path(tmp) / "doc.json"
+        path.write_text(text)
+        want = _outcome(lambda: json.loads(path.read_text(), object_hook=linalg.decode_operator))
+        with mock.patch.object(linalg, "_CHUNK", chunk):
+            got = _outcome(lambda: linalg.load_json(path, linalg.decode_operator))
+    assert got == want
+
+
+@given(text=json_documents(), at=st.integers(0, 10**6), chunk=st.integers(1, 64),
+       edit=st.one_of(st.none(), st.sampled_from(list('\x0c\ufeff\xa0,:]}"\\e.-0x '))))
+@settings(max_examples=100, deadline=None)
+def test_bounded_reader_rejects_what_json_loads_rejects(text, at, chunk, edit):
+    """One character of a valid document deleted (``edit`` None) or inserted:
+    load_json raises a ValueError exactly when json.loads does, and
+    otherwise gives the same value."""
+    import tempfile
+    from unittest import mock
+
+    at %= len(text) + 1
+    text = text[:at] + (edit or "") + text[at + (edit is None) :]
+    with tempfile.TemporaryDirectory() as tmp:
+        path = pathlib.Path(tmp) / "doc.json"
+        path.write_text(text)
+        want = _outcome(lambda: json.loads(path.read_text(), object_hook=linalg.decode_operator))
+        with mock.patch.object(linalg, "_CHUNK", chunk):
+            got = _outcome(lambda: linalg.load_json(path, linalg.decode_operator))
+    assert got == want
+
+
+NUMBERS_JSON = ['{"a": 1.5e-7, "b": [10, -0.25E+3, 7], "c": 0}', "[1.0, 2e5, -3]", "12.5e1",
+                '{"dim": 1, "entries": [[-0.0, 0E0]]}', '{"x": -12345678901234567890}']
+
+
+@pytest.mark.parametrize("text", NUMBERS_JSON)
+def test_bounded_reader_numbers_cut_anywhere(text, tmp_path, monkeypatch):
+    """Every number is cut at every place by some chunk size, including
+    right before a '.', 'e' or sign that the next chunk goes on with."""
+    path = tmp_path / "doc.json"
+    path.write_text(text)
+    want = _canonical(json.loads(text, object_hook=linalg.decode_operator))
+    for chunk in range(1, len(text) + 1):
+        monkeypatch.setattr(linalg, "_CHUNK", chunk)
+        assert _canonical(linalg.load_json(path, linalg.decode_operator)) == want, chunk
+
+
+MALFORMED_JSON = [
+    '{"a" \x0c: 1}', '{\x0c"a": 1}', '{"a": 1\xa0}', '{"a": [1,\u2003 2]}', '{1: 2}',
+    '{null: 2}', '{"a": 1,}', '{"a": [1,]}', '{"a": [1 2]}', '{"a" 1}', '{"a": 1', '[1, 2',
+    '{"a": [1, 2}', '\ufeff{}', '{} x', '{}{}', '[]]', '{"a": 1}}', '{"a":}', '{,}', '[,]',
+    '"abc', '1.', '-', '{"a": 1e}', '{"a": 1.5e+}', 'nul', '', ' ', '{"a": "\\ud83d\\u"}',
+]
+
+
+@pytest.mark.parametrize("text", MALFORMED_JSON)
+@pytest.mark.parametrize("chunk", [1, 3, 1 << 18])
+def test_bounded_reader_rejects_malformed_json(text, chunk, tmp_path, monkeypatch):
+    path = tmp_path / "doc.json"
+    path.write_text(text)
+    with pytest.raises(ValueError):
+        json.loads(path.read_text())
+    monkeypatch.setattr(linalg, "_CHUNK", chunk)
+    with pytest.raises(ValueError):
+        linalg.load_json(path, linalg.decode_operator)
+
+
+def test_bounded_reader_stacks_a_list_of_operators(tmp_path):
+    """A list member of operators comes back as one read-only stack; a list
+    that mixes operators with other values stays a list."""
+    pf = frames.point_frame_from_mub(weyl.build_mub(3))
+    path = tmp_path / "points.json"
+    with open(path, "w") as fh:
+        linalg.dump_json(frames.point_frame_layout(pf), fh)
+    ops = linalg.load_json(path, linalg.decode_operator)["ops"]
+    assert isinstance(ops, np.ndarray) and not ops.flags.writeable
+    assert ops.tobytes() == pf.ops.tobytes()
+    mixed = json.loads(path.read_text())
+    mixed["ops"].insert(1, 7)
+    path.write_text(json.dumps(mixed))
+    got = linalg.load_json(path, linalg.decode_operator)["ops"]
+    assert isinstance(got, list) and got[1] == 7 and len(got) == len(pf.ops) + 1
+    assert got[0].tobytes() == pf.ops[0].tobytes() and got[2].tobytes() == pf.ops[1].tobytes()
+
+
+@pytest.mark.parametrize(
+    "value",
+    [float("inf"), [1.0, [2.0, -float("inf")]], {"a": {"b": [float("nan")]}},
+     np.array([[1.0, 2.0], [3.0, np.inf]]), np.array([[[0j, complex(0.0, np.nan)]]]),
+     np.float64(np.inf)],
+    ids=["float", "nested-list", "nested-dict", "array", "complex-stack", "numpy-scalar"],
+)
+def test_require_finite_finds_a_non_finite_number(value):
+    with pytest.raises(ValueError, match="not finite"):
+        linalg.require_finite(value)
+
+
+def test_require_finite_passes_finite_artifacts():
+    pf = frames.point_frame_from_mub(weyl.build_mub(3))
+    linalg.require_finite(frames.point_frame_layout(pf))
+    linalg.require_finite({"groups": [[0, 1]], "name": "x", "flag": True, "none": None})

@@ -24,8 +24,9 @@ With ``--steps D`` the frame chain ``frame from-mub → bridge → verify --line
 ``sic verify`` of the family it writes, and the two solvers, ``sic
 solve-prob`` and ``sic search`` at seed 0, run at D as ``python -m mubsic``
 subprocesses, ``STEP_RUNS`` times per side, alternating.  Each step's median
-wall time and wait4 ``ru_maxrss`` is printed, and whether both sides gave the
-same exit codes and the same SHA-256 of every stdout, stderr and file.
+wall time and wait4 ``ru_maxrss`` is printed, and, each on its own, whether
+both sides wrote the same files, gave the same exit codes, and printed the same
+stdout and the same stderr (SHA-256 digests).
 ``--out`` adds the table as ``frame_steps_d<D>``.
 
 ``--out`` adds its keys to the file if it exists.  Runs go one at a time, so
@@ -234,9 +235,22 @@ def timed_step(root: str, argv: list[str]) -> dict:
                 "stdout": sha256(out.read()), "stderr": sha256(err.read())}
 
 
-def chain_run(root: str, d: int) -> tuple[list, str]:
-    """One run of the chain in a fresh directory: each step's record, and a
-    digest of every step's exit code and output and of every file."""
+# What the two sides of a --steps table are compared on, each on its own, so
+# that a table tells which of them moved.
+OUTPUTS = ("files", "exit_codes", "stdout", "stderr")
+
+
+def output_digests(records: list, files: dict) -> dict:
+    """One digest per OUTPUTS entry of a chain run: of every file's digest,
+    and of every step's exit code, stdout digest and stderr digest."""
+    parts = {"files": files, "exit_codes": [r["rc"] for r in records],
+             "stdout": [r["stdout"] for r in records], "stderr": [r["stderr"] for r in records]}
+    return {name: sha256(json.dumps(parts[name]).encode()) for name in OUTPUTS}
+
+
+def chain_run(root: str, d: int) -> tuple[list, dict]:
+    """One run of the chain in a fresh directory: each step's record, and
+    the digests of its outputs (:func:`output_digests`)."""
     steps, inputs = step_chain(d)
     work = tempfile.mkdtemp(prefix="bench-steps-")
     try:
@@ -247,18 +261,18 @@ def chain_run(root: str, d: int) -> tuple[list, str]:
         files = {name: file_sha256(os.path.join(work, name)) for name in sorted(os.listdir(work))}
     finally:
         shutil.rmtree(work)
-    outputs = [[r["rc"], r["stdout"], r["stderr"]] for r in records]
-    return records, sha256(json.dumps([outputs, files]).encode())
+    return records, output_digests(records, files)
 
 
 def run_steps(roots: dict, d: int, bytecode: str) -> dict:
     names = [name for name, _ in step_chain(d)[0]]
     table = {name: {side: {"wall_s": [], "rss_mb": []} for side in SIDES} for name in names}
-    outputs = set()
+    outputs = {name: set() for name in OUTPUTS}
     for i in range(STEP_RUNS):
         for side in side_order(i):
-            records, digest = chain_run(roots[side], d)
-            outputs.add(digest)
+            records, digests = chain_run(roots[side], d)
+            for name, digest in digests.items():
+                outputs[name].add(digest)
             for name, rec in zip(names, records):
                 table[name][side]["wall_s"].append(round(rec["seconds"], 4))
                 table[name][side]["rss_mb"].append(round(rec["rss_mb"], 2))
@@ -272,7 +286,7 @@ def run_steps(roots: dict, d: int, bytecode: str) -> dict:
                  "and wait4 ru_maxrss of each subprocess; rho is 1/d times the identity; the "
                  "family's fiducial is a seeded unit ket, so sic generate exits 1; the package "
                  f"ran {bytecode}."),
-        "same_outputs": len(outputs) == 1,
+        **{f"same_{name}": len(digests) == 1 for name, digests in outputs.items()},
         "steps": table,
     }
 
@@ -314,10 +328,11 @@ def main() -> int:
             print(f"{name:<10}" + "".join(
                 f"  {side} {c['median_wall_s']:7.2f} s {c['median_rss_mb']:7.1f} MB"
                 for side, c in cells.items()))
-        print(f"same outputs on both sides: {result['same_outputs']}")
+        same = [result[f"same_{name}"] for name in OUTPUTS]
+        print("same on both sides: " + ", ".join(f"{n} {s}" for n, s in zip(OUTPUTS, same)))
         if args.out:
             merge_into(args.out, {f"frame_steps_d{args.steps}": result})
-        return 0 if result["same_outputs"] else 1
+        return 0 if all(same) else 1
 
     with open(os.path.join(roots["parent"], "BENCHMARK.json")) as fh:
         spec = json.load(fh)
