@@ -3,8 +3,10 @@ import os
 import pathlib
 import subprocess
 import sys
+import tempfile
 import warnings
 from fractions import Fraction
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -597,18 +599,21 @@ def _outcome(read):
         return "ValueError"
 
 
-@given(text=json_documents(), chunk=st.integers(1, 64))
-@settings(max_examples=100, deadline=None)
-def test_bounded_reader_gives_what_json_loads_gives(text, chunk):
-    import tempfile
-    from unittest import mock
-
+def _both_readers(text: str, chunk: int) -> tuple:
+    """The outcomes of json.loads and of load_json at ``chunk`` characters
+    a chunk, on ``text`` written to a file; both with decode_operator."""
     with tempfile.TemporaryDirectory() as tmp:
         path = pathlib.Path(tmp) / "doc.json"
         path.write_text(text)
         want = _outcome(lambda: json.loads(path.read_text(), object_hook=linalg.decode_operator))
         with mock.patch.object(linalg, "_CHUNK", chunk):
-            got = _outcome(lambda: linalg.load_json(path, linalg.decode_operator))
+            return want, _outcome(lambda: linalg.load_json(path, linalg.decode_operator))
+
+
+@given(text=json_documents(), chunk=st.integers(1, 64))
+@settings(max_examples=100, deadline=None)
+def test_bounded_reader_gives_what_json_loads_gives(text, chunk):
+    want, got = _both_readers(text, chunk)
     assert got == want
 
 
@@ -619,17 +624,8 @@ def test_bounded_reader_rejects_what_json_loads_rejects(text, at, chunk, edit):
     """One character of a valid document deleted (``edit`` None) or inserted:
     load_json raises a ValueError exactly when json.loads does, and
     otherwise gives the same value."""
-    import tempfile
-    from unittest import mock
-
     at %= len(text) + 1
-    text = text[:at] + (edit or "") + text[at + (edit is None) :]
-    with tempfile.TemporaryDirectory() as tmp:
-        path = pathlib.Path(tmp) / "doc.json"
-        path.write_text(text)
-        want = _outcome(lambda: json.loads(path.read_text(), object_hook=linalg.decode_operator))
-        with mock.patch.object(linalg, "_CHUNK", chunk):
-            got = _outcome(lambda: linalg.load_json(path, linalg.decode_operator))
+    want, got = _both_readers(text[:at] + (edit or "") + text[at + (edit is None) :], chunk)
     assert got == want
 
 
