@@ -262,8 +262,9 @@ def _cmd_quasiprob(args) -> int:
         "points": [[m, j, q[(m, j)]] for (m, j) in geom.points],
         "lines": [[a, b, p[(a, b)]] for (a, b) in geom.lines],
     }
-    _write_json(args.out, obj)
     total = sum(p[ln] for ln in geom.lines)
+    linalg.require_finite(total)
+    _write_json(args.out, obj)
     print(f"wrote {len(q)} point values, {len(p)} line sums (total {_fmt(total)})")
     return 0
 

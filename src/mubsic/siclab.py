@@ -37,7 +37,7 @@ from .linalg import (
     third_moment,
 )
 from .plane import build_dapg, column_labels, incidence_sum, line_keys, point_keys
-from .weyl import MubFamily, WeylPair, build_weyl_pair, monomial, require_prime
+from .weyl import MubFamily, build_weyl_pair, monomial, require_prime
 
 
 def canonical_ket(vec) -> np.ndarray:
@@ -356,14 +356,8 @@ def qutrit_cyclic_family(p1: float) -> ProbabilityVector:
 
 
 def _canonical_cycle(p: np.ndarray) -> tuple:
-    d = len(p)
-    best = None
-    for q in (p, p[::-1]):
-        for s in range(d):
-            cand = tuple(np.roll(q, s))
-            if best is None or cand > best:
-                best = cand
-    return best
+    """The largest of p's cyclic shifts and their reflections, as a tuple."""
+    return max(tuple(np.roll(q, s)) for q in (p, p[::-1]) for s in range(len(p)))
 
 
 def solve_cyclic_probability(d: int, seed: int = 0, restarts: int = 64) -> CyclicSolutions:
@@ -414,8 +408,14 @@ def _cyclic_samples(d: int, seed: int, restarts: int) -> list:
     found: dict[tuple, tuple] = {}
     for _ in range(restarts):
         q = np.sqrt(rng.dirichlet(np.ones(d)))
-        # Far from the set a full step may raise max |r|; none is refused above 1e-12.
-        q, r = _gauss_newton(fun, jac, q, fun(q), 1e-12)
+        r = fun(q)
+        for _ in range(_GN_STEPS):
+            q_new = q - np.linalg.lstsq(jac(q), r, rcond=None)[0]
+            r_new = fun(q_new)
+            # Far from the set a full step may raise max |r|; none is refused above 1e-12.
+            if np.abs(r).max() <= 1e-12 and np.abs(r_new).max() >= np.abs(r).max():
+                break
+            q, r = q_new, r_new
         if np.abs(r).max() > 1e-12:
             continue
         p = np.where(q * q < 1e-14, 0.0, q * q)
@@ -495,16 +495,24 @@ def fiducial_from_mu_pom(taus: np.ndarray, mub: MubFamily) -> FiducialExtraction
 # --- overlap table -----------------------------------------------------------------
 
 
-def _monomial_stack(wp: WeylPair) -> np.ndarray:
-    """The d² − 1 nontrivial monomials XᵃZᵇ, (a, b) ≠ (0, 0), in row-major order."""
-    return np.stack([monomial(wp, a, b) for a, b in line_keys(wp.d)[1:]])
+def _orbit_tables(d: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The shift/clock orbit in closed form: index tables ahead[a, i] = i+a and
+    behind[a, i] = i−a (mod d), and phases w[b, j] = ω^{bj}, formed as
+    weyl.monomial forms its entries."""
+    omega = build_weyl_pair(d).omega
+    i = np.arange(d)
+    return (i + i[:, None]) % d, (i - i[:, None]) % d, omega ** ((i[:, None] * i) % d)
 
 
-def _overlaps(mons: np.ndarray, psi: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """The matvecs Mψ over the stack ``mons``, and the overlap table of ψ."""
-    m_psi = mons @ psi
-    flat = np.concatenate([[psi.conj() @ psi], m_psi @ psi.conj()])
-    return m_psi, flat.reshape(len(psi), len(psi))
+def _orbit(tables, psi: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The (d², d) rows XᵃZᵇψ over (a, b) in row-major order, one gather and
+    one product per entry, (XᵃZᵇψ)_i = w[b, i+a]·ψ_{i+a}; and the flat overlap
+    table of ψ, entry 0 ⟨ψ|ψ⟩."""
+    ahead, _, w = tables
+    m_psi = (w[:, ahead].swapaxes(0, 1) * psi[ahead][:, None]).reshape(-1, len(psi))
+    flat = m_psi @ psi.conj()
+    flat[0] = psi.conj() @ psi
+    return m_psi, flat
 
 
 def overlap_table(psi) -> np.ndarray:
@@ -514,7 +522,7 @@ def overlap_table(psi) -> np.ndarray:
     every (a, b) ≠ (0, 0); the phases of the same entries rebuild σ₀.
     """
     psi = np.asarray(psi, dtype=np.complex128)
-    return _overlaps(_monomial_stack(build_weyl_pair(len(psi))), psi)[1]
+    return _orbit(_orbit_tables(len(psi)), psi)[1].reshape(len(psi), len(psi))
 
 
 # --- phase reconstruction --------------------------------------------------------
@@ -590,7 +598,7 @@ def rank_one_conditions(fid: Fiducial) -> tuple[float, float]:
     return full, float(dev[1 : (d + 1) // 2].max())
 
 
-# --- least squares: Levenberg-Marquardt and minimum-norm Gauss-Newton ----------------
+# --- least squares: Levenberg-Marquardt -------------------------------------------
 
 # Damping of every least-squares restart: λ starts at _DAMPING_START, grows ×4
 # after a rejected step and shrinks ÷3 after an accepted one.  JᵀJ is singular
@@ -649,22 +657,8 @@ def least_squares(fun, x0, *, jac, max_nfev) -> LeastSquaresResult:
     return LeastSquaresResult(x=x, fun=f)
 
 
-# Steps allowed per call of _gauss_newton (cyclic restarts at d ≤ 31 take 5-19).
+# Steps per cyclic restart (5-19 at d ≤ 31) and evaluations per search polish.
 _GN_STEPS = 50
-
-
-def _gauss_newton(fun, jac, x, r, gate):
-    """Minimum-norm Gauss-Newton steps x ← x − lstsq(J(x), r) from x, where
-    r = fun(x).  Every step is taken while max |r| is above ``gate``; within
-    it, the first step that does not lower max |r| ends the loop and the
-    better point is kept.  Returns the last point and its residuals."""
-    for _ in range(_GN_STEPS):
-        x_new = x - np.linalg.lstsq(jac(x), r, rcond=None)[0]
-        r_new = fun(x_new)
-        if np.abs(r).max() <= gate and np.abs(r_new).max() >= np.abs(r).max():
-            break
-        x, r = x_new, r_new
-    return x, r
 
 
 # --- numerical search --------------------------------------------------------------
@@ -709,31 +703,31 @@ def search_fiducial(d: int, cfg: SearchConfig | None = None) -> SearchResult:
     monomials M, with the exact Jacobian in the 2d real coordinates of ψ.
     The restarts stop at the first ket with F = Σr² ≤ ``objective_tol``, which
     allows max |r_M| up to √F; the verifiers bound max |r_M| by DEFAULT_TOL,
-    so :func:`_gauss_newton` polishes an accepted ket above it until max |r_M|
-    stops falling, and only a ket within it counts as converged.  Budget
-    exhaustion is reported, not raised (``converged = False``).
+    so one more :func:`least_squares` call polishes an accepted ket above it,
+    and only a ket within it counts as converged.  Budget exhaustion is
+    reported, not raised (``converged = False``).
     """
     d = require_prime(d)
     cfg = cfg or SearchConfig()
-    mons = _monomial_stack(build_weyl_pair(d))
-    mons_conj = mons.conj()
+    tables = _orbit_tables(d)
+    behind, w_bar = tables[1], tables[2].conj()
     c = 1.0 / (d + 1)
 
     def split(x):
         return x[:d] + 1j * x[d:]
 
     def residuals(x):
-        table = _overlaps(mons, split(x))[1].reshape(-1)
-        nrm2 = float(table[0].real)
-        return (np.abs(table[1:]) ** 2) / nrm2**2 - c
+        table = _orbit(tables, split(x))[1]
+        return (np.abs(table[1:]) ** 2) / float(table[0].real) ** 2 - c
 
     def jac(x):
         psi = split(x)
-        m_psi, table = _overlaps(mons, psi)
-        nrm2 = float(table[0, 0].real)
-        md_psi = np.einsum("nij,i->nj", mons_conj, psi)
-        a = table.reshape(-1)[1:]
-        u = (a.conj()[:, None] * m_psi + a[:, None] * md_psi) / nrm2**2
+        m_psi, table = _orbit(tables, psi)
+        nrm2 = float(table[0].real)
+        # The rows M†ψ: ((XᵃZᵇ)†ψ)_i = w̄[b, i]·ψ_{i−a}.
+        md_psi = (w_bar * psi[behind][:, None]).reshape(-1, d)
+        a = table[1:]
+        u = (a.conj()[:, None] * m_psi[1:] + a[:, None] * md_psi[1:]) / nrm2**2
         u -= (2.0 * np.abs(a) ** 2 / nrm2**3)[:, None] * psi[None, :]
         return np.concatenate([2.0 * u.real, 2.0 * u.imag], axis=1)
 
@@ -750,8 +744,8 @@ def search_fiducial(d: int, cfg: SearchConfig | None = None) -> SearchResult:
     accepted = best_f <= cfg.objective_tol
     x, r = best_x, best_r
     if accepted and np.abs(r).max() > DEFAULT_TOL:
-        # Gate ∞: near the continuous d = 3 family an undamped step can overshoot.
-        x, r = _gauss_newton(residuals, jac, x, r, np.inf)
+        res = least_squares(residuals, x, jac=jac, max_nfev=_GN_STEPS)
+        x, r = res.x, res.fun
     fid = Fiducial(d=d, ket=canonical_ket(split(x)), source="searched")
     return SearchResult(
         fiducial=fid,

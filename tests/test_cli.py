@@ -379,6 +379,27 @@ def test_bridge_refuses_an_overflowing_line_frame(tmp_path, capsys):
     assert not lines.exists()
 
 
+def test_quasiprob_refuses_an_overflowing_total(tmp_path, capsys):
+    """On the point file of the test above, with ρ = I/3, each line sum is
+    finite (3.6e307) but their total, which must be 1, overflows.  The
+    command writes no file and ends with one error line (exit 2)."""
+    points, rho, quasi = tmp_path / "points.json", tmp_path / "rho.json", tmp_path / "quasi.json"
+    assert run(["frame", "from-mub", "--d", "3", "--out", str(points)]) == 0
+    obj = json.loads(points.read_text())
+    for op in obj["ops"]:
+        for i in range(3):
+            op["entries"][4 * i] = [8e307, 0.0]
+    points.write_text(json.dumps(obj))
+    rho.write_text(json.dumps({"dim": 3, "entries": [[1 / 3 if i % 4 == 0 else 0.0, 0.0] for i in range(9)]}))
+    capsys.readouterr()
+    argv = ["quasiprob", "--rho", str(rho), "--points", str(points), "--out", str(quasi)]
+    assert run(argv) == 2
+    assert capsys.readouterr() == (
+        "", "error: the result holds a value that is not finite (inf or NaN), so it is not written\n"
+    )
+    assert not quasi.exists()
+
+
 @pytest.mark.parametrize("argv", [["sic", "search", "--d", "1000003", "--restarts", "1"],
                                   ["frame", "from-hg", "--d", "1000003"]])
 def test_unallocatable_dimension_is_one_error_line(argv, monkeypatch, capsys):

@@ -132,13 +132,13 @@ PINS = {
     ),
     "sic search --d 5 --seed 7 --restarts 200 --out fiducial5.json": (
         0,
-        "32de576a33dc2043f366e0d7f47b7ba6de8aefd77edc7d15db3360af3159ed2d",
-        "51ce392aeae4a0540662579a9e7d515b273bb1f3f00722a5c95296d24abf0900",
+        "ea3d68b7c47d1cd1dfdf67793b2851822766a69babc31edd5d5d3847386e1a71",
+        "b741f1e432ab0faa1089de21bb3a51bd8072ea0a7869c3911113cc0c739acfdb",
     ),
     "sic generate --fiducial fiducial5.json --out family5.json": (
         0,
         "a0bb090fc01903765b5982f0d683195b35120157da253f95096153a54bff63de",
-        "7c1f66577a25a5ec8988785cf2a424d48391f06fc8d7beb89e1d8a7fe5a24cdc",
+        "43ac1583fdaa0241c736d8d86aad62aa788a71d45ebc4a5305100ad51019e54e",
     ),
     "sic verify --in family5.json": (
         0,
@@ -147,7 +147,7 @@ PINS = {
     ),
     "sic spectra --in family5.json --out spectra5.csv": (
         0,
-        "4ecfbd3d93cf4b0a7a71d82fd91ee779dea40a3729644b237fa941ebd1f23aea",
+        "5058cc42879f6d7eb275ed1db3f16ffc1319af9a6c6e0b0e389d32f930bc08ce",
         "9d49193d6de7b6c9683e273774a53bbbec0a3245281e0d8707947241c66fb589",
     ),
     "sic group --in spectra5.csv --tol 1e-4 --out groups5.json": (
@@ -157,13 +157,13 @@ PINS = {
     ),
     "sic search --d 7 --seed 3 --restarts 200 --out fiducial7.json": (
         0,
-        "ccc1ef7e435cb9f99781e31183dfa6fd0fb3fc20c15e4dc52d35116e172864d1",
-        "51bf418f105d6e739f652a754f62336ac341768bf9d7bbf5f731252fc7062440",
+        "a5a164f581a10c49d8479bcd4980482e6c70080a75b0662a58566c76cdaf38d7",
+        "0fa723678e3257ca69577252d05e24ed5e61b3f026a629107fba592a661e2919",
     ),
     "sic generate --fiducial fiducial7.json --out family7.json": (
         0,
         "53bbed301ab69d9e418d0ee3bf3146593486bcda181645b50e927ceead2b98db",
-        "b22f57f922c5b2c73da944d7625bf71576ec45cce1e97bd9bd3f9fd0767c6582",
+        "825da8c89c57df4c5db57c6f0546308b5c48ce5314b0e65bb5a69dcd1561da98",
     ),
     "sic verify --in family7.json": (
         0,
@@ -172,7 +172,7 @@ PINS = {
     ),
     "sic spectra --in family7.json --out spectra7.csv": (
         0,
-        "f062c255f938f3f7f570dd796faa3cca2982bdca99273b858662116fdf41c5e1",
+        "7b14460f4318500460c671c6e0c99b1bb2bdcf0a390fa2faa991f1f40723b6c4",
         "8fa993e1cbe283a9699fdf3e4a1aeb26e48b29d6a3c3ee2064d1361945095285",
     ),
     "sic group --in spectra7.csv --out groups7.json": (
