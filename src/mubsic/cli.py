@@ -16,7 +16,9 @@ import math
 import os
 import sys
 
-from . import frames, linalg, plane, siclab, weyl
+# Every call reads or writes through linalg.  Each handler imports the other
+# layers it calls, so that a call compiles and loads only those.
+from . import linalg
 
 
 def _fmt(x: float) -> str:
@@ -90,6 +92,8 @@ def _load(reader, path):
 
 
 def _cmd_mub_build(args) -> int:
+    from . import weyl
+
     fam = weyl.build_mub(args.d)
     dev = weyl.verify_mub(fam)
     _write_json(args.out, fam.to_json_dict())
@@ -98,11 +102,15 @@ def _cmd_mub_build(args) -> int:
 
 
 def _cmd_mub_verify(args) -> int:
+    from . import weyl
+
     dev = weyl.verify_mub(weyl.build_mub(args.d))
     return _verdict(f"d={args.d} deviation", dev, _tol(args))
 
 
 def _cmd_plane_build(args) -> int:
+    from . import plane
+
     if args.kind == "apg":
         geom = plane.build_apg(args.d)
         text = plane.export_apg(geom, args.export)
@@ -115,6 +123,8 @@ def _cmd_plane_build(args) -> int:
 
 
 def _cmd_plane_verify(args) -> int:
+    from . import plane
+
     if args.kind == "apg":
         report = plane.verify_apg(plane.build_apg(args.d))
     else:
@@ -126,6 +136,8 @@ def _cmd_plane_verify(args) -> int:
 
 
 def _cmd_frame_from_mub(args) -> int:
+    from . import frames, weyl
+
     pf = frames.point_frame_from_mub(weyl.build_mub(args.d))
     dev = frames.verify_point_table(pf)
     _write_json(args.out, frames.point_frame_layout(pf))
@@ -134,6 +146,8 @@ def _cmd_frame_from_mub(args) -> int:
 
 
 def _cmd_frame_from_hg(args) -> int:
+    from . import frames, weyl
+
     pf = frames.point_frame_from_hg(weyl.build_hg_basis(weyl.build_weyl_pair(args.d)))
     dev = frames.verify_point_table(pf)
     _write_json(args.out, frames.point_frame_layout(pf))
@@ -142,6 +156,8 @@ def _cmd_frame_from_hg(args) -> int:
 
 
 def _cmd_frame_bridge(args) -> int:
+    from . import frames, plane
+
     pf = _load(frames.point_frame_from_json_dict, args.points)
     lf = frames.line_ops_from_points(pf, plane.build_dapg(pf.d))
     _write_json(args.out, frames.line_frame_layout(lf))
@@ -150,6 +166,8 @@ def _cmd_frame_bridge(args) -> int:
 
 
 def _cmd_frame_verify(args) -> int:
+    from . import frames, plane
+
     tol = _tol(args)
     pf = _load(frames.point_frame_from_json_dict, args.points)
     # Both files are read before anything prints, so a bad one leaves no
@@ -172,17 +190,14 @@ def _cmd_frame_verify(args) -> int:
     return _verdict("max deviation", worst, tol)
 
 
-def _load_cli_fiducial(args) -> siclab.Fiducial:
-    if args.builtin is not None:
-        return {"qubit": siclab.qubit_fiducial, "qutrit": siclab.qutrit_fiducial}[
-            args.builtin
-        ]()
-    return _load(siclab.Fiducial.from_json_dict, args.fiducial)
-
-
 def _cmd_sic_generate(args) -> int:
+    from . import siclab
+
     tol = _tol(args)
-    fid = _load_cli_fiducial(args)
+    if args.builtin is not None:
+        fid = {"qubit": siclab.qubit_fiducial, "qutrit": siclab.qutrit_fiducial}[args.builtin]()
+    else:
+        fid = _load(siclab.Fiducial.from_json_dict, args.fiducial)
     fam = siclab.generate_hw_sic(fid)
     dev = siclab.verify_sic(fam)
     _write_json(args.out, fam.layout())
@@ -190,12 +205,16 @@ def _cmd_sic_generate(args) -> int:
 
 
 def _cmd_sic_verify(args) -> int:
+    from . import siclab
+
     fam = _load(siclab.SicFamily.from_json_dict, args.infile)
     dev = siclab.verify_sic(fam)
     return _verdict(f"d={fam.d} deviation", dev, _tol(args))
 
 
 def _cmd_sic_spectra(args) -> int:
+    from . import siclab
+
     fam = _load(siclab.SicFamily.from_json_dict, args.infile)
     table = siclab.spectra_table(siclab.extract_mu_pom(fam))
     _write_text(args.out, siclab.spectra_to_csv(table))
@@ -205,6 +224,8 @@ def _cmd_sic_spectra(args) -> int:
 
 
 def _cmd_sic_group(args) -> int:
+    from . import siclab
+
     tol = _read_tol(args.tol, "--tol")
     with open(args.infile) as fh:
         table = siclab.spectra_from_csv(fh.read())
@@ -220,6 +241,8 @@ def _cmd_sic_group(args) -> int:
 
 
 def _cmd_sic_solve_prob(args) -> int:
+    from . import siclab
+
     res = siclab.solve_cyclic_probability(args.d, seed=args.seed, restarts=args.restarts)
     for sol, resid in zip(res.solutions, res.residuals):
         vals = ", ".join(_fmt(x) for x in sol)
@@ -234,6 +257,8 @@ def _cmd_sic_solve_prob(args) -> int:
 
 
 def _cmd_sic_search(args) -> int:
+    from . import siclab
+
     cfg = siclab.SearchConfig(
         seed=args.seed,
         restarts=args.restarts,
@@ -252,6 +277,8 @@ def _cmd_sic_search(args) -> int:
 
 
 def _cmd_quasiprob(args) -> int:
+    from . import frames, plane
+
     rho = linalg.read_operator_json(args.rho)
     pf = _load(frames.point_frame_from_json_dict, args.points)
     q = frames.quasi_distribution(rho, pf)
@@ -345,10 +372,9 @@ def build_parser() -> argparse.ArgumentParser:
     leaf(sic, "solve-prob", "cyclic probability conditions", _cmd_sic_solve_prob, d_arg, seed_arg,
          ("--restarts", {"type": int, "default": 64}))
     leaf(sic, "search", "numerical fiducial search", _cmd_sic_search, d_arg, out_arg, seed_arg,
-         ("--restarts", {"type": int, "default": siclab.SearchConfig.restarts}),
-         ("--max-iters", {"type": int, "default": siclab.SearchConfig.max_iters}),
-         ("--tol", {"type": float, "default": siclab.SearchConfig.objective_tol,
-                    "help": "objective tolerance"}))
+         ("--restarts", {"type": int, "default": 24}),
+         ("--max-iters", {"type": int, "default": 1000}),
+         ("--tol", {"type": float, "default": 1e-14, "help": "objective tolerance"}))
 
     leaf(sub, "quasiprob", "quasi-probabilities of a state", _cmd_quasiprob,
          ("--rho", {"required": True, "help": "density operator JSON path"}), points_arg, bare_out)

@@ -292,6 +292,13 @@ def spectra_from_csv(text: str) -> np.ndarray:
 # --- cyclic probability conditions ---------------------------------------------
 
 
+def _shift_tables(d: int) -> tuple[np.ndarray, np.ndarray]:
+    """Index tables ahead[m, i] = i+m and behind[m, i] = i−m (mod d): the
+    gathers p[ahead[m]] and p[behind[m]] are np.roll(p, −m) and np.roll(p, m)."""
+    i = np.arange(d)
+    return (i + i[:, None]) % d, (i - i[:, None]) % d
+
+
 @dataclass(frozen=True)
 class ProbabilityVector:
     """Nonnegative entries summing to one (within 1e−12 slack)."""
@@ -312,7 +319,7 @@ class ProbabilityVector:
 
     def autocorrelation(self, m: int) -> float:
         p = np.asarray(self.entries)
-        return float(p @ np.roll(p, -m))
+        return float(p @ p[_shift_tables(len(p))[0][m % len(p)]])
 
 
 @dataclass
@@ -335,12 +342,15 @@ class CyclicSolutions:
 
 def cyclic_residuals(p, d: int) -> np.ndarray:
     """Autocorrelation and normalization residuals for a candidate vector."""
-    p = np.asarray(p, dtype=float)
+    return _cyclic_residuals(np.asarray(p, dtype=float), d, _shift_tables(len(p))[0])
+
+
+def _cyclic_residuals(p: np.ndarray, d: int, ahead: np.ndarray) -> np.ndarray:
     half = (d - 1) // 2 if d % 2 else d // 2
     res = [p.sum() - 1.0]
     for m in range(half + 1):
         target = 2.0 / (d + 1) if m == 0 else 1.0 / (d + 1)
-        res.append(float(p @ np.roll(p, -m)) - target)
+        res.append(float(p @ p[ahead[m]]) - target)
     return np.asarray(res)
 
 
@@ -355,9 +365,9 @@ def qutrit_cyclic_family(p1: float) -> ProbabilityVector:
     return ProbabilityVector(entries=(float(p0), float(p1), max(float(p2), 0.0)))
 
 
-def _canonical_cycle(p: np.ndarray) -> tuple:
+def _canonical_cycle(p: np.ndarray, behind: np.ndarray) -> tuple:
     """The largest of p's cyclic shifts and their reflections, as a tuple."""
-    return max(tuple(np.roll(q, s)) for q in (p, p[::-1]) for s in range(len(p)))
+    return max(tuple(row) for q in (p, p[::-1]) for row in q[behind])
 
 
 def solve_cyclic_probability(d: int, seed: int = 0, restarts: int = 64) -> CyclicSolutions:
@@ -391,17 +401,17 @@ def _cyclic_samples(d: int, seed: int, restarts: int) -> list:
     Dirichlet draw: the (d−1)/2 + 2 conditions leave a positive-dimensional
     solution set, onto which the least-norm step projects quadratically."""
     half = (d - 1) // 2
+    ahead, behind = _shift_tables(d)
 
     def fun(q):
-        return cyclic_residuals(q * q, d)
+        return _cyclic_residuals(q * q, d, ahead)
 
     def jac(q):
         # The conditions' Jacobian at p = q⊙q, times dp/dq = 2q.
         p = q * q
         out = np.empty((half + 2, d))
         out[0] = 1.0
-        for m in range(half + 1):
-            out[m + 1] = np.roll(p, -m) + np.roll(p, m)
+        out[1:] = p[ahead[: half + 1]] + p[behind[: half + 1]]
         return out * (2.0 * q)
 
     rng = np.random.default_rng(seed)
@@ -419,7 +429,7 @@ def _cyclic_samples(d: int, seed: int, restarts: int) -> list:
         if np.abs(r).max() > 1e-12:
             continue
         p = np.where(q * q < 1e-14, 0.0, q * q)
-        canon = _canonical_cycle(p / p.sum())
+        canon = _canonical_cycle(p / p.sum(), behind)
         found.setdefault(tuple(round(x, 8) for x in canon), tuple(float(x) for x in canon))
     return sorted(found.values(), reverse=True)
 
@@ -496,12 +506,11 @@ def fiducial_from_mu_pom(taus: np.ndarray, mub: MubFamily) -> FiducialExtraction
 
 
 def _orbit_tables(d: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """The shift/clock orbit in closed form: index tables ahead[a, i] = i+a and
-    behind[a, i] = i−a (mod d), and phases w[b, j] = ω^{bj}, formed as
-    weyl.monomial forms its entries."""
+    """The shift/clock orbit in closed form: the :func:`_shift_tables` and
+    phases w[b, j] = ω^{bj}, formed as weyl.monomial forms its entries."""
     omega = build_weyl_pair(d).omega
     i = np.arange(d)
-    return (i + i[:, None]) % d, (i - i[:, None]) % d, omega ** ((i[:, None] * i) % d)
+    return *_shift_tables(d), omega ** ((i[:, None] * i) % d)
 
 
 def _orbit(tables, psi: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

@@ -788,6 +788,15 @@ def test_parser_tree_is_pinned():
     assert tree == PARSER_TREE
 
 
+def test_search_defaults_are_the_search_config_defaults():
+    """The ``sic search`` leaf holds its defaults as literals, so that building
+    the parser loads no siclab; they must stay SearchConfig's own."""
+    leaf = dict(_leaves(build_parser()))["sic search"]
+    cfg = siclab.SearchConfig()
+    assert [leaf.get_default(dest) for dest in ("restarts", "max_iters", "tol")] == [
+        cfg.restarts, cfg.max_iters, cfg.objective_tol]
+
+
 def test_run_parses_with_one_tree_per_process(monkeypatch, capsys):
     """run() builds its argparse tree once, not per call; build_parser()
     still returns a fresh tree.  Rebinding build_parser, as a wrapper that

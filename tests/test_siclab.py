@@ -1,4 +1,5 @@
 import csv
+import hashlib
 import io
 import json
 
@@ -509,6 +510,46 @@ def test_cyclic_samples_every_prime(d, seed):
     again = solve_cyclic_probability(d, seed, restarts=8)
     assert [s.entries for s in again.solutions] == [s.entries for s in res.solutions]
     assert again.residuals == res.residuals
+
+
+def _roll_residuals(p, d):
+    """cyclic_residuals as np.roll wrote it: the oracle for the index gathers."""
+    half = (d - 1) // 2 if d % 2 else d // 2
+    res = [p.sum() - 1.0]
+    for m in range(half + 1):
+        target = 2.0 / (d + 1) if m == 0 else 1.0 / (d + 1)
+        res.append(float(p @ np.roll(p, -m)) - target)
+    return np.asarray(res)
+
+
+@pytest.mark.parametrize("d", PRIME_DIMS)
+def test_shift_gathers_match_np_roll_bit_for_bit(d):
+    """The cyclic shifts are index gathers that pick np.roll's values in its
+    order, so every residual, autocorrelation and canonical cycle keeps its
+    bits, ties among the entries included."""
+    rng = np.random.default_rng(d)
+    tied = np.resize([0.0, 2.0, 2.0, 1.0], d)
+    behind = siclab._shift_tables(d)[1]
+    for p in [rng.dirichlet(np.ones(d)) for _ in range(3)] + [tied / tied.sum()]:
+        assert np.array_equal(cyclic_residuals(p, d), _roll_residuals(p, d))
+        vec = ProbabilityVector(entries=tuple(p))
+        assert [vec.autocorrelation(m) for m in range(-d, 2 * d + 1)] == [
+            float(p @ np.roll(p, -m)) for m in range(-d, 2 * d + 1)]
+        orbit = (tuple(np.roll(q, s)) for q in (p, p[::-1]) for s in range(d))
+        assert siclab._canonical_cycle(p, behind) == max(orbit)
+
+
+def test_cyclic_solutions_keep_their_np_roll_bits():
+    """The SHA-256 of the solutions and residuals for every prime 5-31 at
+    seeds 0-2, as the solver gave them when it shifted with np.roll."""
+    digest = hashlib.sha256()
+    for d in PRIME_DIMS[2:]:
+        for seed in range(3):
+            res = solve_cyclic_probability(d, seed)
+            digest.update(np.array([s.entries for s in res.solutions]).tobytes())
+            digest.update(np.array(res.residuals).tobytes())
+    assert digest.hexdigest() == (
+        "90471621dae84c87926249576ef591bc7b44e1d6f4597508bd9cc0e2d2c0a6a4")
 
 
 def test_probability_vector_validation():

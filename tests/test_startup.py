@@ -1,6 +1,7 @@
 """No command loads scipy: the fiducial search's Levenberg-Marquardt solver
 and the cyclic probability solver run on numpy alone.  ``import mubsic``
-loads nothing at all: each public name lives only in its module.
+loads nothing at all: each public name lives only in its module, and each
+command loads only the modules of the layers it runs.
 
 The import checks run in fresh interpreters: within the suite, other tests
 have already imported the package and numpy, so an in-process check proves
@@ -86,6 +87,64 @@ def test_search_then_generate_leave_scipy_unloaded(tmp_path):
         "print(json.dumps([rcs, sorted(m for m in sys.modules if m.split('.')[0] == 'scipy')]))"
     )
     assert (rcs, loaded) == ([0, 0], [])
+
+
+MUBSIC_MODULES = "sorted(m for m in sys.modules if m.split('.')[0] == 'mubsic')"
+
+
+def test_layers_load_on_first_attribute_access():
+    """``import mubsic.cli`` loads linalg alone beside it, through which every
+    command reads and writes; the package loads any other layer when it is
+    first asked for it."""
+    seen = _fresh(
+        "import json, sys\n"
+        "import mubsic\n"
+        f"seen = [{MUBSIC_MODULES}]\n"
+        "try:\n"
+        "    mubsic.no_such_layer\n"
+        "except AttributeError as exc:\n"
+        "    seen.append(str(exc))\n"
+        "import mubsic.cli\n"
+        f"seen.append({MUBSIC_MODULES})\n"
+        "seen.append(mubsic.siclab.SearchConfig.__name__)\n"
+        "print(json.dumps(seen))"
+    )
+    assert seen == [
+        ["mubsic"],
+        "module 'mubsic' has no attribute 'no_such_layer'",
+        ["mubsic", "mubsic.cli", "mubsic.linalg"],
+        "SearchConfig",
+    ]
+
+
+@pytest.mark.parametrize(
+    "argvs, layers",
+    [
+        ([["mub", "verify", "--d", "5"]], ["weyl"]),
+        ([["plane", "verify", "--d", "5"]], ["plane", "weyl"]),
+        ([["frame", "from-mub", "--d", "3", "--out", "{w}/points.json"],
+          ["quasiprob", "--rho", "{w}/rho.json", "--points", "{w}/points.json",
+           "--out", "{w}/quasi.json"]], ["frames", "plane", "weyl"]),
+        ([["sic", "generate", "--builtin", "qutrit", "--out", "{w}/family.json"]],
+         ["plane", "siclab", "weyl"]),
+    ],
+    ids=["mub", "plane", "frame-quasiprob", "sic"],
+)
+def test_each_call_loads_only_the_layers_it_runs(tmp_path, argvs, layers):
+    """A call loads the layers its handler calls and none other: only ``sic``
+    calls load siclab, and they load no frames."""
+    mixed = [[1 / 3 if i == j else 0.0, 0.0] for i in range(3) for j in range(3)]
+    (tmp_path / "rho.json").write_text(json.dumps({"dim": 3, "entries": mixed}))
+    argvs = [[a.format(w=tmp_path) for a in argv] for argv in argvs]
+    rcs, loaded = _fresh(
+        "import json, sys\n"
+        "from mubsic import cli\n"
+        f"rcs = [cli.run(argv) for argv in {argvs!r}]\n"
+        f"print(json.dumps([rcs, {MUBSIC_MODULES}]))"
+    )
+    assert rcs == [0] * len(argvs)
+    assert loaded == sorted(["mubsic", "mubsic.cli", "mubsic.linalg"]
+                            + [f"mubsic.{m}" for m in layers])
 
 
 def test_unknown_attribute_raises():

@@ -19,11 +19,12 @@ the parent's BENCHMARK.json, each side's runs, median and quartiles (numpy
 linear percentiles), and the pairs the change won and lost by the metric's
 own direction.  Runs from byte-compiled checkouts go under ``compiled``.
 
-With ``--steps D`` the frame chain ``frame from-mub → bridge → verify --lines
-→ quasiprob``, then ``frame from-hg``, ``sic generate`` of a seeded unit ket,
-``sic verify`` of the family it writes, and the two solvers, ``sic
-solve-prob`` and ``sic search`` at seed 0, run at D as ``python -m mubsic``
-subprocesses, ``STEP_RUNS`` times per side, alternating.  Each step's median
+With ``--steps D`` ``mub verify`` and ``plane verify``, the frame chain
+``frame from-mub → bridge → verify --lines → quasiprob``, then ``frame
+from-hg``, ``sic generate`` of a seeded unit ket, ``sic verify`` of the family
+it writes, and the two solvers, ``sic solve-prob`` and ``sic search`` at seed
+0, run at D as ``python -m mubsic`` subprocesses, ``STEP_RUNS`` times per
+side, alternating.  Each step's median
 wall time and wait4 ``ru_maxrss`` is printed, and, each on its own, whether
 both sides wrote the same files, gave the same exit codes, and printed the same
 stdout and the same stderr (SHA-256 digests).
@@ -190,6 +191,8 @@ def step_chain(d: int) -> tuple[list, dict]:
         "fid.json": {"d": d, "ket": [[z.real / norm, z.imag / norm] for z in ket]},
     }
     steps = [
+        ("mub-verify", ["mub", "verify", "--d", str(d)]),
+        ("plane-verify", ["plane", "verify", "--d", str(d)]),
         ("from-mub", ["frame", "from-mub", "--d", str(d), "--out", "{w}/points.json"]),
         ("bridge", ["frame", "bridge", "--points", "{w}/points.json", "--out", "{w}/lines.json"]),
         ("verify", ["frame", "verify", "--points", "{w}/points.json",
@@ -325,7 +328,7 @@ def main() -> int:
     if args.steps is not None:
         result = run_steps(roots, args.steps, bytecode)
         for name, cells in result["steps"].items():
-            print(f"{name:<10}" + "".join(
+            print(f"{name:<12}" + "".join(
                 f"  {side} {c['median_wall_s']:7.2f} s {c['median_rss_mb']:7.1f} MB"
                 for side, c in cells.items()))
         same = [result[f"same_{name}"] for name in OUTPUTS]
