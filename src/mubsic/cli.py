@@ -16,8 +16,7 @@ import math
 import os
 import sys
 
-# Every call reads or writes through linalg.  Each handler imports the other
-# layers it calls, so that a call compiles and loads only those.
+# Every call runs linalg; each handler imports the other layers it runs.
 from . import linalg
 
 

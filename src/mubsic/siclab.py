@@ -342,7 +342,10 @@ class CyclicSolutions:
 
 def cyclic_residuals(p, d: int) -> np.ndarray:
     """Autocorrelation and normalization residuals for a candidate vector."""
-    return _cyclic_residuals(np.asarray(p, dtype=float), d, _shift_tables(len(p))[0])
+    p = np.asarray(p, dtype=float)
+    if p.shape != (d,):
+        raise ValueError(f"expected a vector of {d} entries, got shape {p.shape}")
+    return _cyclic_residuals(p, d, _shift_tables(d)[0])
 
 
 def _cyclic_residuals(p: np.ndarray, d: int, ahead: np.ndarray) -> np.ndarray:

@@ -537,6 +537,9 @@ def test_shift_gathers_match_np_roll_bit_for_bit(d):
             float(p @ np.roll(p, -m)) for m in range(-d, 2 * d + 1)]
         orbit = (tuple(np.roll(q, s)) for q in (p, p[::-1]) for s in range(d))
         assert siclab._canonical_cycle(p, behind) == max(orbit)
+    for wrong in (p[:-1], np.append(p, 0.0), p.reshape(1, d)):
+        with pytest.raises(ValueError, match=f"expected a vector of {d} entries"):
+            cyclic_residuals(wrong, d)
 
 
 def test_cyclic_solutions_keep_their_np_roll_bits():
