@@ -11,7 +11,6 @@ finite nonnegative number.  All subcommands are deterministic: the same argv
 from __future__ import annotations
 
 import argparse
-import contextlib
 import math
 import os
 import sys
@@ -51,20 +50,12 @@ def _verdict(prefix: str, dev: float, tol: float) -> int:
     return 0 if ok else 1
 
 
-def _output(path):
-    """The file an artifact goes to: ``path``, or stdout when it is None."""
-    return contextlib.nullcontext(sys.stdout) if path is None else open(path, "w")
-
-
 def _write_text(path, text: str) -> None:
-    with _output(path) as fh:
+    with linalg.output(path) as fh:
         fh.write(text)
 
 
-def _write_json(path, obj: dict) -> None:
-    linalg.require_finite(obj)
-    with _output(path) as fh:
-        linalg.dump_json(obj, fh)
+_write_json = linalg.write_json
 
 
 def _read_json(path, object_hook=linalg.decode_operator) -> dict:

@@ -29,12 +29,12 @@ import numpy as np
 from .linalg import (
     DEFAULT_TOL,
     gram_deviation,
-    header_int,
     hermitian_stack,
     hs_inner,
     json_value,
     label_table,
     ops_from_json,
+    read_header,
     read_only,
 )
 from .plane import Dapg, column_labels, incidence_sum, line_keys, point_keys
@@ -232,6 +232,7 @@ def quasi_distribution(rho: np.ndarray, points: PointFrame) -> dict:
     matrix ρ.
 
     Columns each sum to 1; entries may be negative unless the τ are positive.
+    A value past float64 reads inf or NaN, without a floating-point warning.
     """
     if len(rho) != points.d:
         raise ValueError(f"dimension mismatch: ρ is {len(rho)}, frame is {points.d}")
@@ -241,7 +242,8 @@ def quasi_distribution(rho: np.ndarray, points: PointFrame) -> dict:
     taus = trace_one(points.ops, points.d)
     # The matmul trace, not hs_inner or an einsum: these values are written to
     # quasi.json, whose bytes a reordered sum would change in the last bits.
-    values = np.trace(taus @ rho, axis1=1, axis2=2).real
+    with np.errstate(over="ignore", invalid="ignore"):
+        values = np.trace(taus @ rho, axis1=1, axis2=2).real
     return dict(zip(point_keys(points.d), values.tolist()))
 
 
@@ -280,15 +282,12 @@ def line_frame_to_json_dict(frame: LineFrame) -> dict:
 
 def _frame_from_json(obj: dict, strength: str, keys_of) -> tuple[int, float, np.ndarray]:
     """(d, strength, ops) of a point- or line-frame object."""
-    try:
-        d = header_int(obj, "d")
-        value = obj[strength]
-        raw = obj["ops"]
+    def number(d, value, raw):
         if isinstance(value, bool) or not isinstance(value, (int, float)):
             raise TypeError(f"{strength} must be a number, got {value!r}")
-        value = float(value)
-    except (KeyError, TypeError, OverflowError) as exc:
-        raise ValueError(f"malformed frame object: {exc}") from exc
+        return d, float(value), raw
+
+    d, value, raw = read_header(obj, "frame", "d", strength, "ops", then=number)
     if not np.isfinite(value):
         raise ValueError(f"frame {strength} must be finite, got {value!r}")
     # Both layouts hold at least d² ops; checked before d is tested for

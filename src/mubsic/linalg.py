@@ -13,10 +13,12 @@ Every Gram-table check of the paper's identities goes through
 
 from __future__ import annotations
 
+import contextlib
 import itertools
 import json
 import math
 import re
+import sys
 from json.decoder import WHITESPACE as _WHITESPACE
 
 import numpy as np
@@ -64,8 +66,7 @@ class HermitianOp:
         (m + m†)/2.
 
         Raises ValueError unless ``entries`` is a finite square matrix whose
-        m − m† has no entry above HERMITICITY_ATOL in modulus and whose
-        m + m† is finite.
+        m − m† has no entry above HERMITICITY_ATOL in modulus.
         """
         mat = np.array(entries, dtype=np.complex128)
         if mat.ndim != 2 or mat.shape[0] != mat.shape[1] or mat.shape[0] < 1:
@@ -78,9 +79,14 @@ class HermitianOp:
         if asym > HERMITICITY_ATOL:
             raise ValueError(f"matrix is not Hermitian: max |m - m†| = {asym:.3e}")
         # As floats: numpy's first complex isfinite adds 0.3 MB to peak RSS.
-        if not np.isfinite(twice.view(np.float64)).all():
-            raise ValueError("matrix entries overflow when symmetrized: m + m† is not finite")
-        return read_only(twice / 2.0)
+        parts = twice.view(np.float64)
+        if np.isfinite(parts).all():
+            return read_only(twice / 2.0)
+        # A part past float64 equals its mirror (parts within HERMITICITY_ATOL
+        # that differ lie below 2¹⁴), so it is its own mean, m's.  Halved as a
+        # complex, its entry's other part may read NaN, so parts halve as floats.
+        mean = np.where(np.isfinite(parts), parts / 2.0, mat.view(np.float64))
+        return read_only(mean.view(np.complex128))
 
 
 def read_only(arr: np.ndarray) -> np.ndarray:
@@ -115,15 +121,16 @@ def hermitian_eigensystem(mats: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     eigenvector columns of a Hermitian matrix, or of each matrix of a
     ``(..., d, d)`` stack in one call.
 
-    Raises ValueError if a reconstruction residual ‖h − VΛV†‖_max exceeds
-    EIG_RESIDUAL_ATOL, which signals an eigensolver failure.
+    Raises ValueError unless each reconstruction residual ‖h − VΛV†‖_max is
+    at most EIG_RESIDUAL_ATOL: a larger or a NaN one signals a solver failure.
     """
     w, v = np.linalg.eigh(mats)
     w = w[..., ::-1]
     v = v[..., ::-1]
-    recon = (v * w[..., None, :]) @ v.conj().swapaxes(-1, -2)
-    residual = float(np.abs(mats - recon).max())
-    if residual > EIG_RESIDUAL_ATOL:
+    with np.errstate(over="ignore", invalid="ignore"):
+        recon = (v * w[..., None, :]) @ v.conj().swapaxes(-1, -2)
+        residual = float(np.abs(mats - recon).max())
+    if not residual <= EIG_RESIDUAL_ATOL:
         raise ValueError(f"eigendecomposition failed: residual {residual:.3e}")
     return read_only(w), v
 
@@ -274,6 +281,18 @@ def header_int(obj: dict, key: str) -> int:
     return value
 
 
+def read_header(obj: dict, what: str, size: str, *names, then=None) -> tuple:
+    """Every artifact reader's header rule: ``obj[size]`` as a JSON integer,
+    then ``obj[name]`` for each of ``names``, or what ``then`` makes of them.
+    A missing member, an ``obj`` that is not an object, or a TypeError or
+    OverflowError of ``then`` is a ValueError ``malformed <what> object: …``."""
+    try:
+        values = (header_int(obj, size), *(obj[name] for name in names))
+        return values if then is None else then(*values)
+    except (KeyError, TypeError, OverflowError) as exc:
+        raise ValueError(f"malformed {what} object: {exc}") from exc
+
+
 def matrix_to_json_dict(mat: np.ndarray) -> dict:
     """The operator object of a square matrix."""
     d = mat.shape[0]
@@ -281,11 +300,7 @@ def matrix_to_json_dict(mat: np.ndarray) -> dict:
 
 
 def matrix_from_json_dict(obj: dict) -> np.ndarray:
-    try:
-        d = header_int(obj, "dim")
-        entries = obj["entries"]
-    except (KeyError, TypeError) as exc:
-        raise ValueError(f"malformed operator object: {exc}") from exc
+    d, entries = read_header(obj, "operator", "dim", "entries")
     if d < 1:
         raise ValueError(f"operator dim must be positive, got {d}")
     return complex_from_json(entries, (d * d,), "operator entries").reshape(d, d)
@@ -365,7 +380,7 @@ def dump_json(obj: dict, fh) -> None:
     building it, for a dict with string keys, as every artifact is: each
     member, or each item of a member that is a list or a stack, goes through
     the C encoder on its own.  A stack's rows are encoded here, one operator
-    object each, as the writer reaches them.  Every JSON artifact is written here."""
+    object each, as the writer reaches them."""
     fh.write("{")
     for i, (key, value) in enumerate(obj.items()):
         fh.write(f"{', ' if i else ''}{json.dumps(key)}: ")
@@ -377,6 +392,19 @@ def dump_json(obj: dict, fh) -> None:
         else:
             fh.write(json.dumps(value))
     fh.write("}\n")
+
+
+def output(path):
+    """The file an artifact goes to: ``path``, or stdout when it is None."""
+    return contextlib.nullcontext(sys.stdout) if path is None else open(path, "w")
+
+
+def write_json(path, obj: dict) -> None:
+    """Every JSON artifact is written here: :func:`dump_json` of ``obj``, once
+    :func:`require_finite` has passed it, so that a refused one leaves no file."""
+    require_finite(obj)
+    with output(path) as fh:
+        dump_json(obj, fh)
 
 
 def parse_json(text: str):
@@ -529,8 +557,7 @@ def _rows_stack(rows: bytearray, n: int, like: tuple) -> np.ndarray:
 
 
 def write_operator_json(path, op: np.ndarray) -> None:
-    with open(path, "w") as fh:
-        dump_json(matrix_to_json_dict(op), fh)
+    write_json(path, matrix_to_json_dict(op))
 
 
 def read_operator_json(path) -> np.ndarray:

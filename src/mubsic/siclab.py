@@ -22,19 +22,19 @@ from .linalg import (
     HermitianOp,
     complex_from_json,
     complex_to_json,
-    dump_json,
     gram_deviation,
-    header_int,
     hermitian_eigensystem,
     hermitian_stack,
     json_value,
     label_table,
     load_json,
     ops_from_json,
+    read_header,
     read_only,
     require_finite,
     spectrum_rank,
     third_moment,
+    write_json,
 )
 from .plane import build_dapg, column_labels, incidence_sum, line_keys, point_keys
 from .weyl import MubFamily, build_weyl_pair, monomial, require_prime
@@ -81,11 +81,7 @@ class Fiducial:
     def from_json_dict(cls, obj: dict) -> "Fiducial":
         """Parse and renormalize a stored ket, which may be off unit norm by up
         to 1e−6; anything worse, or a malformed or zero ket, is a ValueError."""
-        try:
-            d = header_int(obj, "d")
-            raw = obj["ket"]
-        except (KeyError, TypeError) as exc:
-            raise ValueError(f"malformed fiducial object: {exc}") from exc
+        d, raw = read_header(obj, "fiducial", "d", "ket")
         vec = complex_from_json(raw, (d,), "ket")
         norm = float(np.linalg.norm(vec))
         if abs(norm - 1.0) > 1e-6:
@@ -131,12 +127,7 @@ class SicFamily:
 
     @classmethod
     def from_json_dict(cls, obj: dict) -> "SicFamily":
-        try:
-            d = header_int(obj, "d")
-            raw_ket = obj["fiducial"]
-            raw_ops = obj["ops"]
-        except (KeyError, TypeError) as exc:
-            raise ValueError(f"malformed family object: {exc}") from exc
+        d, raw_ket, raw_ops = read_header(obj, "family", "d", "fiducial", "ops")
         # The ket's length bounds d before d is tested for primality and d²
         # keys are built.
         fid = Fiducial.from_json_dict({"d": d, "ket": raw_ket})
@@ -212,8 +203,9 @@ def assert_column_constant(table: np.ndarray) -> np.ndarray:
     max − min over the members' i-th eigenvalues, which is the largest
     entrywise gap between two members (rounding is monotone, so
     fl(max − min) is the largest fl(x − y)).  Columns are constant when
-    every spread is within tolerance."""
-    return (table.max(axis=1) - table.min(axis=1)).max(axis=1)
+    every spread is within tolerance; one past float64 reads inf."""
+    with np.errstate(over="ignore"):
+        return (table.max(axis=1) - table.min(axis=1)).max(axis=1)
 
 
 def group_columns_by_spectrum(table: np.ndarray, tol: float = 1e-6) -> dict:
@@ -224,10 +216,11 @@ def group_columns_by_spectrum(table: np.ndarray, tol: float = 1e-6) -> dict:
     Each column is represented by the mean of its members' spectra (callers
     should have checked column-constancy first), and each group by the mean
     of its columns'.  Groups list their columns in increasing order and are
-    ordered by their smallest column.
+    ordered by their smallest column.  A mean past float64 reads ±inf.
     """
-    reps = table.mean(axis=1)
-    close = np.abs(reps[:, None] - reps).max(axis=2) <= tol
+    with np.errstate(over="ignore", invalid="ignore"):
+        reps = table.mean(axis=1)
+        close = np.abs(reps[:, None] - reps).max(axis=2) <= tol
     groups: list[list[int]] = []
     for j in range(len(reps)):
         linked = [g for g in groups if close[j, g].any()]
@@ -777,7 +770,4 @@ def ingest_fiducial(path, d: int) -> Fiducial:
 
 
 def write_fiducial_json(path, fid: Fiducial) -> None:
-    obj = fid.to_json_dict()
-    require_finite(obj)
-    with open(path, "w") as fh:
-        dump_json(obj, fh)
+    write_json(path, fid.to_json_dict())

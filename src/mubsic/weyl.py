@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg import complex_from_json, complex_to_json, header_int, label_table, read_only
+from .linalg import complex_from_json, complex_to_json, label_table, read_header, read_only
 
 
 def is_prime(n: int) -> bool:
@@ -106,12 +106,8 @@ class MubFamily:
 
     @classmethod
     def from_json_dict(cls, obj: dict) -> "MubFamily":
-        try:
-            d = header_int(obj, "d")
-            raw = obj["bases"]
-            n_bases = len(raw)
-        except (KeyError, TypeError) as exc:
-            raise ValueError(f"malformed basis-family object: {exc}") from exc
+        d, raw, n_bases = read_header(obj, "basis-family", "d", "bases",
+                                      then=lambda d, raw: (d, raw, len(raw)))
         bases = complex_from_json(raw, (n_bases, d, d), "bases")
         return cls(d=d, bases=read_only(bases))
 

@@ -8,6 +8,7 @@ sorted descending), and matching is performed up to relabeling of the column
 groups (a searched fiducial may sit at a different orbit representative).
 """
 
+import functools
 from fractions import Fraction
 
 import numpy as np
@@ -163,3 +164,76 @@ def exact_hs(a: np.ndarray, b: np.ndarray) -> Fraction:
             terms.append((sign * n * m, p.bit_length() + q.bit_length() - 2))
     k = max(e for _, e in terms)
     return Fraction(sum(n << (k - e) for n, e in terms), 1 << k)
+
+
+# --- the rank-one tests' rounding --------------------------------------------------
+
+U = Fraction(1, 2**53)
+
+
+def gamma(n: int) -> Fraction:
+    """γ_n = n·u/(1 − n·u), Higham's bound on n roundings."""
+    return n * U / (1 - n * U)
+
+
+@functools.lru_cache(maxsize=None)
+def phase_error(d: int) -> Fraction:
+    """An upper bound on max |w[b, j] − ω^{bj}| over the phase table that
+    ``siclab.overlap_table`` gathers from, against 40-digit mpmath."""
+    import mpmath
+
+    from mubsic import siclab
+
+    w = siclab._orbit_tables(d)[2]
+    with mpmath.workdps(40):
+        err = max(abs(mpmath.mpc(z.real, z.imag) - mpmath.expjpi(mpmath.mpf(2 * (b * j % d)) / d))
+                  for (b, j), z in np.ndenumerate(w))
+    return Fraction(float(err)) * (1 + Fraction(1, 2**40))
+
+
+# The largest ‖ψ‖² that rank_one_slack takes: a float64-normalized ket's.
+NORM_HI = 1 + Fraction(1, 2**40)
+
+
+def rank_one_slack(ket: np.ndarray, eps_w: Fraction) -> Fraction:
+    """ε with full ≤ d·reduced + ε for ``siclab.rank_one_conditions`` of the
+    float ket ψ, given the phase table's error ``eps_w`` (:func:`phase_error`).
+
+    Exact (a, b) ≠ (0, 0) entries: A[a, b] = ⟨ψ|XᵃZᵇ|ψ⟩ and D = |A|² − 1/(d+1),
+    with N = ‖ψ‖² and R(a) = Σᵢ pᵢpᵢ₊ₐ for pᵢ = |ψᵢ|².
+    - Row a ≠ 0 of |A|² averages to R(a) (Parseval over b), so
+      |R(a) − 1/(d+1)| ≤ maxᵦ |D[a, b]|.
+    - Row 0 is R's transform, and Σₐ R(a) = N², so for b ≠ 0
+      D[0, b] = −Σ_{a≠0} (R(a) − 1/(d+1))(1 − cos 2πab/d) + N² − 1.  Since
+      Σ_{a≠0} (1 − cos 2πab/d) = d, |D[0, b]| ≤ d·max_{a≠0} |D| + |N² − 1|.
+    - |A[−a, b]| = |A[a, −b]|, so max_{a≠0} |D| is the reduced maximum.
+    So full ≤ d·reduced exactly for a unit ψ.  In float64 every computed
+    entry is within δ of D, which gives full ≤ d·reduced + (d+1)·δ + |N² − 1|.
+
+    δ: each entry is Σᵢ xᵢ·conj(ψᵢ) with xᵢ = fl(w·ψᵢ₊ₐ), the phase w off
+    ω^{bj} by at most eps_w.  A complex product errs by at most √2·γ₂ of
+    |w||ψᵢ₊ₐ| (Higham, Lemma 3.5).  The real and the imaginary part of the
+    sum are each a sum of 2d rounded real products, so in any order each
+    errs by at most γ_{2d} of its terms' moduli, and the two together by at
+    most 2γ_{2d}·Σᵢ |xᵢ||ψᵢ|.  With Σᵢ |ψᵢ₊ₐ||ψᵢ| ≤ N, |Â − A| ≤ E =
+    (eps_w + √2γ₂ + 2γ_{2d})(1 + eps_w)(1 + √2γ₂)·N, and |A| ≤ N.  Then |Â|
+    rounds once in hypot (at most 1 ulp, 2u) and its square once (u):
+    τ = (1+2u)²(1+u) − 1.  1/(d+1) rounds once (u/(d+1)) and the difference
+    once (u times at most (N+E)²(1+τ) + 1).  √2 is taken as 3/2, from above.
+    δ grows with N, so it is taken at N = NORM_HI, once per d.
+    """
+    ratios = [x.as_integer_ratio() for x in np.asarray(ket, dtype=np.complex128).view(np.float64).tolist()]
+    q = max(den for _, den in ratios)
+    n = Fraction(sum((num * (q // den)) ** 2 for num, den in ratios), q * q)
+    assert n <= NORM_HI
+    return _rounding(len(ket), eps_w) + abs(n * n - 1)
+
+
+@functools.lru_cache(maxsize=None)
+def _rounding(d: int, eps_w: Fraction) -> Fraction:
+    """(d+1)·δ of :func:`rank_one_slack`, at N = NORM_HI."""
+    n, r2 = NORM_HI, Fraction(3, 2)
+    e = (eps_w + r2 * gamma(2) + 2 * gamma(2 * d)) * (1 + eps_w) * (1 + r2 * gamma(2)) * n
+    tau = (1 + 2 * U) ** 2 * (1 + U) - 1
+    delta = (2 * n + e) * e + (n + e) ** 2 * tau + U / (d + 1) + U * ((n + e) ** 2 * (1 + tau) + 1)
+    return (d + 1) * delta

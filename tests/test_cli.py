@@ -108,9 +108,9 @@ def test_flag_tolerance_beats_env(tmp_path, monkeypatch):
     assert run(["frame", "verify", "--points", str(points), "--tol", "1e-6"]) == 0
 
 
-# A finite diagonal entry of 1.5e308 overflows (m + m†)/2 and is rejected on
-# input; one of 8e307 is admitted, and its Gram overflows to an inf deviation.
-@pytest.mark.parametrize("entry, code", [(1.5e308, 2), (8e307, 1)])
+# A finite diagonal entry of 1.5e308 or 8e307 is admitted (a part of m + m†
+# past float64 is its own mean), and its Gram overflows to an inf deviation.
+@pytest.mark.parametrize("entry, code", [(1.5e308, 1), (8e307, 1)])
 @pytest.mark.parametrize("argv", [["frame", "from-mub", "--d", "3"],
                                   ["sic", "generate", "--builtin", "qutrit"]])
 def test_huge_operator_entry_fails_verify(argv, entry, code, tmp_path, capsys):
@@ -123,11 +123,7 @@ def test_huge_operator_entry_fails_verify(argv, entry, code, tmp_path, capsys):
     verify = ["frame", "verify", "--points"] if argv[0] == "frame" else ["sic", "verify", "--in"]
     assert run(verify + [str(path)]) == code
     out, err = capsys.readouterr()
-    if code == 2:
-        assert out == "" and err == "error: matrix entries overflow when symmetrized: " \
-            "m + m† is not finite\n"
-    else:
-        assert err == "" and "deviation inf" in out and "fail at" in out
+    assert err == "" and "deviation inf" in out and "fail at" in out
 
 
 def test_sic_generate_verify_cycle(tmp_path, capsys):
@@ -357,6 +353,78 @@ def test_read_error_lines_come_from_the_whole_file(case, chunk, tmp_path, monkey
     assert not (tmp_path / "out.json").exists()
 
 
+KET3 = [[0.6, 0.0], [0.8, 0.0], [0.0, 0.0]]
+# Each artifact reader's error line for a malformed object, as the header
+# rule words it (and the line the member checks after it give).
+HEADER_ERRORS = {
+    "operator": (linalg.matrix_from_json_dict, [
+        ([], "malformed operator object: list indices must be integers or slices, not str"),
+        ("x", "malformed operator object: string indices must be integers, not 'str'"),
+        (None, "malformed operator object: 'NoneType' object is not subscriptable"),
+        ({}, "malformed operator object: 'dim'"),
+        ({"dim": 3}, "malformed operator object: 'entries'"),
+        ({"dim": "3", "entries": []}, "dim must be an integer, got '3'"),
+        ({"dim": True, "entries": []}, "dim must be an integer, got True"),
+        ({"dim": 0, "entries": []}, "operator dim must be positive, got 0"),
+        ({"dim": 2, "entries": 5}, "operator entries must be [re, im] number pairs nested to shape (4,)"),
+    ]),
+    "fiducial": (siclab.Fiducial.from_json_dict, [
+        ({"d": 3}, "malformed fiducial object: 'ket'"),
+        ([1, 2], "malformed fiducial object: list indices must be integers or slices, not str"),
+        ({"ket": KET3}, "malformed fiducial object: 'd'"),
+        ({"d": 3.0, "ket": KET3}, "d must be an integer, got 3.0"),
+        ({"d": 3, "ket": 5}, "ket must be [re, im] number pairs nested to shape (3,)"),
+    ]),
+    "family": (siclab.SicFamily.from_json_dict, [
+        ({"d": 3}, "malformed family object: 'fiducial'"),
+        ({"d": 3, "fiducial": KET3}, "malformed family object: 'ops'"),
+        ({"fiducial": KET3, "ops": []}, "malformed family object: 'd'"),
+        (5, "malformed family object: 'int' object is not subscriptable"),
+        ({"d": None}, "d must be an integer, got None"),
+    ]),
+    "point-frame": (frames.point_frame_from_json_dict, [
+        ({"d": 3}, "malformed frame object: 'beta'"),
+        ({"d": 3, "beta": "x"}, "malformed frame object: 'ops'"),
+        ({"d": 3, "beta": "x", "ops": []}, "malformed frame object: beta must be a number, got 'x'"),
+        ({"d": 3, "beta": 10**400, "ops": []}, "malformed frame object: int too large to convert to float"),
+        ({"d": 3, "beta": True, "ops": []}, "malformed frame object: beta must be a number, got True"),
+        ({"beta": 1.0, "ops": []}, "malformed frame object: 'd'"),
+        ({"d": 3, "beta": 1.0, "ops": 5}, "frame object with d = 3 needs a list of at least 9 ops"),
+    ]),
+    "line-frame": (frames.line_frame_from_json_dict, [
+        ({"d": 3, "beta": 1.0, "ops": []}, "malformed frame object: 'alpha'"),
+        ({"d": 3, "alpha": None, "ops": []}, "malformed frame object: alpha must be a number, got None"),
+    ]),
+    "basis-family": (weyl.MubFamily.from_json_dict, [
+        ({"d": 3, "bases": 5}, "malformed basis-family object: object of type 'int' has no len()"),
+        ({"d": 3}, "malformed basis-family object: 'bases'"),
+        ({"bases": []}, "malformed basis-family object: 'd'"),
+        ([], "malformed basis-family object: list indices must be integers or slices, not str"),
+        ({"d": 3, "bases": None}, "malformed basis-family object: object of type 'NoneType' has no len()"),
+        ({"d": 3, "bases": "ab"}, "bases must be [re, im] number pairs nested to shape (2, 3, 3)"),
+    ]),
+}
+
+
+@pytest.mark.parametrize("reader", sorted(HEADER_ERRORS))
+def test_reader_header_error_lines(reader):
+    read, cases = HEADER_ERRORS[reader]
+    for obj, line in cases:
+        with pytest.raises(ValueError) as exc:
+            read(obj)
+        assert str(exc.value) == line
+
+
+def test_header_error_lines_through_the_cli(tmp_path, capsys):
+    fid, rho = tmp_path / "fid.json", tmp_path / "rho.json"
+    fid.write_text('{"d": 3}')
+    rho.write_text('{"dim": 3}')
+    assert run(["sic", "generate", "--fiducial", str(fid)]) == 2
+    assert run(["quasiprob", "--rho", str(rho), "--points", str(fid)]) == 2
+    assert capsys.readouterr() == ("", "error: malformed fiducial object: 'ket'\n"
+                                       "error: malformed operator object: 'entries'\n")
+
+
 def test_bridge_refuses_an_overflowing_line_frame(tmp_path, capsys):
     """A d = 3 point file with diagonal entries 8e307 is admitted, but each
     line operator sums four of them past float64.  The bridge writes no
@@ -377,6 +445,30 @@ def test_bridge_refuses_an_overflowing_line_frame(tmp_path, capsys):
         "", "error: the result holds a value that is not finite (inf or NaN), so it is not written\n"
     )
     assert not lines.exists()
+
+
+def test_bridge_writes_a_line_frame_its_reader_takes(tmp_path, capsys):
+    """A d = 3 point file with diagonal entries 3e307 is admitted, and so is
+    the line frame the bridge writes from it, whose diagonal entries are
+    1.2e308: each part of m + m† past float64 is its own mean.  So `frame
+    verify` reads both files and fails on the overflowed Gram (exit 1), where
+    it used to refuse the line file (exit 2)."""
+    points, lines = tmp_path / "points.json", tmp_path / "lines.json"
+    assert run(["frame", "from-mub", "--d", "3", "--out", str(points)]) == 0
+    obj = json.loads(points.read_text())
+    for op in obj["ops"]:
+        for i in range(3):
+            op["entries"][4 * i] = [3e307, 0.0]
+    points.write_text(json.dumps(obj))
+    capsys.readouterr()
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert run(["frame", "bridge", "--points", str(points), "--out", str(lines)]) == 0
+        assert capsys.readouterr() == ("line frame d=3 alpha=24\n", "")
+        assert [op["entries"][0] for op in json.loads(lines.read_text())["ops"]] == [[1.2e308, 0.0]] * 9
+        assert run(["frame", "verify", "--points", str(points), "--lines", str(lines)]) == 1
+    out, err = capsys.readouterr()
+    assert err == "" and out.endswith("max deviation inf (fail at 1e-10)\n")
 
 
 def test_quasiprob_refuses_an_overflowing_total(tmp_path, capsys):

@@ -1,4 +1,5 @@
 import json
+import math
 import os
 import pathlib
 import subprocess
@@ -61,8 +62,10 @@ def test_from_matrix_rejects_nan():
         HermitianOp.from_matrix(np.array([[np.nan, 0.0], [0.0, 1.0]]))
 
 
-@pytest.mark.parametrize("at, lower, error", [((0, 0), 1.5e308, "overflow when symmetrized"),
-                                              ((0, 1), 1.5e308, "overflow when symmetrized"),
+# A part of m + m† past float64 is admitted (error None): it equals its
+# mirror, so it is its own mean.  An m − m† past float64 is not Hermitian.
+@pytest.mark.parametrize("at, lower, error", [((0, 0), 1.5e308, None),
+                                              ((0, 1), 1.5e308, None),
                                               ((0, 1), -1.5e308, "not Hermitian: max .* = inf")])
 def test_from_matrix_rejects_overflow_without_warning(at, lower, error):
     mat = np.zeros((2, 2))
@@ -70,19 +73,55 @@ def test_from_matrix_rejects_overflow_without_warning(at, lower, error):
     mat[at[::-1]] = lower if at[0] != at[1] else mat[at]
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        with pytest.raises(ValueError, match=error):
-            HermitianOp.from_matrix(mat)
-
-
-def test_hermitian_op_is_only_the_admission_check():
-    # An operator is its matrix: from_matrix returns it read-only and makes
-    # no instance, and the class holds nothing else.
-    assert [k for k in vars(HermitianOp) if not k.startswith("__")] == ["from_matrix"]
-    op = HermitianOp.from_matrix([[1, 2j], [-2j, 0]])
-    assert type(op) is np.ndarray and op.dtype == np.complex128 and op.shape == (2, 2)
+        if error is not None:
+            with pytest.raises(ValueError, match=error):
+                HermitianOp.from_matrix(mat)
+            return
+        op = HermitianOp.from_matrix(mat)
+    assert op.tobytes() == mat.astype(complex).tobytes()
+    assert np.isfinite(op.view(np.float64)).all() and (op == op.conj().T).all()
     assert not op.flags.writeable
-    with pytest.raises(TypeError):
-        HermitianOp(np.eye(2))
+
+
+# Exactly Hermitian matrices, or near one: each part is ±m·2^(e−k), with a
+# top binade e drawn per matrix, float64's last one often, and k ≤ 60.
+@st.composite
+def near_hermitian(draw, d=3):
+    top = draw(st.integers(-1014, 1024) | st.just(1024))
+    parts = draw(st.lists(st.builds(lambda m, k: math.ldexp(m, top - k),
+                                    st.floats(-1.0, 1.0, exclude_min=True, exclude_max=True),
+                                    st.integers(0, 60)), min_size=2 * d * d, max_size=2 * d * d))
+    mat = np.array(parts).view(np.complex128).reshape(d, d)
+    mat = np.triu(mat) + np.triu(mat, 1).conj().T
+    mat[np.diag_indices(d)] = mat.diagonal().real
+    nudge = draw(st.sampled_from([0.0, 1e-13, 1e-12, 2e-12]))
+    mat[0, -1] += nudge * (1 + 1j)
+    return mat
+
+
+@settings(max_examples=60, deadline=None)
+@given(near_hermitian())
+def test_from_matrix_admits_finite_exactly_hermitian_parent_bits(mat):
+    """Every admitted matrix is finite, exactly Hermitian and read-only,
+    with no floating-point warning.  Each part is half that of m + m†, or
+    m's own where m + m† passes float64; where the complex (m + m†)/2 is
+    finite, the bits are its own."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        try:
+            op = HermitianOp.from_matrix(mat)
+        except ValueError as exc:
+            assert "not Hermitian" in str(exc)
+            return
+    assert np.isfinite(op.view(np.float64)).all() and (op == op.conj().T).all()
+    assert not op.flags.writeable
+    with np.errstate(all="ignore"):
+        twice = mat + mat.conj().T
+        half = twice / 2.0
+    parts = twice.view(np.float64)
+    assert (op.view(np.float64) == np.where(np.isfinite(parts), parts / 2, mat.view(np.float64))).all()
+    if np.isfinite(half.view(np.float64)).all():
+        assert op.tobytes() == half.tobytes()
 
 
 # --- hs_inner -----------------------------------------------------------------
@@ -325,6 +364,16 @@ def test_eigensystem_diagonal_input():
     spec, vecs = hermitian_eigensystem(np.diag([2.0, 1.0, 1.0]).astype(complex))
     assert spec == pytest.approx((2.0, 1.0, 1.0))
     np.testing.assert_allclose(vecs.conj().T @ vecs, np.eye(3), atol=1e-10)
+
+
+@pytest.mark.parametrize("mat", [[[1.5e308, 1e308], [1e308, -1.5e308]], [[np.nan, 0], [0, 1]]])
+def test_eigensystem_refuses_a_non_finite_residual(mat):
+    # Eigenvalues past float64, or a NaN entry, leave a residual that is not
+    # a number; it fails the check as a large one does, without a warning.
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match="eigendecomposition failed: residual nan"):
+            hermitian_eigensystem(np.array(mat, dtype=complex))
 
 
 def test_eigensystem_qubit_projector():

@@ -2,10 +2,11 @@ import csv
 import hashlib
 import io
 import json
+from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from helpers import (
@@ -20,7 +21,9 @@ from helpers import (
     SPECTRA_MATCH_TOL,
     group_sizes,
     op_add,
+    phase_error,
     random_ket,
+    rank_one_slack,
     spectra_match,
 )
 from mubsic import linalg, siclab
@@ -905,6 +908,32 @@ def test_rank_one_conditions_match_loop(d):
         assert np.abs(np.subtract(got, ref)).max() <= 1e-14
         assert all(type(x) is float for x in got)
 
+
+
+@st.composite
+def unit_kets(draw, d: int) -> np.ndarray:
+    """Unit kets of parts drawn across binades, or a basis ket (where full =
+    d·reduced exactly) moved by a drawn amount."""
+    ket = np.array(draw(st.lists(st.floats(-1.0, 1.0), min_size=2 * d, max_size=2 * d))).view(complex)
+    if draw(st.booleans()):
+        ket = np.eye(d)[draw(st.integers(0, d - 1))] + draw(st.floats(0.0, 1.0)) * ket
+    parts = ket.view(np.float64)
+    assume(np.abs(parts).max() > 0)
+    ket = np.ldexp(parts, -np.frexp(np.abs(parts).max())[1]).view(complex)
+    return ket / np.linalg.norm(ket)
+
+
+@pytest.mark.parametrize("d", PRIME_DIMS[1:])
+@settings(max_examples=12)
+@given(data=st.data())
+def test_full_is_within_d_times_reduced(d, data):
+    """Acceptance 10's band: full ≤ d·reduced + ε at every odd prime ≤ 31,
+    with ε the rounding term derived in ``helpers.rank_one_slack``; and
+    reduced ≤ full, a maximum over a subset of the same entries."""
+    ket = data.draw(unit_kets(d))
+    full, reduced = rank_one_conditions(Fiducial(d=d, ket=ket))
+    assert reduced <= full
+    assert Fraction(full) <= d * Fraction(reduced) + rank_one_slack(ket, phase_error(d))
 
 
 def test_conditions_on_exact_fiducial():
