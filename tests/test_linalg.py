@@ -11,7 +11,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
@@ -101,6 +101,9 @@ def near_hermitian(draw, d=3):
 
 @settings(max_examples=60, deadline=None)
 @given(near_hermitian())
+# An overflowed entry whose other part differs from its mirror's: replaced
+# after complex halving, that part would come from m and break hermiticity.
+@example(np.array([[0, complex(1.7e308, 1e-13)], [complex(1.7e308, 0.0), 0]]))
 def test_from_matrix_admits_finite_exactly_hermitian_parent_bits(mat):
     """Every admitted matrix is finite, exactly Hermitian and read-only,
     with no floating-point warning.  Each part is half that of m + m†, or
@@ -122,6 +125,17 @@ def test_from_matrix_admits_finite_exactly_hermitian_parent_bits(mat):
     assert (op.view(np.float64) == np.where(np.isfinite(parts), parts / 2, mat.view(np.float64))).all()
     if np.isfinite(half.view(np.float64)).all():
         assert op.tobytes() == half.tobytes()
+
+
+def test_hermitian_op_is_only_the_admission_check():
+    # An operator is its matrix: from_matrix returns it read-only and makes
+    # no instance, and the class holds nothing else.
+    assert [k for k in vars(HermitianOp) if not k.startswith("__")] == ["from_matrix"]
+    op = HermitianOp.from_matrix([[1, 2j], [-2j, 0]])
+    assert type(op) is np.ndarray and op.dtype == np.complex128 and op.shape == (2, 2)
+    assert not op.flags.writeable
+    with pytest.raises(TypeError):
+        HermitianOp(np.eye(2))
 
 
 # --- hs_inner -----------------------------------------------------------------

@@ -59,6 +59,18 @@ def redrawn(draw, base: np.ndarray) -> np.ndarray:
 
 
 @st.composite
+def tables(draw) -> np.ndarray:
+    """SPECTRA as it is, scaled to a drawn largest value, or drawn value by
+    value."""
+    how = draw(st.sampled_from(["as-is", "scaled", "values"]))
+    if how == "as-is":
+        return SPECTRA
+    if how == "scaled":
+        return SPECTRA / np.abs(SPECTRA).max() * draw(MODULUS)
+    return np.array(draw(st.lists(FINITE, min_size=SPECTRA.size, max_size=SPECTRA.size))).reshape(SPECTRA.shape)
+
+
+@st.composite
 def densities(draw) -> np.ndarray:
     """ρ with the unit-trace diagonal of RHO and drawn off-diagonal entries."""
     parts = draw(st.lists(FINITE, min_size=2 * D * D, max_size=2 * D * D))
@@ -132,13 +144,13 @@ def huge_diagonal(value: float) -> np.ndarray:
 
 @settings(max_examples=25, deadline=None)
 @given(points=redrawn(POINTS), beta=st.just(6.0) | FINITE, rho=densities(), ket=kets(),
-       family=redrawn(FAMILY.projectors), spectra=redrawn(SPECTRA.astype(complex)))
+       family=redrawn(FAMILY.projectors), spectra=tables())
 # From 3e307 diagonal entries the bridge used to write 1.2e308 ones, which its
 # reader refused; from 8e307 ones it refuses to write 2.4e308.
 @example(points=huge_diagonal(3e307), beta=6.0, rho=RHO, ket=FAMILY.fiducial.ket,
-         family=FAMILY.projectors, spectra=SPECTRA.astype(complex))
+         family=FAMILY.projectors, spectra=SPECTRA)
 @example(points=huge_diagonal(8e307), beta=6.0, rho=RHO, ket=FAMILY.fiducial.ket,
-         family=FAMILY.projectors, spectra=SPECTRA.astype(complex))
+         family=FAMILY.projectors, spectra=SPECTRA)
 def test_every_writer_writes_what_its_reader_reads(points, beta, rho, ket, family, spectra):
     with tempfile.TemporaryDirectory() as tmp:
         p = {name: os.path.join(tmp, name) for name in
@@ -148,7 +160,7 @@ def test_every_writer_writes_what_its_reader_reads(points, beta, rho, ket, famil
         _write(p["fid"], {"d": D, "ket": linalg.complex_to_json(ket)})
         _write(p["fam"], {"d": D, "fiducial": linalg.complex_to_json(FAMILY.fiducial.ket), "ops": _ops(family)})
         with open(p["csv"], "w") as fh:
-            fh.write(_spectra_csv(spectra.real))
+            fh.write(_spectra_csv(spectra))
 
         if _writes(["frame", "bridge", "--points", p["points"], "--out", p["lines"]], p["lines"]):
             _reads(["frame", "verify", "--points", p["points"], "--lines", p["lines"]])
