@@ -55,6 +55,7 @@ def _write_text(path, text: str) -> None:
         fh.write(text)
 
 
+# The name the benchmark's tracer wraps, as it wraps _read_json and _write_text.
 _write_json = linalg.write_json
 
 
