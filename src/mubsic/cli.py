@@ -59,24 +59,8 @@ def _write_text(path, text: str) -> None:
 _write_json = linalg.write_json
 
 
-def _read_json(path, object_hook=linalg.decode_operator) -> dict:
-    return linalg.load_json(path, object_hook)
-
-
-def _load(reader, path):
-    """``reader`` applied to the JSON object in the file at ``path``, read
-    a chunk at a time with its operator objects decoded into stacks as they
-    are parsed.  A file that the decoding or the reader rejects, or that is
-    not an object once decoded, is parsed again whole as plain JSON for the
-    reader, so that its error comes in file order, at its place in the
-    file, and names each value as the file holds it."""
-    try:
-        obj = _read_json(path)
-        if isinstance(obj, dict):
-            return reader(obj)
-    except ValueError:
-        pass
-    return reader(_read_json(path, None))
+def _read_json(path) -> dict:
+    return linalg.load_json(path, linalg.decode_operator)
 
 
 # --- handlers ----------------------------------------------------------------
@@ -149,7 +133,7 @@ def _cmd_frame_from_hg(args) -> int:
 def _cmd_frame_bridge(args) -> int:
     from . import frames, plane
 
-    pf = _load(frames.point_frame_from_json_dict, args.points)
+    pf = frames.point_frame_from_json_dict(_read_json(args.points))
     lf = frames.line_ops_from_points(pf, plane.build_dapg(pf.d))
     _write_json(args.out, frames.line_frame_layout(lf))
     print(f"line frame d={lf.d} alpha={_fmt(lf.alpha)}")
@@ -160,10 +144,10 @@ def _cmd_frame_verify(args) -> int:
     from . import frames, plane
 
     tol = _tol(args)
-    pf = _load(frames.point_frame_from_json_dict, args.points)
+    pf = frames.point_frame_from_json_dict(_read_json(args.points))
     # Both files are read before anything prints, so a bad one leaves no
     # partial report on stdout.
-    lf = None if args.lines is None else _load(frames.line_frame_from_json_dict, args.lines)
+    lf = None if args.lines is None else frames.line_frame_from_json_dict(_read_json(args.lines))
     if lf is not None and lf.d != pf.d:
         raise ValueError(f"dimension mismatch: point frame d={pf.d}, line frame d={lf.d}")
     worst = frames.verify_point_table(pf)
@@ -188,7 +172,7 @@ def _cmd_sic_generate(args) -> int:
     if args.builtin is not None:
         fid = {"qubit": siclab.qubit_fiducial, "qutrit": siclab.qutrit_fiducial}[args.builtin]()
     else:
-        fid = _load(siclab.Fiducial.from_json_dict, args.fiducial)
+        fid = siclab.Fiducial.from_json_dict(_read_json(args.fiducial))
     fam = siclab.generate_hw_sic(fid)
     dev = siclab.verify_sic(fam)
     _write_json(args.out, fam.layout())
@@ -198,7 +182,7 @@ def _cmd_sic_generate(args) -> int:
 def _cmd_sic_verify(args) -> int:
     from . import siclab
 
-    fam = _load(siclab.SicFamily.from_json_dict, args.infile)
+    fam = siclab.SicFamily.from_json_dict(_read_json(args.infile))
     dev = siclab.verify_sic(fam)
     return _verdict(f"d={fam.d} deviation", dev, _tol(args))
 
@@ -206,7 +190,7 @@ def _cmd_sic_verify(args) -> int:
 def _cmd_sic_spectra(args) -> int:
     from . import siclab
 
-    fam = _load(siclab.SicFamily.from_json_dict, args.infile)
+    fam = siclab.SicFamily.from_json_dict(_read_json(args.infile))
     table = siclab.spectra_table(siclab.extract_mu_pom(fam))
     _write_text(args.out, siclab.spectra_to_csv(table))
     spread = siclab.assert_column_constant(table).max()
@@ -271,7 +255,7 @@ def _cmd_quasiprob(args) -> int:
     from . import frames, plane
 
     rho = linalg.read_operator_json(args.rho)
-    pf = _load(frames.point_frame_from_json_dict, args.points)
+    pf = frames.point_frame_from_json_dict(_read_json(args.points))
     q = frames.quasi_distribution(rho, pf)
     geom = plane.build_dapg(pf.d)
     p = frames.line_probabilities(q, geom)

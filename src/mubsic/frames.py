@@ -109,10 +109,11 @@ def point_frame_from_hg(basis: HGBasis) -> PointFrame:
     β = (d−1)/2, the minimal one realized by Hermitian operator frames here.
     """
     d = basis.d
-    v = build_simplex_vectors(d)
+    v = build_simplex_vectors(d)[:, :, None, None]
+    # Summed over k in a fixed order, not by BLAS, whose order (and so the
+    # last bits of the file) follows the thread count.
     mats = (
-        np.tensordot(v[m, 0::2], basis.h[j], axes=1)
-        + np.tensordot(v[m, 1::2], basis.g[j], axes=1)
+        (v[m, 0::2] * basis.h[j]).sum(axis=0) + (v[m, 1::2] * basis.g[j]).sum(axis=0)
         for m, j in point_keys(d)
     )
     ops = hermitian_stack(mats, d * (d + 1), d)

@@ -45,7 +45,7 @@ _GRAM_SLICES = 3
 _GRAM_BLOCK = 64
 _SLICE_PAIRS = sorted(itertools.product(range(_GRAM_SLICES), repeat=2), key=sum, reverse=True)
 
-# load_json reads a file with a hook this many characters at a time.
+# load_json reads a file this many characters at a time.
 _CHUNK = 1 << 18
 # What may follow a number's digits up to the end of the text read so far, if
 # the next chunk goes on with the number.
@@ -321,9 +321,9 @@ def ops_from_json(raw, keys: list, d: int) -> np.ndarray:
     """Inverse of :func:`json_value` on a stack: the read-only stack of one
     validated d x d operator per key; ``keys`` name the rows in errors.
 
-    ``raw`` is a list of operator objects, or of matrices already decoded by
-    :func:`decode_operator`, or the stack :func:`load_json` reads such a
-    list into, which is taken as it is.
+    ``raw`` is a list of operator objects, or of what :func:`decode_operator`
+    made of each as :func:`load_json` read it, or the stack :func:`load_json`
+    reads such a list into, which is taken as it is.
     """
     if not isinstance(raw, (list, np.ndarray)) or len(raw) != len(keys):
         got = len(raw) if isinstance(raw, (list, np.ndarray)) else raw
@@ -332,7 +332,7 @@ def ops_from_json(raw, keys: list, d: int) -> np.ndarray:
         if raw.shape[1:] != (d, d):
             raise ValueError(f"op {keys[0]} is {raw.shape[1]} x {raw.shape[1]}, expected {d} x {d}")
         return raw
-    ops = [o if isinstance(o, np.ndarray) else _operator(o) for o in raw]
+    ops = [o if isinstance(o, np.ndarray) else decode_operator(o) for o in raw]
     stack = np.empty((len(keys), d, d), dtype=np.complex128)
     for k, op, row in zip(keys, ops, stack):
         if len(op) != d:
@@ -341,19 +341,14 @@ def ops_from_json(raw, keys: list, d: int) -> np.ndarray:
     return read_only(stack)
 
 
-def _operator(obj: dict) -> np.ndarray:
-    """The admitted matrix of an operator object."""
+def decode_operator(obj: dict) -> np.ndarray:
+    """The admitted matrix of an operator object; the :func:`load_json` hook
+    of a family file, so that its operators are never held as a tree of
+    lists.  The ValueError that load_json keeps in a refused one's place is
+    raised."""
+    if isinstance(obj, ValueError):
+        raise obj
     return HermitianOp.from_matrix(matrix_from_json_dict(obj))
-
-
-def decode_operator(obj: dict):
-    """``json.load`` object hook: an object with ``dim`` and ``entries`` as
-    its admitted read-only matrix as soon as it is parsed, so that a file of
-    operators is never held as one tree of lists.  Any other object is
-    returned as it is."""
-    if "dim" in obj and "entries" in obj:
-        return _operator(obj)
-    return obj
 
 
 def require_finite(value) -> None:
@@ -407,52 +402,58 @@ def write_json(path, obj: dict) -> None:
         dump_json(obj, fh)
 
 
-def parse_json(text: str):
-    """The JSON value of ``text``; every JSON input read whole is parsed
-    here.  Text nested too deeply for the parser is rejected with a
-    ValueError, as any other malformed text is, not a RecursionError."""
+def parse_json(text: str, object_hook=None):
+    """The JSON value of ``text``, as ``json.loads`` gives it with
+    ``object_hook``.  Text nested too deeply for the parser is rejected with
+    a ValueError, as any other malformed text is, not a RecursionError."""
     try:
-        return json.loads(text)
+        return json.loads(text, object_hook=object_hook)
     except RecursionError:
         raise ValueError("JSON nested too deeply to parse") from None
 
 
 def load_json(path, object_hook=None):
-    """The JSON value of the file at ``path``, as ``json.loads`` gives it
-    with ``object_hook``.
+    """The JSON value of the file at ``path``, as ``json.loads`` gives it,
+    but with ``object_hook`` applied to each object among the items of the
+    top-level ``ops`` member.
 
-    Without a hook the whole text goes through :func:`parse_json`.  With
-    one, the text is read ``_CHUNK`` characters at a time and never held
-    whole (:class:`_ChunkedJson`): memory is bounded by the chunk size, the
-    largest single member or item, and the value returned.  A list whose
-    items the hook all turns into arrays of one shape and dtype, as
-    :func:`decode_operator` does a family's operators, comes back as their
-    read-only stack, the form :func:`dump_json` writes from.
+    The text is read ``_CHUNK`` characters at a time and never held whole
+    (:class:`_ChunkedJson`): memory is bounded by the chunk size, the
+    largest single member or item, and the value returned.  An ``ops`` list
+    whose items the hook all turns into arrays of one shape and dtype, as
+    :func:`decode_operator` does, comes back as their read-only stack, the
+    form :func:`dump_json` writes from.  An item the hook refuses stays in
+    its place as its ValueError, raised by :func:`ops_from_json` in file
+    order, after the reader's header checks.
 
-    Malformed text raises ValueError either way, but only the whole-file
-    parse places its error in the file: ``cli._load`` parses a rejected
-    file again without a hook, so its message and ``line … column …
-    (char …)`` come from there.
+    Only text that is not JSON is read whole, by :func:`parse_json` with a
+    hook that keeps nothing, to raise json's own error, placed in the file.
     """
     with open(path) as fh:
-        if object_hook is None:
-            return parse_json(fh.read())
         try:
-            return _ChunkedJson(fh, json.JSONDecoder(object_hook=object_hook)).document()
+            return _ChunkedJson(fh, object_hook).document()
         except RecursionError:
-            raise ValueError("JSON nested too deeply to parse") from None
+            error = "JSON nested too deeply to parse"
+        except ValueError as exc:
+            # Only the message: the traceback holds the partial value, and a
+            # JSONDecodeError the text read so far.
+            error = str(exc)
+    with open(path) as fh:
+        parse_json(fh.read(), lambda obj: None)
+    raise ValueError(error)
 
 
 class _ChunkedJson:
     """The JSON text of an open file, read ``_CHUNK`` characters at a time
-    and decoded one value at a time by ``decoder.raw_decode``.  The
+    and decoded one value at a time by ``JSONDecoder.raw_decode``.  The
     top-level object is walked member by member, and the top-level list or
     a list member item by item; every other value is decoded whole.
+    ``hook`` sees the objects among the items of the top-level ``ops``.
     ``text[pos:]`` is the part read but not yet decoded."""
 
-    def __init__(self, fh, decoder: json.JSONDecoder):
-        self.fh, self.decoder, self.text, self.pos = fh, decoder, "", 0
-        self.eof, self.longest = False, 0
+    def __init__(self, fh, hook):
+        self.fh, self.hook, self.decoder = fh, hook, json.JSONDecoder()
+        self.text, self.pos, self.eof, self.longest = "", 0, False, 0
 
     def _more(self) -> bool:
         """Read the next chunk after the undecoded text, which then starts
@@ -519,17 +520,25 @@ class _ChunkedJson:
                 raise ValueError("malformed JSON: an object key must be a string")
             key = self._value()
             self._take(":")
-            obj[key] = self._list() if self._peek() == "[" else self._value()
-        return self.decoder.object_hook(obj)
+            hook = self.hook if key == "ops" else None
+            obj[key] = self._list(hook) if self._peek() == "[" else self._value()
+        return obj
 
-    def _list(self):
-        """A list, or the read-only stack of its items if they are all
-        arrays of one shape and dtype.  Each such item is copied into a
+    def _list(self, hook=None):
+        """A list, ``hook`` applied to each object in it (its ValueError in
+        the item's place), or the read-only stack of its items if they are
+        all arrays of one shape and dtype.  Each such item is copied into a
         buffer that grows in place as rows arrive, so no list of arrays is
         held beside the stack."""
         rows, n, like, items = bytearray(), 0, None, []
         for _ in self._each("]"):
             value = self._value()
+            if hook is not None and isinstance(value, dict):
+                try:
+                    value = hook(value)
+                except ValueError as exc:
+                    # Its traceback would keep every frame of the hook alive.
+                    value = exc.with_traceback(None)
             if not items and isinstance(value, np.ndarray) and like in (None, (value.shape, value.dtype)):
                 like = value.shape, value.dtype
                 rows += memoryview(np.ascontiguousarray(value))
@@ -561,4 +570,4 @@ def write_operator_json(path, op: np.ndarray) -> None:
 
 
 def read_operator_json(path) -> np.ndarray:
-    return _operator(load_json(path))
+    return decode_operator(load_json(path))

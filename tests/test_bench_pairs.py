@@ -52,7 +52,9 @@ def test_step_table_runs_both_solvers():
     steps, inputs = bench_pairs.step_chain(7)
     names = [name for name, _ in steps]
     assert names == ["mub-verify", "plane-verify", "from-mub", "bridge", "verify", "quasiprob",
-                     "from-hg", "generate", "sic-verify", "solve-prob", "search"]
+                     "lines-as-points", "from-hg", "generate", "sic-verify", "solve-prob",
+                     "search"]
+    assert dict(steps)["lines-as-points"] == ["frame", "verify", "--points", "{w}/lines.json"]
     assert dict(steps)["sic-verify"] == ["sic", "verify", "--in", "{w}/family.json"]
     assert dict(steps)["search"][:6] == ["sic", "search", "--d", "7", "--seed", "0"]
     assert sorted(inputs) == ["fid.json", "rho.json"]
@@ -71,7 +73,8 @@ def test_file_sha256_digests_a_file_in_pieces(tmp_path):
 
 def test_step_table_reports_files_exit_codes_and_streams_apart(monkeypatch):
     """A change that moves printed digits on purpose shows as different
-    stdout alone, with the same files and exit codes."""
+    stdout alone, with the same files and exit codes; one that moves a
+    file's bytes names that file."""
     def record(rc, stdout):
         return {"rc": rc, "seconds": 0.5, "rss_mb": 40.0, "stdout": stdout, "stderr": "e"}
 
@@ -89,10 +92,20 @@ def test_step_table_reports_files_exit_codes_and_streams_apart(monkeypatch):
     def chain_run(root, d):
         steps = bench_pairs.step_chain(d)[0]
         records = [record(0, "new digits" if root == "change" else "old digits") for _ in steps]
-        return records, bench_pairs.output_digests(records, files)
+        return records, files
 
     monkeypatch.setattr(bench_pairs, "chain_run", chain_run)
     result = bench_pairs.run_steps({"parent": "parent", "change": "change"}, 3, "from bytecode")
     flags = {k: v for k, v in result.items() if k.startswith("same_")}
     assert flags == {"same_files": True, "same_exit_codes": True, "same_stdout": False,
                      "same_stderr": True}
+    assert result["differing_files"] == []
+
+    def hg_moves(root, d):
+        records = [record(0, "a") for _ in bench_pairs.step_chain(d)[0]]
+        return records, {**files, "hg.json": root}
+
+    monkeypatch.setattr(bench_pairs, "chain_run", hg_moves)
+    result = bench_pairs.run_steps({"parent": "parent", "change": "change"}, 3, "from bytecode")
+    assert (result["same_files"], result["same_stdout"]) == (False, True)
+    assert result["differing_files"] == ["hg.json"]

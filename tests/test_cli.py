@@ -20,6 +20,16 @@ def test_mub_verify_rejects_composite(capsys):
     assert "d must be prime" in capsys.readouterr().err
 
 
+def test_mub_verify_passes_a_deviation_equal_to_its_tolerance(capsys):
+    """Exit 0 if dev ≤ tol: a tolerance equal to the deviation passes, and
+    the next float below it fails."""
+    dev = weyl.verify_mub(weyl.build_mub(3))
+    assert dev > 0
+    assert run(["mub", "verify", "--d", "3", "--tol", repr(dev)]) == 0
+    assert run(["mub", "verify", "--d", "3", "--tol", repr(float(np.nextafter(dev, 0)))]) == 1
+    capsys.readouterr()
+
+
 def test_mub_build_writes_family(tmp_path, capsys):
     out = tmp_path / "mub.json"
     assert run(["mub", "build", "--d", "5", "--out", str(out)]) == 0

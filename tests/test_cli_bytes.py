@@ -108,7 +108,7 @@ PINS = {
     "frame from-hg --d 5 --out hg5.json": (
         0,
         "ba8a44021b295589d4ffbfac092fc7006c54042f2591a7ca363c1387dbcb6358",
-        "5b9a0fba9a5f389bd58a2dca3a87052c08083bf7bc4f2f44e03e33e34b7554ea",
+        "a9c5ea735696ed5fe7825c919ed18b58a9a3dddc0ee62912291c42382093240a",
     ),
     "frame verify --points hg5.json": (
         0,

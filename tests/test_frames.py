@@ -1,5 +1,9 @@
 import functools
 import json
+import os
+import pathlib
+import subprocess
+import sys
 import tracemalloc
 
 import numpy as np
@@ -16,12 +20,13 @@ from helpers import (
     random_density,
     random_ket,
 )
-from mubsic import cli, siclab
+from mubsic import cli, frames, siclab
 from mubsic.frames import (
     LineFrame,
     build_simplex_vectors,
     line_ops_from_points,
     line_frame_from_json_dict,
+    line_frame_layout,
     line_frame_to_json_dict,
     line_probabilities,
     point_frame_from_hg,
@@ -141,6 +146,28 @@ def test_hg_frame_covariance():
                     m2 = (m + b) % d if j == d else (m + a + j * b) % d
                     got = u @ pf.ops[j * d + m] @ u.conj().T
                     assert np.abs(got - pf.ops[j * d + m2]).max() <= 1e-10
+
+
+def test_hg_frame_bits_do_not_depend_on_blas_threads():
+    """The same operator bits at one and at two BLAS threads: each point
+    operator sums its basis terms in a fixed order.  At d = 23 a BLAS sum
+    (np.tensordot) gave the clock-class diagonals other last bits at two
+    threads."""
+    code = (
+        "import hashlib\n"
+        "from mubsic import frames, weyl\n"
+        "pf = frames.point_frame_from_hg(weyl.build_hg_basis(weyl.build_weyl_pair(23)))\n"
+        "print(hashlib.sha256(pf.ops.tobytes()).hexdigest())\n"
+    )
+    src = pathlib.Path(frames.__file__).resolve().parents[1]
+    outputs = []
+    for threads in ("1", "2"):
+        env = dict(os.environ, PYTHONPATH=str(src), OPENBLAS_NUM_THREADS=threads)
+        proc = subprocess.run([sys.executable, "-c", code], env=env,
+                              capture_output=True, text=True, check=True)
+        assert proc.stderr == ""
+        outputs.append(proc.stdout)
+    assert outputs[0] == outputs[1]
 
 
 def test_with_beta_rescales():
@@ -598,6 +625,15 @@ def test_quasi_distribution_rejects_bad_trace():
         quasi_distribution(HermitianOp.from_matrix(np.eye(2)), pf)
 
 
+def test_quasi_distribution_unit_trace_bound():
+    """ρ's trace may miss 1 by up to 1e-10: 1 + 5e-11 is taken and 1 + 1e-6
+    refused."""
+    pf = mub_points(2)
+    quasi_distribution(HermitianOp.from_matrix(np.diag([0.5 + 5e-11, 0.5])), pf)
+    with pytest.raises(ValueError, match="unit trace"):
+        quasi_distribution(HermitianOp.from_matrix(np.diag([0.5 + 1e-6, 0.5])), pf)
+
+
 def test_quasi_distribution_on_sic_lines_is_nonnegative():
     fam = siclab.generate_hw_sic(siclab.qutrit_fiducial())
     d = 3
@@ -657,23 +693,47 @@ def test_frame_json_memory_at_d19(tmp_path):
     assert np.array_equal(back.ops, pf.ops)
 
 
-def test_frame_read_through_load_is_below_the_file_size_at_d19(tmp_path):
+def test_frame_read_through_load_is_below_the_file_size_at_d19(tmp_path, capsys):
     """The CLI's read of the d = 19 point-frame file (5.5 MB), traced from
     the path to the frame: the text is read a chunk at a time and each
     operator goes straight into its row of the stack, so the traced peak
-    stays below the file's size (11.1 MB when the file was read whole)."""
+    stays below the file's size (11.1 MB when the file was read whole).
+
+    A file the reader refuses costs no more: one entry of the first
+    operator made non-Hermitian, or the line file given as points, ends
+    ``frame verify`` with its error line below the file's size (25.5 MB
+    when a refused file was parsed a second time, whole)."""
     pf = mub_points(19)
     path = tmp_path / "points.json"
     cli._write_json(str(path), point_frame_layout(pf))
     tracemalloc.start()
     try:
         start = tracemalloc.get_traced_memory()[0]
-        back = cli._load(point_frame_from_json_dict, str(path))
+        back = point_frame_from_json_dict(cli._read_json(str(path)))
         read_peak = tracemalloc.get_traced_memory()[1] - start
     finally:
         tracemalloc.stop()
     assert read_peak < path.stat().st_size
     assert back.ops.tobytes() == pf.ops.tobytes() and back.beta == pf.beta
+
+    text = path.read_text()
+    at = text.index("], [", text.index('"entries"')) + 4  # the [0, 1] entry
+    (tmp_path / "bad.json").write_text(text[:at] + "7.0, 0.0" + text[text.index("]", at):])
+    cli._write_json(str(tmp_path / "lines.json"),
+                    line_frame_layout(line_ops_from_points(pf, build_dapg(19))))
+    for name, line in (("bad.json", "matrix is not Hermitian: max |m - m\u2020| = 6.000e+00"),
+                       ("lines.json", "malformed frame object: 'beta'")):
+        refused = tmp_path / name
+        capsys.readouterr()
+        tracemalloc.start()
+        try:
+            start = tracemalloc.get_traced_memory()[0]
+            assert cli.run(["frame", "verify", "--points", str(refused)]) == 2
+            peak = tracemalloc.get_traced_memory()[1] - start
+        finally:
+            tracemalloc.stop()
+        assert capsys.readouterr() == ("", f"error: {line}\n")
+        assert peak < refused.stat().st_size, name
 
 
 def _sic_family_d19():

@@ -5,6 +5,8 @@ spectra CSV) is mutated one way and fed, in process, to every command that
 reads it.  No mutation may end in an exception: the exit code is 0, 1 or 2,
 and an exit 2 is one ``error:`` line on stderr, nothing on stdout and no
 file written.  A wrong header d or a wrong-size operator must be exit 2.
+A JSON file that the command's reader refuses when it is given the whole
+file's JSON value ends with that refusal's error line.
 """
 
 import contextlib
@@ -56,6 +58,15 @@ READERS = {
     "fiducial": [["sic", "generate", "--fiducial", "BAD", "--out", "OUT"]],
     "rho": [["quasiprob", "--rho", "BAD", "--points", "POINTS", "--out", "OUT"]],
     "spectra": [["sic", "group", "--in", "BAD", "--out", "OUT"]],
+}
+
+# The reader of each JSON input, given the whole file's value by the oracle.
+WHOLE_FILE_READERS = {
+    "points": frames.point_frame_from_json_dict,
+    "lines": frames.line_frame_from_json_dict,
+    "family": siclab.SicFamily.from_json_dict,
+    "fiducial": siclab.Fiducial.from_json_dict,
+    "rho": lambda obj: linalg.HermitianOp.from_matrix(linalg.matrix_from_json_dict(obj)),
 }
 
 REPLACEMENTS = {"string": "x", "null": None, "nan": float("nan"), "list": [1, 2]}
@@ -142,6 +153,16 @@ def _mutate_csv(text, mutation, data) -> str:
     return buf.getvalue()
 
 
+def _whole_file_error(name, text):
+    """The error line of the whole-file oracle, the reader of ``name``
+    applied to parse_json of ``text``, or None if it takes the file."""
+    try:
+        WHOLE_FILE_READERS[name](linalg.parse_json(text))
+    except ValueError as exc:
+        return f"error: {exc}\n"
+    return None
+
+
 @pytest.fixture(scope="module")
 def workdir():
     with tempfile.TemporaryDirectory() as tmp:
@@ -162,6 +183,7 @@ def test_mutated_input_ends_cleanly(workdir, name, mutation, data):
         text = _mutate_json(valid, mutation, data)
     with open(workdir["BAD"], "w") as fh:
         fh.write(text)
+    refusal = _whole_file_error(name, text) if name in WHOLE_FILE_READERS else None
     for argv in READERS[name]:
         if os.path.exists(workdir["OUT"]):
             os.remove(workdir["OUT"])
@@ -176,3 +198,5 @@ def test_mutated_input_ends_cleanly(workdir, name, mutation, data):
             assert stdout.getvalue() == "", (argv, stdout.getvalue())
             assert len(err.splitlines()) == 1 and err.startswith("error: "), (argv, err)
             assert not os.path.exists(workdir["OUT"]), argv
+        if refusal is not None:
+            assert (rc, stderr.getvalue()) == (2, refusal), (argv, text[:200])

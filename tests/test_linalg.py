@@ -57,6 +57,14 @@ def test_from_matrix_symmetrizes_tiny_asymmetry():
     assert op.diagonal().real.sum() == pytest.approx(3.0)
 
 
+def test_from_matrix_asymmetry_bound_is_hermiticity_atol():
+    """An asymmetry of 5e-13 is admitted and one of 2e-12 refused, either
+    side of HERMITICITY_ATOL (1e-12)."""
+    HermitianOp.from_matrix(np.array([[1.0, 0.5 + 5e-13], [0.5, 2.0]], dtype=complex))
+    with pytest.raises(ValueError, match="not Hermitian"):
+        HermitianOp.from_matrix(np.array([[1.0, 0.5 + 2e-12], [0.5, 2.0]], dtype=complex))
+
+
 def test_from_matrix_rejects_nan():
     with pytest.raises(ValueError):
         HermitianOp.from_matrix(np.array([[np.nan, 0.0], [0.0, 1.0]]))
@@ -390,6 +398,16 @@ def test_eigensystem_refuses_a_non_finite_residual(mat):
             hermitian_eigensystem(np.array(mat, dtype=complex))
 
 
+def test_eigensystem_residual_bound_is_eig_residual_atol():
+    """eigh reads one triangle, so an [0, 1] entry that is x off its mirror
+    leaves a residual of x: 1e-11 is admitted and 1e-6 refused, either side
+    of EIG_RESIDUAL_ATOL (1e-10)."""
+    mat = np.array([[1.0, 0.5], [0.5, 2.0]], dtype=complex)
+    hermitian_eigensystem(mat + np.array([[0, 1e-11], [0, 0]]))
+    with pytest.raises(ValueError, match="eigendecomposition failed"):
+        hermitian_eigensystem(mat + np.array([[0, 1e-6], [0, 0]]))
+
+
 def test_eigensystem_qubit_projector():
     spec, _ = hermitian_eigensystem(qubit_lambda0())
     assert spec[0] == pytest.approx(1.0, abs=1e-12)
@@ -567,7 +585,7 @@ def test_complex_from_json_rejects_malformed(raw, shape):
 
 # --- the bounded reader ----------------------------------------------------------
 #
-# load_json with a hook reads linalg._CHUNK characters at a time.  Patched down
+# load_json reads linalg._CHUNK characters at a time.  Patched down
 # to a few characters, every number, string, \uXXXX escape and surrogate pair
 # of a drawn file is cut by a chunk boundary somewhere.
 
@@ -575,7 +593,9 @@ def test_complex_from_json_rejects_malformed(raw, shape):
 def _canonical(value):
     """``value`` with every array as (dtype, shape, bytes) and every list of
     arrays of one shape and dtype as their stack, which is how load_json
-    returns such a list."""
+    returns such a list, and every ValueError as its message."""
+    if isinstance(value, ValueError):
+        return ("ValueError", str(value))
     if isinstance(value, list) and value and all(isinstance(v, np.ndarray) for v in value):
         if len({(v.shape, v.dtype) for v in value}) == 1:
             value = np.stack(value)
@@ -639,7 +659,7 @@ def json_documents(draw):
     if kind in ("object", "operator"):
         keys = st.sampled_from(["d", "ops", "é", 'a"b', "\U0001f600"])
         members = draw(st.lists(st.tuples(keys, _MEMBERS), max_size=4))
-        if kind == "operator":  # decoded by the hook on the top-level object
+        if kind == "operator":  # read as the file holds it: not an ops item
             members = draw(st.permutations(list(draw(operator_objects()).items())))
         if members and draw(st.booleans()):
             members.append((members[0][0], draw(_MEMBERS)))
@@ -654,21 +674,40 @@ def json_documents(draw):
     return f"{draw(_WS)}{text}{draw(_WS)}"
 
 
+def _decoded(obj):
+    """decode_operator's value for ``obj``, or the ValueError it raises."""
+    try:
+        return linalg.decode_operator(obj)
+    except ValueError as exc:
+        return exc
+
+
+def _reference(text: str):
+    """What load_json gives with decode_operator: json.loads of ``text``,
+    then the hook on each object among the items of a top-level ``ops``
+    list, with a ValueError it raises in that item's place."""
+    value = json.loads(text)
+    if isinstance(value, dict) and isinstance(value.get("ops"), list):
+        value["ops"] = [_decoded(v) if isinstance(v, dict) else v for v in value["ops"]]
+    return value
+
+
 def _outcome(read):
-    """``read()``'s canonical value, or "ValueError" if it raises one."""
+    """``read()``'s canonical value, or ("ValueError", its message) if it
+    raises one."""
     try:
         return _canonical(read())
-    except ValueError:
-        return "ValueError"
+    except ValueError as exc:
+        return _canonical(exc)
 
 
 def _both_readers(text: str, chunk: int) -> tuple:
-    """The outcomes of json.loads and of load_json at ``chunk`` characters
-    a chunk, on ``text`` written to a file; both with decode_operator."""
+    """The outcomes of the reference reader and of load_json at ``chunk``
+    characters a chunk, on ``text`` written to a file."""
     with tempfile.TemporaryDirectory() as tmp:
         path = pathlib.Path(tmp) / "doc.json"
         path.write_text(text)
-        want = _outcome(lambda: json.loads(path.read_text(), object_hook=linalg.decode_operator))
+        want = _outcome(lambda: _reference(path.read_text()))
         with mock.patch.object(linalg, "_CHUNK", chunk):
             return want, _outcome(lambda: linalg.load_json(path, linalg.decode_operator))
 
@@ -685,8 +724,8 @@ def test_bounded_reader_gives_what_json_loads_gives(text, chunk):
 @settings(max_examples=100, deadline=None)
 def test_bounded_reader_rejects_what_json_loads_rejects(text, at, chunk, edit):
     """One character of a valid document deleted (``edit`` None) or inserted:
-    load_json raises a ValueError exactly when json.loads does, and
-    otherwise gives the same value."""
+    load_json raises a ValueError exactly when json.loads does, with
+    json.loads's message, and otherwise gives the same value."""
     at %= len(text) + 1
     want, got = _both_readers(text[:at] + (edit or "") + text[at + (edit is None) :], chunk)
     assert got == want
@@ -702,7 +741,7 @@ def test_bounded_reader_numbers_cut_anywhere(text, tmp_path, monkeypatch):
     right before a '.', 'e' or sign that the next chunk goes on with."""
     path = tmp_path / "doc.json"
     path.write_text(text)
-    want = _canonical(json.loads(text, object_hook=linalg.decode_operator))
+    want = _canonical(_reference(text))
     for chunk in range(1, len(text) + 1):
         monkeypatch.setattr(linalg, "_CHUNK", chunk)
         assert _canonical(linalg.load_json(path, linalg.decode_operator)) == want, chunk

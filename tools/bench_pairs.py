@@ -20,15 +20,16 @@ linear percentiles), and the pairs the change won and lost by the metric's
 own direction.  Runs from byte-compiled checkouts go under ``compiled``.
 
 With ``--steps D`` ``mub verify`` and ``plane verify``, the frame chain
-``frame from-mub → bridge → verify --lines → quasiprob``, then ``frame
+``frame from-mub → bridge → verify --lines → quasiprob``, ``frame verify``
+given the line file as points (which its reader refuses), then ``frame
 from-hg``, ``sic generate`` of a seeded unit ket, ``sic verify`` of the family
 it writes, and the two solvers, ``sic solve-prob`` and ``sic search`` at seed
 0, run at D as ``python -m mubsic`` subprocesses, ``STEP_RUNS`` times per
 side, alternating.  Each step's median
 wall time and wait4 ``ru_maxrss`` is printed, and, each on its own, whether
 both sides wrote the same files, gave the same exit codes, and printed the same
-stdout and the same stderr (SHA-256 digests).
-``--out`` adds the table as ``frame_steps_d<D>``.
+stdout and the same stderr (SHA-256 digests), with the names of the files
+whose bytes differ.  ``--out`` adds the table as ``frame_steps_d<D>``.
 
 ``--out`` adds its keys to the file if it exists.  Runs go one at a time, so
 that the two sides see the same machine.
@@ -199,6 +200,7 @@ def step_chain(d: int) -> tuple[list, dict]:
                     "--lines", "{w}/lines.json"]),
         ("quasiprob", ["quasiprob", "--rho", "{w}/rho.json", "--points", "{w}/points.json",
                        "--out", "{w}/quasi.json"]),
+        ("lines-as-points", ["frame", "verify", "--points", "{w}/lines.json"]),
         ("from-hg", ["frame", "from-hg", "--d", str(d), "--out", "{w}/hg.json"]),
         ("generate", ["sic", "generate", "--fiducial", "{w}/fid.json",
                       "--out", "{w}/family.json"]),
@@ -253,7 +255,7 @@ def output_digests(records: list, files: dict) -> dict:
 
 def chain_run(root: str, d: int) -> tuple[list, dict]:
     """One run of the chain in a fresh directory: each step's record, and
-    the digests of its outputs (:func:`output_digests`)."""
+    the SHA-256 of each file it leaves, by name."""
     steps, inputs = step_chain(d)
     work = tempfile.mkdtemp(prefix="bench-steps-")
     try:
@@ -264,17 +266,18 @@ def chain_run(root: str, d: int) -> tuple[list, dict]:
         files = {name: file_sha256(os.path.join(work, name)) for name in sorted(os.listdir(work))}
     finally:
         shutil.rmtree(work)
-    return records, output_digests(records, files)
+    return records, files
 
 
 def run_steps(roots: dict, d: int, bytecode: str) -> dict:
     names = [name for name, _ in step_chain(d)[0]]
     table = {name: {side: {"wall_s": [], "rss_mb": []} for side in SIDES} for name in names}
-    outputs = {name: set() for name in OUTPUTS}
+    outputs, file_runs = {name: set() for name in OUTPUTS}, []
     for i in range(STEP_RUNS):
         for side in side_order(i):
-            records, digests = chain_run(roots[side], d)
-            for name, digest in digests.items():
+            records, files = chain_run(roots[side], d)
+            file_runs.append(files)
+            for name, digest in output_digests(records, files).items():
                 outputs[name].add(digest)
             for name, rec in zip(names, records):
                 table[name][side]["wall_s"].append(round(rec["seconds"], 4))
@@ -290,6 +293,8 @@ def run_steps(roots: dict, d: int, bytecode: str) -> dict:
                  "family's fiducial is a seeded unit ket, so sic generate exits 1; the package "
                  f"ran {bytecode}."),
         **{f"same_{name}": len(digests) == 1 for name, digests in outputs.items()},
+        "differing_files": sorted({name for files in file_runs for name in files
+                                   if len({run.get(name) for run in file_runs}) > 1}),
         "steps": table,
     }
 
@@ -333,6 +338,7 @@ def main() -> int:
                 for side, c in cells.items()))
         same = [result[f"same_{name}"] for name in OUTPUTS]
         print("same on both sides: " + ", ".join(f"{n} {s}" for n, s in zip(OUTPUTS, same)))
+        print("files that differ: " + (", ".join(result["differing_files"]) or "none"))
         if args.out:
             merge_into(args.out, {f"frame_steps_d{args.steps}": result})
         return 0 if all(same) else 1
