@@ -5,7 +5,8 @@ Numeric console output uses 12 significant digits.  The default verification
 tolerance is ``linalg.DEFAULT_TOL`` (1e-10), overridable by the MUBSIC_TOL
 environment variable and, per invocation, by --tol; a tolerance must be a
 finite nonnegative number.  All subcommands are deterministic: the same argv
-(and seed) produces byte-identical output files.
+(and seed) produces byte-identical output files, those of ``frame from-hg``
+at any BLAS thread count (README names the calls that are not order-proof).
 """
 
 from __future__ import annotations

@@ -66,7 +66,7 @@ WHOLE_FILE_READERS = {
     "lines": frames.line_frame_from_json_dict,
     "family": siclab.SicFamily.from_json_dict,
     "fiducial": siclab.Fiducial.from_json_dict,
-    "rho": lambda obj: linalg.HermitianOp.from_matrix(linalg.matrix_from_json_dict(obj)),
+    "rho": linalg.decode_operator,
 }
 
 REPLACEMENTS = {"string": "x", "null": None, "nan": float("nan"), "list": [1, 2]}
