@@ -50,6 +50,12 @@ _CHUNK = 1 << 18
 # What may follow a number's digits up to the end of the text read so far, if
 # the next chunk goes on with the number.
 _NUMBER_TAIL = re.compile(r"[0-9.eE+-]*\Z")
+# Where a value fails to decode, what may be left of the text read so far if
+# the next chunk completes the value: a number's '.' or exponent without its
+# digits, or a \uXXXX escape (the second of a surrogate pair among them)
+# without all four.  A literal's start also may be left (_LITERALS).
+_CUT_TAIL = re.compile(r"\.|[eE][-+]?|u[0-9a-fA-F]{0,4}")
+_LITERALS = ("true", "false", "null", "NaN", "Infinity", "-Infinity")
 
 
 class HermitianOp:
@@ -483,17 +489,17 @@ class _ChunkedJson:
     def _value(self):
         """The next value.  The next chunk is read first when less text is
         left than the longest value so far took (up to a chunk), so that few
-        values are cut by the end of the text.  One that is cut is decoded
-        again with the next chunk, and so is a number that the text ends
-        in, which the next chunk may go on."""
+        values are cut by the end of the text.  One that may be cut is
+        decoded again with the next chunk, and so is a number that the text
+        ends in, which the next chunk may go on."""
         if len(self.text) - self.pos < min(self.longest, _CHUNK):
             self._more()
         self._peek()
         while True:
             try:
                 value, end = self.decoder.raw_decode(self.text, self.pos)
-            except json.JSONDecodeError:
-                if self._more():
+            except json.JSONDecodeError as exc:
+                if self._cut(exc) and self._more():
                     continue
                 raise
             size = end - self.pos
@@ -501,6 +507,20 @@ class _ChunkedJson:
                 continue
             self.pos, self.longest = self.pos + size, max(self.longest, size)
             return value
+
+    def _cut(self, exc: json.JSONDecodeError) -> bool:
+        """Whether the end of the text read so far may be what ``exc``
+        failed on: the error lies at the end, in a string that runs to the
+        end, or just before the end, where the rest starts a literal or is
+        a cut number or escape.  Any other failure stays one with more text,
+        so it is raised without reading further."""
+        if exc.msg.startswith("Unterminated string"):
+            return True
+        if len(self.text) - exc.pos > len("-Infinity"):
+            return False
+        rest = self.text[exc.pos :]
+        return (not rest or any(word.startswith(rest) for word in _LITERALS)
+                or _CUT_TAIL.fullmatch(rest) is not None)
 
     def _each(self, close: str):
         """Step past the opening bracket just peeked at, then yield once

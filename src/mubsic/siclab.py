@@ -13,6 +13,8 @@ from __future__ import annotations
 
 import csv
 import io
+import operator
+import random
 from dataclasses import dataclass
 
 import numpy as np
@@ -410,10 +412,12 @@ def _cyclic_samples(d: int, seed: int, restarts: int) -> list:
         out[1:] = p[ahead[: half + 1]] + p[behind[: half + 1]]
         return out * (2.0 * q)
 
-    rng = np.random.default_rng(seed)
+    rng = _rng(seed)
     found: dict[tuple, tuple] = {}
     for _ in range(restarts):
-        q = np.sqrt(rng.dirichlet(np.ones(d)))
+        # A Dirichlet(1, ..., 1) draw: d exponential draws over their sum.
+        e = np.array([rng.expovariate(1.0) for _ in range(d)])
+        q = np.sqrt(e / e.sum())
         r = fun(q)
         for _ in range(_GN_STEPS):
             q_new = q - np.linalg.lstsq(jac(q), r, rcond=None)[0]
@@ -428,6 +432,17 @@ def _cyclic_samples(d: int, seed: int, restarts: int) -> list:
         canon = _canonical_cycle(p / p.sum(), behind)
         found.setdefault(tuple(round(x, 8) for x in canon), tuple(float(x) for x in canon))
     return sorted(found.values(), reverse=True)
+
+
+def _rng(seed) -> random.Random:
+    """The seeded stream of the cyclic restarts and of the search's start
+    kets.  Python keeps the sequence of ``random.Random(seed).random()``,
+    which its other draws are computed from, the same across versions.  The
+    seed is any non-negative integer, numpy's included."""
+    seed = operator.index(seed)
+    if seed < 0:
+        raise ValueError("expected non-negative integer")
+    return random.Random(seed)
 
 
 # --- fiducial from measurement columns ------------------------------------------
@@ -736,10 +751,10 @@ def search_fiducial(d: int, cfg: SearchConfig | None = None) -> SearchResult:
         u -= (2.0 * np.abs(a) ** 2 / nrm2**3)[:, None] * psi[None, :]
         return np.concatenate([2.0 * u.real, 2.0 * u.imag], axis=1)
 
-    rng = np.random.default_rng(cfg.seed)
+    rng = _rng(cfg.seed)
     best_f = np.inf
     for used in range(1, cfg.restarts + 1):
-        x0 = rng.standard_normal(2 * d)
+        x0 = np.array([rng.gauss(0.0, 1.0) for _ in range(2 * d)])
         res = least_squares(residuals, x0, jac=jac, max_nfev=cfg.max_iters)
         f_val = float(np.sum(res.fun**2))
         if f_val < best_f:

@@ -619,6 +619,13 @@ def test_sic_search_is_deterministic(tmp_path):
     assert a.read_bytes() == b.read_bytes()
 
 
+@pytest.mark.parametrize("argv", [["sic", "search", "--d", "5", "--seed", "-1"],
+                                  ["sic", "solve-prob", "--d", "5", "--seed", "-3"]])
+def test_negative_seed_is_one_error_line(argv, capsys):
+    assert run(argv) == 2
+    assert capsys.readouterr() == ("", "error: expected non-negative integer\n")
+
+
 def test_sic_search_budget_exhaustion_exit_code(tmp_path, capsys):
     argv = ["sic", "search", "--d", "5", "--seed", "0", "--restarts", "1",
             "--max-iters", "2"]

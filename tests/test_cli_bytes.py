@@ -132,53 +132,53 @@ PINS = {
     ),
     "sic search --d 5 --seed 7 --restarts 200 --out fiducial5.json": (
         0,
-        "ea3d68b7c47d1cd1dfdf67793b2851822766a69babc31edd5d5d3847386e1a71",
-        "b741f1e432ab0faa1089de21bb3a51bd8072ea0a7869c3911113cc0c739acfdb",
+        "cd7e4d0d3d76d0b6433306525a8f3ddd17e96174387941e40a87a842170342b8",
+        "65329d84ef8961e36d01e5caa79a2022e68a8edfd7ebeb457fd5493cea6833e7",
     ),
     "sic generate --fiducial fiducial5.json --out family5.json": (
         0,
-        "a0bb090fc01903765b5982f0d683195b35120157da253f95096153a54bff63de",
-        "43ac1583fdaa0241c736d8d86aad62aa788a71d45ebc4a5305100ad51019e54e",
+        "cdc7d816c81e6c22ea0998168fd165856fb3f25b1e1fb20f5e94b712e6ea025a",
+        "8a16810c187f93fc37f8b2e910f177ccce6de8e7daf9e0c544204fb31c84eea6",
     ),
     "sic verify --in family5.json": (
         0,
-        "659a5846379fb2bcab59ec2bf41cf4a6cc766f41ebea5ae2ab44ca23014463bd",
+        "f6adb3ac73334e46310f9688cfefc75949edd4c05b269991e93c083fda7e5a4c",
         None,
     ),
     "sic spectra --in family5.json --out spectra5.csv": (
         0,
-        "5058cc42879f6d7eb275ed1db3f16ffc1319af9a6c6e0b0e389d32f930bc08ce",
-        "9d49193d6de7b6c9683e273774a53bbbec0a3245281e0d8707947241c66fb589",
+        "6dcbf7a7b27d03cbd877c43d550a599cc2b4e99c3729b908c4fd00f812177e06",
+        "5f310dac85742adde656bff89fe99c9825fe235e3e4aca6bdb5a735e8b13057c",
     ),
     "sic group --in spectra5.csv --tol 1e-4 --out groups5.json": (
         0,
-        "462f271af61128e4d74ec1acb735b7634a5c5cbd14d8e3d56d68358834da0ed8",
-        "233833066a1e3994e27743163502e324d82c3ca2d56f3467315796208ea4b68a",
+        "e119a90868bc0dab7716373e8357e09150aaf0f1b473e4609e17c3d830869fa2",
+        "9c554735ef27a4d84bd6a0c9ca8f4549d778065d4f59799238087009229072cb",
     ),
     "sic search --d 7 --seed 3 --restarts 200 --out fiducial7.json": (
         0,
-        "a5a164f581a10c49d8479bcd4980482e6c70080a75b0662a58566c76cdaf38d7",
-        "0fa723678e3257ca69577252d05e24ed5e61b3f026a629107fba592a661e2919",
+        "ca78bcba3a4ea36213f7fbfcb2cc6a0a82ed352a301a8337403014d1bac8e4fb",
+        "693cc372b87dd842db201b831889a8942d847f4d332914e4a984678a83c3761a",
     ),
     "sic generate --fiducial fiducial7.json --out family7.json": (
         0,
-        "53bbed301ab69d9e418d0ee3bf3146593486bcda181645b50e927ceead2b98db",
-        "825da8c89c57df4c5db57c6f0546308b5c48ce5314b0e65bb5a69dcd1561da98",
+        "082804acb427fcc3a1b3fe97e591beb3e118d90e0aa37564d39c61b378d450d3",
+        "75477e56c14b1fb7254d22a277f2c7f03475f463f94d8dd9e9b51b1076686fb5",
     ),
     "sic verify --in family7.json": (
         0,
-        "7027dd27a6b2de34b86bfc86fbccbd72b797979aeb87ad3334a0d8c4bc6b80da",
+        "28eb8a53acc86f611e2357d542939b73c4e2ef1c101e625f2f9cd1d216ea1480",
         None,
     ),
     "sic spectra --in family7.json --out spectra7.csv": (
         0,
-        "7b14460f4318500460c671c6e0c99b1bb2bdcf0a390fa2faa991f1f40723b6c4",
-        "8fa993e1cbe283a9699fdf3e4a1aeb26e48b29d6a3c3ee2064d1361945095285",
+        "f062c255f938f3f7f570dd796faa3cca2982bdca99273b858662116fdf41c5e1",
+        "48b31573db07dff379b9ce911090d4e4d0bd85e93a5dc6ece5b8fb2b9c45f26b",
     ),
     "sic group --in spectra7.csv --out groups7.json": (
         0,
-        "e6e209f573cb544b98cbdc2fd8c94d4cd7a74cc2fc30640566527952f6a4a755",
-        "36d1c6fc8b5c286a71d4dd6077bb79d26435acc623497be3f5bdba8083801a44",
+        "369d8e69ae56b9edf99d036e336f82f5f38c17879a47def7fa3fb6e233ed9764",
+        "d39c7bdf9c6a0dde97dcf2e1b327b68150e63e3052bece9be6286f6f94d032ee",
     ),
     "sic solve-prob --d 3": (
         0,
@@ -187,7 +187,7 @@ PINS = {
     ),
     "sic solve-prob --d 5 --seed 11 --restarts 8": (
         0,
-        "915b3307b6aa1e75c4567b26ea8b4d48eb6d7153b3bd6916d773dd7e83aaea0c",
+        "e873c4eda7e07346fbd7acae16fb49568e62c4ef83d44c1e4b365c821906c52f",
         None,
     ),
 }

@@ -767,6 +767,35 @@ def test_bounded_reader_rejects_malformed_json(text, chunk, tmp_path, monkeypatc
         linalg.load_json(path, linalg.decode_operator)
 
 
+@pytest.mark.parametrize("start, message", [
+    ("\ufeff", "Unexpected UTF-8 BOM (decode using utf-8-sig): line 1 column 1 (char 0)"),
+    ("x", "Expecting value: line 1 column 1 (char 0)"),
+])
+def test_bounded_reader_stops_at_a_value_that_cannot_decode(start, message, tmp_path, monkeypatch):
+    """A value that no further text can complete is refused after at most
+    two chunk reads, not retried with every chunk of the file, and the
+    error is json's own for the whole file."""
+    pf = frames.point_frame_from_mub(weyl.build_mub(3))
+    path = tmp_path / "points.json"
+    with open(path, "w") as fh:
+        fh.write(start)
+        linalg.dump_json(frames.point_frame_layout(pf), fh)
+    reads = []
+    more = linalg._ChunkedJson._more
+
+    def counting(self):
+        reads.append(1)
+        return more(self)
+
+    monkeypatch.setattr(linalg, "_CHUNK", 16)
+    monkeypatch.setattr(linalg._ChunkedJson, "_more", counting)
+    assert path.stat().st_size > 100 * 16
+    with pytest.raises(ValueError) as exc:
+        linalg.load_json(path, linalg.decode_operator)
+    assert str(exc.value) == message
+    assert len(reads) <= 2
+
+
 def test_bounded_reader_stacks_a_list_of_operators(tmp_path):
     """A list member of operators comes back as one read-only stack; a list
     that mixes operators with other values stays a list."""

@@ -1,5 +1,7 @@
 """No command loads scipy: the fiducial search's Levenberg-Marquardt solver
-and the cyclic probability solver run on numpy alone.  ``import mubsic``
+and the cyclic probability solver run on numpy alone, and draw their seeded
+restarts from the standard library's ``random``, so no command loads
+``numpy.random`` either, nor the OpenSSL hashing it brings.  ``import mubsic``
 loads nothing at all: each public name lives only in its module, and each
 command loads only the modules of the layers it runs.
 
@@ -87,6 +89,53 @@ def test_search_then_generate_leave_scipy_unloaded(tmp_path):
         "print(json.dumps([rcs, sorted(m for m in sys.modules if m.split('.')[0] == 'scipy')]))"
     )
     assert (rcs, loaded) == ([0, 0], [])
+
+
+# One call of every leaf subcommand, at d ≤ 5, each reading the files of
+# the calls before it ({w} is a scratch directory).
+EVERY_LEAF = [
+    ["mub", "build", "--d", "5", "--out", "{w}/bases.json"],
+    ["mub", "verify", "--d", "5"],
+    ["plane", "build", "--d", "3", "--out", "{w}/plane.json"],
+    ["plane", "verify", "--d", "5"],
+    ["frame", "from-mub", "--d", "3", "--out", "{w}/points.json"],
+    ["frame", "from-hg", "--d", "3", "--out", "{w}/hg.json"],
+    ["frame", "bridge", "--points", "{w}/points.json", "--out", "{w}/lines.json"],
+    ["frame", "verify", "--points", "{w}/points.json", "--lines", "{w}/lines.json"],
+    ["quasiprob", "--rho", "{w}/rho.json", "--points", "{w}/points.json", "--out", "{w}/quasi.json"],
+    ["sic", "search", "--d", "5", "--out", "{w}/fid.json"],
+    ["sic", "generate", "--fiducial", "{w}/fid.json", "--out", "{w}/family.json"],
+    ["sic", "verify", "--in", "{w}/family.json"],
+    ["sic", "spectra", "--in", "{w}/family.json", "--out", "{w}/spectra.csv"],
+    ["sic", "group", "--in", "{w}/spectra.csv", "--out", "{w}/groups.json"],
+    ["sic", "solve-prob", "--d", "5"],
+]
+
+
+def test_no_leaf_loads_numpy_random_or_openssl(tmp_path):
+    """After each leaf subcommand, in one fresh interpreter, none of
+    ``numpy.random``, ``secrets`` or ``_hashlib`` is loaded, and the calls
+    reach every handler the parser has."""
+    mixed = [[1 / 3 if i == j else 0.0, 0.0] for i in range(3) for j in range(3)]
+    (tmp_path / "rho.json").write_text(json.dumps({"dim": 3, "entries": mixed}))
+    argvs = [[a.format(w=tmp_path) for a in argv] for argv in EVERY_LEAF]
+    handlers, every_handler, after_each = _fresh(
+        "import io, json, sys, contextlib\n"
+        "from mubsic import cli\n"
+        f"argvs = {argvs!r}\n"
+        "parser = cli.build_parser()\n"
+        "handlers = sorted({parser.parse_args(argv).handler.__name__ for argv in argvs})\n"
+        "after_each = []\n"
+        "for argv in argvs:\n"
+        "    with contextlib.redirect_stdout(io.StringIO()):\n"
+        "        rc = cli.run(argv)\n"
+        "    after_each.append([rc, [m for m in ('numpy.random', 'secrets', '_hashlib')\n"
+        "                            if m in sys.modules]])\n"
+        "print(json.dumps([handlers, sorted(n for n in dir(cli) if n.startswith('_cmd_')),\n"
+        "                  after_each]))"
+    )
+    assert handlers == every_handler
+    assert after_each == [[0, []]] * len(EVERY_LEAF)
 
 
 MUBSIC_MODULES = "sorted(m for m in sys.modules if m.split('.')[0] == 'mubsic')"
