@@ -1122,12 +1122,16 @@ def test_seed_past_64_bits_runs():
     assert solve_cyclic_probability(5, seed=10**30, restarts=4).solutions
 
 
-@pytest.mark.parametrize("seed, error", [(-1, ValueError), (-(10**30), ValueError),
-                                         (1.0, TypeError), ("7", TypeError)])
-def test_seed_must_be_a_non_negative_integer(seed, error):
-    with pytest.raises(error):
+@pytest.mark.parametrize("seed, error, match", [
+    (-1, ValueError, "expected non-negative integer"),
+    (-(10**30), ValueError, "expected non-negative integer"),
+    (1.0, TypeError, "integer"),
+    ("7", TypeError, "integer"),
+])
+def test_seed_must_be_a_non_negative_integer(seed, error, match):
+    with pytest.raises(error, match=match):
         search_fiducial(3, SearchConfig(seed=seed, restarts=1))
-    with pytest.raises(error):
+    with pytest.raises(error, match=match):
         solve_cyclic_probability(5, seed=seed, restarts=1)
 
 
