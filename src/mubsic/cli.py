@@ -16,8 +16,9 @@ import math
 import os
 import sys
 
-# Every call runs linalg; each handler imports the other layers it runs.
-from . import linalg
+# No layer, and so no numpy, loads at import: --help and usage errors cost
+# only the interpreter and argparse.  Each handler imports the layers it runs,
+# linalg through the helpers below.
 
 
 def _fmt(x: float) -> str:
@@ -41,6 +42,8 @@ def _tol(args) -> float:
     env = os.environ.get("MUBSIC_TOL")
     if env is not None:
         return _read_tol(env, "MUBSIC_TOL")
+    from . import linalg
+
     return linalg.DEFAULT_TOL
 
 
@@ -52,15 +55,22 @@ def _verdict(prefix: str, dev: float, tol: float) -> int:
 
 
 def _write_text(path, text: str) -> None:
+    from . import linalg
+
     with linalg.output(path) as fh:
         fh.write(text)
 
 
-# The name the benchmark's tracer wraps, as it wraps _read_json and _write_text.
-_write_json = linalg.write_json
+def _write_json(path, obj: dict) -> None:
+    """``linalg.write_json`` under the name the benchmark's tracer wraps."""
+    from . import linalg
+
+    linalg.write_json(path, obj)
 
 
 def _read_json(path) -> dict:
+    from . import linalg
+
     return linalg.load_json(path, linalg.decode_operator)
 
 
@@ -253,7 +263,7 @@ def _cmd_sic_search(args) -> int:
 
 
 def _cmd_quasiprob(args) -> int:
-    from . import frames, plane
+    from . import frames, linalg, plane
 
     rho = linalg.read_operator_json(args.rho)
     pf = frames.point_frame_from_json_dict(_read_json(args.points))

@@ -46,14 +46,16 @@ def test_merge_into_keeps_other_keys(tmp_path):
 
 
 def test_step_table_runs_both_solvers():
-    """The same-outputs check of ``--steps D`` covers a call of every
-    subcommand group, the frame chain, the family writer and its reader, and
-    both solvers, each from a seed, so outputs repeat."""
+    """The same-outputs check of ``--steps D`` covers the front end alone
+    (help and a usage error), a call of every subcommand group, the frame
+    chain, the family writer and its reader, and both solvers, each from a
+    seed, so outputs repeat."""
     steps, inputs = bench_pairs.step_chain(7)
     names = [name for name, _ in steps]
-    assert names == ["mub-verify", "plane-verify", "from-mub", "bridge", "verify", "quasiprob",
+    assert names == ["help", "usage", "mub-verify", "plane-verify", "from-mub", "bridge", "verify", "quasiprob",
                      "lines-as-points", "from-hg", "generate", "sic-verify", "solve-prob",
                      "search"]
+    assert dict(steps)["usage"] == ["mub", "verify"]
     assert dict(steps)["lines-as-points"] == ["frame", "verify", "--points", "{w}/lines.json"]
     assert dict(steps)["sic-verify"] == ["sic", "verify", "--in", "{w}/family.json"]
     assert dict(steps)["search"][:6] == ["sic", "search", "--d", "7", "--seed", "0"]

@@ -1,6 +1,8 @@
 import argparse
 import json
 import os
+import subprocess
+import sys
 import warnings
 
 import numpy as np
@@ -934,3 +936,55 @@ def test_run_parses_with_one_tree_per_process(monkeypatch, capsys):
     monkeypatch.undo()
     assert run(["mub", "verify", "--d", "2"]) == 0
     assert cli._shared_parser() not in (tree, built[0])
+
+
+def test_artifact_bytes_do_not_depend_on_blas_threads(tmp_path):
+    """The files of the chains whose calls reach BLAS or LAPACK have the same
+    bytes at one and at two BLAS threads: the search's JᵀJ and damped solve,
+    ``generate_hw_sic``'s conjugations, ``hermitian_eigensystem`` under
+    ``sic spectra``, and ``quasi_distribution``'s ``taus @ rho`` on a state
+    with no zero entries.  Each thread count runs in its own interpreter,
+    because OpenBLAS reads its thread count when numpy loads."""
+    d = 23
+    rng = np.random.default_rng(7)
+    a = rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
+    rho = a @ a.conj().T
+    linalg.write_operator_json(tmp_path / "rho.json", rho / np.trace(rho).real)
+    argvs = [
+        ["sic", "search", "--d", str(d), "--seed", "2", "--out", "{w}/fid.json"],
+        ["sic", "generate", "--fiducial", "{w}/fid.json", "--out", "{w}/family.json"],
+        ["sic", "spectra", "--in", "{w}/family.json", "--out", "{w}/spectra.csv"],
+        ["frame", "from-mub", "--d", str(d), "--out", "{w}/points.json"],
+        ["quasiprob", "--rho", str(tmp_path / "rho.json"), "--points", "{w}/points.json",
+         "--out", "{w}/quasi.json"],
+    ]
+    code = (
+        "import contextlib, hashlib, io, json, pathlib, sys\n"
+        "from mubsic import cli\n"
+        "w = pathlib.Path(sys.argv[1])\n"
+        "w.mkdir()\n"
+        f"argvs = [[a.format(w=w) for a in argv] for argv in {argvs!r}]\n"
+        "with contextlib.redirect_stdout(io.StringIO()):\n"
+        "    rcs = [cli.run(argv) for argv in argvs]\n"
+        "digests = {p.name: hashlib.sha256(p.read_bytes()).hexdigest()\n"
+        "           for p in sorted(w.iterdir())}\n"
+        "print(json.dumps([rcs, digests]))\n"
+    )
+    src = os.path.dirname(os.path.dirname(os.path.abspath(cli.__file__)))
+    procs = []
+    for threads in ("1", "2"):  # both children at once, to halve the wall time
+        env = dict(os.environ, PYTHONPATH=src, OPENBLAS_NUM_THREADS=threads)
+        env.pop("MUBSIC_TOL", None)
+        procs.append(subprocess.Popen([sys.executable, "-c", code, str(tmp_path / threads)],
+                                      env=env, stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+                                      text=True))
+    runs = []
+    for proc in procs:
+        out, err = proc.communicate(timeout=300)
+        assert (proc.returncode, err) == (0, "")
+        runs.append(json.loads(out))
+    rcs, digests = runs[0]
+    assert rcs == [0] * len(argvs)
+    assert sorted(digests) == ["family.json", "fid.json", "points.json", "quasi.json",
+                               "spectra.csv"]
+    assert runs[1] == runs[0]

@@ -3,7 +3,8 @@ and the cyclic probability solver run on numpy alone, and draw their seeded
 restarts from the standard library's ``random``, so no command loads
 ``numpy.random`` either, nor the OpenSSL hashing it brings.  ``import mubsic``
 loads nothing at all: each public name lives only in its module, and each
-command loads only the modules of the layers it runs.
+command loads only the modules of the layers it runs.  ``import mubsic.cli``,
+``--help`` and usage errors load no layer and no numpy.
 
 The import checks run in fresh interpreters: within the suite, other tests
 have already imported the package and numpy, so an in-process check proves
@@ -142,9 +143,8 @@ MUBSIC_MODULES = "sorted(m for m in sys.modules if m.split('.')[0] == 'mubsic')"
 
 
 def test_layers_load_on_first_attribute_access():
-    """``import mubsic.cli`` loads linalg alone beside it, through which every
-    command reads and writes; the package loads any other layer when it is
-    first asked for it."""
+    """``import mubsic.cli`` loads no layer beside it; the package loads a
+    layer when it is first asked for it."""
     seen = _fresh(
         "import json, sys\n"
         "import mubsic\n"
@@ -161,8 +161,39 @@ def test_layers_load_on_first_attribute_access():
     assert seen == [
         ["mubsic"],
         "module 'mubsic' has no attribute 'no_such_layer'",
-        ["mubsic", "mubsic.cli", "mubsic.linalg"],
+        ["mubsic", "mubsic.cli"],
         "SearchConfig",
+    ]
+
+
+def test_front_end_loads_no_numpy_until_a_handler_runs():
+    """Importing the CLI, building its parser, ``--help`` at any level and a
+    usage error load no layer and no numpy; the first handler that computes
+    loads them."""
+    seen = _fresh(
+        "import contextlib, io, json, sys\n"
+        "def loaded(rc):\n"
+        "    return [rc, 'numpy' in sys.modules, "
+        f"{MUBSIC_MODULES}]\n"
+        "import mubsic.cli\n"
+        "seen = [loaded(None)]\n"
+        "mubsic.cli.build_parser()\n"
+        "seen.append(loaded(None))\n"
+        "for argv in (['--help'], ['sic', 'search', '--help'], ['mub', 'verify'],\n"
+        "             ['mub', 'verify', '--d', '5']):\n"
+        "    with contextlib.redirect_stdout(io.StringIO()), \\\n"
+        "            contextlib.redirect_stderr(io.StringIO()):\n"
+        "        seen.append(loaded(mubsic.cli.run(argv)))\n"
+        "print(json.dumps(seen))"
+    )
+    front = ["mubsic", "mubsic.cli"]
+    assert seen == [
+        [None, False, front],
+        [None, False, front],
+        [0, False, front],
+        [0, False, front],
+        [2, False, front],
+        [0, True, front + ["mubsic.linalg", "mubsic.weyl"]],
     ]
 
 

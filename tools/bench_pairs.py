@@ -19,17 +19,18 @@ the parent's BENCHMARK.json, each side's runs, median and quartiles (numpy
 linear percentiles), and the pairs the change won and lost by the metric's
 own direction.  Runs from byte-compiled checkouts go under ``compiled``.
 
-With ``--steps D`` ``mub verify`` and ``plane verify``, the frame chain
-``frame from-mub → bridge → verify --lines → quasiprob``, ``frame verify``
-given the line file as points (which its reader refuses), then ``frame
-from-hg``, ``sic generate`` of a seeded unit ket, ``sic verify`` of the family
-it writes, and the two solvers, ``sic solve-prob`` and ``sic search`` at seed
-0, run at D as ``python -m mubsic`` subprocesses, ``STEP_RUNS`` times per
-side, alternating.  Each step's median
-wall time and wait4 ``ru_maxrss`` is printed, and, each on its own, whether
-both sides wrote the same files, gave the same exit codes, and printed the same
-stdout and the same stderr (SHA-256 digests), with the names of the files
-whose bytes differ.  ``--out`` adds the table as ``frame_steps_d<D>``.
+With ``--steps D`` the front end alone, ``--help`` and a usage error
+(``mub verify`` without ``--d``, exit 2), then ``mub verify`` and ``plane
+verify``, the frame chain ``frame from-mub → bridge → verify --lines →
+quasiprob``, ``frame verify`` given the line file as points (which its reader
+refuses), then ``frame from-hg``, ``sic generate`` of a seeded unit ket, ``sic
+verify`` of the family it writes, and the two solvers, ``sic solve-prob`` and
+``sic search`` at seed 0, run at D as ``python -m mubsic`` subprocesses,
+``STEP_RUNS`` times per side, alternating.  Each step's median wall time and
+wait4 ``ru_maxrss`` is printed, and, each on its own, whether both sides wrote
+the same files, gave the same exit codes, and printed the same stdout and the
+same stderr (SHA-256 digests), with the names of the files whose bytes differ.
+``--out`` adds the table as ``frame_steps_d<D>``.
 
 ``--out`` adds its keys to the file if it exists.  Runs go one at a time, so
 that the two sides see the same machine.
@@ -177,7 +178,9 @@ def run_pairs(roots: dict, plan: list, spec: dict) -> dict:
 
 def step_chain(d: int) -> tuple[list, dict]:
     """The steps (name, argv with ``{w}`` for the work directory) and the
-    input files at ``d``.  ρ is 1/d times the identity.  The family's
+    input files at ``d``.  The first two steps run no handler: ``--help``
+    exits 0 and ``mub verify`` without ``--d`` exits 2, so they time the front
+    end alone.  ρ is 1/d times the identity.  The family's
     fiducial is a unit ket drawn from ``random.Random(d)``, no SIC fiducial,
     so ``sic generate`` exits 1 after writing the family, and so does ``sic
     verify`` reading it back; their exit codes, bytes and memory are compared
@@ -192,6 +195,8 @@ def step_chain(d: int) -> tuple[list, dict]:
         "fid.json": {"d": d, "ket": [[z.real / norm, z.imag / norm] for z in ket]},
     }
     steps = [
+        ("help", ["--help"]),
+        ("usage", ["mub", "verify"]),
         ("mub-verify", ["mub", "verify", "--d", str(d)]),
         ("plane-verify", ["plane", "verify", "--d", str(d)]),
         ("from-mub", ["frame", "from-mub", "--d", str(d), "--out", "{w}/points.json"]),
