@@ -52,9 +52,9 @@ def test_step_table_runs_both_solvers():
     seed, so outputs repeat."""
     steps, inputs = bench_pairs.step_chain(7)
     names = [name for name, _ in steps]
-    assert names == ["help", "usage", "mub-verify", "plane-verify", "from-mub", "bridge", "verify", "quasiprob",
-                     "lines-as-points", "from-hg", "generate", "sic-verify", "solve-prob",
-                     "search"]
+    assert names == ["help", "usage", "mub-verify", "plane-verify", "from-mub", "bridge",
+                     "verify", "quasiprob", "lines-as-points", "from-hg", "generate",
+                     "sic-verify", "solve-prob", "search"]
     assert dict(steps)["usage"] == ["mub", "verify"]
     assert dict(steps)["lines-as-points"] == ["frame", "verify", "--points", "{w}/lines.json"]
     assert dict(steps)["sic-verify"] == ["sic", "verify", "--in", "{w}/family.json"]

@@ -179,10 +179,10 @@ def run_pairs(roots: dict, plan: list, spec: dict) -> dict:
 def step_chain(d: int) -> tuple[list, dict]:
     """The steps (name, argv with ``{w}`` for the work directory) and the
     input files at ``d``.  The first two steps run no handler: ``--help``
-    exits 0 and ``mub verify`` without ``--d`` exits 2, so they time the front
-    end alone.  ρ is 1/d times the identity.  The family's
-    fiducial is a unit ket drawn from ``random.Random(d)``, no SIC fiducial,
-    so ``sic generate`` exits 1 after writing the family, and so does ``sic
+    exits 0 and ``mub verify`` without ``--d`` exits 2, so they time the
+    front end alone.  ρ is 1/d times the identity.  The family's fiducial is
+    a unit ket drawn from ``random.Random(d)``, no SIC fiducial, so ``sic
+    generate`` exits 1 after writing the family, and so does ``sic
     verify`` reading it back; their exit codes, bytes and memory are compared
     like every other step's, and so are those of the solvers, whose results
     at seed 0 are deterministic."""
