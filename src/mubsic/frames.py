@@ -94,7 +94,7 @@ def point_frame_from_mub(mub: MubFamily) -> PointFrame:
     if mub.n_bases != d + 1:
         raise ValueError(f"need a complete family of {d + 1} bases, got {mub.n_bases}")
     dev = verify_mub(mub)
-    if dev > DEFAULT_TOL:
+    if not dev <= DEFAULT_TOL:
         raise ValueError(f"basis family fails unbiasedness: deviation {dev:.3e}")
     eye = np.eye(d)
     kets = (mub.bases[j, m] for m, j in point_keys(d))
@@ -229,16 +229,19 @@ def scaled_so(frame: LineFrame) -> np.ndarray:
 
 
 def quasi_distribution(rho: np.ndarray, points: PointFrame) -> dict:
-    """Q_(m,j) = tr(τ_m^(j) ρ) over all points, for a unit-trace Hermitian
-    matrix ρ.
+    """Q_(m,j) = tr(τ_m^(j) ρ) over all points, for a finite unit-trace
+    Hermitian matrix ρ.
 
     Columns each sum to 1; entries may be negative unless the τ are positive.
     A value past float64 reads inf or NaN, without a floating-point warning.
     """
     if len(rho) != points.d:
         raise ValueError(f"dimension mismatch: ρ is {len(rho)}, frame is {points.d}")
+    # As floats, as HermitianOp.from_matrix checks: a complex isfinite adds to peak RSS.
+    if not (np.isfinite(rho.real).all() and np.isfinite(rho.imag).all()):
+        raise ValueError("ρ entries must be finite")
     trace = float(rho.diagonal().real.sum())
-    if abs(trace - 1.0) > 1e-10:
+    if not abs(trace - 1.0) <= 1e-10:
         raise ValueError(f"ρ must have unit trace, got {trace!r}")
     taus = trace_one(points.ops, points.d)
     # The matmul trace, not hs_inner or an einsum: these values are written to

@@ -17,7 +17,6 @@ import contextlib
 import itertools
 import json
 import math
-import re
 import sys
 from json.decoder import WHITESPACE as _WHITESPACE
 
@@ -47,15 +46,10 @@ _SLICE_PAIRS = sorted(itertools.product(range(_GRAM_SLICES), repeat=2), key=sum,
 
 # load_json reads a file this many characters at a time.
 _CHUNK = 1 << 18
-# What may follow a number's digits up to the end of the text read so far, if
-# the next chunk goes on with the number.
-_NUMBER_TAIL = re.compile(r"[0-9.eE+-]*\Z")
-# Where a value fails to decode, what may be left of the text read so far if
-# the next chunk completes the value: a number's '.' or exponent without its
-# digits, or a \uXXXX escape (the second of a surrogate pair among them)
-# without all four.  A literal's start also may be left (_LITERALS).
-_CUT_TAIL = re.compile(r"\.|[eE][-+]?|u[0-9a-fA-F]{0,4}")
-_LITERALS = ("true", "false", "null", "NaN", "Infinity", "-Infinity")
+# json fails on a value cut by the end of the text read so far, or ends a cut
+# number, fewer than this many characters before that end (a cut "-Infinity"
+# at its '-'); only a cut string fails further back, and json names it.
+_CUT = len("-Infinity")
 
 
 class HermitianOp:
@@ -462,8 +456,8 @@ class _ChunkedJson:
         self.text, self.pos, self.eof, self.longest = "", 0, False, 0
 
     def _more(self) -> bool:
-        """Read the next chunk after the undecoded text, which then starts
-        at ``pos`` 0; False at the end of the file."""
+        """Read the next chunk after the undecoded text, which then starts at
+        ``pos`` 0; False at the end of the file, where pos may have moved too."""
         if self.eof:
             return False
         tail, self.text = self.text[self.pos :], ""
@@ -489,9 +483,9 @@ class _ChunkedJson:
     def _value(self):
         """The next value.  The next chunk is read first when less text is
         left than the longest value so far took (up to a chunk), so that few
-        values are cut by the end of the text.  One that may be cut is
-        decoded again with the next chunk, and so is a number that the text
-        ends in, which the next chunk may go on."""
+        values are cut by the end of the text.  A value that fails or ends
+        fewer than ``_CUT`` characters before that end, or in an unterminated
+        string, may be cut, so it is decoded again with the next chunk."""
         if len(self.text) - self.pos < min(self.longest, _CHUNK):
             self._more()
         self._peek()
@@ -499,28 +493,15 @@ class _ChunkedJson:
             try:
                 value, end = self.decoder.raw_decode(self.text, self.pos)
             except json.JSONDecodeError as exc:
-                if self._cut(exc) and self._more():
+                cut = len(self.text) - exc.pos < _CUT or exc.msg.startswith("Unterminated string")
+                if cut and self._more():
                     continue
                 raise
             size = end - self.pos
-            if self.text[end - 1].isdigit() and _NUMBER_TAIL.match(self.text, end) and self._more():
+            if len(self.text) - end < _CUT and self._more():
                 continue
             self.pos, self.longest = self.pos + size, max(self.longest, size)
             return value
-
-    def _cut(self, exc: json.JSONDecodeError) -> bool:
-        """Whether the end of the text read so far may be what ``exc``
-        failed on: the error lies at the end, in a string that runs to the
-        end, or just before the end, where the rest starts a literal or is
-        a cut number or escape.  Any other failure stays one with more text,
-        so it is raised without reading further."""
-        if exc.msg.startswith("Unterminated string"):
-            return True
-        if len(self.text) - exc.pos > len("-Infinity"):
-            return False
-        rest = self.text[exc.pos :]
-        return (not rest or any(word.startswith(rest) for word in _LITERALS)
-                or _CUT_TAIL.fullmatch(rest) is not None)
 
     def _each(self, close: str):
         """Step past the opening bracket just peeked at, then yield once

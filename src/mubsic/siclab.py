@@ -174,7 +174,7 @@ def extract_mu_pom(fam: SicFamily) -> np.ndarray:
     """
     d = fam.d
     dev = verify_sic(fam)
-    if dev > 1e-8:
+    if not dev <= 1e-8:
         raise ValueError(f"family fails equal-overlap check: deviation {dev:.3e}")
     return read_only(incidence_sum(build_dapg(d).incidence.T, fam.projectors) * (1.0 / d))
 
@@ -492,7 +492,7 @@ def fiducial_from_mu_pom(taus: np.ndarray, mub: MubFamily) -> FiducialExtraction
     for b, tau in enumerate(taus):
         rep = mub.bases[b].conj() @ tau @ mub.bases[b].T
         off = float(np.abs(rep - np.diag(rep.diagonal())).max())
-        if off > 1e-10:
+        if not off <= 1e-10:
             raise ValueError(
                 f"operator {b} is not diagonal in basis {b}: off-diagonal {off:.3e}"
             )

@@ -45,7 +45,7 @@ from mubsic.frames import (
 )
 from mubsic.linalg import DEFAULT_TOL, HermitianOp, hs_inner
 from mubsic.plane import Dapg, build_dapg, line_keys, point_keys
-from mubsic.weyl import build_hg_basis, build_mub, build_weyl_pair, monomial
+from mubsic.weyl import MubFamily, build_hg_basis, build_mub, build_weyl_pair, monomial
 
 
 def mub_points(d):
@@ -100,6 +100,13 @@ def test_mub_frame_strength_and_overlaps():
     assert hs_inner(taus[0], taus[1]) == pytest.approx(0.0, abs=1e-12)
     assert hs_inner(taus[0], taus[3]) == pytest.approx(1 / 3, abs=1e-12)
     assert hs_inner(pf.ops[0], pf.ops[0]) == pytest.approx(6.0, abs=1e-10)
+
+
+def test_mub_frame_refuses_a_nan_basis_as_not_unbiased():
+    bases = build_mub(3).bases.copy()
+    bases[1, 2, 0] = np.nan
+    with pytest.raises(ValueError, match="fails unbiasedness: deviation nan"):
+        point_frame_from_mub(MubFamily(d=3, bases=bases))
 
 
 def test_point_tables_small_primes():
@@ -623,6 +630,16 @@ def test_quasi_distribution_rejects_bad_trace():
     pf = mub_points(2)
     with pytest.raises(ValueError):
         quasi_distribution(HermitianOp.from_matrix(np.eye(2)), pf)
+
+
+@pytest.mark.parametrize("rho", [
+    np.full((2, 2), complex(np.nan)),  # a NaN trace
+    np.array([[0.5, np.inf], [0.0, 0.5]], dtype=complex),  # trace 1
+    np.array([[0.5, 0.0], [complex(0, np.inf), 0.5]]),
+], ids=["nan", "inf", "imaginary-inf"])
+def test_quasi_distribution_refuses_non_finite_rho(rho):
+    with pytest.raises(ValueError, match="ρ entries must be finite"):
+        quasi_distribution(rho, mub_points(2))
 
 
 def test_quasi_distribution_unit_trace_bound():

@@ -747,6 +747,27 @@ def test_bounded_reader_numbers_cut_anywhere(text, tmp_path, monkeypatch):
         assert _canonical(linalg.load_json(path, linalg.decode_operator)) == want, chunk
 
 
+LITERALS = "-Infinity, Infinity, NaN, true, false, null"
+CUT_JSON = [f"[{LITERALS}]", f"[[{LITERALS}]]",
+            "{" + ", ".join(f'"{k}": {v}' for k, v in zip("abcdef", LITERALS.split(", "))) + "}",
+            '["a string longer than the margin", {"k": "another long string"}]',
+            '["\\ud83d\\ude00", {"k": "\\ud83d\\ude00"}]']
+
+
+@pytest.mark.parametrize("text", CUT_JSON)
+def test_bounded_reader_literals_strings_and_escapes_cut_anywhere(text, tmp_path, monkeypatch):
+    """Every literal, long string and surrogate pair escape is cut at every
+    place by some chunk size: a cut "-Infinity" fails at its '-', the
+    farthest before the end of the text that a cut value other than a
+    string fails, so the retry margin must reach it."""
+    path = tmp_path / "doc.json"
+    path.write_text(text)
+    want = json.dumps(json.loads(text))
+    for chunk in range(1, len(text) + 1):
+        monkeypatch.setattr(linalg, "_CHUNK", chunk)
+        assert json.dumps(linalg.load_json(path)) == want, chunk
+
+
 MALFORMED_JSON = [
     '{"a" \x0c: 1}', '{\x0c"a": 1}', '{"a": 1\xa0}', '{"a": [1,\u2003 2]}', '{1: 2}',
     '{null: 2}', '{"a": 1,}', '{"a": [1,]}', '{"a": [1 2]}', '{"a" 1}', '{"a": 1', '[1, 2',

@@ -108,6 +108,25 @@ def test_duality_counts():
         assert (len(geom.points), len(geom.lines)) == (d * (d + 1), d * d)
 
 
+@given(PRIMES)
+def test_dual_plane_is_the_affine_plane_transposed(d):
+    """The dual plane's incidence is AG(2, d)'s, transposed, under the
+    relabelling AG point (b, a) ↔ line (a, b), AG line y = s·x + m ↔ point
+    (m, −s mod d) and AG line x = m ↔ point (m, d)."""
+    apg, geom = build_apg(d), build_dapg(d)
+    ag_line = {(m, -s % d): frozenset((x, (s * x + m) % d) for x in range(d))
+               for s in range(d) for m in range(d)}
+    ag_line.update({(m, d): frozenset((m, y) for y in range(d)) for m in range(d)})
+    line_index = {ln: k for k, ln in enumerate(apg.lines)}
+    point_index = {p: i for i, p in enumerate(apg.points)}
+    transposed = np.zeros((len(apg.lines), len(apg.points)), dtype=geom.incidence.dtype)
+    for k, ln in enumerate(apg.lines):
+        transposed[k, [point_index[p] for p in ln]] = 1
+    rows = [line_index[ag_line[p]] for p in geom.points]
+    cols = [point_index[(b, a)] for a, b in geom.lines]
+    assert np.array_equal(geom.incidence, transposed[np.ix_(rows, cols)])
+
+
 # --- incidence verification ---------------------------------------------------------
 
 

@@ -33,6 +33,7 @@ from mubsic.plane import build_dapg, line_keys, point_keys
 from mubsic.siclab import (
     Fiducial,
     ProbabilityVector,
+    SicFamily,
     SearchConfig,
     assert_column_constant,
     build_sigma0_from_phases,
@@ -132,6 +133,15 @@ def test_basis_state_is_not_equal_overlap():
     assert verify_sic(fam) >= 1 / 4 - 1e-12
     with pytest.raises(ValueError):
         extract_mu_pom(fam)
+
+
+def test_extract_mu_pom_refuses_a_nan_projector():
+    # Its Gram deviation reads NaN, which no tolerance admits.
+    fam = generate_hw_sic(qutrit_fiducial())
+    projectors = fam.projectors.copy()
+    projectors[4, 1, 1] = np.nan
+    with pytest.raises(ValueError, match="equal-overlap check: deviation nan"):
+        extract_mu_pom(SicFamily(d=3, fiducial=fam.fiducial, projectors=projectors))
 
 
 def test_perturbed_fiducial_is_flagged():
@@ -680,6 +690,14 @@ def test_rejects_non_diagonal_input():
         np.array([[0.5, 0.2, 0], [0.2, 0.5, 0], [0, 0, 0.0]], dtype=complex)
     )
     with pytest.raises(ValueError):
+        fiducial_from_mu_pom(taus, mub)
+
+
+def test_rejects_a_nan_operator_as_not_diagonal():
+    mub = build_mub(3)
+    taus = np.array(mu_pom_from_probabilities(mub, [(0.5, 0.5, 0.0)] * 4))
+    taus[2, 0, 0] = np.nan
+    with pytest.raises(ValueError, match="operator 2 is not diagonal in basis 2: off-diagonal nan"):
         fiducial_from_mu_pom(taus, mub)
 
 
