@@ -80,8 +80,9 @@ class LineFrame:
 
 
 def trace_one(ops: np.ndarray, d: int) -> np.ndarray:
-    """The read-only stack of trace-one companions (1 + op)/d of a family."""
-    return read_only((ops + np.eye(d)) * (1.0 / d))
+    """The read-only stack of trace-one companions (1 + op)/d of a family,
+    scaled in place: the same bits, with one stack-sized temporary, not two."""
+    return read_only(np.multiply(t := ops + np.eye(d), 1.0 / d, out=t))
 
 
 def point_frame_from_mub(mub: MubFamily) -> PointFrame:

@@ -493,8 +493,7 @@ class _ChunkedJson:
             try:
                 value, end = self.decoder.raw_decode(self.text, self.pos)
             except json.JSONDecodeError as exc:
-                cut = len(self.text) - exc.pos < _CUT or exc.msg.startswith("Unterminated string")
-                if cut and self._more():
+                if (len(self.text) - exc.pos < _CUT or exc.msg.startswith("Unterminated")) and self._more():
                     continue
                 raise
             size = end - self.pos
