@@ -5,8 +5,8 @@ Numeric console output uses 12 significant digits.  The default verification
 tolerance is ``linalg.DEFAULT_TOL`` (1e-10), overridable by the MUBSIC_TOL
 environment variable and, per invocation, by --tol; a tolerance must be a
 finite nonnegative number.  All subcommands are deterministic: the same argv
-(and seed) produces byte-identical output files, those of ``frame from-hg``
-at any BLAS thread count (README names the calls that are not order-proof).
+(and seed) produces byte-identical output files.  README names the calls on
+their paths whose sums BLAS or LAPACK still order by thread count.
 """
 
 from __future__ import annotations

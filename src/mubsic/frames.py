@@ -244,11 +244,12 @@ def quasi_distribution(rho: np.ndarray, points: PointFrame) -> dict:
     trace = float(rho.diagonal().real.sum())
     if not abs(trace - 1.0) <= 1e-10:
         raise ValueError(f"ρ must have unit trace, got {trace!r}")
-    taus = trace_one(points.ops, points.d)
-    # The matmul trace, not hs_inner or an einsum: these values are written to
-    # quasi.json, whose bytes a reordered sum would change in the last bits.
+    # Re Σᵢⱼ τᵢⱼρⱼᵢ in numpy's fixed order, not a BLAS order that follows the thread
+    # count, from real parts that equal trace_one(t)'s: trace_one(Re t) and Im t/d.
     with np.errstate(over="ignore", invalid="ignore"):
-        values = np.trace(taus @ rho, axis1=1, axis2=2).real
+        terms = trace_one(points.ops.real, points.d) * rho.real.T
+        terms -= np.multiply(im := points.ops.imag * (1.0 / points.d), rho.imag.T, out=im)
+        values = terms.sum(axis=(1, 2))
     return dict(zip(point_keys(points.d), values.tolist()))
 
 

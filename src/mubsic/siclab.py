@@ -39,7 +39,7 @@ from .linalg import (
     write_json,
 )
 from .plane import build_dapg, column_labels, incidence_sum, line_keys, point_keys
-from .weyl import MubFamily, build_weyl_pair, monomial, require_prime
+from .weyl import MubFamily, build_weyl_pair, require_prime
 
 
 def canonical_ket(vec) -> np.ndarray:
@@ -138,17 +138,14 @@ class SicFamily:
 
 
 def generate_hw_sic(fid: Fiducial) -> SicFamily:
-    """Conjugate |ψ₀⟩⟨ψ₀| around the shift/clock orbit.
-
-    λ_{a,b} = U ρ₀ U† with U = X^†ᵇ Zᵃ; U is realized as monomial(b, −a)†,
-    which equals it up to a global phase that conjugation cancels.
+    """The shift/clock orbit of |ψ₀⟩⟨ψ₀|: λ_{a,b} = X^†ᵇ Zᵃ ρ₀ Z^†ᵃ Xᵇ is
+    |k⟩⟨k| with k = X⁻ᵇZᵃψ₀, the :func:`_orbit` row ((−b) mod d, a).  Each
+    entry is one product of two gathered entries, so no BLAS call orders a sum.
     """
     d = require_prime(fid.d)
-    wp = build_weyl_pair(d)
-    rho0 = np.outer(fid.ket, fid.ket.conj())
-    us = (monomial(wp, b, (d - a) % d).conj().T for a, b in line_keys(d))
-    projectors = hermitian_stack((u @ rho0 @ u.conj().T for u in us), d * d, d)
-    return SicFamily(d=d, fiducial=fid, projectors=projectors)
+    kets = _orbit(_orbit_tables(d), fid.ket)
+    outers = (np.outer(k, k.conj()) for k in (kets[(-b) % d * d + a] for a, b in line_keys(d)))
+    return SicFamily(d=d, fiducial=fid, projectors=hermitian_stack(outers, d * d, d))
 
 
 def verify_sic(fam: SicFamily) -> float:
@@ -524,13 +521,16 @@ def _orbit_tables(d: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     return *_shift_tables(d), omega ** ((i[:, None] * i) % d)
 
 
-def _orbit(tables, psi: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+def _orbit(tables, psi: np.ndarray) -> np.ndarray:
     """The (d², d) rows XᵃZᵇψ over (a, b) in row-major order, one gather and
-    one product per entry, (XᵃZᵇψ)_i = w[b, i+a]·ψ_{i+a}; and the flat overlap
-    table of ψ, entry 0 ⟨ψ|ψ⟩."""
+    one product per entry: (XᵃZᵇψ)_i = w[b, i+a]·ψ_{i+a}."""
     ahead, _, w = tables
-    m_psi = (w[:, ahead].swapaxes(0, 1) * psi[ahead][:, None]).reshape(-1, len(psi))
-    flat = m_psi @ psi.conj()
+    return (w[:, ahead].swapaxes(0, 1) * psi[ahead][:, None]).reshape(-1, len(psi))
+
+
+def _overlaps(tables, psi: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The :func:`_orbit` rows of ψ and its flat overlap table, entry 0 ⟨ψ|ψ⟩."""
+    flat = (m_psi := _orbit(tables, psi)) @ psi.conj()
     flat[0] = psi.conj() @ psi
     return m_psi, flat
 
@@ -542,7 +542,7 @@ def overlap_table(psi) -> np.ndarray:
     every (a, b) ≠ (0, 0); the phases of the same entries rebuild σ₀.
     """
     psi = np.asarray(psi, dtype=np.complex128)
-    return _orbit(_orbit_tables(len(psi)), psi)[1].reshape(len(psi), len(psi))
+    return _overlaps(_orbit_tables(len(psi)), psi)[1].reshape(len(psi), len(psi))
 
 
 # --- phase reconstruction --------------------------------------------------------
@@ -737,12 +737,12 @@ def search_fiducial(d: int, cfg: SearchConfig | None = None) -> SearchResult:
         return x[:d] + 1j * x[d:]
 
     def residuals(x):
-        table = _orbit(tables, split(x))[1]
+        table = _overlaps(tables, split(x))[1]
         return (np.abs(table[1:]) ** 2) / float(table[0].real) ** 2 - c
 
     def jac(x):
         psi = split(x)
-        m_psi, table = _orbit(tables, psi)
+        m_psi, table = _overlaps(tables, psi)
         nrm2 = float(table[0].real)
         # The rows M†ψ: ((XᵃZᵇ)†ψ)_i = w̄[b, i]·ψ_{i−a}.
         md_psi = (w_bar * psi[behind][:, None]).reshape(-1, d)

@@ -192,6 +192,35 @@ def test_sic_group_exits_1_when_columns_are_not_constant(tmp_path, capsys):
     assert len(obj["spectra"]) == 2
 
 
+def test_sic_group_refuses_a_spread_past_float64(tmp_path, capsys):
+    # Column 0's members hold 1e308 and −1e308: the spread reads inf, not
+    # NaN, at the tolerance gate, which fails the check with exit 1.  Their
+    # mean is 0, so the groups file is written.
+    rows = ["m,j,lambda_1,lambda_2", "0,0,1e308,1e308", "1,0,-1e308,-1e308"]
+    rows += [f"{m},{j},0.5,0.5" for j in (1, 2) for m in (0, 1)]
+    csv_path, groups = tmp_path / "spectra.csv", tmp_path / "groups.json"
+    csv_path.write_text("\n".join(rows) + "\n")
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert run(["sic", "group", "--in", str(csv_path), "--out", str(groups)]) == 1
+    out, err = capsys.readouterr()
+    assert out.startswith("max within-column spread inf\n")
+    assert err == "columns are not constant at tol 1e-06\n"
+
+
+def test_generate_refuses_a_ket_norm_past_float64(tmp_path, capsys):
+    # ‖ψ‖ of the stored entries ±1e308 reads inf, not NaN, at the ingest gate.
+    # numpy's norm warns of the overflow in its dot; the verdict is pinned.
+    path = tmp_path / "fid.json"
+    path.write_text(json.dumps({"d": 2, "ket": [[1e308, 0.0], [0.0, -1e308]]}))
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", RuntimeWarning)
+        assert run(["sic", "generate", "--fiducial", str(path), "--out", str(tmp_path / "f")]) == 2
+    out, err = capsys.readouterr()
+    assert (out, err) == ("", "error: ingested ket is not normalized: ‖ψ‖ = inf\n")
+    assert not (tmp_path / "f").exists()
+
+
 GENERATE = ["sic", "generate", "--fiducial", "IN", "--out", "OUT"]
 GROUP = ["sic", "group", "--in", "IN", "--out", "OUT"]
 MUB_VERIFY = ["mub", "verify", "--d", "5"]
@@ -939,28 +968,34 @@ def test_run_parses_with_one_tree_per_process(monkeypatch, capsys):
 
 
 def test_artifact_bytes_do_not_depend_on_blas_threads(tmp_path):
-    """The files of the chains whose calls reach BLAS or LAPACK have the same
-    bytes at one and at two BLAS threads: the search's JᵀJ and damped solve,
-    ``generate_hw_sic``'s conjugations, ``hermitian_eigensystem`` under
-    ``sic spectra``, and ``quasi_distribution``'s ``taus @ rho`` on a state
-    with no zero entries.  Each thread count runs in its own interpreter,
-    because OpenBLAS reads its thread count when numpy loads."""
-    d = 23
+    """The files of the chains on artifact paths have the same bytes at one
+    and at two BLAS threads.  The search and ``hermitian_eigensystem``
+    under ``sic spectra`` go through BLAS or LAPACK; ``generate_hw_sic`` and
+    ``quasi_distribution`` sum in a fixed order.  At d = 29 and 31, whose
+    files take seconds to write and read, the children hash the arrays
+    those two would write: the family of a seeded unit ket (the search
+    seldom converges there) and the values of a seeded state.  Each thread
+    count runs in its own interpreter, because OpenBLAS reads its thread
+    count when numpy loads."""
     rng = np.random.default_rng(7)
-    a = rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
-    rho = a @ a.conj().T
-    linalg.write_operator_json(tmp_path / "rho.json", rho / np.trace(rho).real)
+    for d in (23, 29, 31):
+        a = rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
+        rho = a @ a.conj().T
+        linalg.write_operator_json(tmp_path / f"rho{d}.json", rho / np.trace(rho).real)
+    for d in (29, 31):
+        ket = siclab.canonical_ket(rng.standard_normal(d) + 1j * rng.standard_normal(d))
+        siclab.write_fiducial_json(tmp_path / f"fid{d}.json", siclab.Fiducial(d=d, ket=ket))
     argvs = [
-        ["sic", "search", "--d", str(d), "--seed", "2", "--out", "{w}/fid.json"],
+        ["sic", "search", "--d", "23", "--seed", "2", "--out", "{w}/fid.json"],
         ["sic", "generate", "--fiducial", "{w}/fid.json", "--out", "{w}/family.json"],
         ["sic", "spectra", "--in", "{w}/family.json", "--out", "{w}/spectra.csv"],
-        ["frame", "from-mub", "--d", str(d), "--out", "{w}/points.json"],
-        ["quasiprob", "--rho", str(tmp_path / "rho.json"), "--points", "{w}/points.json",
+        ["frame", "from-mub", "--d", "23", "--out", "{w}/points.json"],
+        ["quasiprob", "--rho", str(tmp_path / "rho23.json"), "--points", "{w}/points.json",
          "--out", "{w}/quasi.json"],
     ]
     code = (
         "import contextlib, hashlib, io, json, pathlib, sys\n"
-        "from mubsic import cli\n"
+        "from mubsic import cli, frames, linalg, siclab, weyl\n"
         "w = pathlib.Path(sys.argv[1])\n"
         "w.mkdir()\n"
         f"argvs = [[a.format(w=w) for a in argv] for argv in {argvs!r}]\n"
@@ -968,6 +1003,13 @@ def test_artifact_bytes_do_not_depend_on_blas_threads(tmp_path):
         "    rcs = [cli.run(argv) for argv in argvs]\n"
         "digests = {p.name: hashlib.sha256(p.read_bytes()).hexdigest()\n"
         "           for p in sorted(w.iterdir())}\n"
+        "for d in (29, 31):\n"
+        "    fid = siclab.Fiducial.from_json_dict(linalg.load_json(w.parent / f'fid{d}.json'))\n"
+        "    rho = linalg.read_operator_json(w.parent / f'rho{d}.json')\n"
+        "    q = frames.quasi_distribution(rho, frames.point_frame_from_mub(weyl.build_mub(d)))\n"
+        "    for name, data in (('family', siclab.generate_hw_sic(fid).projectors.tobytes()),\n"
+        "                       ('quasi', json.dumps(list(q.values())).encode())):\n"
+        "        digests[f'{name}{d}'] = hashlib.sha256(data).hexdigest()\n"
         "print(json.dumps([rcs, digests]))\n"
     )
     src = os.path.dirname(os.path.dirname(os.path.abspath(cli.__file__)))
@@ -985,6 +1027,6 @@ def test_artifact_bytes_do_not_depend_on_blas_threads(tmp_path):
         runs.append(json.loads(out))
     rcs, digests = runs[0]
     assert rcs == [0] * len(argvs)
-    assert sorted(digests) == ["family.json", "fid.json", "points.json", "quasi.json",
-                               "spectra.csv"]
+    assert sorted(digests) == ["family.json", "family29", "family31", "fid.json", "points.json",
+                               "quasi.json", "quasi29", "quasi31", "spectra.csv"]
     assert runs[1] == runs[0]

@@ -118,17 +118,17 @@ PINS = {
     "quasiprob --rho rho3.json --points points3.json --out quasi3.json": (
         0,
         "793235835949c09fb995e9e5af75b4b7eba31c5923b5dc1feabc0ec2b9cb2ea9",
-        "5eb9d75695174c6adb9916fdd4fe0b678561d763238caf2952a1be25ac88120e",
+        "647b741e978b0f71d2a95175b66dc219d6cd6ae9276d11061928eeeadc0473e7",
     ),
     "sic generate --builtin qubit --out family2.json": (
         0,
         "591aedbbfcf79a647d5a7f252f5182ca38e454eab6d429433d4487c3bde0ea45",
-        "a7b7d4c4892cf954eba7a68c6b5e8714cdf91aab253d2db1abcd3cac2460525e",
+        "d3c035d1db50f4b4c1d8ba49e6d8ec8bf98cd77649cd7811319646e2a82fc890",
     ),
     "sic generate --builtin qutrit --out family3.json": (
         0,
-        "e9e1492252904fd575a93f341d045a85df3899406b08dbaba3ee6fdc4750f8f8",
-        "8111e7599622cb5a224ef15ef74c5436c809f918dab5882e040e6eeddd078f18",
+        "bdd2e6f67e306fb3823bbecc0a9eeb133c22d1f732d5f3e15d49f6477634a7b9",
+        "2a0e63bc34268e0f1c73defea43169bfc2ada7107769ee7d5ff33c168686151a",
     ),
     "sic search --d 5 --seed 7 --restarts 200 --out fiducial5.json": (
         0,
@@ -137,17 +137,17 @@ PINS = {
     ),
     "sic generate --fiducial fiducial5.json --out family5.json": (
         0,
-        "cdc7d816c81e6c22ea0998168fd165856fb3f25b1e1fb20f5e94b712e6ea025a",
-        "8a16810c187f93fc37f8b2e910f177ccce6de8e7daf9e0c544204fb31c84eea6",
+        "a0bb090fc01903765b5982f0d683195b35120157da253f95096153a54bff63de",
+        "d8ca430250f85687c344ab8716ddf56adeb51200e21db0af9f1fa39360235998",
     ),
     "sic verify --in family5.json": (
         0,
-        "f6adb3ac73334e46310f9688cfefc75949edd4c05b269991e93c083fda7e5a4c",
+        "659a5846379fb2bcab59ec2bf41cf4a6cc766f41ebea5ae2ab44ca23014463bd",
         None,
     ),
     "sic spectra --in family5.json --out spectra5.csv": (
         0,
-        "6dcbf7a7b27d03cbd877c43d550a599cc2b4e99c3729b908c4fd00f812177e06",
+        "77a0af0a8b3ce9fb2803f08c6cb2b457409b9b2b62c8f2e5e445dbbf729a386f",
         "5f310dac85742adde656bff89fe99c9825fe235e3e4aca6bdb5a735e8b13057c",
     ),
     "sic group --in spectra5.csv --tol 1e-4 --out groups5.json": (
@@ -163,7 +163,7 @@ PINS = {
     "sic generate --fiducial fiducial7.json --out family7.json": (
         0,
         "082804acb427fcc3a1b3fe97e591beb3e118d90e0aa37564d39c61b378d450d3",
-        "75477e56c14b1fb7254d22a277f2c7f03475f463f94d8dd9e9b51b1076686fb5",
+        "8fd1c82d2e3b3052f6fbce585a10dbf95b126d6a231e12a41f603fea085daaef",
     ),
     "sic verify --in family7.json": (
         0,

@@ -5,6 +5,7 @@ import pathlib
 import subprocess
 import sys
 import tracemalloc
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -15,6 +16,8 @@ from helpers import (
     PRIME_DIMS,
     PRIMES,
     companion,
+    exact_hs,
+    gamma,
     op_add,
     op_scale,
     random_density,
@@ -548,15 +551,33 @@ def test_rescalings_match_operator_loops(d):
             assert row.tobytes() == companion(op_scale(c, op), d).tobytes()
 
 
+def fixed_order_hs(tau: np.ndarray, rho: np.ndarray) -> float:
+    """Re Σᵢⱼ τᵢⱼρⱼᵢ of one operator: the real products Re τ·Re ρᵀ − Im τ·Im ρᵀ,
+    summed by numpy over the d² entries in row-major order."""
+    terms = tau.real * rho.T.real - tau.imag * rho.T.imag
+    return float(terms.sum())
+
+
 @pytest.mark.parametrize("d", PRIME_DIMS)
 def test_quasi_distribution_matches_trace_loop(d):
-    rho = random_density(np.random.default_rng(d), d)
+    # Bit-equal to the fixed-order sum evaluated one operator at a time.  On a
+    # seeded sample of operators, within that sum's rounding of the exact trace:
+    # each term rounds three times (two products and a difference) and the d²
+    # terms add in some order, so the error is at most γ_{d²+1}·Σ(|Re τ Re ρᵀ| +
+    # |Im τ Im ρᵀ|) ≤ γ_{2d²}·Σ|τᵢⱼ||ρⱼᵢ| (Higham, §3.1).  The float Σ|τᵢⱼ||ρⱼᵢ|
+    # is raised by a bound on its own rounding.
+    rng = np.random.default_rng(d)
+    rho, keys = random_density(rng, d), point_keys(d)
     for pf in point_frames(d):
         q = quasi_distribution(rho, pf)
-        assert list(q) == point_keys(d)
-        for k, op in zip(point_keys(d), pf.ops):
-            want = float(np.trace(companion(op, d) @ rho).real)
+        assert list(q) == keys
+        for k, op in zip(keys, pf.ops):
+            want = fixed_order_hs(companion(op, d), rho)
             assert np.float64(q[k]).tobytes() == np.float64(want).tobytes()
+        for i in rng.choice(len(keys), size=min(len(keys), 16), replace=False).tolist():
+            tau = companion(pf.ops[i], d)
+            weight = Fraction(float((np.abs(tau) * np.abs(rho.T)).sum())) * (1 + gamma(d * d + 4))
+            assert abs(Fraction(q[keys[i]]) - exact_hs(tau, rho)) <= gamma(2 * d * d) * weight
 
 
 # --- unit-purity rescaling --------------------------------------------------------------

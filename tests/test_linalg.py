@@ -91,6 +91,17 @@ def test_from_matrix_rejects_overflow_without_warning(at, lower, error):
     assert not op.flags.writeable
 
 
+def test_from_matrix_refuses_an_imaginary_asymmetry_past_float64():
+    # 1e308i mirrored by 1e308i, not by its conjugate: m − m† holds 2e308i,
+    # which reads inf, not NaN, at the asymmetry gate.  Refused with its own
+    # error line and no warning.
+    mat = np.array([[0.0, 1e308j], [1e308j, 0.0]])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match=r"not Hermitian: max \|m - m†\| = inf$"):
+            HermitianOp.from_matrix(mat)
+
+
 # Exactly Hermitian matrices, or near one: each part is ±m·2^(e−k), with a
 # top binade e drawn per matrix, float64's last one often, and k ≤ 60.
 @st.composite

@@ -2,6 +2,7 @@ import csv
 import hashlib
 import io
 import json
+import warnings
 from fractions import Fraction
 
 import numpy as np
@@ -100,6 +101,15 @@ def test_fiducial_requires_unit_norm():
     for bad in ([np.nan, 0j], [1.0, np.inf], [1.0, complex(0.0, np.nan)]):
         with pytest.raises(ValueError, match="finite"):
             Fiducial(d=2, ket=np.array(bad, dtype=complex))
+
+
+def test_fiducial_refuses_a_norm_past_float64():
+    # ‖ψ‖ of finite entries ±1e308 reads inf, not NaN, at the unit-norm gate.
+    # numpy's norm warns of the overflow in its dot; the verdict is pinned.
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", RuntimeWarning)
+        with pytest.raises(ValueError, match="ket must be unit-norm, got ‖ψ‖ = inf$"):
+            Fiducial(d=2, ket=np.array([1e308, -1e308j]), source="ingested")
 
 
 def test_qubit_family_overlaps():
