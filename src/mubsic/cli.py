@@ -71,7 +71,7 @@ def _write_json(path, obj: dict) -> None:
 def _read_json(path) -> dict:
     from . import linalg
 
-    return linalg.load_json(path, linalg.decode_operator)
+    return linalg.load_json(path)
 
 
 # --- handlers ----------------------------------------------------------------

@@ -342,10 +342,10 @@ def ops_from_json(raw, keys: list, d: int) -> np.ndarray:
 
 
 def decode_operator(obj: dict) -> np.ndarray:
-    """The admitted matrix of an operator object; the :func:`load_json` hook
-    of a family file, so that its operators are never held as a tree of
-    lists.  The ValueError that load_json keeps in a refused one's place is
-    raised."""
+    """The admitted matrix of an operator object.  :func:`load_json` admits
+    each ``ops`` item with it, so that a family's operators are never held
+    as a tree of lists.  The ValueError that load_json keeps in a refused
+    one's place is raised."""
     if isinstance(obj, ValueError):
         raise obj
     return HermitianOp.from_matrix(matrix_from_json_dict(obj))
@@ -402,45 +402,35 @@ def write_json(path, obj: dict) -> None:
         dump_json(obj, fh)
 
 
-def parse_json(text: str, object_hook=None):
-    """The JSON value of ``text``, as ``json.loads`` gives it with
-    ``object_hook``.  Text nested too deeply for the parser is rejected with
-    a ValueError, as any other malformed text is, not a RecursionError."""
+def parse_json(text: str):
+    """The JSON value of ``text``, as ``json.loads`` gives it.  Text nested
+    too deeply for the parser is rejected with a ValueError, as any other
+    malformed text is, not a RecursionError."""
     try:
-        return json.loads(text, object_hook=object_hook)
+        return json.loads(text)
     except RecursionError:
         raise ValueError("JSON nested too deeply to parse") from None
 
 
-def load_json(path, object_hook=None):
+def load_json(path):
     """The JSON value of the file at ``path``, as ``json.loads`` gives it,
-    but with ``object_hook`` applied to each object among the items of the
-    top-level ``ops`` member.
+    but with each object among the items of the top-level ``ops`` member
+    admitted by :func:`decode_operator`.
 
     The text is read ``_CHUNK`` characters at a time and never held whole
     (:class:`_ChunkedJson`): memory is bounded by the chunk size, the
     largest single member or item, and the value returned.  An ``ops`` list
-    whose items the hook all turns into arrays of one shape and dtype, as
-    :func:`decode_operator` does, comes back as their read-only stack, the
-    form :func:`dump_json` writes from.  An item the hook refuses stays in
-    its place as its ValueError, raised by :func:`ops_from_json` in file
-    order, after the reader's header checks.
-
-    Only text that is not JSON is read whole, by :func:`parse_json` with a
-    hook that keeps nothing, to raise json's own error, placed in the file.
+    of operators of one size comes back as their read-only stack, the form
+    :func:`dump_json` writes from.  An item that decode_operator refuses
+    stays in its place as its ValueError, raised by :func:`ops_from_json`
+    in file order, after the reader's header checks.  Text that is not JSON
+    is refused in the same pass, with ``json.loads``'s error line.
     """
     with open(path) as fh:
         try:
-            return _ChunkedJson(fh, object_hook).document()
+            return _ChunkedJson(fh).document()
         except RecursionError:
-            error = "JSON nested too deeply to parse"
-        except ValueError as exc:
-            # Only the message: the traceback holds the partial value, and a
-            # JSONDecodeError the text read so far.
-            error = str(exc)
-    with open(path) as fh:
-        parse_json(fh.read(), lambda obj: None)
-    raise ValueError(error)
+            raise ValueError("JSON nested too deeply to parse") from None
 
 
 class _ChunkedJson:
@@ -448,18 +438,35 @@ class _ChunkedJson:
     and decoded one value at a time by ``JSONDecoder.raw_decode``.  The
     top-level object is walked member by member, and the top-level list or
     a list member item by item; every other value is decoded whole.
-    ``hook`` sees the objects among the items of the top-level ``ops``.
-    ``text[pos:]`` is the part read but not yet decoded."""
+    ``text[pos:]`` is the part read but not yet decoded; ``text[0]`` is
+    character ``start`` of the file, after ``lines`` line breaks, the last
+    of which ends before character ``line_start``."""
 
-    def __init__(self, fh, hook):
-        self.fh, self.hook, self.decoder = fh, hook, json.JSONDecoder()
+    def __init__(self, fh):
+        self.fh, self.decoder = fh, json.JSONDecoder()
         self.text, self.pos, self.eof, self.longest = "", 0, False, 0
+        self.start, self.lines, self.line_start = 0, 0, 0
+
+    def _place(self, rel: int) -> tuple[int, int]:
+        """The line breaks of the file before ``text[rel]``, and the
+        character of the file that its line starts at."""
+        newline = self.text.rfind("\n", 0, rel)
+        return (self.lines + self.text.count("\n", 0, rel),
+                self.line_start if newline < 0 else self.start + newline + 1)
+
+    def _fail(self, msg: str, at: int):
+        """Refuse the text at character ``at`` of the file, as ``json.loads``
+        words it."""
+        lines, line_start = self._place(at - self.start)
+        raise ValueError(f"{msg}: line {lines + 1} column {at - line_start + 1} (char {at})") from None
 
     def _more(self) -> bool:
         """Read the next chunk after the undecoded text, which then starts at
         ``pos`` 0; False at the end of the file, where pos may have moved too."""
         if self.eof:
             return False
+        self.lines, self.line_start = self._place(self.pos)
+        self.start += self.pos
         tail, self.text = self.text[self.pos :], ""
         chunk = self.fh.read(_CHUNK)
         self.text, self.pos, self.eof = tail + chunk, 0, not chunk
@@ -473,10 +480,11 @@ class _ChunkedJson:
                 return self.text[self.pos : self.pos + 1]
 
     def _take(self, chars: str) -> str:
-        """The next character, which must be one of ``chars``."""
+        """The next character, which must be one of ``chars``: a delimiter,
+        ``chars[0]``, or a closing bracket."""
         char = self._peek()
         if not char or char not in chars:
-            raise ValueError(f"malformed JSON: expected one of {chars!r}, got {char!r}")
+            self._fail(f"Expecting {chars[0]!r} delimiter", self.start + self.pos)
         self.pos += 1
         return char
 
@@ -493,9 +501,10 @@ class _ChunkedJson:
             try:
                 value, end = self.decoder.raw_decode(self.text, self.pos)
             except json.JSONDecodeError as exc:
+                at = self.start + exc.pos
                 if (len(self.text) - exc.pos < _CUT or exc.msg.startswith("Unterminated")) and self._more():
                     continue
-                raise
+                self._fail(exc.msg, at)
             size = end - self.pos
             if len(self.text) - end < _CUT and self._more():
                 continue
@@ -517,27 +526,26 @@ class _ChunkedJson:
         obj = {}
         for _ in self._each("}"):
             if self._peek() != '"':
-                raise ValueError("malformed JSON: an object key must be a string")
+                self._fail("Expecting property name enclosed in double quotes", self.start + self.pos)
             key = self._value()
             self._take(":")
-            hook = self.hook if key == "ops" else None
-            obj[key] = self._list(hook) if self._peek() == "[" else self._value()
+            obj[key] = self._list(key == "ops") if self._peek() == "[" else self._value()
         return obj
 
-    def _list(self, hook=None):
-        """A list, ``hook`` applied to each object in it (its ValueError in
-        the item's place), or the read-only stack of its items if they are
-        all arrays of one shape and dtype.  Each such item is copied into a
-        buffer that grows in place as rows arrive, so no list of arrays is
-        held beside the stack."""
+    def _list(self, ops=False):
+        """A list, each object in it admitted by :func:`decode_operator` if
+        it is the ``ops`` member (its ValueError in the item's place), or the
+        read-only stack of its items if they are all arrays of one shape and
+        dtype.  Each such item is copied into a buffer that grows in place as
+        rows arrive, so no list of arrays is held beside the stack."""
         rows, n, like, items = bytearray(), 0, None, []
         for _ in self._each("]"):
             value = self._value()
-            if hook is not None and isinstance(value, dict):
+            if ops and isinstance(value, dict):
                 try:
-                    value = hook(value)
+                    value = decode_operator(value)
                 except ValueError as exc:
-                    # Its traceback would keep every frame of the hook alive.
+                    # Its traceback would keep every frame of decode_operator alive.
                     value = exc.with_traceback(None)
             if not items and isinstance(value, np.ndarray) and like in (None, (value.shape, value.dtype)):
                 like = value.shape, value.dtype
@@ -552,9 +560,11 @@ class _ChunkedJson:
     def document(self):
         """The file's one JSON value."""
         char = self._peek()
+        if char == "\ufeff" and not self.start + self.pos:
+            self._fail("Unexpected UTF-8 BOM (decode using utf-8-sig)", 0)
         value = self._object() if char == "{" else self._list() if char == "[" else self._value()
         if self._peek():
-            raise ValueError("malformed JSON: extra data after the value")
+            self._fail("Extra data", self.start + self.pos)
         return value
 
 

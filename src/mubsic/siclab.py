@@ -42,13 +42,20 @@ from .plane import build_dapg, column_labels, incidence_sum, line_keys, point_ke
 from .weyl import MubFamily, build_weyl_pair, require_prime
 
 
+def _ket_norm(ket: np.ndarray) -> float:
+    """numpy's ‖ket‖ of a complex ket, inf without a warning past float64.
+    Raises ValueError unless every component is finite (checked as floats)."""
+    if not np.all(np.isfinite(ket.real)) or not np.all(np.isfinite(ket.imag)):
+        raise ValueError("ket components must be finite")
+    with np.errstate(over="ignore"):
+        return float(np.linalg.norm(ket))
+
+
 def canonical_ket(vec) -> np.ndarray:
     """Normalize and fix the global phase: first component with modulus above
     1e−12 is made real nonnegative."""
     vec = np.asarray(vec, dtype=np.complex128).reshape(-1)
-    if not np.all(np.isfinite(vec.real)) or not np.all(np.isfinite(vec.imag)):
-        raise ValueError("ket components must be finite")
-    norm = float(np.linalg.norm(vec))
+    norm = _ket_norm(vec)
     if norm <= 1e-12:
         raise ValueError("cannot normalize a (near-)zero vector")
     vec = vec / norm
@@ -70,9 +77,7 @@ class Fiducial:
     def __post_init__(self):
         if self.ket.shape != (self.d,):
             raise ValueError(f"ket must have length {self.d}, got {self.ket.shape}")
-        if not np.all(np.isfinite(self.ket)):
-            raise ValueError("ket components must be finite")
-        norm = float(np.linalg.norm(self.ket))
+        norm = _ket_norm(self.ket)
         if abs(norm - 1.0) > 1e-12:
             raise ValueError(f"ket must be unit-norm, got ‖ψ‖ = {norm!r}")
 
@@ -85,7 +90,7 @@ class Fiducial:
         to 1e−6; anything worse, or a malformed or zero ket, is a ValueError."""
         d, raw = read_header(obj, "fiducial", "d", "ket")
         vec = complex_from_json(raw, (d,), "ket")
-        norm = float(np.linalg.norm(vec))
+        norm = _ket_norm(vec)
         if abs(norm - 1.0) > 1e-6:
             raise ValueError(f"ingested ket is not normalized: ‖ψ‖ = {norm!r}")
         return cls(d=d, ket=canonical_ket(vec), source="ingested")

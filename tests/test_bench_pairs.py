@@ -53,10 +53,11 @@ def test_step_table_runs_both_solvers():
     steps, inputs = bench_pairs.step_chain(7)
     names = [name for name, _ in steps]
     assert names == ["help", "usage", "mub-verify", "plane-verify", "from-mub", "bridge",
-                     "verify", "quasiprob", "lines-as-points", "from-hg", "generate",
-                     "sic-verify", "solve-prob", "search"]
+                     "verify", "quasiprob", "lines-as-points", "cut-points", "from-hg",
+                     "generate", "sic-verify", "solve-prob", "search"]
     assert dict(steps)["usage"] == ["mub", "verify"]
     assert dict(steps)["lines-as-points"] == ["frame", "verify", "--points", "{w}/lines.json"]
+    assert dict(steps)["cut-points"] == ["frame", "verify", "--points", "{w}/points_cut.json"]
     assert dict(steps)["sic-verify"] == ["sic", "verify", "--in", "{w}/family.json"]
     assert dict(steps)["search"][:6] == ["sic", "search", "--d", "7", "--seed", "0"]
     assert sorted(inputs) == ["fid.json", "rho.json"]

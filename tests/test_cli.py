@@ -209,12 +209,12 @@ def test_sic_group_refuses_a_spread_past_float64(tmp_path, capsys):
 
 
 def test_generate_refuses_a_ket_norm_past_float64(tmp_path, capsys):
-    # ‖ψ‖ of the stored entries ±1e308 reads inf, not NaN, at the ingest gate.
-    # numpy's norm warns of the overflow in its dot; the verdict is pinned.
+    # ‖ψ‖ of the stored entries ±1e308 reads inf, not NaN, at the ingest gate,
+    # and the overflow in numpy's dot prints no warning beside the error line.
     path = tmp_path / "fid.json"
     path.write_text(json.dumps({"d": 2, "ket": [[1e308, 0.0], [0.0, -1e308]]}))
     with warnings.catch_warnings():
-        warnings.simplefilter("ignore", RuntimeWarning)
+        warnings.simplefilter("error")
         assert run(["sic", "generate", "--fiducial", str(path), "--out", str(tmp_path / "f")]) == 2
     out, err = capsys.readouterr()
     assert (out, err) == ("", "error: ingested ket is not normalized: ‖ψ‖ = inf\n")

@@ -738,9 +738,11 @@ def test_frame_read_through_load_is_below_the_file_size_at_d19(tmp_path, capsys)
     stays below the file's size (11.1 MB when the file was read whole).
 
     A file the reader refuses costs no more: one entry of the first
-    operator made non-Hermitian, or the line file given as points, ends
-    ``frame verify`` with its error line below the file's size (25.5 MB
-    when a refused file was parsed a second time, whole)."""
+    operator made non-Hermitian, the line file given as points, or the file
+    cut 1000 characters short ends ``frame verify`` with its error line
+    below the file's size (25.5 MB when a refused file was parsed a second
+    time, whole, and 11.4 MB for the cut file when text that is not JSON
+    was)."""
     pf = mub_points(19)
     path = tmp_path / "points.json"
     cli._write_json(str(path), point_frame_layout(pf))
@@ -759,8 +761,10 @@ def test_frame_read_through_load_is_below_the_file_size_at_d19(tmp_path, capsys)
     (tmp_path / "bad.json").write_text(text[:at] + "7.0, 0.0" + text[text.index("]", at):])
     cli._write_json(str(tmp_path / "lines.json"),
                     line_frame_layout(line_ops_from_points(pf, build_dapg(19))))
+    (tmp_path / "cut.json").write_text(text[:-1000])
     for name, line in (("bad.json", "matrix is not Hermitian: max |m - m\u2020| = 6.000e+00"),
-                       ("lines.json", "malformed frame object: 'beta'")):
+                       ("lines.json", "malformed frame object: 'beta'"),
+                       ("cut.json", "Expecting ',' delimiter: line 1 column 5546335 (char 5546334)")):
         refused = tmp_path / name
         capsys.readouterr()
         tracemalloc.start()

@@ -720,7 +720,7 @@ def _both_readers(text: str, chunk: int) -> tuple:
         path.write_text(text)
         want = _outcome(lambda: _reference(path.read_text()))
         with mock.patch.object(linalg, "_CHUNK", chunk):
-            return want, _outcome(lambda: linalg.load_json(path, linalg.decode_operator))
+            return want, _outcome(lambda: linalg.load_json(path))
 
 
 @given(text=json_documents(), chunk=st.integers(1, 64))
@@ -755,7 +755,7 @@ def test_bounded_reader_numbers_cut_anywhere(text, tmp_path, monkeypatch):
     want = _canonical(_reference(text))
     for chunk in range(1, len(text) + 1):
         monkeypatch.setattr(linalg, "_CHUNK", chunk)
-        assert _canonical(linalg.load_json(path, linalg.decode_operator)) == want, chunk
+        assert _canonical(linalg.load_json(path)) == want, chunk
 
 
 LITERALS = "-Infinity, Infinity, NaN, true, false, null"
@@ -796,7 +796,19 @@ def test_bounded_reader_rejects_malformed_json(text, chunk, tmp_path, monkeypatc
         json.loads(path.read_text())
     monkeypatch.setattr(linalg, "_CHUNK", chunk)
     with pytest.raises(ValueError):
-        linalg.load_json(path, linalg.decode_operator)
+        linalg.load_json(path)
+
+
+def _count_opens(monkeypatch) -> list:
+    """The list that gets the path of each file linalg opens from now on."""
+    opens = []
+
+    def counting(path, *args, **kwargs):
+        opens.append(path)
+        return open(path, *args, **kwargs)
+
+    monkeypatch.setattr(linalg, "open", counting, raising=False)
+    return opens
 
 
 @pytest.mark.parametrize("start, message", [
@@ -805,8 +817,9 @@ def test_bounded_reader_rejects_malformed_json(text, chunk, tmp_path, monkeypatc
 ])
 def test_bounded_reader_stops_at_a_value_that_cannot_decode(start, message, tmp_path, monkeypatch):
     """A value that no further text can complete is refused after at most
-    two chunk reads, not retried with every chunk of the file, and the
-    error is json's own for the whole file."""
+    two chunk reads of one open of the file, not retried with every chunk
+    of the file nor read again, and the error is json's own for the whole
+    file."""
     pf = frames.point_frame_from_mub(weyl.build_mub(3))
     path = tmp_path / "points.json"
     with open(path, "w") as fh:
@@ -821,11 +834,33 @@ def test_bounded_reader_stops_at_a_value_that_cannot_decode(start, message, tmp_
 
     monkeypatch.setattr(linalg, "_CHUNK", 16)
     monkeypatch.setattr(linalg._ChunkedJson, "_more", counting)
+    opens = _count_opens(monkeypatch)
     assert path.stat().st_size > 100 * 16
     with pytest.raises(ValueError) as exc:
-        linalg.load_json(path, linalg.decode_operator)
+        linalg.load_json(path)
     assert str(exc.value) == message
-    assert len(reads) <= 2
+    assert len(reads) <= 2 and opens == [path]
+
+
+@pytest.mark.parametrize("short", [1, 7, 30])
+def test_bounded_reader_places_an_error_near_the_end_of_many_lines(short, tmp_path, monkeypatch):
+    """A point file written a number to a line and cut ``short``
+    characters before its end is refused at every chunk size from one open,
+    with json's own line, column and character for the whole file, however
+    many line breaks the chunks before the error held."""
+    pf = frames.point_frame_from_mub(weyl.build_mub(3))
+    text = json.dumps(linalg.json_value(frames.point_frame_layout(pf)), indent=1)[:-short]
+    path = tmp_path / "points.json"
+    path.write_text(text)
+    with pytest.raises(ValueError) as want:
+        json.loads(text)
+    assert text.count("\n") > 400
+    for chunk in range(1, 65):
+        monkeypatch.setattr(linalg, "_CHUNK", chunk)
+        opens = _count_opens(monkeypatch)
+        with pytest.raises(ValueError) as exc:
+            linalg.load_json(path)
+        assert (str(exc.value), opens) == (str(want.value), [path]), chunk
 
 
 def test_bounded_reader_stacks_a_list_of_operators(tmp_path):
@@ -835,13 +870,13 @@ def test_bounded_reader_stacks_a_list_of_operators(tmp_path):
     path = tmp_path / "points.json"
     with open(path, "w") as fh:
         linalg.dump_json(frames.point_frame_layout(pf), fh)
-    ops = linalg.load_json(path, linalg.decode_operator)["ops"]
+    ops = linalg.load_json(path)["ops"]
     assert isinstance(ops, np.ndarray) and not ops.flags.writeable
     assert ops.tobytes() == pf.ops.tobytes()
     mixed = json.loads(path.read_text())
     mixed["ops"].insert(1, 7)
     path.write_text(json.dumps(mixed))
-    got = linalg.load_json(path, linalg.decode_operator)["ops"]
+    got = linalg.load_json(path)["ops"]
     assert isinstance(got, list) and got[1] == 7 and len(got) == len(pf.ops) + 1
     assert got[0].tobytes() == pf.ops[0].tobytes() and got[2].tobytes() == pf.ops[1].tobytes()
 

@@ -104,10 +104,10 @@ def test_fiducial_requires_unit_norm():
 
 
 def test_fiducial_refuses_a_norm_past_float64():
-    # ‖ψ‖ of finite entries ±1e308 reads inf, not NaN, at the unit-norm gate.
-    # numpy's norm warns of the overflow in its dot; the verdict is pinned.
+    # ‖ψ‖ of finite entries ±1e308 reads inf, not NaN, at the unit-norm gate,
+    # without a warning of the overflow in numpy's dot.
     with warnings.catch_warnings():
-        warnings.simplefilter("ignore", RuntimeWarning)
+        warnings.simplefilter("error")
         with pytest.raises(ValueError, match="ket must be unit-norm, got ‖ψ‖ = inf$"):
             Fiducial(d=2, ket=np.array([1e308, -1e308j]), source="ingested")
 

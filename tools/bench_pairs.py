@@ -23,7 +23,8 @@ With ``--steps D`` the front end alone, ``--help`` and a usage error
 (``mub verify`` without ``--d``, exit 2), then ``mub verify`` and ``plane
 verify``, the frame chain ``frame from-mub → bridge → verify --lines →
 quasiprob``, ``frame verify`` given the line file as points (which its reader
-refuses), then ``frame from-hg``, ``sic generate`` of a seeded unit ket, ``sic
+refuses) and given the point file cut 1000 characters short (which is not
+JSON), then ``frame from-hg``, ``sic generate`` of a seeded unit ket, ``sic
 verify`` of the family it writes, and the two solvers, ``sic solve-prob`` and
 ``sic search`` at seed 0, run at D as ``python -m mubsic`` subprocesses,
 ``STEP_RUNS`` times per side, alternating.  Each step's median wall time and
@@ -185,7 +186,8 @@ def step_chain(d: int) -> tuple[list, dict]:
     generate`` exits 1 after writing the family, and so does ``sic
     verify`` reading it back; their exit codes, bytes and memory are compared
     like every other step's, and so are those of the solvers, whose results
-    at seed 0 are deterministic."""
+    at seed 0 are deterministic.  ``points_cut.json`` is made from the point
+    file just before the step that reads it (:func:`cut_points`)."""
     rng = random.Random(d)
     ket = [complex(rng.gauss(0, 1), rng.gauss(0, 1)) for _ in range(d)]
     norm = sum(abs(z) ** 2 for z in ket) ** 0.5
@@ -206,6 +208,7 @@ def step_chain(d: int) -> tuple[list, dict]:
         ("quasiprob", ["quasiprob", "--rho", "{w}/rho.json", "--points", "{w}/points.json",
                        "--out", "{w}/quasi.json"]),
         ("lines-as-points", ["frame", "verify", "--points", "{w}/lines.json"]),
+        ("cut-points", ["frame", "verify", "--points", "{w}/points_cut.json"]),
         ("from-hg", ["frame", "from-hg", "--d", str(d), "--out", "{w}/hg.json"]),
         ("generate", ["sic", "generate", "--fiducial", "{w}/fid.json",
                       "--out", "{w}/family.json"]),
@@ -214,6 +217,14 @@ def step_chain(d: int) -> tuple[list, dict]:
         ("search", ["sic", "search", "--d", str(d), "--seed", "0", "--out", "{w}/search.json"]),
     ]
     return steps, inputs
+
+
+def cut_points(work: str) -> None:
+    """Copy ``points.json`` of ``work`` to ``points_cut.json`` cut 1000
+    characters short (it is ASCII), without reading it into this process."""
+    cut = os.path.join(work, "points_cut.json")
+    shutil.copyfile(os.path.join(work, "points.json"), cut)
+    os.truncate(cut, os.path.getsize(cut) - 1000)
 
 
 def sha256(data: bytes) -> str:
@@ -267,7 +278,11 @@ def chain_run(root: str, d: int) -> tuple[list, dict]:
         for name, obj in inputs.items():
             with open(os.path.join(work, name), "w") as fh:
                 fh.write(json.dumps(obj) + "\n")
-        records = [timed_step(root, [a.format(w=work) for a in argv]) for _, argv in steps]
+        records = []
+        for name, argv in steps:
+            if name == "cut-points":
+                cut_points(work)
+            records.append(timed_step(root, [a.format(w=work) for a in argv]))
         files = {name: file_sha256(os.path.join(work, name)) for name in sorted(os.listdir(work))}
     finally:
         shutil.rmtree(work)
