@@ -740,9 +740,9 @@ def test_frame_read_through_load_is_below_the_file_size_at_d19(tmp_path, capsys)
     A file the reader refuses costs no more: one entry of the first
     operator made non-Hermitian, the line file given as points, or the file
     cut 1000 characters short ends ``frame verify`` with its error line
-    below the file's size (25.5 MB when a refused file was parsed a second
-    time, whole, and 11.4 MB for the cut file when text that is not JSON
-    was)."""
+    below the file's size (25.5 MB when every refused file was parsed a
+    second time, whole, and 11.4 MB for the cut file while text that is not
+    JSON still was)."""
     pf = mub_points(19)
     path = tmp_path / "points.json"
     cli._write_json(str(path), point_frame_layout(pf))
