@@ -32,7 +32,6 @@ from .linalg import (
     hermitian_stack,
     hs_inner,
     json_value,
-    label_table,
     ops_from_json,
     read_header,
     read_only,
@@ -158,15 +157,13 @@ def point_ops_from_lines(frame: LineFrame, geom: Dapg) -> PointFrame:
 def verify_point_table(frame: PointFrame) -> float:
     """Max deviation of tr(t t') from {β; −β/(d−1); 0 across columns}."""
     d, beta = frame.d, frame.beta
-    target = label_table(column_labels(d), beta, -beta / (d - 1), 0.0)
-    return gram_deviation(frame.ops, target)
+    return gram_deviation(frame.ops, column_labels(d), beta, -beta / (d - 1), 0.0)
 
 
 def verify_line_table(frame: LineFrame) -> float:
     """Max deviation of tr(l l') from {α; −α/(d²−1)}."""
     d, alpha = frame.d, frame.alpha
-    target = label_table(np.arange(d * d), alpha, alpha, -alpha / (d * d - 1))
-    return gram_deviation(frame.ops, target)
+    return gram_deviation(frame.ops, np.arange(d * d), alpha, alpha, -alpha / (d * d - 1))
 
 
 @dataclass

@@ -39,7 +39,8 @@ DEFAULT_TOL = 1e-10
 # gram_deviation cuts each operator into this many slices (two leave errors of
 # order 1e-11 at d = 31) and forms the Gram in square blocks of this many rows
 # (sliced whole, a d = 19 frame raised frame verify's peak RSS by 5 MB).  It
-# adds the products of slices i and j in this order, smallest first.
+# adds the products of slices i and j in this order, smallest first.  The
+# eigensystem check reconstructs a stack in slabs of a block's rows.
 _GRAM_SLICES = 3
 _GRAM_BLOCK = 64
 _SLICE_PAIRS = sorted(itertools.product(range(_GRAM_SLICES), repeat=2), key=sum, reverse=True)
@@ -127,12 +128,26 @@ def hermitian_eigensystem(mats: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     w, v = np.linalg.eigh(mats)
     w = w[..., ::-1]
     v = v[..., ::-1]
-    with np.errstate(over="ignore", invalid="ignore"):
-        recon = (v * w[..., None, :]) @ v.conj().swapaxes(-1, -2)
-        residual = float(np.abs(mats - recon).max())
+    residual = _eig_residual(np.asarray(mats), w, v)
     if not residual <= EIG_RESIDUAL_ATOL:
         raise ValueError(f"eigendecomposition failed: residual {residual:.3e}")
     return read_only(w), v
+
+
+def _eig_residual(mats: np.ndarray, w: np.ndarray, v: np.ndarray) -> float:
+    """max ‖h − VΛV†‖_max over the matrices h of ``mats`` and their
+    eigensystems, formed ``_GRAM_BLOCK`` matrices at a time and in place, so
+    that no temporary grows with the stack; NaN if any entry is."""
+    d = w.shape[-1]
+    mats, w, v = mats.reshape(-1, d, d), w.reshape(-1, d), v.reshape(-1, d, d)
+    worst = 0.0
+    with np.errstate(over="ignore", invalid="ignore"):
+        for lo in range(0, len(v), _GRAM_BLOCK):
+            rows = slice(lo, lo + _GRAM_BLOCK)
+            recon = (v[rows] * w[rows, None, :]) @ v[rows].conj().swapaxes(-1, -2)
+            np.subtract(mats[rows], recon, out=recon)
+            worst = np.max([worst, np.abs(recon).max()])
+    return float(worst)
 
 
 def spectrum_rank(values) -> int:
@@ -148,16 +163,6 @@ def matrix_rank(h: np.ndarray) -> int:
 def third_moment(h: np.ndarray) -> float:
     """tr(h³); equals 1 exactly when h is a rank-one projector."""
     return float(np.trace(h @ h @ h).real)
-
-
-def label_table(labels, diag: float, same: float, other: float) -> np.ndarray:
-    """The square table of one identity of the paper: ``same`` where two
-    members share a label, ``other`` where they do not, ``diag`` on the
-    diagonal."""
-    labels = np.asarray(labels)
-    table = np.where(labels[:, None] == labels, same, other)
-    np.fill_diagonal(table, diag)
-    return table
 
 
 def _hs_slices(rows: np.ndarray, bits: int) -> tuple[np.ndarray, np.ndarray]:
@@ -212,10 +217,12 @@ def _gram_blocks(stack: np.ndarray):
             yield lo, at, np.ldexp(block, left_exps[:, None] + right_exps - 2 * bits)
 
 
-def gram_deviation(stack: np.ndarray, target) -> float:
-    """Max |tr(a b) − target[a, b]| over every ordered pair of rows of the
-    Hermitian ``(n, d, d)`` stack and the ``(n, n)`` table ``target``: the
-    Hilbert-Schmidt Gram-table check behind every frame and family verifier.
+def gram_deviation(stack: np.ndarray, labels, diag: float, same: float, other: float) -> float:
+    """Max |tr(a b) − target(a, b)| over every pair of rows of the Hermitian
+    ``(n, d, d)`` stack: the Hilbert-Schmidt Gram-table check behind every
+    frame and family verifier.  The target is the rule of one identity of
+    the paper: ``diag`` on the diagonal, ``same`` where two rows' ``labels``
+    are equal and ``other`` where they differ.
 
     The Gram is the error-free sliced product of Ozaki, Ogita, Oishi and
     Rump (Numer. Algorithms 59 (2012) 95–118) on BLAS.  Every slice product
@@ -224,19 +231,23 @@ def gram_deviation(stack: np.ndarray, target) -> float:
     thread count.  At d ≤ 31 each entry is within u·(|tr(ab)| + ‖a‖‖b‖/4) of
     its exact value (u = 2⁻⁵³): one rounding, plus the last bits of any
     coordinate more than 2¹⁰ below its row's largest, which the slices cut.
-    The table is formed ``_GRAM_BLOCK`` rows by ``_GRAM_BLOCK`` columns at a
-    time, so its memory does not grow with n.
+    The table and its target are formed ``_GRAM_BLOCK`` rows by
+    ``_GRAM_BLOCK`` columns at a time, so their memory does not grow with n;
+    the target is symmetric, so each block of the upper triangle stands for
+    its mirror too.
 
     A Gram beyond float64 reads inf and a non-finite operator NaN, without a
     floating-point warning; either fails every tolerance.
     """
-    target = np.asarray(target)
+    labels = np.asarray(labels)
     worst = 0.0
     with np.errstate(over="ignore", invalid="ignore"):
         for lo, at, block in _gram_blocks(stack):
-            rows, cols = slice(lo, lo + len(block)), slice(at, at + block.shape[1])
-            worst = np.max([worst, np.abs(block - target[rows, cols]).max(),
-                            np.abs(block.T - target[cols, rows]).max()])
+            rows, cols = labels[lo : lo + len(block)], labels[at : at + block.shape[1]]
+            target = np.where(rows[:, None] == cols, same, other)
+            if lo == at:
+                np.fill_diagonal(target, diag)
+            worst = np.max([worst, np.abs(block - target).max()])
     return float(worst)
 
 

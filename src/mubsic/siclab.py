@@ -28,7 +28,6 @@ from .linalg import (
     hermitian_eigensystem,
     hermitian_stack,
     json_value,
-    label_table,
     load_json,
     ops_from_json,
     read_header,
@@ -53,11 +52,14 @@ def _ket_norm(ket: np.ndarray) -> float:
 
 def canonical_ket(vec) -> np.ndarray:
     """Normalize and fix the global phase: first component with modulus above
-    1e−12 is made real nonnegative."""
+    1e−12 is made real nonnegative.  Raises ValueError for a ket whose norm
+    is near zero or past float64."""
     vec = np.asarray(vec, dtype=np.complex128).reshape(-1)
     norm = _ket_norm(vec)
     if norm <= 1e-12:
         raise ValueError("cannot normalize a (near-)zero vector")
+    if norm == np.inf:
+        raise ValueError("cannot normalize a vector whose norm passes float64")
     vec = vec / norm
     return read_only(vec * np.exp(-1j * np.angle(vec[np.flatnonzero(np.abs(vec) > 1e-12)[0]])))
 
@@ -157,8 +159,7 @@ def verify_sic(fam: SicFamily) -> float:
     """Max deviation of tr(λ λ') from the pattern {1 on the diagonal,
     1/(d+1) off it}."""
     d = fam.d
-    target = label_table(np.arange(d * d), 1.0, 1.0, 1.0 / (d + 1))
-    return gram_deviation(fam.projectors, target)
+    return gram_deviation(fam.projectors, np.arange(d * d), 1.0, 1.0, 1.0 / (d + 1))
 
 
 # --- measurement columns over the dual affine plane ---------------------------
@@ -167,8 +168,8 @@ def verify_sic(fam: SicFamily) -> float:
 def extract_mu_pom(fam: SicFamily) -> np.ndarray:
     """The read-only stack of the d(d+1) trace-one operators
     τ_m^(j) = (1/d) Σ_{μ∋(m,j)} λ_μ, in plane.point_keys order: the frames'
-    line-to-point bridge applied to the projector family.  Each column j
-    sums to the identity.
+    line-to-point bridge applied to the projector family, scaled in place.
+    Each column j sums to the identity.
 
     The input family is verified first: if its overlap deviation exceeds
     1e−8 the extraction is refused, since the output pattern is only
@@ -178,7 +179,8 @@ def extract_mu_pom(fam: SicFamily) -> np.ndarray:
     dev = verify_sic(fam)
     if not dev <= 1e-8:
         raise ValueError(f"family fails equal-overlap check: deviation {dev:.3e}")
-    return read_only(incidence_sum(build_dapg(d).incidence.T, fam.projectors) * (1.0 / d))
+    taus = incidence_sum(build_dapg(d).incidence.T, fam.projectors)
+    return read_only(np.multiply(taus, 1.0 / d, out=taus))
 
 
 def verify_mu_pom(taus: np.ndarray) -> float:
@@ -186,8 +188,7 @@ def verify_mu_pom(taus: np.ndarray) -> float:
     pattern {1/d across columns; 2/(d+1) on the diagonal; 1/(d+1) within a
     column}."""
     d = taus.shape[-1]
-    target = label_table(column_labels(d), 2.0 / (d + 1), 1.0 / (d + 1), 1.0 / d)
-    return gram_deviation(taus, target)
+    return gram_deviation(taus, column_labels(d), 2.0 / (d + 1), 1.0 / (d + 1), 1.0 / d)
 
 
 # --- spectra bookkeeping -------------------------------------------------------

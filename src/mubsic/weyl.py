@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg import complex_from_json, complex_to_json, label_table, read_header, read_only
+from .linalg import complex_from_json, complex_to_json, read_header, read_only
 
 
 def is_prime(n: int) -> bool:
@@ -139,12 +139,17 @@ def verify_mub(mub: MubFamily) -> float:
     """Max deviation of |⟨m;b|m';b'⟩|² from its target.
 
     Targets: 1 on the diagonal, 0 within a basis, 1/d across bases.  A family
-    with a single basis only sees the orthonormality targets.
+    with a single basis only sees the orthonormality targets.  The overlaps
+    of one basis b with every basis are formed at a time, with the target
+    row of b's label, so no table of all (n·d)² overlaps is built.
     """
-    d, n_bases = mub.d, mub.n_bases
-    overlaps = np.abs(np.einsum("bmk,cnk->bmcn", mub.bases.conj(), mub.bases)) ** 2
-    target = label_table(np.repeat(np.arange(n_bases), d), 1.0, 0.0, 1.0 / d)
-    return float(np.abs(overlaps - target.reshape(n_bases, d, n_bases, d)).max())
+    d, bases = mub.d, mub.bases
+    labels = np.arange(mub.n_bases)[:, None]
+    return float(np.max([
+        np.abs(np.abs(np.einsum("bmk,cnk->bmcn", bases[b : b + 1].conj(), bases)) ** 2
+               - np.where(labels == b, np.eye(d)[:, None, :], 1.0 / d)).max()
+        for b in range(mub.n_bases)
+    ]))
 
 
 # --- commuting monomial classes and the h/g Hermitian basis -----------------

@@ -9,6 +9,7 @@ groups (a searched fiducial may sit at a different orbit representative).
 """
 
 import functools
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -124,6 +125,17 @@ def random_ket(rng, d: int) -> np.ndarray:
     return v / np.linalg.norm(v)
 
 
+def traced_peak(call) -> int:
+    """The tracemalloc peak of ``call()``, in bytes: what it allocates at
+    once beyond what was already held."""
+    tracemalloc.start()
+    try:
+        call()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
 # --- reference arithmetic ------------------------------------------------------
 #
 # Operators were once HermitianOp objects with +, − and real scaling, and
@@ -145,6 +157,17 @@ def op_scale(c: float, a: np.ndarray) -> np.ndarray:
 def companion(op: np.ndarray, d: int) -> np.ndarray:
     """(1 + op)/d, one operator at a time, as trace_one once built it."""
     return op_scale(1.0 / d, op_add(np.eye(d, dtype=np.complex128), op))
+
+
+def label_table(labels, diag: float, same: float, other: float) -> np.ndarray:
+    """The whole square table of one identity of the paper, as the Gram
+    checks once built it: ``same`` where two members share a label,
+    ``other`` where they do not, ``diag`` on the diagonal.  The dense oracle
+    of ``linalg.gram_deviation``'s label rule."""
+    labels = np.asarray(labels)
+    table = np.where(labels[:, None] == labels, same, other)
+    np.fill_diagonal(table, diag)
+    return table
 
 
 # --- exact Hilbert-Schmidt products ---------------------------------------------

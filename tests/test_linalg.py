@@ -15,7 +15,16 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
-from helpers import D5, PRIME_DIMS, SPECTRA_MATCH_TOL, exact_hs, random_hermitian
+from helpers import (
+    D5,
+    PRIME_DIMS,
+    SPECTRA_MATCH_TOL,
+    exact_hs,
+    label_table,
+    random_hermitian,
+    random_ket,
+    traced_peak,
+)
 from mubsic import frames, linalg, siclab, weyl
 from mubsic.linalg import (
     DEFAULT_TOL,
@@ -25,13 +34,12 @@ from mubsic.linalg import (
     gram_deviation,
     hermitian_eigensystem,
     hs_inner,
-    label_table,
     matrix_rank,
     read_operator_json,
     third_moment,
     write_operator_json,
 )
-from mubsic.plane import column_labels, point_keys
+from mubsic.plane import build_dapg, column_labels, point_keys
 
 SX = np.array([[0, 1], [1, 0]], dtype=complex)
 SY = np.array([[0, -1j], [1j, 0]], dtype=complex)
@@ -244,7 +252,8 @@ def test_hs_kernels_against_exact_products(d):
     # Sampled pairs plus each kernel's 40 worst entries; errors in units of β.
     pf = frames.point_frame_from_mub(weyl.build_mub(d))
     ops, beta, n = pf.ops, pf.beta, len(pf.ops)
-    target = label_table(column_labels(d), beta, -beta / (d - 1), 0.0)
+    rule = (beta, -beta / (d - 1), 0.0)
+    target = label_table(column_labels(d), *rule)
     gram = sliced_gram(ops)
     # hs_inner on the upper triangle, which holds the diagonal and one of each pair.
     inner = np.full((n, n), np.nan)
@@ -264,8 +273,33 @@ def test_hs_kernels_against_exact_products(d):
             error = max(error, abs(Fraction(table[a, b]) - exact) / Fraction(beta))
             exact_dev = max(exact_dev, abs(exact - Fraction(target[a, b])))
         assert error <= bound, f"{name} errs by {float(error):.2e} β at d = {d}"
-    assert gram_deviation(ops, target) == float(np.abs(gram - target).max())
+    assert gram_deviation(ops, column_labels(d), *rule) == float(np.abs(gram - target).max())
     assert float(exact_dev) <= DEFAULT_TOL
+
+
+@pytest.mark.parametrize("d", PRIME_DIMS)
+def test_label_rules_match_the_whole_tables(d):
+    """Every other verifier's label rule against its whole (n, n) target,
+    bit for bit: the line table, the equal-overlap table of a shift/clock
+    orbit and the measurement-column table (on trace-one point operators).
+    Each stack's Gram blocks are formed once, for the verifier and the
+    whole table alike."""
+    pf = frames.point_frame_from_mub(weyl.build_mub(d))
+    lf = frames.line_ops_from_points(pf, build_dapg(d))
+    fam = siclab.generate_hw_sic(siclab.Fiducial(d=d, ket=random_ket(np.random.default_rng(d), d)))
+    taus = frames.trace_one(pf.ops, d)
+    alpha, n = lf.alpha, d * d
+    for check, stack, target in (
+        (lambda: frames.verify_line_table(lf), lf.ops,
+         label_table(range(n), alpha, alpha, -alpha / (n - 1))),
+        (lambda: siclab.verify_sic(fam), fam.projectors,
+         label_table(range(n), 1.0, 1.0, 1.0 / (d + 1))),
+        (lambda: siclab.verify_mu_pom(taus), taus,
+         label_table(column_labels(d), 2.0 / (d + 1), 1.0 / (d + 1), 1.0 / d)),
+    ):
+        blocks = list(linalg._gram_blocks(stack))
+        with mock.patch.object(linalg, "_gram_blocks", side_effect=lambda _: iter(blocks)):
+            assert check() == float(np.abs(sliced_gram(stack) - target).max())
 
 
 # --- the sliced Gram on edge-case stacks ------------------------------------------
@@ -276,11 +310,14 @@ def test_hs_kernels_against_exact_products(d):
 # multiple of the smallest subnormal, 2^−1074.
 
 BLOCK = linalg._GRAM_BLOCK
+# The label rule (diag, same, other) of a target that is zero everywhere.
+ZERO_RULE = (0.0, 0.0, 0.0)
 
 
 def assert_gram_exact(stack: np.ndarray) -> None:
     """Every entry of the sliced Gram within u·(|tr(ab)| + ‖a‖‖b‖/4) + 2^−1074
-    of the exact value, and gram_deviation of a zero table its largest modulus."""
+    of the exact value, and gram_deviation from a zero target its largest
+    modulus."""
     gram = sliced_gram(stack)
     assert not np.isnan(gram).any()
     u = Fraction(UNIT_ROUNDOFF)
@@ -289,7 +326,7 @@ def assert_gram_exact(stack: np.ndarray) -> None:
         exact = exact_hs(stack[a], stack[b])
         excess = abs(Fraction(gram[a, b]) - exact) - u * abs(exact) - Fraction(2) ** -1074
         assert excess <= 0 or (4 * excess) ** 2 <= u * u * squares[a] * squares[b], (a, b)
-    assert gram_deviation(stack, np.zeros_like(gram)) == np.abs(gram).max()
+    assert gram_deviation(stack, np.arange(len(stack)), *ZERO_RULE) == np.abs(gram).max()
 
 
 def hermitian_rows(rng, n: int, d: int) -> np.ndarray:
@@ -304,14 +341,39 @@ def test_sliced_gram_covers_every_pair(n):
         assert_gram_exact(hermitian_rows(np.random.default_rng(n), n, 2))
 
 
+def table_deviation(stack: np.ndarray, target: np.ndarray) -> float:
+    """Max |tr(ab) − target[a, b]| over the whole (n, n) ``target``, from
+    :func:`sliced_gram`: the whole-table check gram_deviation once made."""
+    return float(np.abs(sliced_gram(stack) - target).max())
+
+
+def orthogonal_rows(n: int) -> np.ndarray:
+    """n ≤ d(d−1) Hermitian d × d rows E_ij + E_ji and i(E_ij − E_ji), i < j,
+    with d = 12: their Gram is 2 on the diagonal and 0 off it, exactly."""
+    d = 12
+    rows = []
+    for i, j in zip(*np.triu_indices(d, 1)):
+        for phase in (1, 1j):
+            op = np.zeros((d, d), dtype=complex)
+            op[i, j], op[j, i] = phase, np.conj(phase)
+            rows.append(op)
+    return linalg.hermitian_stack(rows, n, d)
+
+
 @pytest.mark.parametrize("at", [(0, 1), (1, 0), (BLOCK, BLOCK - 1), (BLOCK + 2, 2 * BLOCK)])
 def test_gram_deviation_reads_every_ordered_pair(at):
     # One entry of the table moved by 1, above or below the diagonal and in
-    # any block, is the deviation.
+    # any block, is the deviation.  No label rule moves one entry alone, so
+    # the whole table's check does it; the rule moves the pair and its mirror.
     stack = hermitian_rows(np.random.default_rng(0), 2 * BLOCK + 3, 2)
     target = sliced_gram(stack)
     target[at] += 1.0
-    assert gram_deviation(stack, target) == 1.0
+    assert table_deviation(stack, target) == 1.0
+    rows = orthogonal_rows(2 * BLOCK + 3)
+    labels = np.arange(len(rows))
+    labels[at[0]] = labels[at[1]]
+    assert gram_deviation(rows, labels, 2.0, 1.0, 0.0) == 1.0
+    assert gram_deviation(rows, np.arange(len(rows)), 2.0, 1.0, 0.0) == 0.0
 
 
 def test_sliced_gram_zero_rows_and_wide_binades():
@@ -328,14 +390,14 @@ def test_sliced_gram_zero_rows_and_wide_binades():
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         assert_gram_exact(stack)
-        assert gram_deviation(stack[:1], np.zeros((1, 1))) == 0.0
+        assert gram_deviation(stack[:1], [0], *ZERO_RULE) == 0.0
 
 
 def test_sliced_gram_beyond_float64_is_inf_without_warning():
     stack = linalg.hermitian_stack([np.full((2, 2), 1e200)], 1, 2)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        assert gram_deviation(stack, np.zeros((1, 1))) == np.inf
+        assert gram_deviation(stack, [0], *ZERO_RULE) == np.inf
 
 
 @pytest.mark.parametrize("bad", [np.inf, -np.inf, np.nan])
@@ -346,7 +408,7 @@ def test_gram_deviation_of_a_non_finite_row_is_nan_without_warning(bad):
     stack[-1, 0, 0] = bad
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        assert np.isnan(gram_deviation(stack, np.zeros((len(stack), len(stack)))))
+        assert np.isnan(gram_deviation(stack, np.arange(len(stack)), *ZERO_RULE))
 
 
 @st.composite
@@ -417,6 +479,49 @@ def test_eigensystem_residual_bound_is_eig_residual_atol():
     hermitian_eigensystem(mat + np.array([[0, 1e-11], [0, 0]]))
     with pytest.raises(ValueError, match="eigendecomposition failed"):
         hermitian_eigensystem(mat + np.array([[0, 1e-6], [0, 0]]))
+
+
+def whole_stack_residual(mats, w, v) -> float:
+    """max ‖h − VΛV†‖_max in one expression over the whole stack, as
+    hermitian_eigensystem once formed it: the oracle of its slabs."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        recon = (v * w[..., None, :]) @ v.conj().swapaxes(-1, -2)
+        return float(np.abs(mats - recon).max())
+
+
+@pytest.mark.parametrize("n", [1, BLOCK - 1, BLOCK, BLOCK + 1])
+@pytest.mark.parametrize("d", PRIME_DIMS)
+def test_eig_residual_matches_the_whole_stack(d, n):
+    stack = hermitian_rows(np.random.default_rng(d * n), n, d)
+    w, v = np.linalg.eigh(stack)
+    w, v = w[..., ::-1], v[..., ::-1]
+    assert linalg._eig_residual(stack, w, v) == whole_stack_residual(stack, w, v)
+    if n == 1:  # one matrix, not a stack
+        assert linalg._eig_residual(stack[0], w[0], v[0]) == whole_stack_residual(stack[0], w[0], v[0])
+
+
+@pytest.mark.parametrize("bad, residual", [(1e-6, "[0-9.]+e-0[67]"), (np.nan, "nan")])
+def test_eigensystem_checks_the_last_ragged_slab(bad, residual):
+    # eigh reads the lower triangle, so an upper entry moved in the last of
+    # three slabs is missing from its reconstruction: every other slab passes.
+    stack = np.array(hermitian_rows(np.random.default_rng(2), 2 * BLOCK + 3, 2))
+    stack[-1, 0, 1] += bad
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match=f"eigendecomposition failed: residual {residual}$"):
+            hermitian_eigensystem(stack)
+
+
+def test_eigensystem_memory_of_a_d31_stack():
+    """The check of a (992, 31, 31) stack of 15.3 MB, the size of the d = 31
+    measurement columns, reconstructs one slab at a time: the traced peak,
+    the 15.3 MB of eigenvectors included, is 19.4 MB, against 61.3 MB when
+    the whole stack was reconstructed at once."""
+    rng = np.random.default_rng(31)
+    mats = rng.standard_normal((992, 31, 31)) + 1j * rng.standard_normal((992, 31, 31))
+    stack = linalg.read_only((mats + mats.conj().swapaxes(-1, -2)) / 2)
+    del mats
+    assert traced_peak(lambda: hermitian_eigensystem(stack)) < 24e6
 
 
 def test_eigensystem_qubit_projector():

@@ -93,6 +93,15 @@ def test_canonical_ket_fixes_global_phase():
     assert fidelity(w, v / np.linalg.norm(v)) == pytest.approx(1.0, abs=1e-12)
 
 
+def test_canonical_ket_refuses_a_norm_past_float64():
+    # Each component is finite, but ‖ket‖ is inf: dividing by it would leave
+    # no component to fix the phase by.
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match="norm passes float64"):
+            canonical_ket([1e308, 1e308j])
+
+
 def test_fiducial_requires_unit_norm():
     with pytest.raises(ValueError):
         Fiducial(d=2, ket=np.array([1.0, 1.0]), source="ingested")

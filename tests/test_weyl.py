@@ -1,7 +1,9 @@
+import warnings
+
 import numpy as np
 import pytest
 
-from helpers import PRIME_DIMS
+from helpers import PRIME_DIMS, label_table, traced_peak
 from mubsic.linalg import HermitianOp
 from mubsic.weyl import (
     HGBasis,
@@ -140,6 +142,39 @@ def test_verify_flags_corrupted_ket():
     bases[1, 0] = np.array([1.0, 0.0, 0.0])
     dev = verify_mub(MubFamily(d=3, bases=bases))
     assert dev >= 1.0 / 3 - 0.05
+
+
+def dense_mub_deviation(mub: MubFamily) -> float:
+    """verify_mub as one einsum over every pair of bases against the whole
+    (n·d)² target, as it was once formed: the oracle of its basis rows."""
+    d, n = mub.d, mub.n_bases
+    overlaps = np.abs(np.einsum("bmk,cnk->bmcn", mub.bases.conj(), mub.bases)) ** 2
+    target = label_table(np.repeat(np.arange(n), d), 1.0, 0.0, 1.0 / d)
+    return float(np.abs(overlaps - target.reshape(n, d, n, d)).max())
+
+
+@pytest.mark.parametrize("d", PRIME_DIMS)
+def test_verify_mub_matches_the_whole_table(d):
+    # The exact family, one moved off unbiasedness by 1e-6, and its last basis alone.
+    mub = build_mub(d)
+    noise = np.random.default_rng(d).standard_normal(mub.bases.shape)
+    for fam in (mub, MubFamily(d=d, bases=mub.bases + 1e-6 * noise), MubFamily(d=d, bases=mub.bases[-1:])):
+        assert verify_mub(fam) == dense_mub_deviation(fam)
+
+
+def test_verify_mub_of_a_nan_in_the_last_basis_is_nan():
+    bases = build_mub(5).bases.copy()
+    bases[-1, 4, 2] = np.nan
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert np.isnan(verify_mub(MubFamily(d=5, bases=bases)))
+
+
+def test_verify_mub_memory_at_d31():
+    """One basis's overlaps with every basis at a time: the traced peak of
+    building and checking the d = 31 family is 1.34 MB, against 32.0 MB when
+    all (n·d)² overlaps and their whole target were built at once."""
+    assert traced_peak(lambda: verify_mub(build_mub(31))) < 2e6
 
 
 def test_mub_json_round_trip():
