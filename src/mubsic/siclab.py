@@ -38,7 +38,7 @@ from .linalg import (
     write_json,
 )
 from .plane import build_dapg, column_labels, incidence_sum, line_keys, point_keys
-from .weyl import MubFamily, build_weyl_pair, require_prime
+from .weyl import MubFamily, require_prime, shift_clock_tables
 
 
 def _ket_norm(ket: np.ndarray) -> float:
@@ -109,8 +109,7 @@ def qubit_fiducial() -> Fiducial:
 
 def qutrit_fiducial() -> Fiducial:
     """Closed-form d = 3 fiducial (|0⟩ − ω²|1⟩)/√2, ω = exp(2πi/3)."""
-    omega = np.exp(2j * np.pi / 3)
-    ket = np.array([1.0, -(omega**2), 0.0]) / np.sqrt(2.0)
+    ket = np.array([1.0, -shift_clock_tables(3)[2][1, 2], 0.0]) / np.sqrt(2.0)
     return Fiducial(d=3, ket=canonical_ket(ket), source="closed-form")
 
 
@@ -150,7 +149,7 @@ def generate_hw_sic(fid: Fiducial) -> SicFamily:
     entry is one product of two gathered entries, so no BLAS call orders a sum.
     """
     d = require_prime(fid.d)
-    kets = _orbit(_orbit_tables(d), fid.ket)
+    kets = _orbit(shift_clock_tables(d), fid.ket)
     outers = (np.outer(k, k.conj()) for k in (kets[(-b) % d * d + a] for a, b in line_keys(d)))
     return SicFamily(d=d, fiducial=fid, projectors=hermitian_stack(outers, d * d, d))
 
@@ -290,13 +289,6 @@ def spectra_from_csv(text: str) -> np.ndarray:
 # --- cyclic probability conditions ---------------------------------------------
 
 
-def _shift_tables(d: int) -> tuple[np.ndarray, np.ndarray]:
-    """Index tables ahead[m, i] = i+m and behind[m, i] = i−m (mod d): the
-    gathers p[ahead[m]] and p[behind[m]] are np.roll(p, −m) and np.roll(p, m)."""
-    i = np.arange(d)
-    return (i + i[:, None]) % d, (i - i[:, None]) % d
-
-
 @dataclass(frozen=True)
 class ProbabilityVector:
     """Nonnegative entries summing to one (within 1e−12 slack)."""
@@ -317,7 +309,7 @@ class ProbabilityVector:
 
     def autocorrelation(self, m: int) -> float:
         p = np.asarray(self.entries)
-        return float(p @ p[_shift_tables(len(p))[0][m % len(p)]])
+        return float(p @ np.roll(p, -m))
 
 
 @dataclass
@@ -343,13 +335,12 @@ def cyclic_residuals(p, d: int) -> np.ndarray:
     p = np.asarray(p, dtype=float)
     if p.shape != (d,):
         raise ValueError(f"expected a vector of {d} entries, got shape {p.shape}")
-    return _cyclic_residuals(p, d, _shift_tables(d)[0])
+    return _cyclic_residuals(p, d, shift_clock_tables(d)[0])
 
 
 def _cyclic_residuals(p: np.ndarray, d: int, ahead: np.ndarray) -> np.ndarray:
-    half = (d - 1) // 2 if d % 2 else d // 2
     res = [p.sum() - 1.0]
-    for m in range(half + 1):
+    for m in range(d // 2 + 1):
         target = 2.0 / (d + 1) if m == 0 else 1.0 / (d + 1)
         res.append(float(p @ p[ahead[m]]) - target)
     return np.asarray(res)
@@ -381,6 +372,7 @@ def solve_cyclic_probability(d: int, seed: int = 0, restarts: int = 64) -> Cycli
     d = require_prime(d)
     if restarts < 1:
         raise ValueError("restarts must be >= 1")
+    rng = _rng(seed)
     family = {}
     if d == 2:
         hi = (3.0 + np.sqrt(3.0)) / 6.0
@@ -389,20 +381,20 @@ def solve_cyclic_probability(d: int, seed: int = 0, restarts: int = 64) -> Cycli
         vectors = [qutrit_cyclic_family(0.5).entries]
         family = {"family": qutrit_cyclic_family, "family_bounds": (0.0, 2.0 / 3.0)}
     else:
-        vectors = _cyclic_samples(d, seed, restarts)
+        vectors = _cyclic_samples(d, rng, restarts)
     sols = [ProbabilityVector(entries=v) for v in vectors]
     residuals = [float(np.abs(cyclic_residuals(s.entries, d)).max()) for s in sols]
     return CyclicSolutions(d=d, solutions=sols, residuals=residuals, **family)
 
 
-def _cyclic_samples(d: int, seed: int, restarts: int) -> list:
+def _cyclic_samples(d: int, rng: random.Random, restarts: int) -> list:
     """Canonical cycles of the restarts' solutions, deduped at 8 digits and
     sorted descending.  Each restart writes p = q⊙q, which keeps p ≥ 0, and
     takes minimum-norm Gauss-Newton steps in q from the square root of a
     Dirichlet draw: the (d−1)/2 + 2 conditions leave a positive-dimensional
     solution set, onto which the least-norm step projects quadratically."""
     half = (d - 1) // 2
-    ahead, behind = _shift_tables(d)
+    ahead, behind, _ = shift_clock_tables(d)
 
     def fun(q):
         return _cyclic_residuals(q * q, d, ahead)
@@ -415,7 +407,6 @@ def _cyclic_samples(d: int, seed: int, restarts: int) -> list:
         out[1:] = p[ahead[: half + 1]] + p[behind[: half + 1]]
         return out * (2.0 * q)
 
-    rng = _rng(seed)
     found: dict[tuple, tuple] = {}
     for _ in range(restarts):
         # A Dirichlet(1, ..., 1) draw: d exponential draws over their sum.
@@ -519,17 +510,9 @@ def fiducial_from_mu_pom(taus: np.ndarray, mub: MubFamily) -> FiducialExtraction
 # --- overlap table -----------------------------------------------------------------
 
 
-def _orbit_tables(d: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """The shift/clock orbit in closed form: the :func:`_shift_tables` and
-    phases w[b, j] = ω^{bj}, formed as weyl.monomial forms its entries."""
-    omega = build_weyl_pair(d).omega
-    i = np.arange(d)
-    return *_shift_tables(d), omega ** ((i[:, None] * i) % d)
-
-
 def _orbit(tables, psi: np.ndarray) -> np.ndarray:
     """The (d², d) rows XᵃZᵇψ over (a, b) in row-major order, one gather and
-    one product per entry: (XᵃZᵇψ)_i = w[b, i+a]·ψ_{i+a}."""
+    one product per entry of weyl's tables: (XᵃZᵇψ)_i = w[b, i+a]·ψ_{i+a}."""
     ahead, _, w = tables
     return (w[:, ahead].swapaxes(0, 1) * psi[ahead][:, None]).reshape(-1, len(psi))
 
@@ -548,7 +531,7 @@ def overlap_table(psi) -> np.ndarray:
     every (a, b) ≠ (0, 0); the phases of the same entries rebuild σ₀.
     """
     psi = np.asarray(psi, dtype=np.complex128)
-    return _overlaps(_orbit_tables(len(psi)), psi)[1].reshape(len(psi), len(psi))
+    return _overlaps(shift_clock_tables(len(psi)), psi)[1].reshape(len(psi), len(psi))
 
 
 # --- phase reconstruction --------------------------------------------------------
@@ -589,7 +572,6 @@ def build_sigma0_from_phases(d: int, phases) -> np.ndarray:
             f"need {(d * d - 1) // 2} phases for d = {d}, got {phases.size}"
         )
     phases = phases.reshape(d + 1, half)
-    omega = np.exp(2j * np.pi / d)
     root = np.sqrt(d + 1.0)
     n = np.arange(d)[:, None]
     k = np.arange(1, half + 1)
@@ -597,7 +579,7 @@ def build_sigma0_from_phases(d: int, phases) -> np.ndarray:
     mat = np.diag(diag / d).astype(np.complex128)
     # z[n, k−1] = Σ_j e^{iφ_{j,k}} ω^{njk}, summed over the leading axis j.
     j = np.arange(d)[:, None, None]
-    z = (np.exp(1j * phases[:d, None, :]) * omega ** ((n * j * k) % d)).sum(axis=0)
+    z = (np.exp(1j * phases[:d, None, :]) * shift_clock_tables(d)[2][n, (j * k) % d]).sum(axis=0)
     cols = (n + k) % d
     mat[n, cols] = z / (d * root)
     mat[cols, n] = np.conj(mat[n, cols])
@@ -735,7 +717,7 @@ def search_fiducial(d: int, cfg: SearchConfig | None = None) -> SearchResult:
     """
     d = require_prime(d)
     cfg = cfg or SearchConfig()
-    tables = _orbit_tables(d)
+    tables = shift_clock_tables(d)
     behind, w_bar = tables[1], tables[2].conj()
     c = 1.0 / (d + 1)
 

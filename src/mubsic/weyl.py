@@ -60,29 +60,35 @@ class WeylPair:
     omega: complex
 
 
+def shift_clock_tables(d: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The shift/clock group in closed form, the one place ω = exp(2πi/d) is
+    formed: ahead[m, i] = i+m and behind[m, i] = i−m (mod d), whose gathers
+    p[ahead[m]] and p[behind[m]] are np.roll(p, −m) and np.roll(p, m), and
+    w[b, j] = ω^{bj}, each ω raised to an exponent reduced mod d."""
+    i = np.arange(d)
+    omega = np.exp(2j * np.pi / d)
+    return (i + i[:, None]) % d, (i - i[:, None]) % d, omega ** ((i[:, None] * i) % d)
+
+
 def build_weyl_pair(d: int) -> WeylPair:
     d = require_prime(d)
-    omega = np.exp(2j * np.pi / d)
-    Z = np.diag(omega ** np.arange(d))
+    ahead, _, w = shift_clock_tables(d)
     X = np.zeros((d, d), dtype=np.complex128)
-    X[np.arange(d), (np.arange(d) + 1) % d] = 1.0
-    return WeylPair(d=d, X=read_only(X), Z=read_only(Z), omega=complex(omega))
+    X[np.arange(d), ahead[1]] = 1.0
+    return WeylPair(d=d, X=read_only(X), Z=read_only(np.diag(w[1])), omega=complex(w[1, 1]))
 
 
 def monomial(wp: WeylPair, a: int, b: int) -> np.ndarray:
-    """The operator X^a Z^b, one element of the d² monomial basis.
-
-    Built in closed form, (X^a Z^b)[i, j] = ω^{bj} δ_{j, i+a mod d}, so the
-    phases are exact to machine precision.
-    """
+    """The operator X^a Z^b, one element of the d² monomial basis: the
+    gather (X^a Z^b)[i, j] = w[b, j] δ_{j, i+a mod d} of the
+    :func:`shift_clock_tables`."""
     d = wp.d
     a, b = int(a), int(b)
     if not (0 <= a < d and 0 <= b < d):
         raise ValueError(f"monomial exponents must lie in 0..{d - 1}, got ({a}, {b})")
-    rows = np.arange(d)
-    cols = (rows + a) % d
+    ahead, _, w = shift_clock_tables(d)
     mat = np.zeros((d, d), dtype=np.complex128)
-    mat[rows, cols] = wp.omega ** ((b * cols) % d)
+    mat[np.arange(d), ahead[a]] = w[b, ahead[a]]
     return read_only(mat)
 
 
@@ -116,9 +122,9 @@ def build_mub(d: int) -> MubFamily:
     """The complete set of d+1 mutually unbiased bases in prime dimension d.
 
     For odd primes, basis b has kets |m;b⟩ with components
-    ω^{b·n(n−1)/2 + m·n}/√d; exponents are reduced mod d as integers before
-    exponentiating so every phase is an exact root of unity.  For d = 2 the
-    three unbiased bases are the σx, σy, σz eigenbases.
+    ω^{b·n(n−1)/2 + m·n}/√d, read from the :func:`shift_clock_tables` at the
+    exponent reduced mod d, so every phase is an exact root of unity.  For
+    d = 2 the three unbiased bases are the σx, σy, σz eigenbases.
     """
     d = require_prime(d)
     bases = np.zeros((d + 1, d, d), dtype=np.complex128)
@@ -127,10 +133,9 @@ def build_mub(d: int) -> MubFamily:
         bases[0] = [[s, s], [s, -s]]
         bases[1] = [[s, 1j * s], [s, -1j * s]]
     else:
-        omega = np.exp(2j * np.pi / d)
         b, m, n = np.ogrid[:d, :d, :d]
         tri = (n * (n - 1) // 2) % d
-        bases[:d] = omega ** ((b * tri + m * n) % d) / np.sqrt(d)
+        bases[:d] = shift_clock_tables(d)[2][1, (b * tri + m * n) % d] / np.sqrt(d)
     bases[d] = np.eye(d)
     return MubFamily(d=d, bases=read_only(bases))
 
@@ -205,15 +210,21 @@ def build_hg_basis(wp: WeylPair, phases: np.ndarray | None = None) -> HGBasis:
             raise ValueError(
                 f"phases must have shape ({d + 1}, {half}), got {phases.shape}"
             )
-    classes = commuting_classes(wp)
-    h = np.zeros((d + 1, half, d, d), dtype=np.complex128)
-    g = np.zeros_like(h)
-    for j, gens in enumerate(classes):
-        for idx, (a, b) in enumerate(gens):
-            m = monomial(wp, a, b)
-            zeta = modulus * np.exp(1j * phases[j, idx])
-            h[j, idx] = zeta * m + np.conj(zeta) * m.conj().T
-            g[j, idx] = -1j * (zeta * m - np.conj(zeta) * m.conj().T)
+    ahead, _, w = shift_clock_tables(d)
+    gen, rows = np.arange(half)[:, None], np.arange(d)
+    h = np.empty((d + 1, half, d, d), dtype=np.complex128)
+    g = np.empty_like(h)
+    # One class at a time and in place, so no temporary outgrows a class.
+    for j, gens in enumerate(commuting_classes(wp)):
+        a, b = np.array(gens).T
+        zeta = (modulus * np.exp(1j * phases[j]))[:, None, None]
+        m = np.zeros((half, d, d), dtype=np.complex128)
+        m[gen, rows, ahead[a]] = w[b[:, None], ahead[a]]
+        np.multiply(zeta, m, out=h[j])
+        m = np.conj(zeta) * np.conj(m, out=m).swapaxes(1, 2)
+        np.subtract(h[j], m, out=g[j])
+        g[j] *= -1j
+        h[j] += m
     return HGBasis(d=d, phases=read_only(phases.copy()), h=read_only(h), g=read_only(g))
 
 

@@ -202,12 +202,13 @@ def gamma(n: int) -> Fraction:
 @functools.lru_cache(maxsize=None)
 def phase_error(d: int) -> Fraction:
     """An upper bound on max |w[b, j] − ω^{bj}| over the phase table that
-    ``siclab.overlap_table`` gathers from, against 40-digit mpmath."""
+    ``siclab.overlap_table`` gathers from (``weyl.shift_clock_tables``),
+    against 40-digit mpmath."""
     import mpmath
 
-    from mubsic import siclab
+    from mubsic import weyl
 
-    w = siclab._orbit_tables(d)[2]
+    w = weyl.shift_clock_tables(d)[2]
     with mpmath.workdps(40):
         err = max(abs(mpmath.mpc(z.real, z.imag) - mpmath.expjpi(mpmath.mpf(2 * (b * j % d)) / d))
                   for (b, j), z in np.ndenumerate(w))

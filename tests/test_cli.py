@@ -536,13 +536,14 @@ def test_quasiprob_refuses_an_overflowing_total(tmp_path, capsys):
 @pytest.mark.parametrize("argv", [["sic", "search", "--d", "1000003", "--restarts", "1"],
                                   ["frame", "from-hg", "--d", "1000003"]])
 def test_unallocatable_dimension_is_one_error_line(argv, monkeypatch, capsys):
-    # At this prime np.diag in build_weyl_pair asks for 14.6 TiB.  The error
-    # is raised here without allocating, as numpy's MemoryError would be.
+    # At this prime the (d, d) tables of weyl.shift_clock_tables ask for
+    # 7.28 TiB each.  The error is raised here without allocating, as numpy's
+    # MemoryError would be.
     def too_big(d):
-        raise MemoryError(f"Unable to allocate 14.6 TiB for an array with shape ({d}, {d})")
+        raise MemoryError(f"Unable to allocate 7.28 TiB for an array with shape ({d}, {d})")
 
-    monkeypatch.setattr(weyl, "build_weyl_pair", too_big)
-    monkeypatch.setattr(siclab, "build_weyl_pair", too_big)
+    monkeypatch.setattr(weyl, "shift_clock_tables", too_big)
+    monkeypatch.setattr(siclab, "shift_clock_tables", too_big)
     assert run(argv) == 2
     stdout, err = capsys.readouterr()
     assert stdout == ""
@@ -651,7 +652,9 @@ def test_sic_search_is_deterministic(tmp_path):
 
 
 @pytest.mark.parametrize("argv", [["sic", "search", "--d", "5", "--seed", "-1"],
-                                  ["sic", "solve-prob", "--d", "5", "--seed", "-3"]])
+                                  ["sic", "solve-prob", "--d", "5", "--seed", "-3"],
+                                  ["sic", "solve-prob", "--d", "2", "--seed", "-5"],
+                                  ["sic", "solve-prob", "--d", "3", "--seed", "-1"]])
 def test_negative_seed_is_one_error_line(argv, capsys):
     assert run(argv) == 2
     assert capsys.readouterr() == ("", "error: expected non-negative integer\n")

@@ -61,7 +61,7 @@ from mubsic.siclab import (
     verify_sic,
     write_fiducial_json,
 )
-from mubsic.weyl import build_mub, build_weyl_pair, monomial
+from mubsic.weyl import build_mub, build_weyl_pair, monomial, shift_clock_tables
 
 OMEGA3 = np.exp(2j * np.pi / 3)
 
@@ -561,7 +561,7 @@ def test_shift_gathers_match_np_roll_bit_for_bit(d):
     bits, ties among the entries included."""
     rng = np.random.default_rng(d)
     tied = np.resize([0.0, 2.0, 2.0, 1.0], d)
-    behind = siclab._shift_tables(d)[1]
+    behind = shift_clock_tables(d)[1]
     for p in [rng.dirichlet(np.ones(d)) for _ in range(3)] + [tied / tied.sum()]:
         assert np.array_equal(cyclic_residuals(p, d), _roll_residuals(p, d))
         vec = ProbabilityVector(entries=tuple(p))
@@ -876,6 +876,38 @@ def test_sigma0_matches_loop(d):
         assert np.abs(build_sigma0_from_phases(d, phases) - ref).max() <= 1e-14
 
 
+def power_build_sigma0_from_phases(d, phases):
+    """Reference: build_sigma0_from_phases with ω formed here and each ω^{njk}
+    raised from it, as before the phases were read from weyl's table."""
+    half = (d - 1) // 2
+    phases = np.asarray(phases, dtype=float).reshape(d + 1, half)
+    omega = np.exp(2j * np.pi / d)
+    root = np.sqrt(d + 1.0)
+    n = np.arange(d)[:, None]
+    k = np.arange(1, half + 1)
+    diag = 1.0 + (2.0 / root) * np.cos(phases[d] + 2 * np.pi * k * n / d).sum(axis=1)
+    mat = np.diag(diag / d).astype(np.complex128)
+    j = np.arange(d)[:, None, None]
+    z = (np.exp(1j * phases[:d, None, :]) * omega ** ((n * j * k) % d)).sum(axis=0)
+    cols = (n + k) % d
+    mat[n, cols] = z / (d * root)
+    mat[cols, n] = np.conj(mat[n, cols])
+    return HermitianOp.from_matrix(mat)
+
+
+@pytest.mark.parametrize("d", PRIME_DIMS[1:])
+def test_sigma0_matches_its_powers(d):
+    rng = np.random.default_rng(d)
+    for phases in (np.zeros((d * d - 1) // 2), rng.uniform(-np.pi, np.pi, (d * d - 1) // 2)):
+        want = power_build_sigma0_from_phases(d, phases)
+        assert build_sigma0_from_phases(d, phases).tobytes() == want.tobytes()
+
+
+def test_qutrit_fiducial_matches_its_power():
+    # qutrit_target_ket raises ω = exp(2πi/3) to its square in place.
+    assert qutrit_fiducial().ket.tobytes() == canonical_ket(qutrit_target_ket()).tobytes()
+
+
 @given(st.sampled_from(SEARCH_PRIMES[1:]), st.integers(0, 2**32 - 1))
 def test_sigma0_inverts_phases_of_searched_fiducials(d, seed):
     res = search_fiducial(d, SearchConfig(seed=seed, restarts=200))
@@ -1168,8 +1200,10 @@ def test_seed_past_64_bits_runs():
 def test_seed_must_be_a_non_negative_integer(seed, error, match):
     with pytest.raises(error, match=match):
         search_fiducial(3, SearchConfig(seed=seed, restarts=1))
-    with pytest.raises(error, match=match):
-        solve_cyclic_probability(5, seed=seed, restarts=1)
+    # d = 2 and 3 take closed forms and draw nothing; the seed is checked all the same.
+    for d in (2, 3, 5):
+        with pytest.raises(error, match=match):
+            solve_cyclic_probability(d, seed=seed, restarts=1)
 
 
 def test_search_reports_budget_exhaustion():

@@ -14,9 +14,14 @@ from mubsic.weyl import (
     commuting_classes,
     is_prime,
     monomial,
+    shift_clock_tables,
     verify_mub,
     verify_rotation_action,
 )
+
+# The power_* references and loop_hg_basis form ω where they use it and
+# raise it to each power in place; the package reads every phase from
+# shift_clock_tables and must match them bit for bit.
 
 
 # --- generator pair -------------------------------------------------------------
@@ -47,6 +52,27 @@ def test_non_prime_rejected():
             build_weyl_pair(bad)
 
 
+def power_weyl_pair(d):
+    """Reference: X by its shifted ones and Z = diag(ω^n), ω formed here."""
+    omega = np.exp(2j * np.pi / d)
+    x = np.zeros((d, d), dtype=np.complex128)
+    x[np.arange(d), (np.arange(d) + 1) % d] = 1.0
+    return x, np.diag(omega ** np.arange(d)), complex(omega)
+
+
+@pytest.mark.parametrize("d", PRIME_DIMS)
+def test_weyl_pair_and_tables_match_their_powers(d):
+    wp = build_weyl_pair(d)
+    x, z, omega = power_weyl_pair(d)
+    assert (wp.X.tobytes(), wp.Z.tobytes(), wp.omega) == (x.tobytes(), z.tobytes(), omega)
+    ahead, behind, w = shift_clock_tables(d)
+    p = np.arange(d) * 1.5
+    for m in range(d):
+        assert np.array_equal(p[ahead[m]], np.roll(p, -m))
+        assert np.array_equal(p[behind[m]], np.roll(p, m))
+        assert w[m].tobytes() == (omega ** ((m * np.arange(d)) % d)).tobytes()
+
+
 # --- monomials --------------------------------------------------------------------
 
 
@@ -73,6 +99,26 @@ def test_monomial_index_range():
     for a, b in ((-1, 0), (0, 3), (3, 0)):
         with pytest.raises(ValueError):
             monomial(wp, a, b)
+
+
+def power_monomial(wp, a, b):
+    """Reference: (X^a Z^b)[i, j] = ω^{bj} δ_{j, i+a mod d}, each phase
+    raised from ω."""
+    d = wp.d
+    omega = np.exp(2j * np.pi / d)
+    rows = np.arange(d)
+    cols = (rows + a) % d
+    mat = np.zeros((d, d), dtype=np.complex128)
+    mat[rows, cols] = omega ** ((b * cols) % d)
+    return mat
+
+
+@pytest.mark.parametrize("d", PRIME_DIMS)
+def test_monomial_matches_its_powers(d):
+    wp = build_weyl_pair(d)
+    for a in range(d):
+        for b in range(d):
+            assert monomial(wp, a, b).tobytes() == power_monomial(wp, a, b).tobytes()
 
 
 def test_monomial_matches_matrix_powers():
@@ -261,6 +307,41 @@ def test_hg_orthogonality_across_labels():
             hg = np.trace(flat_h[i] @ flat_g[i2]).real
             assert hh == pytest.approx(1.0 if i == i2 else 0.0, abs=1e-10)
             assert hg == pytest.approx(0.0, abs=1e-10)
+
+
+def loop_hg_basis(wp, phases):
+    """Reference: the per-generator loop over the (d+1)(d−1)/2 monomials."""
+    d = wp.d
+    half = (d - 1) // 2
+    modulus = float(np.sqrt(1.0 / (2 * d)))
+    h = np.zeros((d + 1, half, d, d), dtype=np.complex128)
+    g = np.zeros_like(h)
+    for j, gens in enumerate(commuting_classes(wp)):
+        for idx, (a, b) in enumerate(gens):
+            m = power_monomial(wp, a, b)
+            zeta = modulus * np.exp(1j * phases[j, idx])
+            h[j, idx] = zeta * m + np.conj(zeta) * m.conj().T
+            g[j, idx] = -1j * (zeta * m - np.conj(zeta) * m.conj().T)
+    return h, g
+
+
+@pytest.mark.parametrize("d", PRIME_DIMS[1:])
+def test_hg_matches_loop_bit_for_bit(d):
+    wp = build_weyl_pair(d)
+    shape = (d + 1, (d - 1) // 2)
+    for phases in (np.zeros(shape), np.random.default_rng(d).uniform(-np.pi, np.pi, shape)):
+        basis = build_hg_basis(wp, phases)
+        h, g = loop_hg_basis(wp, phases)
+        assert (basis.h.tobytes(), basis.g.tobytes()) == (h.tobytes(), g.tobytes())
+        assert not basis.h.flags.writeable and not basis.g.flags.writeable
+
+
+def test_hg_builds_one_class_at_a_time():
+    """The h and g stacks at d = 31 hold 14.8 MB, and building them peaks at
+    14.9 MB with a loop over generators, 15.4 MB one class at a time, and
+    37.1 MB with every generator gathered in one expression."""
+    wp = build_weyl_pair(31)
+    assert traced_peak(lambda: build_hg_basis(wp)) <= 15.9e6
 
 
 def test_hg_rejects_qubit_and_bad_modulus():
