@@ -165,14 +165,15 @@ def _cmd_frame_verify(args) -> int:
     print(f"point table deviation {_fmt(worst)} (beta={_fmt(pf.beta)})")
     if lf is not None:
         line_dev = frames.verify_line_table(lf)
-        report = frames.verify_point_line_products(pf, lf, plane.build_dapg(pf.d))
+        report = frames.verify_point_line_table(pf, lf, plane.build_dapg(pf.d))
         print(f"line table deviation {_fmt(line_dev)} (alpha={_fmt(lf.alpha)})")
         print(
             "point-line products deviation "
             f"{_fmt(report.max_dev_traceless)} (traceless), "
             f"{_fmt(report.max_dev_trace_one)} (trace-one)"
         )
-        worst = max(worst, line_dev, report.max_dev)
+        # A NaN deviation is the worst one; max() alone would drop a later NaN.
+        worst = max(worst, line_dev, report.max_dev, key=lambda x: (x != x, x))
     return _verdict("max deviation", worst, tol)
 
 

@@ -28,6 +28,7 @@ import numpy as np
 
 from .linalg import (
     DEFAULT_TOL,
+    _gram_blocks,
     gram_deviation,
     hermitian_stack,
     hs_inner,
@@ -181,12 +182,51 @@ class PointLineReport:
 
     @property
     def max_dev(self) -> float:
-        return max(self.max_dev_traceless, self.max_dev_trace_one)
+        """The larger deviation; NaN if either is."""
+        return float(np.max([self.max_dev_traceless, self.max_dev_trace_one]))
+
+
+def verify_point_line_table(points: PointFrame, lines: LineFrame, geom: Dapg) -> PointLineReport:
+    """Max deviations of tr(t l) and tr(τ λ) from their on/off-line targets
+    over every (point, line) pair.
+
+    The traceless table is gram_deviation's sliced Gram of lines × points,
+    exact to one rounding and formed ``_GRAM_BLOCK`` rows by ``_GRAM_BLOCK``
+    columns at a time; the trace-one table follows from it as
+    tr(τλ) = (d + tr t + tr l + tr(tl))/d², so no companion stack is built.
+    A product beyond float64 reads inf and an undefined one NaN, without a
+    floating-point warning; either fails every tolerance.
+    """
+    _require_plane(geom, points, lines)
+    d, beta = points.d, points.beta
+    on = geom.incidence.T == 1  # [line, point]
+    t_on, t_off = beta, -beta * (d + 1) / (d * d - 1)
+    tau_on, tau_off = (d + beta) / d**2, (d - beta / (d - 1)) / d**2
+    dev_t = dev_tau = 0.0
+    with np.errstate(over="ignore", invalid="ignore"):
+        tr_t = np.trace(points.ops, axis1=1, axis2=2).real
+        tr_l = np.trace(lines.ops, axis1=1, axis2=2).real
+        for lo, at, block in _gram_blocks(lines.ops, points.ops):
+            rows, cols = slice(lo, lo + len(block)), slice(at, at + block.shape[1])
+            is_on = on[rows, cols]
+            dev_t = np.max([dev_t, np.abs(block - np.where(is_on, t_on, t_off)).max()])
+            tau = (d + tr_l[rows, None] + tr_t[cols] + block) / d**2
+            dev_tau = np.max([dev_tau, np.abs(tau - np.where(is_on, tau_on, tau_off)).max()])
+    return PointLineReport(
+        d=d, beta=beta, max_dev_traceless=float(dev_t), max_dev_trace_one=float(dev_tau)
+    )
 
 
 def verify_point_line_products(
     points: PointFrame, lines: LineFrame, geom: Dapg
 ) -> PointLineReport:
+    """:func:`verify_point_line_table` one product at a time: 2·d²·d(d+1)
+    :func:`hs_inner` calls, reduced by Python's max(), which drops a NaN.
+
+    No command calls it.  It stays as the per-pair reference of the tests and
+    of the benchmark tracer, which pins its ``hs_inner`` call count, until the
+    tracer reads the program's own record (ROADMAP item 2).
+    """
     _require_plane(geom, points, lines)
     d, beta = points.d, points.beta
     on = geom.incidence.T == 1  # [line, point]

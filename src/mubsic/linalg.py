@@ -7,8 +7,8 @@ read-only complex ``(d, d)`` ndarray admitted once by
 ``(n, d, d)`` stack (:func:`hermitian_stack`), so values can be shared
 freely across threads.
 
-Every Gram-table check of the paper's identities goes through
-:func:`gram_deviation`, whose Gram is exact to one rounding.
+Every Hilbert-Schmidt table check of the paper's identities goes through
+the sliced Gram of :func:`gram_deviation`, exact to one rounding.
 """
 
 from __future__ import annotations
@@ -195,26 +195,34 @@ def _hs_slices(rows: np.ndarray, bits: int) -> tuple[np.ndarray, np.ndarray]:
     return out, exps
 
 
-def _gram_blocks(stack: np.ndarray):
+def _gram_blocks(stack: np.ndarray, right: np.ndarray | None = None):
     """The upper triangle of the Hilbert-Schmidt Gram table tr(ab) of a
     Hermitian ``(n, d, d)`` stack, as ``(lo, at, G[lo:lo+B, at:at+B])`` for
-    every pair of ``_GRAM_BLOCK``-row blocks with lo ≤ at.
+    every pair of ``_GRAM_BLOCK``-row blocks with lo ≤ at; given a ``right``
+    stack of the same d, every block of the table of a from ``stack`` and b
+    from ``right``.
 
     Each block is sliced as it is reached (:func:`_hs_slices`).  With slices
     of ``bits`` bits, the 2d² − d units of weight keep every weighted dot
-    product of two slice rows below 2^53.
+    product of two slice rows below 2^53.  Slices and exponents are per row,
+    so an entry's bits do not depend on the blocks it is formed in.
     """
     n, d = stack.shape[:2]
     bits = (53 - (2 * d * d - 1).bit_length()) // 2
     weight = np.full(d * d, 2.0)
     weight[:d] = 1.0
+    cross = right is not None
+    cols = right if cross else stack
     for lo in range(0, n, _GRAM_BLOCK):
-        for at in range(lo, n, _GRAM_BLOCK):
-            right, right_exps = _hs_slices(stack[at : at + _GRAM_BLOCK], bits)
-            if at == lo:
-                left, left_exps = right * weight, right_exps
-            block = sum((left[i] @ right[j].T) * 2.0 ** (-bits * (i + j)) for i, j in _SLICE_PAIRS)
-            yield lo, at, np.ldexp(block, left_exps[:, None] + right_exps - 2 * bits)
+        if cross:
+            left, left_exps = _hs_slices(stack[lo : lo + _GRAM_BLOCK], bits)
+            left *= weight
+        for at in range(0 if cross else lo, len(cols), _GRAM_BLOCK):
+            col, col_exps = _hs_slices(cols[at : at + _GRAM_BLOCK], bits)
+            if at == lo and not cross:
+                left, left_exps = col * weight, col_exps
+            block = sum((left[i] @ col[j].T) * 2.0 ** (-bits * (i + j)) for i, j in _SLICE_PAIRS)
+            yield lo, at, np.ldexp(block, left_exps[:, None] + col_exps - 2 * bits)
 
 
 def gram_deviation(stack: np.ndarray, labels, diag: float, same: float, other: float) -> float:

@@ -38,7 +38,7 @@ from mubsic.frames import (
     quasi_distribution,
     scaled_so,
     trace_one,
-    verify_point_line_products,
+    verify_point_line_table,
 )
 from mubsic.linalg import hermitian_eigensystem, hs_inner
 from mubsic.plane import build_dapg, line_keys, verify_incidence
@@ -114,7 +114,7 @@ def test_criterion_03_operator_basis_case(report):
         worst_gram = max(
             worst_gram, float(np.abs(gram(lams) - d * np.eye(d * d)).max())
         )
-        rep = verify_point_line_products(pf, lf, geom)
+        rep = verify_point_line_table(pf, lf, geom)
         # at β = d(d−1) the trace-one products are exactly 1 on-line, 0 off
         worst_products = max(worst_products, rep.max_dev_trace_one)
     ok = worst_gram <= 1e-10 and worst_products <= 1e-10

@@ -138,6 +138,68 @@ def test_huge_operator_entry_fails_verify(argv, entry, code, tmp_path, capsys):
     assert err == "" and "deviation inf" in out and "fail at" in out
 
 
+def frame_files(tmp_path, beta=None, alpha=None, huge_trace=False):
+    """The d = 3 unbiased-basis point file and its bridged line file, with the
+    strengths replaced when given; ``huge_trace`` sets the first point's
+    diagonal to (1e308, 1e308, 0) and the first line's to its negative, so
+    that tr t = inf and tr l = −inf."""
+    points, lines = tmp_path / "points.json", tmp_path / "lines.json"
+    assert run(["frame", "from-mub", "--d", "3", "--out", str(points)]) == 0
+    assert run(["frame", "bridge", "--points", str(points), "--out", str(lines)]) == 0
+    for path, key, value, sign in ((points, "beta", beta, 1), (lines, "alpha", alpha, -1)):
+        obj = json.loads(path.read_text())
+        if value is not None:
+            obj[key] = value
+        if huge_trace:
+            obj["ops"][0]["entries"][::4] = [[sign * 1e308, 0.0]] * 2 + [[0.0, 0.0]]
+        path.write_text(json.dumps(obj))
+    return str(points), str(lines)
+
+
+# A strength of 1e308 fails the point or the line table as it did when each
+# point-line product was its own hs_inner call: the same exit code and the
+# same point-table and line-table lines.  With β = 1e308 the off-line target
+# −β(d+1)/(d²−1) is −inf, so the traceless deviation reads inf, as before.
+@pytest.mark.parametrize("beta, alpha, lines", [
+    (1e308, None, ["point table deviation 1e+308 (beta=1e+308)",
+                   "line table deviation 1.06581410364e-14 (alpha=24)",
+                   "point-line products deviation inf (traceless), 1.11111111111e+307 (trace-one)",
+                   "max deviation inf (fail at 1e-10)"]),
+    (None, 1e308, ["point table deviation 2.6645352591e-15 (beta=6)",
+                   "line table deviation 1e+308 (alpha=1e+308)",
+                   "point-line products deviation 4.4408920985e-15 (traceless), "
+                   "8.881784197e-16 (trace-one)",
+                   "max deviation 1e+308 (fail at 1e-10)"]),
+])
+def test_frame_strength_past_float64_fails_without_warning(beta, alpha, lines, tmp_path, capsys,
+                                                           monkeypatch):
+    monkeypatch.delenv("MUBSIC_TOL", raising=False)
+    points, line_file = frame_files(tmp_path, beta=beta, alpha=alpha)
+    capsys.readouterr()
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert run(["frame", "verify", "--points", points, "--lines", line_file]) == 1
+    out, err = capsys.readouterr()
+    assert err == "" and out.splitlines() == lines
+
+
+def test_undefined_point_line_product_reads_nan_and_fails(tmp_path, capsys, monkeypatch):
+    # tr t = inf and tr l = −inf make the trace-one product inf − inf, NaN.
+    # The deviation keeps it, and so does the verdict.
+    monkeypatch.delenv("MUBSIC_TOL", raising=False)
+    points, lines = frame_files(tmp_path, huge_trace=True)
+    capsys.readouterr()
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert run(["frame", "verify", "--points", points, "--lines", lines]) == 1
+    out, err = capsys.readouterr()
+    assert err == ""
+    assert out.splitlines()[2:] == [
+        "point-line products deviation inf (traceless), nan (trace-one)",
+        "max deviation nan (fail at 1e-10)",
+    ]
+
+
 def test_sic_generate_verify_cycle(tmp_path, capsys):
     fam = tmp_path / "fam.json"
     assert run(["sic", "generate", "--builtin", "qutrit", "--out", str(fam)]) == 0

@@ -87,7 +87,7 @@ PINS = {
     ),
     "frame verify --points points3.json --lines lines3.json": (
         0,
-        "c67b0cfe6e4547f22791b17800fbee29a11a84589d4bdb1595a870e4a41c7954",
+        "33220b389db73ddd2989867fac31256c3581ba87037e13cafb0c282b84c57aa7",
         None,
     ),
     "frame from-mub --d 7 --out points7.json": (
@@ -102,7 +102,7 @@ PINS = {
     ),
     "frame verify --points points7.json --lines lines7.json": (
         0,
-        "cfea540a7b283929a483be8a39887b5a846f5698bf2bffc7a4db2984a4ee7bc5",
+        "ff388bc150d497016a7b279bc21a6eb5014d6f2507b0ba819c982772cb3e116a",
         None,
     ),
     "frame from-hg --d 5 --out hg5.json": (

@@ -5,6 +5,7 @@ import pathlib
 import subprocess
 import sys
 import tracemalloc
+import warnings
 from fractions import Fraction
 
 import numpy as np
@@ -21,12 +22,14 @@ from helpers import (
     op_add,
     op_scale,
     random_density,
+    random_hermitian,
     random_ket,
     traced_peak,
 )
-from mubsic import cli, frames, siclab
+from mubsic import cli, frames, linalg, siclab
 from mubsic.frames import (
     LineFrame,
+    PointFrame,
     build_simplex_vectors,
     line_ops_from_points,
     line_frame_from_json_dict,
@@ -44,6 +47,7 @@ from mubsic.frames import (
     trace_one,
     verify_line_table,
     verify_point_line_products,
+    verify_point_line_table,
     verify_point_table,
     with_beta,
 )
@@ -275,10 +279,12 @@ def test_bridges_and_products_reject_other_planes():
             line_ops_from_points(pf, plane)
         with pytest.raises(ValueError, match="canonical dual plane"):
             point_ops_from_lines(lf, plane)
+        for check in (verify_point_line_table, verify_point_line_products):
+            with pytest.raises(ValueError, match="canonical dual plane"):
+                check(pf, lf, plane)
+    for check in (verify_point_line_table, verify_point_line_products):
         with pytest.raises(ValueError, match="canonical dual plane"):
-            verify_point_line_products(pf, lf, plane)
-    with pytest.raises(ValueError, match="canonical dual plane"):
-        verify_point_line_products(pf, line_ops_from_points(mub_points(5), build_dapg(5)), geom)
+            check(pf, line_ops_from_points(mub_points(5), build_dapg(5)), geom)
 
 
 # Reference implementations: the per-line and per-point loops that the
@@ -371,7 +377,7 @@ def test_products_for_basis_strength():
         pf = mub_points(d)
         geom = build_dapg(d)
         lf = line_ops_from_points(pf, geom)
-        report = verify_point_line_products(pf, lf, geom)
+        report = verify_point_line_table(pf, lf, geom)
         assert report.max_dev <= 1e-10
         # with β = d(d−1) the trace-one products are exactly 1 on-line, 0 off
         lam, taus = trace_one(lf.ops, d)[0], trace_one(pf.ops, d)
@@ -385,7 +391,7 @@ def test_products_at_equal_overlap_strength():
     pf = with_beta(mub_points(d), beta)
     geom = build_dapg(d)
     lf = line_ops_from_points(pf, geom)
-    report = verify_point_line_products(pf, lf, geom)
+    report = verify_point_line_table(pf, lf, geom)
     assert report.max_dev <= 1e-10
     on_value = (d + beta) / d**2
     assert on_value == pytest.approx(0.5)
@@ -451,16 +457,95 @@ def test_point_line_products_match_loop(d, make):
     assert (report.max_dev_traceless, report.max_dev_trace_one) == ref
 
 
-# Every odd prime to 23 takes about 3 s in all on two cores.  d = 29 and 31 would
-# add about 10 s to this per-pair loop (2.2 s and 3 s per frame); they wait for
-# the stacked-matmul form of the check.
 @pytest.mark.parametrize("make", [mub_points, hg_points])
-@pytest.mark.parametrize("d", [d for d in PRIME_DIMS if 2 < d <= 23])
+@pytest.mark.parametrize("d", [d for d in PRIME_DIMS if d > 2])
 def test_point_line_identities_every_odd_prime(d, make):
     pf = make(d)
     geom = build_dapg(d)
-    report = verify_point_line_products(pf, line_ops_from_points(pf, geom), geom)
+    report = verify_point_line_table(pf, line_ops_from_points(pf, geom), geom)
     assert report.max_dev <= DEFAULT_TOL
+
+
+@pytest.mark.parametrize("d", [3, 5, 11])
+def test_point_line_table_agrees_with_the_loop_off_the_identities(d):
+    # Frames that fail every identity, with traces far from 0: the unbiased
+    # frame shifted by multiples of the identity, and random Hermitian rows.
+    # The fold reads the per-pair loop's deviations to within rounding, so
+    # each of tr t, tr l, tr(tl) and the targets enters it where it should.
+    geom = build_dapg(d)
+    pf = mub_points(d)
+    lf = line_ops_from_points(pf, geom)
+    rng = np.random.default_rng(d)
+
+    def drawn_rows(n):
+        return linalg.hermitian_stack((random_hermitian(rng, d) for _ in range(n)), n, d)
+
+    shifted = (
+        PointFrame(d, pf.beta, linalg.read_only(pf.ops + 0.3 * np.eye(d))),
+        LineFrame(d, lf.alpha, linalg.read_only(lf.ops - 0.7 * np.eye(d))),
+    )
+    drawn = PointFrame(d, 1.5, drawn_rows(d * (d + 1))), LineFrame(d, 2.5, drawn_rows(d * d))
+    for points, lines in (shifted, drawn):
+        fold = verify_point_line_table(points, lines, geom)
+        loop = verify_point_line_products(points, lines, geom)
+        assert fold.max_dev_traceless > 0.1 and fold.max_dev_trace_one > 0.01
+        assert fold.max_dev_traceless == pytest.approx(loop.max_dev_traceless, rel=1e-12)
+        assert fold.max_dev_trace_one == pytest.approx(loop.max_dev_trace_one, rel=1e-12)
+
+
+def traceless_targets(pf, geom) -> np.ndarray:
+    """The lines × points table of tr(t l) that the identities give."""
+    d, beta = pf.d, pf.beta
+    return np.where(geom.incidence.T == 1, beta, -beta * (d + 1) / (d * d - 1))
+
+
+def target_blocks(table: np.ndarray):
+    """The whole lines × points ``table`` as _gram_blocks' cross blocks."""
+    rows, cols = table.shape
+    for lo in range(0, rows, linalg._GRAM_BLOCK):
+        for at in range(0, cols, linalg._GRAM_BLOCK):
+            yield lo, at, table[lo : lo + linalg._GRAM_BLOCK, at : at + linalg._GRAM_BLOCK]
+
+
+@pytest.mark.parametrize("at", [(0, 0), (63, 64), (64, 63), (120, 131), (100, 130)])
+def test_point_line_table_reads_every_pair(at, monkeypatch):
+    # At d = 11 (121 lines, 132 points: ragged blocks both ways), a table equal
+    # to its targets but for one entry moved by 1 reads a traceless deviation
+    # of 1 and a trace-one deviation of 1/d², whichever block holds the entry.
+    d = 11
+    pf, geom = mub_points(d), build_dapg(d)
+    lf = line_ops_from_points(pf, geom)
+    table = traceless_targets(pf, geom)
+    table[at] += 1.0
+    monkeypatch.setattr(frames, "_gram_blocks", lambda *_: target_blocks(table))
+    report = verify_point_line_table(pf, lf, geom)
+    assert report.max_dev_traceless == 1.0
+    assert report.max_dev_trace_one == pytest.approx(1 / d**2, abs=1e-12)
+
+
+@pytest.mark.parametrize("bad, dev", [(np.inf, np.inf), (-np.inf, np.inf), (np.nan, np.nan)])
+def test_point_line_table_keeps_a_non_finite_product(bad, dev, monkeypatch):
+    # One product in the last block past float64 reads inf, and an undefined
+    # one NaN, in both tables and without a warning; Python's max() would keep
+    # the finite deviation of the blocks before it.
+    pf, geom = mub_points(11), build_dapg(11)
+    lf = line_ops_from_points(pf, geom)
+    table = traceless_targets(pf, geom)
+    table[-1, -1] = bad
+    monkeypatch.setattr(frames, "_gram_blocks", lambda *_: target_blocks(table))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        report = verify_point_line_table(pf, lf, geom)
+    np.testing.assert_equal([report.max_dev_traceless, report.max_dev_trace_one, report.max_dev],
+                            [dev, dev, dev])
+
+
+def test_point_line_table_memory_at_d31():
+    """The lines × points table at d = 31 is 7.6 MB as one float64 array; its
+    check, formed one block pair at a time, peaks at 6.5 MB."""
+    pf, geom = mub_points(31), build_dapg(31)
+    lf = line_ops_from_points(pf, geom)
+    assert traced_peak(lambda: verify_point_line_table(pf, lf, geom)) < 7.2e6
 
 
 # The family-wide array expressions against the per-operator loops they
@@ -522,7 +607,7 @@ def test_checks_read_the_family_stacks_as_they_are(monkeypatch):
 
     monkeypatch.setattr(np, "stack", restacked)
     assert verify_point_table(pf) <= DEFAULT_TOL and verify_line_table(lf) <= DEFAULT_TOL
-    assert verify_point_line_products(pf, lf, geom).max_dev <= DEFAULT_TOL
+    assert verify_point_line_table(pf, lf, geom).max_dev <= DEFAULT_TOL
     assert sum(quasi_distribution(rho, pf).values()) == pytest.approx(d + 1)
     assert siclab.verify_sic(fam) <= DEFAULT_TOL
     taus = siclab.extract_mu_pom(fam)

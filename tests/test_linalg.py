@@ -222,8 +222,10 @@ def test_hs_inner_symmetry_and_positivity():
 # unbiased-basis point frame.  Its table constant is β = tr t² = ‖t‖², so any
 # order of summation of the 2d² real products errs by at most γ_{2d²}·β
 # (Higham, Accuracy and Stability of Numerical Algorithms, §3.1), as hs_inner
-# may; the sliced Gram rounds once, to within u·β.  The exact deviation over
-# the checked entries is a lower bound on the data's own.
+# may; the sliced Gram rounds once, to within u·β.  The lines × points table
+# of frame verify comes from the same kernel, to within u·(|tr tl| + ‖t‖‖l‖/4).
+# The exact deviation over the checked entries is a lower bound on the data's
+# own.
 
 UNIT_ROUNDOFF = 2.0**-53
 
@@ -238,6 +240,28 @@ def sliced_gram(stack: np.ndarray) -> np.ndarray:
         gram[rows, cols] = block
         gram[cols, rows] = block.T
     return gram
+
+
+def sliced_table(left: np.ndarray, right: np.ndarray) -> np.ndarray:
+    """The whole table tr(ab), a a row of ``left`` and b of ``right``, from
+    the cross blocks of the sliced Gram; NaN where no block reached."""
+    table = np.full((len(left), len(right)), np.nan)
+    for lo, at, block in linalg._gram_blocks(left, right):
+        table[lo : lo + len(block), at : at + block.shape[1]] = block
+    return table
+
+
+def square_bound(op: np.ndarray) -> Fraction:
+    """An upper bound of ‖op‖²: its float sum of 2d² squares, which errs by
+    less than 2d²·u relative (d ≤ 31), raised by 2⁻⁴⁰ relative."""
+    return Fraction(float(np.vdot(op, op).real)) * (1 + Fraction(2) ** -40)
+
+
+def within_sliced_bound(got: float, exact: Fraction, a: np.ndarray, b: np.ndarray) -> bool:
+    """|got − exact| ≤ u·(|exact| + ‖a‖‖b‖/4), decided in exact arithmetic."""
+    u = Fraction(UNIT_ROUNDOFF)
+    excess = abs(Fraction(got) - exact) - u * abs(exact)
+    return excess <= 0 or (4 * excess) ** 2 <= u * u * square_bound(a) * square_bound(b)
 
 
 def test_exact_hs_is_the_trace_of_the_product():
@@ -274,6 +298,23 @@ def test_hs_kernels_against_exact_products(d):
             exact_dev = max(exact_dev, abs(exact - Fraction(target[a, b])))
         assert error <= bound, f"{name} errs by {float(error):.2e} β at d = {d}"
     assert gram_deviation(ops, column_labels(d), *rule) == float(np.abs(gram - target).max())
+    # The lines × points table, on its sampled pairs and its 40 worst entries.
+    geom = build_dapg(d)
+    lf = frames.line_ops_from_points(pf, geom)
+    blocks = list(linalg._gram_blocks(lf.ops, ops))
+    with mock.patch.object(linalg, "_gram_blocks", side_effect=lambda *_: iter(blocks)):
+        table = sliced_table(lf.ops, ops)
+    cross_target = np.where(geom.incidence.T == 1, beta, -beta * (d + 1) / (d * d - 1))
+    dev = np.abs(table - cross_target)
+    draws = np.random.default_rng(d).integers((len(lf.ops), n), size=(20, 2)).tolist()
+    pairs = {tuple(p) for p in draws} | {divmod(int(i), n) for i in np.argsort(dev, axis=None)[-40:]}
+    for line, point in pairs:
+        exact = exact_hs(lf.ops[line], ops[point])
+        assert within_sliced_bound(table[line, point], exact, lf.ops[line], ops[point]), (line, point)
+        exact_dev = max(exact_dev, abs(exact - Fraction(cross_target[line, point])))
+    with mock.patch.object(frames, "_gram_blocks", side_effect=lambda *_: iter(blocks)):
+        report = frames.verify_point_line_table(pf, lf, geom)
+    assert report.max_dev_traceless == float(dev.max())
     assert float(exact_dev) <= DEFAULT_TOL
 
 
@@ -339,6 +380,20 @@ def test_sliced_gram_covers_every_pair(n):
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         assert_gram_exact(hermitian_rows(np.random.default_rng(n), n, 2))
+
+
+@pytest.mark.parametrize(
+    "n, m", [(1, 1), (5, BLOCK + 1), (BLOCK, BLOCK - 1), (BLOCK + 1, 2 * BLOCK + 3), (2 * BLOCK, 3)]
+)
+def test_cross_blocks_are_the_stacked_gram_entries(n, m):
+    # Every entry of the table of n rows × m rows, in every block of a ragged
+    # grid, has the bits of its entry in the Gram of the n + m rows stacked:
+    # the slices and exponents are per row, so blocking moves no bit.
+    stack = hermitian_rows(np.random.default_rng(n + m), n + m, 3)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        table = sliced_table(stack[:n], stack[n:])
+    assert table.tobytes() == np.ascontiguousarray(sliced_gram(stack)[:n, n:]).tobytes()
 
 
 def table_deviation(stack: np.ndarray, target: np.ndarray) -> float:
@@ -430,12 +485,15 @@ def test_sliced_gram_of_drawn_stacks_is_exact(stack):
 
 
 def test_sliced_gram_bits_do_not_depend_on_blas_threads():
-    # The same bits with one BLAS thread and with the default count.
+    # The same bits with one BLAS thread and with the default count, in the
+    # point Gram and in the lines × points table.
     code = (
         "import hashlib\n"
-        "from mubsic import frames, linalg, weyl\n"
+        "from mubsic import frames, linalg, plane, weyl\n"
         "pf = frames.point_frame_from_mub(weyl.build_mub(19))\n"
+        "lf = frames.line_ops_from_points(pf, plane.build_dapg(19))\n"
         "blocks = b''.join(b.tobytes() for _, _, b in linalg._gram_blocks(pf.ops))\n"
+        "blocks += b''.join(b.tobytes() for _, _, b in linalg._gram_blocks(lf.ops, pf.ops))\n"
         "print(repr(frames.verify_point_table(pf)), hashlib.sha256(blocks).hexdigest())\n"
     )
     src = pathlib.Path(linalg.__file__).resolve().parents[1]
